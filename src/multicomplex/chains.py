@@ -8,8 +8,9 @@ and kills tuples with repeated entries, leaving one basis element per
 geometric simplex.  Both carry an l1 norm on chains and an linf norm on
 cochains.
 
-Homology is computed exactly: ranks over the rationals, Smith normal
-form over the integers.
+Homology is computed exactly from one integer Smith normal form per
+boundary map.  Rational homology is read off the same factorization,
+since H(C;Q) = H(C;Z) (x) Q: the Betti numbers are the free ranks.
 """
 
 from __future__ import annotations
@@ -546,10 +547,15 @@ def is_alternating(chain: Chain) -> bool:
 class HomologyResult:
     """Lazy exact homology of a chain complex over Z or Q.
 
-    Over Q, structure(n) is (betti, []); over Z it is (free rank, list of
-    invariant factors > 1).  Generators are returned as chains over the
-    complex ring.  is_boundary returns an explicit bounding chain when one
-    exists, which makes are_homologous a certified check.
+    Each boundary matrix is factored once, by an integer Smith normal
+    form cached by degree, and both rings are read off it, since
+    H(C;Q) = H(C;Z) (x) Q.  Over Z, structure(n) is (free rank, list of
+    invariant factors > 1), with one generator per torsion factor and
+    then one per free summand.  Over Q it is (betti, []) and the free
+    generators alone, which form a Q-basis.  Generators are returned as
+    chains over the homology ring.  is_boundary returns an explicit
+    bounding chain when one exists, which makes are_homologous a
+    certified check.
     """
 
     def __init__(self, cc: ChainComplex, ring=None):
@@ -557,11 +563,15 @@ class HomologyResult:
         self.ring = ring or cc.ring
         _check_ring(self.ring)
         self._cache = {}
+        self._factors = {}
 
-    # matrix of the boundary arriving in degree n, with explicit shape
-    def _incoming(self, n):
-        mat = self.cc.boundary_matrix(n + 1)
-        return mat, self.cc.dim(n + 1)
+    def _factor(self, m):
+        """Smith form of the boundary from degree m to degree m-1."""
+        if m not in self._factors:
+            mat = self.cc.boundary_matrix(m)
+            self._factors[m] = (intlinalg.smith_form(mat) if mat else
+                                intlinalg.SmithForm(0, self.cc.dim(m)))
+        return self._factors[m]
 
     def structure(self, n):
         return self._data(n)[0]
@@ -578,72 +588,19 @@ class HomologyResult:
     def _data(self, n):
         if n in self._cache:
             return self._cache[n]
-        dn = self.cc.boundary_matrix(n)
-        dim = self.cc.dim(n)
-        dnext, _ = self._incoming(n)
+        sf = self._factor(n)
+        # the columns of V past the rank are a saturated basis of the
+        # cycles, and rows of Vinv past the rank give coordinates in it
+        image = [self.cc.column(n + 1, j) for j in range(self.cc.dim(n + 1))]
+        coords = [[sum(c * row[i] for i, c in col) for col in image]
+                  for row in sf.Vinv[sf.rank:]]
+        torsion, free, coeffs = intlinalg.smith_form(coords).cokernel()
+        kernel = [row[sf.rank:] for row in sf.V]
+        gens = [intlinalg.mat_vec(kernel, cv) for cv in coeffs]
         if self.ring == RING_RAT:
-            if dim == 0:
-                res = ((0, []), [])
-            else:
-                kernel = (intlinalg.rational_kernel_basis(dn, dim)
-                          if self.cc.dim(n - 1) else
-                          intlinalg.rational_kernel_basis([], dim))
-                img_cols = [[Fraction(dnext[i][j]) for i in range(dim)]
-                            for j in range(self.cc.dim(n + 1))]
-                betti, gens = self._rational_quotient(kernel, img_cols, dim)
-                res = ((betti, []), gens)
-        else:
-            if dim == 0:
-                res = ((0, []), [])
-            else:
-                kernel = (intlinalg.integer_kernel_basis(dn, dim)
-                          if self.cc.dim(n - 1) else
-                          intlinalg.integer_kernel_basis([], dim))
-                img_cols = [[dnext[i][j] for i in range(dim)]
-                            for j in range(self.cc.dim(n + 1))]
-                torsion, free, coeffs = intlinalg.integer_quotient(
-                    kernel, img_cols)
-                gens = []
-                for cv in coeffs:
-                    vec = [0] * dim
-                    for t, c in enumerate(cv):
-                        if c:
-                            for i in range(dim):
-                                vec[i] += c * kernel[t][i]
-                    gens.append(vec)
-                res = ((free, torsion), gens)
-        self._cache[n] = res
+            torsion, gens = [], gens[len(torsion):]
+        self._cache[n] = res = ((free, torsion), gens)
         return res
-
-    @staticmethod
-    def _rational_quotient(kernel, img_cols, dim):
-        # row-reduce the images, then greedily extend by kernel vectors
-        cols = [c for c in img_cols if any(x != 0 for x in c)]
-        basis = []
-
-        def reduce_against(v, store):
-            v = list(v)
-            for piv, w in basis:
-                if v[piv] != 0:
-                    f = v[piv] / w[piv]
-                    v = [x - f * y for x, y in zip(v, w)]
-            for i, x in enumerate(v):
-                if x != 0:
-                    if store:
-                        basis.append((i, v))
-                    return True
-            return False
-
-        for c in cols:
-            reduce_against(c, True)
-        image_rank = len(basis)
-        gens = []
-        for kv in kernel:
-            if reduce_against(kv, True):
-                gens.append(kv)
-        betti = len(kernel) - image_rank
-        assert betti == len(gens)
-        return betti, gens
 
     # -- cycle and boundary queries ------------------------------------
 
@@ -651,16 +608,16 @@ class HomologyResult:
         return self.cc.boundary_of(chain).is_zero
 
     def is_boundary(self, chain: Chain):
-        """An explicit chain b with boundary(b) == chain, or None."""
+        """An explicit chain b with boundary(b) == chain, or None.
+
+        Solved on the cached factorization of the boundary into the
+        chain's degree; over Z a chain with a non-integral coefficient
+        raises StructureError.
+        """
         n = chain.degree
-        target = self.cc.vector_of(chain)
-        mat, ncols = self._incoming(n)
-        if self.ring == RING_RAT:
-            sol = intlinalg.rational_solve(mat, target, ncols)
-        else:
-            for x in target:
-                _coerce(RING_INT, x)
-            sol = intlinalg.solve_integer(mat, [int(x) for x in target], ncols)
+        target = [_coerce(self.ring, x) for x in self.cc.vector_of(chain)]
+        sol = self._factor(n + 1).solve(target,
+                                       integral=self.ring == RING_INT)
         if sol is None:
             return None
         return self.cc.chain_from_vector(n + 1, sol, chain.ring)

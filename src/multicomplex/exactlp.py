@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import intlinalg
+from .core import InternalInvariantError
 
-class SimplexFailure(Exception):
+
+class SimplexFailure(InternalInvariantError):
     """The solver could not certify an optimal basis (should not happen
     on the problems this package builds)."""
 
@@ -23,29 +26,6 @@ class LPResult:
         self.x = x
         self.y = y  # dual vector, one entry per constraint row
         self.basis = basis
-
-
-def _invert(mat):
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                       for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SimplexFailure("starting basis matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def solve(columns, b, c, basis, max_iterations=None):
@@ -62,7 +42,13 @@ def solve(columns, b, c, basis, max_iterations=None):
     basis = list(basis)
     if len(basis) != m:
         raise SimplexFailure("basis size does not match the row count")
-    binv = _invert([[columns[j][i] for j in basis] for i in range(m)])
+    # Gauss-Jordan on [B | I] leaves [I | B^-1] exactly when B is regular
+    rref, pivots = intlinalg.rational_rref(
+        [[columns[j][i] for j in basis] + [int(r == i) for r in range(m)]
+         for i in range(m)])
+    if pivots != list(range(m)):
+        raise SimplexFailure("starting basis matrix is singular")
+    binv = [row[m:] for row in rref]
     xb = [sum(binv[i][r] * b[r] for r in range(m)) for i in range(m)]
     if any(v < 0 for v in xb):
         raise SimplexFailure("starting basis is infeasible")

@@ -36,6 +36,8 @@ def parse_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("not valid JSON: %s" % exc)
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("expected a JSON object at top level")
     version = doc.get("schema_version")

@@ -3,6 +3,12 @@
 Matrices are lists of row lists.  Everything here is desk scale: the
 algorithms are the classical cubic ones, run on Python ints (arbitrary
 precision) and fractions.Fraction.  No floats, no modular shortcuts.
+
+There are two eliminations.  The integer Smith normal form is the one
+factorization behind homology over both rings: kernels, quotients and
+solutions over Z and over Q are all read off a SmithForm, since a
+unimodular change of basis is also invertible over Q.  rational_rref is
+the elimination over Q, used for rational ranks and inverses.
 """
 
 from __future__ import annotations
@@ -67,6 +73,41 @@ class SmithForm:
         self.Uinv = identity_matrix(rows)
         self.V = identity_matrix(cols)
         self.Vinv = identity_matrix(cols)
+
+    def solve(self, b: list, integral: bool = True):
+        """One x with A @ x = b, or None if there is none.
+
+        D * (Vinv x) = U b, so a solution exists exactly when (U b)_i
+        vanishes past the rank, and then x = V (U b / d).  With integral
+        the solution must be an integer vector, which needs d_i to divide
+        (U b)_i; otherwise b may hold Fractions and x is rational.
+        """
+        ub = mat_vec(self.U, b)
+        if any(ub[self.rank:]):
+            return None
+        y = [0] * self.cols
+        for i, d in enumerate(self.d):
+            if integral:
+                y[i], rem = divmod(ub[i], d)
+                if rem:
+                    return None
+            else:
+                y[i] = Fraction(ub[i]) / d
+        return mat_vec(self.V, y)
+
+    def cokernel(self):
+        """Z^rows modulo the column span of A: (torsion, free_rank, gens).
+
+        A = Uinv * D * Vinv, so the columns of Uinv form a basis in which
+        the image is spanned by d_i times the i-th basis vector.  torsion
+        lists the invariant factors > 1; gens holds, as column vectors,
+        one generator per torsion factor and then one per free summand.
+        """
+        torsion = [d for d in self.d if d > 1]
+        picked = [i for i, d in enumerate(self.d) if d > 1]
+        picked += range(self.rank, self.rows)
+        gens = [[row[i] for row in self.Uinv] for i in picked]
+        return torsion, self.rows - self.rank, gens
 
 
 def smith_form(a: list[list[int]]) -> SmithForm:
@@ -213,24 +254,11 @@ def integer_kernel_basis(a: list[list[int]], cols: int | None = None) -> list[li
 
 def solve_integer(a: list[list[int]], b: list[int], cols: int | None = None):
     """One integer solution x of a @ x = b, or None if none exists."""
-    rows = len(a)
-    if rows == 0:
+    if not a:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return [0] * cols
-    cols = len(a[0])
-    sf = smith_form(a)
-    ub = mat_vec(sf.U, b)
-    y = [0] * cols
-    for i in range(rows):
-        if i < sf.rank:
-            if ub[i] % sf.d[i] != 0:
-                return None
-            if i < cols:
-                y[i] = ub[i] // sf.d[i]
-        elif ub[i] != 0:
-            return None
-    return mat_vec(sf.V, y)
+    return smith_form(a).solve(b)
 
 
 def integer_quotient(kernel: list[list[int]], image_cols: list[list[int]]):
@@ -247,44 +275,12 @@ def integer_quotient(kernel: list[list[int]], image_cols: list[list[int]]):
     if k == 0:
         return [], 0, []
     m = len(kernel[0])
-    kmat = [[kernel[j][i] for j in range(k)] for i in range(m)]
-    sf = smith_form(kmat)
+    sf = smith_form([[kernel[j][i] for j in range(k)] for i in range(m)])
     # coordinates of each image column in the kernel basis
-    y_cols = []
-    for c in image_cols:
-        uc = mat_vec(sf.U, c)
-        y = [0] * k
-        ok = True
-        for i in range(m):
-            if i < sf.rank:
-                if uc[i] % sf.d[i] != 0:
-                    ok = False
-                    break
-                y[i] = uc[i] // sf.d[i]
-            elif uc[i] != 0:
-                ok = False
-                break
-        if not ok:
-            raise ValueError("image column does not lie in the kernel lattice")
-        y_cols.append(mat_vec(sf.V, y))
-    if y_cols:
-        ymat = [[y_cols[j][i] for j in range(len(y_cols))] for i in range(k)]
-        qf = smith_form(ymat)
-        dlist = qf.d
-        r = qf.rank
-        uinv = qf.Uinv
-    else:
-        dlist, r = [], 0
-        uinv = identity_matrix(k)
-    torsion = [d for d in dlist if d > 1]
-    free_rank = k - r
-    gens = []
-    for i in range(r):
-        if dlist[i] > 1:
-            gens.append([uinv[t][i] for t in range(k)])
-    for i in range(r, k):
-        gens.append([uinv[t][i] for t in range(k)])
-    return torsion, free_rank, gens
+    y_cols = [sf.solve(c) for c in image_cols]
+    if any(y is None for y in y_cols):
+        raise ValueError("image column does not lie in the kernel lattice")
+    return smith_form([[y[i] for y in y_cols] for i in range(k)]).cokernel()
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,23 @@ parallel copies of maximal simplices (copies share every facet pointer
 verbatim, so the two-step face composition of the base complex carries
 over untouched), occasionally wrapped in a product with the interval.
 Everything is driven by seeded random.Random instances, so failures
-reproduce.
+reproduce.  Property tests draw those seeds through hypothesis, under one
+derandomized profile, so every run tries the same examples.
 """
 
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from multicomplex import intlinalg
 from multicomplex.chains import RING_RAT, Chain
 from multicomplex.core import (Multicomplex, product_with_interval,
                                simplicial_complex)
+
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("deterministic")
 
 
 def random_multicomplex(rng: random.Random, max_vertices: int = 7,

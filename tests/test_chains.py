@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import random_multicomplex
 from multicomplex.core import (
     StructureError,
     simplicial_complex,
@@ -33,6 +36,9 @@ from multicomplex.fixtures import (
     tetrahedron_boundary,
     triangle_boundary,
 )
+from multicomplex.intlinalg import rational_rank
+
+seeds = st.integers(0, 10**6)
 
 
 def projective_plane():
@@ -183,6 +189,13 @@ def test_homology_torsion_of_projective_plane():
     assert hom.structure(2) == (0, [])
     rat = homology(build_reduced_chain_complex(mc))
     assert [rat.betti(n) for n in (0, 1, 2)] == [1, 0, 0]
+    assert rat.structure(1) == (0, []) and rat.generators(1) == []
+    # the torsion generator bounds over Q, and over Z only twice over
+    g = hom.generators(1)[0]
+    assert hom.is_boundary(g) is None
+    assert hom.cc.boundary_of(hom.is_boundary(g.scaled(2))) == g.scaled(2)
+    w = rat.is_boundary(Chain(1, RING_RAT, dict(g.items())))
+    assert rat.cc.boundary_of(w) == Chain(1, RING_RAT, dict(g.items()))
 
 
 def test_homology_generators_are_cycles():
@@ -204,6 +217,62 @@ def test_is_boundary_returns_checked_witness():
     assert cc.boundary_of(w) == z
     assert hom.is_boundary(fundamental_cycle(tetrahedron_boundary(),
                                              ring=RING_RAT)) is None
+
+
+def _rank_with_boundaries(cc, n, chains):
+    """Rational rank of the degree-(n+1) boundary columns and the chains,
+    by the rref reference."""
+    columns = [list(col) for col in zip(*cc.boundary_matrix(n + 1))]
+    return rational_rank(columns + [cc.vector_of(g) for g in chains])
+
+
+@given(seeds)
+def test_rational_homology_is_integral_homology_tensor_q(seed):
+    mc = random_multicomplex(random.Random(seed))
+    cc = build_reduced_chain_complex(mc, ring=RING_INT)
+    hz, hq = homology(cc, RING_INT), homology(cc, RING_RAT)
+    for n in range(mc.dimension + 1):
+        free, torsion = hz.structure(n)
+        assert hq.structure(n) == (free, [])
+        zgens, qgens = hz.generators(n), hq.generators(n)
+        assert len(zgens) == free + len(torsion) and len(qgens) == free
+        assert all(cc.boundary_of(g).is_zero for g in zgens + qgens)
+        # the free generators are independent modulo boundaries
+        base = _rank_with_boundaries(cc, n, [])
+        assert _rank_with_boundaries(cc, n, qgens) == base + free
+        assert _rank_with_boundaries(cc, n, zgens[len(torsion):]) == \
+            base + free
+        # a torsion generator has exactly its invariant factor as order
+        for t, g in zip(torsion, zgens):
+            assert hz.is_boundary(g) is None
+            assert hz.is_boundary(g.scaled(t)) is not None
+
+
+@given(seeds)
+def test_is_boundary_returns_a_witness_for_every_boundary(seed):
+    rng = random.Random(seed)
+    mc = random_multicomplex(rng)
+    cc = build_reduced_chain_complex(mc, ring=RING_INT)
+    n = rng.randrange(mc.dimension)
+    labels = rng.sample(cc.basis(n + 1), min(4, cc.dim(n + 1)))
+    for ring, coeff in (
+            (RING_RAT, lambda: Fraction(rng.randint(-3, 3),
+                                        rng.randint(1, 3))),
+            (RING_INT, lambda: rng.randint(-3, 3))):
+        target = cc.boundary_of(
+            cc.chain(n + 1, {lab: coeff() for lab in labels}, ring))
+        w = homology(cc, ring).is_boundary(target)
+        assert w is not None and cc.boundary_of(w) == target
+
+
+@given(st.integers(-4, 4).filter(bool))
+def test_is_boundary_rejects_multiples_of_fundamental_cycles(k):
+    for mc in (triangle_boundary(), tetrahedron_boundary(),
+               seven_vertex_torus(), special_sphere(3)):
+        for ring in (RING_INT, RING_RAT):
+            hom = homology(build_reduced_chain_complex(mc, ring=ring))
+            z = fundamental_cycle(mc, ring=ring).scaled(k)
+            assert hom.is_boundary(z) is None
 
 
 def test_are_homologous():

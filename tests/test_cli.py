@@ -88,6 +88,15 @@ def test_bad_json_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = _run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "error: not valid JSON: nested too deeply" in err
+
+
 def test_sphere_and_skeleton(tmp_path, capsys):
     code, doc, err = _run_json(capsys, ["sphere", "--dim", "1",
                                         "--labels", "a,b"])
@@ -177,6 +186,22 @@ def test_seminorm_dual_and_integral_search(tmp_path, capsys):
     assert doc["best"] == "3"
     assert doc["status"] == "exact"
     assert doc["certified"] is True
+
+
+def test_simplex_failure_exits_three(tmp_path, capsys, monkeypatch):
+    from multicomplex import exactlp
+    solve = exactlp.solve
+    # the real solver, stopped before its first pivot
+    monkeypatch.setattr(exactlp, "solve",
+                        lambda *args: solve(*args, max_iterations=0))
+    mc = triangle_boundary()
+    cpath = _write_mc(tmp_path, "circle.json", mc)
+    zpath = _write(tmp_path, "cycle.json",
+                   formats.chain_to_doc(fundamental_cycle(mc, degree=1)))
+    code, out, err = _run(capsys, ["seminorm", zpath, "--complex", cpath])
+    assert code == 3
+    assert out == ""
+    assert "internal invariant breach: iteration limit exceeded" in err
 
 
 def test_volume_of_the_tetrahedron_boundary(tmp_path, capsys):

@@ -3,12 +3,21 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from multicomplex import intlinalg
-from multicomplex.intlinalg import (integer_kernel_basis, integer_quotient,
-                                    matmul, rational_in_span,
-                                    rational_kernel_basis, rational_rank,
-                                    rational_rref, rational_solve,
-                                    smith_form, solve_integer, xgcd)
+from multicomplex.intlinalg import (identity_matrix, integer_kernel_basis,
+                                    integer_quotient, mat_vec, matmul,
+                                    rational_in_span, rational_kernel_basis,
+                                    rational_rank, rational_rref,
+                                    rational_solve, smith_form,
+                                    solve_integer, xgcd)
+
+# integer matrices with 1-5 rows and 1-5 columns
+matrices = st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+    min_size=1, max_size=5))
 
 
 def test_xgcd():
@@ -39,27 +48,39 @@ def test_smith_form_known():
     assert _is_unimodular(sf.U) and _is_unimodular(sf.V)
 
 
-def test_smith_form_random_factorization():
-    rng = random.Random(7)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        sf = smith_form(a)
-        d = matmul(matmul(sf.U, a), sf.V)
-        for i in range(rows):
-            for j in range(cols):
-                expect = sf.d[i] if i == j and i < len(sf.d) \
-                    else 0
-                assert d[i][j] == expect
-        # divisibility chain
-        diag = [x for x in sf.d if x]
-        for p, q in zip(diag, diag[1:]):
-            assert q % p == 0
-        # inverses really invert
-        assert matmul(sf.U, sf.Uinv) == [
-            [1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-        assert matmul(sf.V, sf.Vinv) == [
-            [1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+@given(matrices)
+def test_smith_form_random_factorization(a):
+    rows, cols = len(a), len(a[0])
+    sf = smith_form(a)
+    # U a V = D with the positive invariant factors on the diagonal
+    assert matmul(matmul(sf.U, a), sf.V) == [
+        [sf.d[i] if i == j and i < sf.rank else 0 for j in range(cols)]
+        for i in range(rows)]
+    assert len(sf.d) == sf.rank and all(x > 0 for x in sf.d)
+    # divisibility chain
+    for p, q in zip(sf.d, sf.d[1:]):
+        assert q % p == 0
+    # U and V have integer inverses, so both are unimodular
+    assert matmul(sf.U, sf.Uinv) == identity_matrix(rows)
+    assert matmul(sf.V, sf.Vinv) == identity_matrix(cols)
+
+
+@given(matrices, st.data())
+def test_smith_solve_agrees_with_the_rational_reference(a, data):
+    cols = len(a[0])
+    sf = smith_form(a)
+    entries = st.lists(st.integers(-4, 4), min_size=len(a), max_size=len(a))
+    b = data.draw(entries)
+    x = sf.solve(b, integral=False)
+    assert (x is None) == (rational_solve(a, b) is None)
+    if x is not None:
+        assert mat_vec(a, x) == b
+    # an integral image is always solved over Z
+    x0 = data.draw(st.lists(st.integers(-4, 4), min_size=cols,
+                            max_size=cols))
+    x = sf.solve(mat_vec(a, x0))
+    assert x is not None and mat_vec(a, x) == mat_vec(a, x0)
+    assert all(isinstance(v, int) for v in x)
 
 
 def test_integer_kernel_is_saturated():
@@ -100,6 +121,10 @@ def test_integer_quotient_structure():
     # no image at all
     torsion, free, _ = integer_quotient(kernel, [])
     assert torsion == [] and free == 2
+    # the same quotients as cokernels of the image matrices
+    assert smith_form([[2, 0], [0, 3]]).cokernel()[:2] == ([6], 0)
+    torsion, free, gens = smith_form([[2], [0]]).cokernel()
+    assert (torsion, free) == ([2], 1) and gens == [[1, 0], [0, 1]]
 
 
 def test_rational_rref_rank_kernel():

@@ -47,7 +47,7 @@ def test_circle_seminorm_is_three_with_unit_dual():
     assert phi.linf_norm() == 1
     assert all(abs(v) == 1 for _, v in phi.items())
     assert phi.pairing(res.optimal_representative) == 3
-    assert dual_check(cc, _circle_loop(cc))
+    assert dual_check(res, _circle_loop(cc))
 
 
 def test_seminorm_rejects_non_cycles():
