@@ -48,9 +48,12 @@ def parse_document(text: str) -> dict:
     return doc
 
 
-def _need(doc: dict, field: str):
-    if field not in doc:
+def _need(doc: dict, field: str, kind=object):
+    if not isinstance(doc, dict) or field not in doc:
         raise FormatError("missing field %r" % field)
+    if not isinstance(doc[field], kind):
+        raise FormatError("field %r must be a JSON %s" % (
+            field, "array" if kind is list else "object"))
     return doc[field]
 
 
@@ -84,13 +87,16 @@ def multicomplex_to_doc(mc: Multicomplex) -> dict:
 
 
 def multicomplex_from_doc(doc: dict) -> Multicomplex:
-    vertices = _need(doc, "vertices")
+    vertices = _need(doc, "vertices", list)
     triples = []
-    for entry in _need(doc, "simplices"):
-        facets = {frozenset(key.split(",")): fid
-                  for key, fid in _need(entry, "facets").items()}
-        triples.append((_need(entry, "id"),
-                        frozenset(_need(entry, "vertices")), facets))
+    for entry in _need(doc, "simplices", list):
+        vset = _need(entry, "vertices", list)
+        facets = _need(entry, "facets", dict)
+        if not all(isinstance(v, str) for v in vset + list(facets.values())):
+            raise FormatError("simplex vertex and facet ids must be strings")
+        triples.append((_need(entry, "id"), frozenset(vset),
+                        {frozenset(key.split(",")): fid
+                         for key, fid in facets.items()}))
     return Multicomplex(vertices, triples)
 
 

@@ -8,7 +8,7 @@ There are two eliminations.  The integer Smith normal form is the one
 factorization behind homology over both rings: kernels, quotients and
 solutions over Z and over Q are all read off a SmithForm, since a
 unimodular change of basis is also invertible over Q.  rational_rref is
-the elimination over Q, used for rational ranks and inverses.
+the elimination over Q, for rational ranks and kernels (not LP bases).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ solver bug and raises InternalInvariantError.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import exactlp
@@ -50,37 +51,18 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
     if not cc.boundary_of(z).is_zero:
         raise MulticomplexError("seminorm_l1 expects a cycle")
     m = cc.dim(n)
-    if m == 0:
-        zero = Chain(n, RING_RAT)
-        return SeminormResult(Fraction(0), zero, Chain(n + 1, RING_RAT),
-                              Cochain(n, RING_RAT))
     k = cc.dim(n + 1)
     target = [Fraction(v) for v in cc.vector_of(z)]
 
     # variables: u_i, w_i with u - w = z - d(b), then b split as p - q
-    columns = []
-    cost = []
-    for i in range(m):
-        col = [Fraction(0)] * m
-        col[i] = Fraction(1)
-        columns.append(col)
-        cost.append(Fraction(1))
-    for i in range(m):
-        col = [Fraction(0)] * m
-        col[i] = Fraction(-1)
-        columns.append(col)
-        cost.append(Fraction(1))
-    bnd_cols = []
-    for j in range(k):
-        col = [Fraction(0)] * m
-        for row, coef in cc.column(n + 1, j):
-            col[row] += coef
-        bnd_cols.append(col)
-        columns.append(col)
-        cost.append(Fraction(0))
-    for j in range(k):
-        columns.append([-v for v in bnd_cols[j]])
-        cost.append(Fraction(0))
+    bnd_cols = [cc.column(n + 1, j) for j in range(k)]
+    if any(int(coef) != coef for col in bnd_cols for _, coef in col):
+        raise InternalInvariantError("boundary coefficients not integral")
+    bnd_cols = [[(r, int(coef)) for r, coef in col] for col in bnd_cols]
+    columns = ([[(i, 1)] for i in range(m)] + [[(i, -1)] for i in range(m)]
+               + bnd_cols + [[(r, -coef) for r, coef in col]
+                             for col in bnd_cols])
+    cost = [1] * (2 * m) + [0] * (2 * k)
 
     basis = [i if target[i] >= 0 else m + i for i in range(m)]
     res = exactlp.solve(columns, target, cost, basis)
@@ -101,7 +83,7 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
     if any(abs(v) > 1 for v in y):
         raise InternalInvariantError("dual certificate exceeds sup-norm one")
     for col in bnd_cols:
-        if sum(a * v for a, v in zip(col, y)) != 0:
+        if sum(y[r] * coef for r, coef in col) != 0:
             raise InternalInvariantError("dual certificate does not vanish "
                                          "on boundaries")
     pairing = sum(t * v for t, v in zip(target, y))
@@ -199,10 +181,15 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
     res = [int(v) for v in res]
     cols = [list(cc.column(n + 1, j)) for j in range(k)]
 
-    # rows no column at position >= j can still change
-    suffix_rows = [set() for _ in range(k + 1)]
-    for j in range(k - 1, -1, -1):
-        suffix_rows[j] = suffix_rows[j + 1] | {r for r, _ in cols[j]}
+    # rows no column at position >= j can still change: the first
+    # frozen[j] rows by the last column that touches them
+    last = [-1] * m
+    for j, col in enumerate(cols):
+        for r, _ in col:
+            last[r] = j
+    by_last = sorted(range(m), key=last.__getitem__)
+    lasts = sorted(last)
+    frozen = [bisect_left(lasts, j) for j in range(k + 1)]
     # largest possible norm decrease by columns at position >= j
     suffix_power = [0] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -213,48 +200,48 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
     for a in range(1, coeff_bound + 1):
         values.extend((a, -a))
 
-    state = {"best": sum(abs(v) for v in res), "vec": [0] * k,
-             "cur": [0] * k, "truncated": False}
-    norm0 = state["best"]
+    best = norm0 = sum(abs(v) for v in res)
+    bvec, cur, truncated = [0] * k, [0] * k, False
 
-    def frozen_norm(j):
-        reach = suffix_rows[j]
-        return sum(abs(res[r]) for r in range(m) if r not in reach)
-
-    def dfs(j, norm, used):
-        if norm < state["best"]:
-            state["best"] = norm
-            state["vec"] = list(state["cur"])
-        if j == k or state["best"] == 0:
-            return
-        if norm - suffix_power[j] >= state["best"]:
-            return
-        if frozen_norm(j) >= state["best"]:
-            return
-        for val in values:
-            if val != 0 and support_bound is not None and \
-                    used >= support_bound:
-                state["truncated"] = True
-                continue
-            if val == 0:
-                dfs(j + 1, norm, used)
-                continue
-            new_norm = norm
+    # depth-first over the columns, values in order; the frame
+    # [norm, used, next value index] of column j sits at stack[j], since
+    # a complex can have more columns than Python allows nested calls
+    stack, child = [], (norm0, 0)
+    while child or stack:
+        if child:
+            norm, used = child
+            j, child = len(stack), None
+            if norm < best:
+                best, bvec = norm, list(cur)
+            if j < k and best > 0 and norm - suffix_power[j] < best and \
+                    sum(abs(res[r]) for r in by_last[:frozen[j]]) < best:
+                stack.append([norm, used, 0])
+            continue
+        j = len(stack) - 1
+        frame = stack[j]
+        norm, used, idx = frame
+        if cur[j]:  # back from the child: undo the value it was given
+            for r, c in cols[j]:
+                res[r] -= c * cur[j]
+            cur[j] = 0
+        if idx == len(values):
+            stack.pop()
+            continue
+        frame[2] = idx + 1
+        val = values[idx]
+        if val == 0:
+            child = (norm, used)
+        elif support_bound is not None and used >= support_bound:
+            truncated = True
+        else:
             for r, c in cols[j]:
                 delta = c * val
-                new_norm += abs(res[r] + delta) - abs(res[r])
+                norm += abs(res[r] + delta) - abs(res[r])
                 res[r] += delta
-            state["cur"][j] = val
-            dfs(j + 1, new_norm, used + 1)
-            state["cur"][j] = 0
-            for r, c in cols[j]:
-                res[r] -= c * val
-        return
+            cur[j] = val
+            child = (norm, used + 1)
 
-    dfs(0, norm0, 0)
-    best = state["best"]
-    certified = (best == 0) or not state["truncated"]
-    bvec = state["vec"]
+    certified = (best == 0) or not truncated
     bchain = cc.chain_from_vector(n + 1, bvec, RING_INT)
     rep = z + cc.boundary_of(bchain)
     if rep.l1_norm() != best:

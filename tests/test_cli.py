@@ -11,6 +11,7 @@ from fractions import Fraction
 from multicomplex import formats
 from multicomplex.chains import (
     AlgebraicSimplex,
+    Chain,
     Cochain,
     RING_INT,
     RING_RAT,
@@ -95,6 +96,29 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error: not valid JSON: nested too deeply" in err
+
+
+def _validate_error(tmp_path, capsys, doc):
+    code, out, err = _run(capsys, ["validate", _write(tmp_path, "mc.json",
+                                                      doc)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def test_non_array_vertices_exit_two(tmp_path, capsys):
+    err = _validate_error(tmp_path, capsys, {
+        "schema_version": formats.SCHEMA_VERSION, "vertices": 5,
+        "simplices": []})
+    assert err.startswith("error: field 'vertices' must be a JSON array")
+
+
+def test_non_object_facets_exit_two(tmp_path, capsys):
+    err = _validate_error(tmp_path, capsys, {
+        "schema_version": formats.SCHEMA_VERSION, "vertices": ["x"],
+        "simplices": [{"id": "x", "vertices": ["x"], "facets": []}]})
+    assert err.startswith("error: field 'facets' must be a JSON object")
 
 
 def test_sphere_and_skeleton(tmp_path, capsys):
@@ -186,6 +210,32 @@ def test_seminorm_dual_and_integral_search(tmp_path, capsys):
     assert doc["best"] == "3"
     assert doc["status"] == "exact"
     assert doc["certified"] is True
+
+
+def test_int_seminorm_searches_past_the_recursion_limit(tmp_path, capsys):
+    # one search level per triangle: 1,152 on the 24 x 24 grid torus
+    n = 24
+
+    def v(i, j):
+        return "v%d_%d" % (i % n, j % n)
+    faces = [f for i in range(n) for j in range(n)
+             for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                       (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    meridian = {}
+    for i in range(n):
+        edge = tuple(sorted((v(i, 0), v(i + 1, 0))))
+        meridian[AlgebraicSimplex(",".join(edge), edge)] = \
+            1 if edge[0] == v(i, 0) else -1
+    cpath = _write_mc(tmp_path, "torus.json", simplicial_complex(faces))
+    zpath = _write(tmp_path, "meridian.json",
+                   formats.chain_to_doc(Chain(1, RING_INT, meridian)))
+    code, doc, err = _run_json(capsys, ["int-seminorm", zpath, "--complex",
+                                        cpath, "--bound", "1",
+                                        "--support-bound", "0"])
+    assert code == 0
+    assert doc["best"] == "24"
+    assert doc["status"] == "unknown"
+    assert doc["certified"] is False
 
 
 def test_simplex_failure_exits_three(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multicomplex.core import MulticomplexError, special_sphere
 from multicomplex.chains import (
@@ -55,6 +57,26 @@ def test_seminorm_rejects_non_cycles():
     e = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1})
     with pytest.raises(MulticomplexError):
         seminorm_l1(cc, e)
+
+
+def test_seminorm_in_a_degree_without_simplices_is_zero():
+    cc = build_reduced_chain_complex(triangle_boundary())
+    res = seminorm_l1(cc, Chain(2, RING_RAT, {}))
+    assert res.value == 0 and isinstance(res.value, Fraction)
+    assert res.optimal_representative.is_zero
+    assert res.bounding_chain.is_zero
+    assert res.dual_certificate.is_zero
+
+
+def test_seminorm_refuses_fractional_boundary_coefficients():
+    from multicomplex.chains import ChainComplex
+    from multicomplex.core import InternalInvariantError
+    v = AlgebraicSimplex("v", ("v",))
+    e = AlgebraicSimplex("e", ("v", "w"))
+    cc = ChainComplex(RING_RAT, {0: [v], 1: [e]},
+                      {0: [[]], 1: [[(0, Fraction(1, 2))]]})
+    with pytest.raises(InternalInvariantError, match="not integral"):
+        seminorm_l1(cc, cc.chain(0, {v: 1}))
 
 
 def test_boundary_has_seminorm_zero():
@@ -219,7 +241,7 @@ def test_bruteforce_rejects_fractional_chains():
 
 def test_lp_solver_on_a_tiny_program():
     # minimize 3 x0 + x1 subject to x0 + x1 = 2, x >= 0: optimum 2 at x1
-    columns = [[Fraction(1)], [Fraction(1)]]
+    columns = [[(0, 1)], [(0, 1)]]
     b = [Fraction(2)]
     c = [Fraction(3), Fraction(1)]
     res = solve(columns, b, c, basis=[0])
@@ -231,17 +253,82 @@ def test_lp_solver_on_a_tiny_program():
 
 
 def test_lp_solver_rejects_infeasible_start():
-    columns = [[Fraction(1)], [Fraction(1)]]
+    columns = [[(0, 1)], [(0, 1)]]
     with pytest.raises(SimplexFailure):
         solve(columns, [Fraction(-1)], [Fraction(1), Fraction(1)],
               basis=[0])
 
 
 def test_lp_solver_iteration_cap():
-    columns = [[Fraction(1)], [Fraction(1)]]
+    columns = [[(0, 1)], [(0, 1)]]
     with pytest.raises(SimplexFailure):
         solve(columns, [Fraction(2)], [Fraction(3), Fraction(1)],
               basis=[0], max_iterations=0)
+
+
+def test_lp_solver_rejects_singular_start():
+    # columns 0 and 1 are parallel, so together they are no basis
+    columns = [[(0, 1), (1, 2)], [(0, 2), (1, 4)], [(0, 1)], [(1, 1)]]
+    with pytest.raises(SimplexFailure, match="singular"):
+        solve(columns, [Fraction(1), Fraction(2)], [1, 1, 1, 1],
+              basis=[0, 1])
+
+
+@st.composite
+def small_lps(draw):
+    """(columns, b, c, basis): a feasible start B = L U with |det B| >= 2,
+    b = B x_B for a nonnegative fractional x_B, and costs c >= 0, so an
+    optimum exists."""
+    m = draw(st.integers(1, 4))
+    n = m + draw(st.integers(0, 5))
+    ints = st.integers(-3, 3)
+    lower = [[1 if i == j else draw(ints) if i > j else 0
+              for j in range(m)] for i in range(m)]
+    diag = [draw(st.sampled_from((1, -1, 2, -3))) for _ in range(m)]
+    diag[draw(st.integers(0, m - 1))] = draw(st.sampled_from((2, -2, 3)))
+    upper = [[diag[i] if i == j else draw(ints) if j > i else 0
+              for j in range(m)] for i in range(m)]
+    bmat = [[sum(lower[i][t] * upper[t][j] for t in range(m))
+             for j in range(m)] for i in range(m)]
+    dense = [[bmat[i][j] for i in range(m)] for j in range(m)]
+    dense += [[draw(ints) for _ in range(m)] for _ in range(n - m)]
+    order = draw(st.permutations(range(n)))
+    columns = [None] * n
+    for pos, col in zip(order, dense):
+        columns[pos] = [(i, v) for i, v in enumerate(col) if v != 0]
+    xb = [draw(st.fractions(0, 5, max_denominator=6)) for _ in range(m)]
+    b = [sum(bmat[i][j] * xb[j] for j in range(m)) for i in range(m)]
+    assume(any(v.denominator > 1 for v in b))
+    c = [draw(st.fractions(0, 4, max_denominator=5)) for _ in range(n)]
+    return columns, b, c, list(order[:m])
+
+
+@settings(max_examples=100)
+@given(small_lps())
+def test_lp_solver_certifies_random_programs(lp):
+    columns, b, c, basis = lp
+    res = solve(columns, b, c, basis)
+    ax = [Fraction(0)] * len(b)
+    for xj, col in zip(res.x, columns):
+        for i, v in col:
+            ax[i] += xj * v
+    assert ax == b
+    assert all(xj >= 0 for xj in res.x)
+    for cj, col in zip(c, columns):
+        assert cj - sum(res.y[i] * v for i, v in col) >= 0
+    value = sum(cj * xj for cj, xj in zip(c, res.x))
+    assert value == sum(bi * yi for bi, yi in zip(b, res.y)) == res.value
+
+
+def test_seminorm_scales_by_fractional_multiples():
+    cc = build_reduced_chain_complex(seven_vertex_torus())
+    z = _torus_loop(cc)
+    base = seminorm_l1(cc, z).value
+    assert base > 0
+    for q in (Fraction(-7, 3), Fraction(5, 4)):
+        res = seminorm_l1(cc, z.scaled(q))
+        assert res.value == abs(q) * base
+        assert dual_check(res, z.scaled(q))
 
 
 def test_dual_certificate_vanishes_on_boundaries():
