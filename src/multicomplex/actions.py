@@ -291,8 +291,8 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
     Works on the reduced model of a vertex-fixing action, where the group
     permutes the basis and the invariant cochains are spanned by orbit
     indicators; returns {degree: dimension}.  This is computed directly by
-    rank-nullity on the restricted coboundary matrices, independently of
-    any quotient complex.
+    rank-nullity on the restricted coboundary matrices, whose rational
+    rank is their Smith-form rank, independently of any quotient complex.
     """
     if not is_zero_trivial(a):
         raise StructureError(
@@ -340,7 +340,7 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
                     "coboundary of an invariant cochain is not constant on "
                     "the orbit of %s; the maps do not act simplicially "
                     "(run validate_action)" % (tau,))
-        ranks[n] = intlinalg.rational_rank(mat) if mat else 0
+        ranks[n] = intlinalg.smith_form(mat).rank if mat else 0
     dims = {}
     for n in range(0, top + 1):
         dims[n] = (orbit_count[n] - ranks[n]) - ranks[n - 1]

@@ -8,6 +8,9 @@ and kills tuples with repeated entries, leaving one basis element per
 geometric simplex.  Both carry an l1 norm on chains and an linf norm on
 cochains.
 
+One builder makes the full, repeated-vertex, reduced and relative
+complexes; they differ only in the tuples listed and simplices skipped.
+
 Homology is computed exactly from one integer Smith normal form per
 boundary map.  Rational homology is read off the same factorization,
 since H(C;Q) = H(C;Z) (x) Q: the Betti numbers are the free ranks.
@@ -20,7 +23,8 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from . import intlinalg
-from .core import Multicomplex, MulticomplexError, StructureError, UnknownIdError
+from .core import (Multicomplex, MulticomplexError, StructureError,
+                   UnknownIdError, _fmt_vset)
 
 RING_INT = "Z"
 RING_RAT = "Q"
@@ -331,8 +335,67 @@ def boundary(cc: ChainComplex, chain: Chain) -> Chain:
     return cc.boundary_of(chain)
 
 
-def _orderings(vset):
-    return list(permutations(sorted(vset)))
+def _all_orderings(vs, n):
+    return permutations(vs) if len(vs) == n + 1 else ()
+
+
+def _sorted_tuple(vs, n):
+    return (vs,) if len(vs) == n + 1 else ()
+
+
+def _covering_tuples(vs, n):
+    return [t for t in product(vs, repeat=n + 1) if len(set(t)) == len(vs)]
+
+
+def _top(mc: Multicomplex, max_degree):
+    return (mc.dimension if max_degree is None
+            else min(max_degree, mc.dimension))
+
+
+def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
+    """The complex in degrees 0..top whose degree-n basis is (sid; t) for
+    t in tuples(vs, n), vs the sorted vertices of sid, over the ids not
+    in skip in sorted order.  Face i of (sid; t) drops t[i]: it stays on
+    sid when t[i] occurs again in t, and otherwise lies on the facet of
+    sid over the rest.  Faces on a skipped simplex are dropped; a facet
+    that is missing or spans the wrong vertices raises StructureError.
+    """
+    shape = [(sid, mc.vertex_set(sid), tuple(sorted(mc.vertex_set(sid))),
+              mc.facets(sid)) for sid in sorted(mc.simplex_ids)
+             if sid not in skip]
+    basis, columns, index = {}, {}, {}
+    for n in range(top + 1):
+        labels, cols = [], []
+        for sid, vset, vs, facets in shape:
+            if len(vs) > n + 1:  # no (n+1)-tuple covers vs
+                continue
+            for t in tuples(vs, n):
+                labels.append(AlgebraicSimplex(sid, t))
+                col = []
+                for i, v in enumerate(t if n else ()):
+                    rest = t[:i] + t[i + 1:]
+                    fid = sid if v in rest else facets.get(vset - {v})
+                    if fid in skip and mc.vertex_set(fid) == set(rest):
+                        continue
+                    # a plain tuple finds the equal AlgebraicSimplex key
+                    row = index.get((fid, rest))
+                    if row is None:
+                        raise StructureError(
+                            "the facet of %r over %s is %s"
+                            % (sid, _fmt_vset(vset - {v}),
+                               "missing" if fid is None else
+                               "%r, which spans %s"
+                               % (fid, _fmt_vset(mc.vertex_set(fid)))))
+                    col.append((row, -1 if i & 1 else 1))
+                if len(vs) <= n:  # repeated entries: equal faces add up
+                    acc = {}
+                    for row, c in col:
+                        acc[row] = acc.get(row, 0) + c
+                    col = [(row, c) for row, c in acc.items() if c]
+                cols.append(col)
+        basis[n], columns[n] = labels, cols
+        index = {lab: i for i, lab in enumerate(labels)}
+    return ChainComplex(ring, basis, columns)
 
 
 def build_full_chain_complex(mc: Multicomplex, max_degree=None,
@@ -348,134 +411,36 @@ def build_full_chain_complex(mc: Multicomplex, max_degree=None,
     so an explicit max_degree is required, and it supplies the bounding
     chains that make class seminorms agree with the reduced complex.
     """
-    if with_repeats:
-        return _build_repeat_complex(mc, max_degree, ring)
-    top = mc.dimension if max_degree is None else min(max_degree, mc.dimension)
-    basis = {}
-    for n in range(0, top + 1):
-        labels = []
-        for sid in sorted(mc.simplices_of_dimension(n)):
-            for tup in _orderings(mc.vertex_set(sid)):
-                labels.append(AlgebraicSimplex(sid, tup))
-        basis[n] = labels
-    columns = {n: [[] for _ in basis[n]] for n in basis}
-    for n in range(1, top + 1):
-        index = {lab: i for i, lab in enumerate(basis[n - 1])}
-        cols = []
-        for lab in basis[n]:
-            facets = mc.facets(lab.simplex)
-            col = []
-            sign = 1
-            for i, v in enumerate(lab.vertices):
-                fid = facets[frozenset(lab.vertices) - {v}]
-                sub = lab.vertices[:i] + lab.vertices[i + 1:]
-                col.append((index[AlgebraicSimplex(fid, sub)], sign))
-                sign = -sign
-            cols.append(col)
-        columns[n] = cols
-    return ChainComplex(ring, basis, columns)
-
-
-def _build_repeat_complex(mc: Multicomplex, max_degree, ring) -> ChainComplex:
+    if not with_repeats:
+        return _build(mc, _top(mc, max_degree), ring, _all_orderings)
     if max_degree is None:
         raise StructureError(
             "the complex with repeated-vertex tuples is nonzero in every "
             "degree; pass an explicit max_degree")
-    basis = {}
-    for n in range(0, max_degree + 1):
-        labels = []
-        for sid in sorted(mc.simplex_ids):
-            vs = sorted(mc.vertex_set(sid))
-            if len(vs) > n + 1:
-                continue
-            for tup in product(vs, repeat=n + 1):
-                if len(set(tup)) == len(vs):
-                    labels.append(AlgebraicSimplex(sid, tup))
-        basis[n] = labels
-    columns = {n: [[] for _ in basis[n]] for n in basis}
-    for n in range(1, max_degree + 1):
-        index = {lab: i for i, lab in enumerate(basis[n - 1])}
-        cols = []
-        for lab in basis[n]:
-            vset = mc.vertex_set(lab.simplex)
-            facets = mc.facets(lab.simplex)
-            acc = {}
-            sign = 1
-            for i, v in enumerate(lab.vertices):
-                sub = lab.vertices[:i] + lab.vertices[i + 1:]
-                if v in sub:
-                    key = AlgebraicSimplex(lab.simplex, sub)
-                else:
-                    key = AlgebraicSimplex(facets[vset - {v}], sub)
-                acc[key] = acc.get(key, 0) + sign
-                sign = -sign
-            cols.append([(index[key], c)
-                         for key, c in acc.items() if c != 0])
-        columns[n] = cols
-    return ChainComplex(ring, basis, columns)
+    return _build(mc, max_degree, ring, _covering_tuples)
 
 
 def build_reduced_chain_complex(mc: Multicomplex, max_degree=None,
                                 ring=RING_RAT) -> ChainComplex:
-    """One basis element per geometric simplex, in the sorted ordering."""
-    top = mc.dimension if max_degree is None else min(max_degree, mc.dimension)
-    basis = {}
-    for n in range(0, top + 1):
-        basis[n] = [AlgebraicSimplex(sid, tuple(sorted(mc.vertex_set(sid))))
-                    for sid in sorted(mc.simplices_of_dimension(n))]
-    columns = {n: [[] for _ in basis[n]] for n in basis}
-    for n in range(1, top + 1):
-        index = {lab: i for i, lab in enumerate(basis[n - 1])}
-        cols = []
-        for lab in basis[n]:
-            facets = mc.facets(lab.simplex)
-            col = []
-            sign = 1
-            for i, v in enumerate(lab.vertices):
-                # removing a vertex from a sorted tuple keeps it sorted,
-                # so projecting the full boundary introduces no signs
-                fid = facets[frozenset(lab.vertices) - {v}]
-                sub = lab.vertices[:i] + lab.vertices[i + 1:]
-                col.append((index[AlgebraicSimplex(fid, sub)], sign))
-                sign = -sign
-            cols.append(col)
-        columns[n] = cols
-    return ChainComplex(ring, basis, columns)
+    """One basis element per geometric simplex, in the sorted ordering
+    (dropping a vertex keeps it sorted, so projection adds no signs)."""
+    return _build(mc, _top(mc, max_degree), ring, _sorted_tuple)
 
 
 def build_relative_complex(mc: Multicomplex, sub_ids, variant="reduced",
                            max_degree=None, ring=RING_RAT) -> ChainComplex:
     """The quotient complex of mc by a facet-closed set of simplex ids."""
-    sub = set(sub_ids)
+    sub = frozenset(sub_ids)
     for sid in sub:
         for fid in mc.facets(sid).values():
             if fid not in sub:
                 raise StructureError(
                     "subcomplex ids are not facet-closed: %r needs %r"
                     % (sid, fid))
-    if variant == "reduced":
-        cc = build_reduced_chain_complex(mc, max_degree, ring)
-    elif variant == "full":
-        cc = build_full_chain_complex(mc, max_degree, ring)
-    else:
+    tuples = {"reduced": _sorted_tuple, "full": _all_orderings}.get(variant)
+    if tuples is None:
         raise StructureError("unknown complex variant %r" % variant)
-    basis = {}
-    keep = {}
-    for n in cc.degrees():
-        labs = [lab for lab in cc.basis(n) if lab.simplex not in sub]
-        basis[n] = labs
-        keep[n] = {cc.index_of(n, lab): i for i, lab in enumerate(labs)}
-    columns = {}
-    for n in cc.degrees():
-        cols = []
-        below = keep.get(n - 1, {})
-        for lab in basis[n]:
-            j = cc.index_of(n, lab)
-            cols.append([(below[row], coef)
-                         for row, coef in cc.column(n, j)
-                         if row in below])
-        columns[n] = cols
-    return ChainComplex(ring, basis, columns)
+    return _build(mc, _top(mc, max_degree), ring, tuples, sub)
 
 
 # ---------------------------------------------------------------------------

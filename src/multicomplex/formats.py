@@ -48,13 +48,20 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+_KINDS = {list: "array", dict: "object", str: "string",
+          int: "non-negative integer"}
+
+
 def _need(doc: dict, field: str, kind=object):
+    """doc[field], checked to be of the given JSON kind (a bool is not an
+    int, and an int must not be negative)."""
     if not isinstance(doc, dict) or field not in doc:
         raise FormatError("missing field %r" % field)
-    if not isinstance(doc[field], kind):
-        raise FormatError("field %r must be a JSON %s" % (
-            field, "array" if kind is list else "object"))
-    return doc[field]
+    value = doc[field]
+    if not isinstance(value, kind) or kind is int and (
+            isinstance(value, bool) or value < 0):
+        raise FormatError("field %r must be a JSON %s" % (field, _KINDS[kind]))
+    return value
 
 
 def rational_str(x) -> str:
@@ -114,8 +121,10 @@ def _terms_to_doc(obj) -> list:
 def _terms_from_doc(entries, ring):
     terms = {}
     for entry in entries:
-        key = AlgebraicSimplex(_need(entry, "simplex"),
-                               tuple(_need(entry, "vertices")))
+        vertices = _need(entry, "vertices", list)
+        if not all(isinstance(v, str) for v in vertices):
+            raise FormatError("term vertices must be strings")
+        key = AlgebraicSimplex(_need(entry, "simplex", str), tuple(vertices))
         val = rational_from_str(_need(entry, "coeff"))
         if ring == RING_INT:
             if val.denominator != 1:
@@ -138,10 +147,14 @@ def chain_to_doc(chain: Chain) -> dict:
             "ring": chain.ring, "terms": _terms_to_doc(chain)}
 
 
-def chain_from_doc(doc: dict) -> Chain:
+def _module_from_doc(doc: dict, cls):
     ring = _ring_from_doc(doc)
-    return Chain(_need(doc, "degree"), ring,
-                 _terms_from_doc(_need(doc, "terms"), ring))
+    return cls(_need(doc, "degree", int), ring,
+               _terms_from_doc(_need(doc, "terms", list), ring))
+
+
+def chain_from_doc(doc: dict) -> Chain:
+    return _module_from_doc(doc, Chain)
 
 
 def cochain_to_doc(phi: Cochain) -> dict:
@@ -150,9 +163,7 @@ def cochain_to_doc(phi: Cochain) -> dict:
 
 
 def cochain_from_doc(doc: dict) -> Cochain:
-    ring = _ring_from_doc(doc)
-    return Cochain(_need(doc, "degree"), ring,
-                   _terms_from_doc(_need(doc, "terms"), ring))
+    return _module_from_doc(doc, Cochain)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +182,10 @@ def group_to_doc(group) -> dict:
 def group_from_doc(doc: dict):
     kind = _need(doc, "kind")
     if kind == "finite":
-        return FiniteGroup(_need(doc, "elements"), _need(doc, "table"))
+        return FiniteGroup(_need(doc, "elements", list),
+                           _need(doc, "table", dict))
     if kind == "free_abelian":
-        return FreeAbelianGroup(int(_need(doc, "rank")))
+        return FreeAbelianGroup(_need(doc, "rank", int))
     raise FormatError("unknown group kind %r" % (kind,))
 
 
@@ -194,11 +206,12 @@ def action_to_doc(a: GroupAction) -> dict:
 
 
 def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
-    group = FiniteGroup(_need(doc, "elements"), _need(doc, "table"))
+    group = FiniteGroup(_need(doc, "elements", list),
+                        _need(doc, "table", dict))
     maps = {}
-    for g, entry in _need(doc, "maps").items():
-        maps[g] = SimplicialMap(mc, mc, _need(entry, "vertex_map"),
-                                _need(entry, "simplex_map"))
+    for g, entry in _need(doc, "maps", dict).items():
+        maps[g] = SimplicialMap(mc, mc, _need(entry, "vertex_map", dict),
+                                _need(entry, "simplex_map", dict))
     return GroupAction(group, mc, maps)
 
 
@@ -216,7 +229,7 @@ def measure_to_doc(mu: FiniteSupportMeasure) -> dict:
 def measure_from_doc(doc: dict) -> FiniteSupportMeasure:
     group = group_from_doc(_need(doc, "group"))
     weights = {group.element_from_key(key): rational_from_str(val)
-               for key, val in _need(doc, "weights").items()}
+               for key, val in _need(doc, "weights", dict).items()}
     return FiniteSupportMeasure(group, weights)
 
 
@@ -232,7 +245,7 @@ def function_to_doc(f: SparseFunction) -> dict:
 
 def function_from_doc(doc: dict) -> SparseFunction:
     return SparseFunction({x: rational_from_str(v)
-                           for x, v in _need(doc, "values").items()})
+                           for x, v in _need(doc, "values", dict).items()})
 
 
 def _oracle_from_doc(doc: dict, group):
@@ -244,7 +257,7 @@ def _oracle_from_doc(doc: dict, group):
     """
     kind = _need(doc, "kind")
     if kind == "table":
-        moves = _need(doc, "moves")
+        moves = _need(doc, "moves", dict)
 
         def act(el, x):
             row = moves.get(group.element_key(group.coerce(el)))
@@ -272,14 +285,14 @@ def _oracle_from_doc(doc: dict, group):
 
 
 def set_action_from_doc(doc: dict) -> ActionOnSet:
-    points = tuple(_need(doc, "points"))
+    points = tuple(_need(doc, "points", list))
     blocks = []
     for entry in doc.get("blocks", []):
         group = group_from_doc(_need(entry, "group"))
         blocks.append(OrbitBlock(
-            tuple(_need(entry, "points")), group,
+            tuple(_need(entry, "points", list)), group,
             _oracle_from_doc(_need(entry, "action"), group),
-            _need(entry, "horizon")))
+            _need(entry, "horizon", int)))
     group = act = None
     if "group" in doc:
         group = group_from_doc(doc["group"])
@@ -299,7 +312,7 @@ def cover_to_doc(c: Cover, host: str = None) -> dict:
 
 
 def cover_from_doc(doc: dict) -> Cover:
-    return Cover(_need(doc, "sets"), doc.get("amenable") or {})
+    return Cover(_need(doc, "sets", dict), doc.get("amenable") or {})
 
 
 def coloring_to_doc(coloring: Coloring) -> dict:
@@ -308,4 +321,4 @@ def coloring_to_doc(coloring: Coloring) -> dict:
 
 
 def coloring_from_doc(doc: dict) -> Coloring:
-    return Coloring(_need(doc, "assignment"))
+    return Coloring(_need(doc, "assignment", dict))

@@ -4,11 +4,11 @@ Matrices are lists of row lists.  Everything here is desk scale: the
 algorithms are the classical cubic ones, run on Python ints (arbitrary
 precision) and fractions.Fraction.  No floats, no modular shortcuts.
 
-There are two eliminations.  The integer Smith normal form is the one
-factorization behind homology over both rings: kernels, quotients and
-solutions over Z and over Q are all read off a SmithForm, since a
-unimodular change of basis is also invertible over Q.  rational_rref is
-the elimination over Q, for rational ranks and kernels (not LP bases).
+The integer Smith normal form is the one elimination the program runs:
+ranks, kernels, quotients and solutions over Z and over Q are all read
+off a SmithForm, since a unimodular change of basis is also invertible
+over Q.  rational_rref and its rank, kernel and solve helpers eliminate
+over Q independently of it; the tests use them as a reference.
 """
 
 from __future__ import annotations

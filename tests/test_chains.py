@@ -379,3 +379,45 @@ def test_coboundary_pairs_with_boundary():
                   {lab: rng.randint(-2, 2) for lab in labels2})
         assert cc.coboundary_of(phi).pairing(c) == \
             phi.pairing(cc.boundary_of(c))
+
+
+@given(seeds)
+def test_every_builder_variant_is_a_complex(seed):
+    rng = random.Random(seed)
+    # dimension 3 at most: a 4-simplex has 1,800 covering 6-tuples
+    mc = random_multicomplex(rng, max_dim=3)
+    full = build_full_chain_complex(mc)
+    red = build_reduced_chain_complex(mc)
+    repeats = build_full_chain_complex(mc, max_degree=mc.dimension + 1,
+                                       with_repeats=True)
+    for cc in (full, red, repeats):
+        assert cc.boundary_squares_to_zero()
+        for n in cc.degrees():
+            for j in range(cc.dim(n)):
+                rows = [row for row, c in cc.column(n, j) if c]
+                assert len(set(rows)) == len(cc.column(n, j))
+    for n in full.degrees():
+        for lab in full.basis(n):
+            c = Chain(n, RING_RAT, {lab: 1})
+            assert project_chain(full.boundary_of(c)) == \
+                red.boundary_of(project_chain(c))
+
+    top = rng.choice(mc.simplex_ids)
+    sub = set(mc.submulticomplex([top], close=True).simplex_ids)
+    for variant, cc in (("reduced", red), ("full", full)):
+        rel = build_relative_complex(mc, [], variant)
+        assert all(rel.basis(n) == cc.basis(n) and
+                   rel.boundary_matrix(n) == cc.boundary_matrix(n)
+                   for n in cc.degrees())
+        # the relative columns are the absolute ones without the rows
+        # and columns of the subcomplex
+        rel = build_relative_complex(mc, sub, variant)
+        for n in cc.degrees():
+            kept = [i for i, lab in enumerate(cc.basis(n))
+                    if lab.simplex not in sub]
+            rows = [i for i, lab in enumerate(cc.basis(n - 1))
+                    if lab.simplex not in sub]
+            assert rel.basis(n) == tuple(cc.basis(n)[i] for i in kept)
+            mat = cc.boundary_matrix(n)
+            assert rel.boundary_matrix(n) == [[mat[r][j] for j in kept]
+                                              for r in rows]

@@ -8,6 +8,8 @@ summary redirects them.
 import json
 from fractions import Fraction
 
+import pytest
+
 from multicomplex import formats
 from multicomplex.chains import (
     AlgebraicSimplex,
@@ -477,3 +479,107 @@ def test_summary_output_goes_to_stdout(tmp_path, capsys):
     code, out, err = _run(capsys, ["--output", "summary", "mult", path])
     assert code == 0
     assert out.strip() == "multiplicity: 2"
+
+
+def _edge_doc(facets):
+    """Edge e over {a, b} with the given facet map."""
+    return {"schema_version": formats.SCHEMA_VERSION, "vertices": ["a", "b"],
+            "simplices": [{"id": "a", "vertices": ["a"], "facets": {}},
+                          {"id": "b", "vertices": ["b"], "facets": {}},
+                          {"id": "e", "vertices": ["a", "b"],
+                           "facets": facets}]}
+
+
+@pytest.mark.parametrize("facets", [{"a": "a"}, {"a": "a", "b": "a"}],
+                         ids=["missing", "wrong-vertices"])
+@pytest.mark.parametrize("command", [
+    ["homology"], ["homology", "--variant", "full"],
+    ["homology", "--variant", "relative", "--subcomplex", "a"],
+    ["seminorm", "--complex"]])
+def test_a_bad_facet_exits_one_naming_the_simplex(tmp_path, capsys, facets,
+                                                  command):
+    path = _write(tmp_path, "edge.json", _edge_doc(facets))
+    zero = _write(tmp_path, "z.json", formats.chain_to_doc(
+        Chain(0, RING_RAT)))
+    code, out, err = _run(capsys, command + [path] + (
+        [zero] if command[0] == "seminorm" else []))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the facet of 'e' over {b} is ")
+
+
+def _decoder_docs():
+    """Valid documents for every decoder, keyed by the name of the file."""
+    mc = double_edge()
+    return {
+        "complex": formats.multicomplex_to_doc(mc),
+        "chain": {"schema_version": formats.SCHEMA_VERSION, "degree": 1,
+                  "ring": RING_RAT, "terms": []},
+        "action": formats.action_to_doc(double_edge_swap_action()),
+        "function": {"schema_version": formats.SCHEMA_VERSION,
+                     "values": {"0": "1", "1": "-1"}},
+        "set_action": {"schema_version": formats.SCHEMA_VERSION,
+                       "points": ["0", "1"],
+                       "group": {"kind": "free_abelian", "rank": 1},
+                       "action": {"kind": "translation"}},
+        "host": formats.multicomplex_to_doc(
+            simplicial_complex([("a", "b"), ("c", "d")])),
+        "cover": formats.cover_to_doc(Cover({"0": ["a", "b"],
+                                             "1": ["c", "d"]})),
+        "coloring": {"schema_version": formats.SCHEMA_VERSION,
+                     "assignment": {v: "0" for v in mc.vertices}},
+        "witnesses": {"schema_version": formats.SCHEMA_VERSION,
+                      "witnesses": {}},
+    }
+
+
+_DECODER_ARGV = {
+    "seminorm": ["chain", "--complex", "complex"],
+    "average": ["action", "--complex", "complex", "--cochain", "chain"],
+    "diffuse": ["function", "--action", "set_action", "--epsilon", "1/2"],
+    "quotient": ["action", "--complex", "complex"],
+    "mult": ["cover"],
+    "coloring": ["cover", "--complex", "host"],
+    "vanish-check": ["chain", "--complex", "complex", "--action", "action",
+                     "--coloring", "coloring", "--witnesses", "witnesses"],
+}
+
+_FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
+              "points": "set_action", "maps": "action", "sets": "cover",
+              "assignment": "coloring"}
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("seminorm", "terms", 5),
+    ("seminorm", "terms", [{"simplex": "e", "vertices": 5, "coeff": "1"}]),
+    ("seminorm", "terms", [{"simplex": ["e"], "vertices": ["x", "y"],
+                            "coeff": "1"}]),
+    ("seminorm", "degree", "x"),
+    ("seminorm", "degree", 1.5),
+    ("seminorm", "degree", -1),
+    ("seminorm", "degree", True),
+    ("average", "terms", 5),
+    ("vanish-check", "degree", -1),
+    ("diffuse", "values", 5),
+    ("diffuse", "points", 5),
+    ("quotient", "maps", 5),
+    ("mult", "sets", 5),
+    ("coloring", "sets", 5),
+    ("vanish-check", "assignment", 5),
+])
+def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
+                                             field, value):
+    docs = _decoder_docs()
+    argv = [command] + [str(tmp_path / a) if a in docs else a
+                        for a in _DECODER_ARGV[command]]
+    for name, doc in docs.items():
+        _write(tmp_path, name, doc)
+    assert _run(capsys, argv)[0] == 0
+    docs[_FIELD_DOC[field]][field] = value
+    _write(tmp_path, _FIELD_DOC[field], docs[_FIELD_DOC[field]])
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
