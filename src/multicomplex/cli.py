@@ -319,13 +319,7 @@ def _cmd_vanish_check(args) -> int:
     a = formats.action_from_doc(_load(args.action), mc)
     phi = formats.cochain_from_doc(_load(args.cochain))
     coloring = formats.coloring_from_doc(_load(args.coloring))
-    wdoc = _load(args.witnesses)
-    witnesses = {}
-    for sid, trip in wdoc.get("witnesses", {}).items():
-        if not isinstance(trip, list) or len(trip) != 3:
-            raise FormatError(
-                "witness for %r must be [element, vertex, vertex]" % (sid,))
-        witnesses[sid] = tuple(trip)
+    witnesses = formats.witnesses_from_doc(_load(args.witnesses))
     rep = check_repeated_color_vanishing(phi, a, coloring, witnesses)
     doc = {"schema_version": formats.SCHEMA_VERSION,
            "verified": rep.verified,

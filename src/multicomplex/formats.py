@@ -52,10 +52,13 @@ _KINDS = {list: "array", dict: "object", str: "string",
           int: "non-negative integer"}
 
 
-def _need(doc: dict, field: str, kind=object):
+def _need(doc: dict, field: str, kind=object, default=None):
     """doc[field], checked to be of the given JSON kind (a bool is not an
-    int, and an int must not be negative)."""
+    int, and an int must not be negative).  A missing field is an error
+    unless a default is given for it."""
     if not isinstance(doc, dict) or field not in doc:
+        if default is not None and isinstance(doc, dict):
+            return default
         raise FormatError("missing field %r" % field)
     value = doc[field]
     if not isinstance(value, kind) or kind is int and (
@@ -287,7 +290,7 @@ def _oracle_from_doc(doc: dict, group):
 def set_action_from_doc(doc: dict) -> ActionOnSet:
     points = tuple(_need(doc, "points", list))
     blocks = []
-    for entry in doc.get("blocks", []):
+    for entry in _need(doc, "blocks", list, ()):
         group = group_from_doc(_need(entry, "group"))
         blocks.append(OrbitBlock(
             tuple(_need(entry, "points", list)), group,
@@ -312,7 +315,12 @@ def cover_to_doc(c: Cover, host: str = None) -> dict:
 
 
 def cover_from_doc(doc: dict) -> Cover:
-    return Cover(_need(doc, "sets", dict), doc.get("amenable") or {})
+    sets = _need(doc, "sets", dict)
+    for j in sets:
+        if not all(isinstance(v, str) for v in _need(sets, j, list)):
+            raise FormatError("cover member %r must list string vertices"
+                              % (j,))
+    return Cover(sets, _need(doc, "amenable", dict, {}))
 
 
 def coloring_to_doc(coloring: Coloring) -> dict:
@@ -322,3 +330,14 @@ def coloring_to_doc(coloring: Coloring) -> dict:
 
 def coloring_from_doc(doc: dict) -> Coloring:
     return Coloring(_need(doc, "assignment", dict))
+
+
+def witnesses_from_doc(doc: dict) -> dict:
+    """The repeated-color witnesses: simplex id -> (element, u, w)."""
+    witnesses = {}
+    for sid, trip in _need(doc, "witnesses", dict, {}).items():
+        if not isinstance(trip, list) or len(trip) != 3:
+            raise FormatError(
+                "witness for %r must be [element, vertex, vertex]" % (sid,))
+        witnesses[sid] = tuple(trip)
+    return witnesses

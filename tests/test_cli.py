@@ -339,6 +339,26 @@ def test_diffuse_certifies_the_l1_bound(tmp_path, capsys):
     assert total == 0
 
 
+def test_an_oversized_folner_box_exits_one_with_its_size(tmp_path, capsys):
+    # a Z^2 dipole at distance 10 needs |phi|_1 = 10 and epsilon/|f|_1 =
+    # 1/20000, so a box of side 400,001: refused before any atom is built
+    action = {"schema_version": formats.SCHEMA_VERSION,
+              "points": ["%d,0" % i for i in range(11)],
+              "group": {"kind": "free_abelian", "rank": 2},
+              "action": {"kind": "translation"}}
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"0,0": "1", "10,0": "-1"}}
+    code, out, err = _run(capsys, [
+        "diffuse", _write(tmp_path, "f.json", f),
+        "--action", _write(tmp_path, "action.json", action),
+        "--epsilon", "1/10000"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the Folner box of side 400001 in Z^2 "
+                          "would have 160000800001 atoms")
+
+
 def _block_doc(points, n):
     group = cyclic_group(n)
     moves = {}
@@ -546,8 +566,9 @@ _DECODER_ARGV = {
 }
 
 _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
-              "points": "set_action", "maps": "action", "sets": "cover",
-              "assignment": "coloring"}
+              "points": "set_action", "blocks": "set_action",
+              "maps": "action", "sets": "cover", "amenable": "cover",
+              "assignment": "coloring", "witnesses": "witnesses"}
 
 
 @pytest.mark.parametrize("command,field,value", [
@@ -563,10 +584,15 @@ _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
     ("vanish-check", "degree", -1),
     ("diffuse", "values", 5),
     ("diffuse", "points", 5),
+    ("diffuse", "blocks", 5),
     ("quotient", "maps", 5),
     ("mult", "sets", 5),
+    ("mult", "sets", {"0": 5}),
+    ("mult", "sets", {"0": [1]}),
+    ("mult", "amenable", 5),
     ("coloring", "sets", 5),
     ("vanish-check", "assignment", 5),
+    ("vanish-check", "witnesses", 5),
 ])
 def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
                                              field, value):

@@ -1,8 +1,11 @@
 """Convolution diffusion: measures, Folner boxes, local stages, vanishing."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicomplex.chains import (
     RING_RAT,
@@ -38,6 +41,7 @@ from multicomplex.fixtures import (
     double_edge,
     double_edge_swap_action,
 )
+from multicomplex.formats import measure_from_doc, measure_to_doc
 from multicomplex.groups import FreeAbelianGroup, cyclic_group
 
 
@@ -52,10 +56,24 @@ def _z_action(points):
 def test_measure_must_be_a_probability():
     with pytest.raises(MulticomplexError):
         FiniteSupportMeasure(Z, {(0,): Fraction(1, 2)})
-    with pytest.raises(MulticomplexError):
+    with pytest.raises(MulticomplexError, match="nonnegative, got -1/2 at"):
         FiniteSupportMeasure(Z, {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
     mu = FiniteSupportMeasure(Z, {(0,): 1, (1,): 0})
     assert mu.support() == [(0,)]
+    # mixed denominators
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    mu = FiniteSupportMeasure(Z, {(0,): half, (1,): third, (2,): sixth})
+    assert mu.items() == [((0,), half), ((1,), third), ((2,), sixth)]
+    with pytest.raises(StructureError, match="must sum to 1, got 5/6$"):
+        FiniteSupportMeasure(Z, {(0,): half, (1,): third})
+    mu = FiniteSupportMeasure(Z, [((0,), Fraction(2, 4)), ((1,), 0),
+                                  ((2,), sixth), ((3,), sixth), ((2,), sixth)])
+    w = mu.weight((0,))
+    assert (w.numerator, w.denominator) == (1, 2)
+    assert mu.weight((2,)) == third
+    assert mu.weight((1,)) == 0
+    assert len(mu) == 3
+    assert measure_from_doc(measure_to_doc(mu)).items() == mu.items()
 
 
 def test_delta_convolution_translates():
@@ -274,3 +292,74 @@ def test_sparse_function_arithmetic():
     assert f.restrict([0]).support() == [0]
     assert f.sum_over([0, 1]) == 0
     assert f.norm_over([1]) == Fraction(1, 2)
+
+
+# Plain-Fraction references for the integer kernels of convolve and
+# measure_derivative.
+
+
+def _reference_convolve(weights, values, act):
+    acc = {}
+    for gamma, w in weights.items():
+        for y, v in values.items():
+            x = act(gamma, y)
+            acc[x] = acc.get(x, Fraction(0)) + w * v
+    return SparseFunction(acc)
+
+
+def _reference_derivative(group, weights, phi):
+    inv = group.inverse(phi)
+    gammas = set(weights) | {group.multiply(s, inv) for s in weights}
+    return sum((abs(weights.get(group.multiply(gamma, phi), Fraction(0))
+                    - weights.get(gamma, Fraction(0))) for gamma in gammas),
+               Fraction(0))
+
+
+def _translation(rank):
+    group = FreeAbelianGroup(rank)
+    points = list(product(range(-3, 4), repeat=rank))
+    return (group, points, lambda g, x: tuple(a + b for a, b in zip(g, x)),
+            st.tuples(*[st.integers(-3, 3)] * rank))
+
+
+def _cyclic_table(n):
+    # a move table, as set-action documents give one: element i rotates
+    # the n-cycle of points by i and fixes the extra point "c"
+    group = cyclic_group(n)
+    moves = {g: {"p%d" % j: "p%d" % ((i + j) % n) for j in range(n)}
+             for i, g in enumerate(group.elements)}
+    return (group, ["p%d" % j for j in range(n)] + ["c"],
+            lambda g, x: moves[g].get(x, x), st.sampled_from(group.elements))
+
+
+@st.composite
+def _diffusion_cases(draw):
+    group, points, act, elements = draw(st.one_of(
+        st.sampled_from((1, 2)).map(_translation),
+        st.integers(1, 6).map(_cyclic_table)))
+    raw = draw(st.dictionaries(elements, st.sampled_from(
+        [Fraction(1, 3), Fraction(1, 4), Fraction(5, 12), Fraction(1, 2),
+         Fraction(2, 7), Fraction(0)]), min_size=1, max_size=6))
+    total = sum(raw.values())
+    if total == 0:
+        raw[next(iter(raw))] = total = Fraction(1)
+    weights = {el: w / total for el, w in raw.items()}
+    values = draw(st.dictionaries(
+        st.sampled_from(points),
+        st.fractions(-3, 3, max_denominator=12), max_size=6))
+    return (group, weights, ActionOnSet(group, points, act), values,
+            draw(elements))
+
+
+@settings(max_examples=100)
+@given(_diffusion_cases())
+def test_integer_kernels_match_the_fraction_reference(case):
+    group, weights, a, values, phi = case
+    mu = FiniteSupportMeasure(group, weights)
+    f = SparseFunction(values)
+    out = convolve(mu, f, a)
+    assert out == _reference_convolve(weights, values, a.act)
+    assert out.total() == f.total()
+    assert out.l1_norm() <= f.l1_norm()
+    assert measure_derivative(mu, phi) == _reference_derivative(
+        group, weights, phi)
