@@ -555,13 +555,32 @@ class HomologyResult:
             return self._cache[n]
         sf = self._factor(n)
         # the columns of V past the rank are a saturated basis of the
-        # cycles, and rows of Vinv past the rank give coordinates in it
-        image = [self.cc.column(n + 1, j) for j in range(self.cc.dim(n + 1))]
-        coords = [[sum(c * row[i] for i, c in col) for col in image]
-                  for row in sf.Vinv[sf.rank:]]
+        # cycles, and rows of Vinv past the rank give coordinates in it;
+        # both products run over nonzero entries only
+        width = self.cc.dim(n + 1)
+        image_rows = [[] for _ in range(self.cc.dim(n))]
+        for j in range(width):
+            for i, c in self.cc.column(n + 1, j):
+                image_rows[i].append((j, c))
+        coords = []
+        for row in sf.Vinv[sf.rank:]:
+            out = [0] * width
+            for i, x in enumerate(row):
+                if x:
+                    for j, c in image_rows[i]:
+                        out[j] += x * c
+            coords.append(out)
         torsion, free, coeffs = intlinalg.smith_form(coords).cokernel()
-        kernel = [row[sf.rank:] for row in sf.V]
-        gens = [intlinalg.mat_vec(kernel, cv) for cv in coeffs]
+        kernel = [[(i, x) for i, x in enumerate(col) if x]
+                  for col in list(zip(*sf.V))[sf.rank:]]
+        gens = []
+        for cv in coeffs:
+            gen = [0] * len(sf.V)
+            for k, y in enumerate(cv):
+                if y:
+                    for i, x in kernel[k]:
+                        gen[i] += y * x
+            gens.append(gen)
         if self.ring == RING_RAT:
             torsion, gens = [], gens[len(torsion):]
         self._cache[n] = res = ((free, torsion), gens)

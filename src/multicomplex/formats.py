@@ -67,6 +67,14 @@ def _need(doc: dict, field: str, kind=object, default=None):
     return value
 
 
+def _need_strings(doc: dict, field: str) -> list:
+    """doc[field], checked to be a JSON array of strings."""
+    values = _need(doc, field, list)
+    if not all(isinstance(v, str) for v in values):
+        raise FormatError("field %r must list JSON strings" % field)
+    return values
+
+
 def rational_str(x) -> str:
     return str(Fraction(x))
 
@@ -261,6 +269,11 @@ def _oracle_from_doc(doc: dict, group):
     kind = _need(doc, "kind")
     if kind == "table":
         moves = _need(doc, "moves", dict)
+        for key in moves:
+            if not all(isinstance(y, str)
+                       for y in _need(moves, key, dict).values()):
+                raise FormatError("the moves of element %r must send points "
+                                  "to JSON strings" % (key,))
 
         def act(el, x):
             row = moves.get(group.element_key(group.coerce(el)))
@@ -288,12 +301,12 @@ def _oracle_from_doc(doc: dict, group):
 
 
 def set_action_from_doc(doc: dict) -> ActionOnSet:
-    points = tuple(_need(doc, "points", list))
+    points = tuple(_need_strings(doc, "points"))
     blocks = []
     for entry in _need(doc, "blocks", list, ()):
         group = group_from_doc(_need(entry, "group"))
         blocks.append(OrbitBlock(
-            tuple(_need(entry, "points", list)), group,
+            tuple(_need_strings(entry, "points")), group,
             _oracle_from_doc(_need(entry, "action"), group),
             _need(entry, "horizon", int)))
     group = act = None

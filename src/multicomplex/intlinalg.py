@@ -1,14 +1,17 @@
-"""Dense exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Matrices are lists of row lists.  Everything here is desk scale: the
-algorithms are the classical cubic ones, run on Python ints (arbitrary
-precision) and fractions.Fraction.  No floats, no modular shortcuts.
+Matrices are passed and returned as dense lists of row lists, on Python
+ints (arbitrary precision) and fractions.Fraction.  No floats, no modular
+shortcuts.
 
 The integer Smith normal form is the one elimination the program runs:
 ranks, kernels, quotients and solutions over Z and over Q are all read
 off a SmithForm, since a unimodular change of basis is also invertible
-over Q.  rational_rref and its rank, kernel and solve helpers eliminate
-over Q independently of it; the tests use them as a reference.
+over Q.  It eliminates on sparse rows, so an elementary operation costs
+the nonzeros it touches rather than a full row or column; the pivots and
+operations are those of the classical dense elimination, so the result
+is the same.  rational_rref and its rank, kernel and solve helpers
+eliminate over Q independently of it; the tests use them as a reference.
 """
 
 from __future__ import annotations
@@ -62,17 +65,21 @@ class SmithForm:
     d lists the diagonal of D (non-negative, each dividing the next);
     rank is the number of nonzero entries.  U, V are unimodular and the
     inverses Uinv, Vinv are tracked alongside so that A = Uinv * D * Vinv.
+    All four are dense lists of rows, built once when the elimination,
+    which runs on sparse rows, is done.  SmithForm(rows, cols) alone is
+    the factorization of the zero matrix.
     """
 
-    def __init__(self, rows: int, cols: int):
+    def __init__(self, rows: int, cols: int, d=(), U=None, Uinv=None,
+                 V=None, Vinv=None):
         self.rows = rows
         self.cols = cols
-        self.d: list[int] = []
-        self.rank = 0
-        self.U = identity_matrix(rows)
-        self.Uinv = identity_matrix(rows)
-        self.V = identity_matrix(cols)
-        self.Vinv = identity_matrix(cols)
+        self.d: list[int] = list(d)
+        self.rank = len(self.d)
+        self.U = identity_matrix(rows) if U is None else U
+        self.Uinv = identity_matrix(rows) if Uinv is None else Uinv
+        self.V = identity_matrix(cols) if V is None else V
+        self.Vinv = identity_matrix(cols) if Vinv is None else Vinv
 
     def solve(self, b: list, integral: bool = True):
         """One x with A @ x = b, or None if there is none.
@@ -110,49 +117,105 @@ class SmithForm:
         return torsion, self.rows - self.rank, gens
 
 
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src on sparse rows {index: nonzero int}."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _swap_keys(row: dict, i, j) -> None:
+    x, y = row.pop(i, 0), row.pop(j, 0)
+    if y:
+        row[i] = y
+    if x:
+        row[j] = x
+
+
+def _dense(rows: list[dict], width: int) -> list[list[int]]:
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for k, x in row.items():
+            dense[k] = x
+        out.append(dense)
+    return out
+
+
+def _dense_transposed(cols: list[dict], height: int) -> list[list[int]]:
+    out = [[0] * len(cols) for _ in range(height)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
+
+
 def smith_form(a: list[list[int]]) -> SmithForm:
-    """Compute the Smith normal form of a (not modified)."""
-    m = [row[:] for row in a]
+    """Compute the Smith normal form of a (not modified).
+
+    The pivot is the entry of least absolute value in row-major order of
+    the remaining block, and the first unit found ends the search.
+    Every matrix is kept as sparse rows {index: nonzero}: m and the
+    row-operated U and Vinv by rows, and the column-operated Uinv and V
+    by columns (UinvT, VT), so that every update is a sparse row update
+    and every swap a list swap.
+    """
+    m = [{j: x for j, x in enumerate(row) if x} for row in a]
     rows = len(m)
-    cols = len(m[0]) if rows else 0
-    sf = SmithForm(rows, cols)
-    U, Uinv, V, Vinv = sf.U, sf.Uinv, sf.V, sf.Vinv
+    cols = len(a[0]) if rows else 0
+    U = [{i: 1} for i in range(rows)]
+    UinvT = [{i: 1} for i in range(rows)]
+    VT = [{j: 1} for j in range(cols)]
+    Vinv = [{j: 1} for j in range(cols)]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
         U[i], U[j] = U[j], U[i]
         # inverse of a swap is the same swap, applied on columns of Uinv
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        UinvT[i], UinvT[j] = UinvT[j], UinvT[i]
 
     def row_negate(i):
-        m[i] = [-x for x in m[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
+        m[i] = {k: -x for k, x in m[i].items()}
+        U[i] = {k: -x for k, x in U[i].items()}
+        UinvT[i] = {k: -x for k, x in UinvT[i].items()}
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] -= q * r[i]
+        if q:
+            _axpy(m[i], m[j], q)
+            _axpy(U[i], U[j], q)
+            _axpy(UinvT[j], UinvT[i], -q)
 
-    def col_add(i, j, q):
-        # col_i += q * col_j
-        for r in m:
-            r[i] += q * r[j]
-        for r in V:
-            r[i] += q * r[j]
-        Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
+    def col_swap(i, j, live):
+        for r in live:
+            row = m[r]
+            if i in row or j in row:
+                _swap_keys(row, i, j)
+        VT[i], VT[j] = VT[j], VT[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
+    def col_add(i, j, q, live):
+        # col_i += q * col_j, on the rows of live that hold column j
+        if q:
+            for r in live:
+                row = m[r]
+                x = row.get(j)
+                if x:
+                    y = row.get(i, 0) + q * x
+                    if y:
+                        row[i] = y
+                    else:
+                        del row[i]
+            _axpy(VT[i], VT[j], q)
+            _axpy(Vinv[j], Vinv[i], -q)
+
+    # Invariant of the main loop: before step s, rows and columns < s
+    # hold only their diagonal entry.  Step s works on rows and columns
+    # >= s, so its column operations need visit only rows >= s, and its
+    # pivot search only the keys of those rows.
     n = min(rows, cols)
     s = 0
     while s < n:
@@ -160,21 +223,19 @@ def smith_form(a: list[list[int]]) -> SmithForm:
         piv = None
         best = None
         for i in range(s, rows):
-            ri = m[i]
-            for j in range(s, cols):
-                x = ri[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
+            if m[i]:
+                x, j = min((abs(x), j) for j, x in m[i].items())
+                if best is None or x < best:
+                    piv, best = (i, j), x
                     if best == 1:
                         break
-            if best == 1:
-                break
         if piv is None:
             break
         if piv[0] != s:
             row_swap(s, piv[0])
+        live = range(s, rows)
         if piv[1] != s:
-            col_swap(s, piv[1])
+            col_swap(s, piv[1], live)
         if m[s][s] < 0:
             row_negate(s)
         # clear the edging; restart if a remainder forces a smaller pivot
@@ -182,55 +243,62 @@ def smith_form(a: list[list[int]]) -> SmithForm:
         while dirty:
             dirty = False
             for i in range(s + 1, rows):
-                if m[i][s] != 0:
-                    q = m[i][s] // m[s][s]
+                x = m[i].get(s)
+                if x:
+                    q = x // m[s][s]
                     row_add(i, s, -q)
-                    if m[i][s] != 0:
+                    if m[i].get(s):
                         row_swap(s, i)
                         dirty = True
-            for j in range(s + 1, cols):
-                if m[s][j] != 0:
-                    q = m[s][j] // m[s][s]
-                    col_add(j, s, -q)
-                    if m[s][j] != 0:
-                        col_swap(s, j)
-                        dirty = True
+            # clearing m[s][j] leaves row s right of j alone, so its keys
+            # are listed once; holders are the rows that hold column s
+            holders = [r for r in live if s in m[r]]
+            for j in sorted(j for j in m[s] if j > s):
+                q = m[s][j] // m[s][s]
+                col_add(j, s, -q, holders)
+                if m[s].get(j):
+                    col_swap(s, j, live)
+                    holders = [r for r in live if s in m[r]]
+                    dirty = True
             if m[s][s] < 0:
                 row_negate(s)
         s += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
+    # enforce the divisibility chain d_i | d_{i+1}; D is now diagonal, so
+    # each step touches rows and columns i and i+1 only
     changed = True
     while changed:
         changed = False
         for i in range(s - 1):
+            pair = (i, i + 1)
             if m[i + 1][i + 1] % m[i][i] != 0:
                 # fold entry i+1 into the pivot at i via one extra row op
                 row_add(i, i + 1, 1)
                 # re-clear the 2x2 block with euclidean steps
-                while m[i][i + 1] != 0 or m[i + 1][i] != 0:
-                    if m[i][i] == 0:
+                while m[i].get(i + 1) or m[i + 1].get(i):
+                    if not m[i].get(i):
                         row_swap(i, i + 1)
-                        col_swap(i, i + 1)
-                    if m[i][i + 1] != 0:
+                        col_swap(i, i + 1, pair)
+                    if m[i].get(i + 1):
                         q = m[i][i + 1] // m[i][i]
-                        col_add(i + 1, i, -q)
-                        if m[i][i + 1] != 0:
-                            col_swap(i, i + 1)
-                    if m[i + 1][i] != 0:
+                        col_add(i + 1, i, -q, pair)
+                        if m[i].get(i + 1):
+                            col_swap(i, i + 1, pair)
+                    if m[i + 1].get(i):
                         q = m[i + 1][i] // m[i][i]
                         row_add(i + 1, i, -q)
-                        if m[i + 1][i] != 0:
+                        if m[i + 1].get(i):
                             row_swap(i, i + 1)
-                if m[i][i] < 0:
+                if m[i].get(i, 0) < 0:
                     row_negate(i)
-                if m[i + 1][i + 1] < 0:
+                if m[i + 1].get(i + 1, 0) < 0:
                     row_negate(i + 1)
                 changed = True
 
-    sf.d = [m[i][i] for i in range(n) if m[i][i] != 0]
-    sf.rank = len(sf.d)
-    return sf
+    d = [m[i][i] for i in range(n) if m[i].get(i)]
+    return SmithForm(rows, cols, d, _dense(U, rows),
+                     _dense_transposed(UinvT, rows),
+                     _dense_transposed(VT, cols), _dense(Vinv, cols))
 
 
 def integer_kernel_basis(a: list[list[int]], cols: int | None = None) -> list[list[int]]:

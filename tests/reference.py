@@ -1,0 +1,132 @@
+"""Test-only references the program's code is checked against.
+
+smith_form is the dense Smith normal form the program ran before its
+elimination moved to sparse rows.  It makes the same pivots and the same
+elementary operations in the same order, so the sparse version must
+return a SmithForm with identical U, Uinv, V, Vinv, d and rank.
+"""
+
+from multicomplex.intlinalg import SmithForm
+
+
+def smith_form(a: list[list[int]]) -> SmithForm:
+    """Compute the Smith normal form of a (not modified)."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    sf = SmithForm(rows, cols)
+    U, Uinv, V, Vinv = sf.U, sf.Uinv, sf.V, sf.Vinv
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        U[i], U[j] = U[j], U[i]
+        # inverse of a swap is the same swap, applied on columns of Uinv
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_negate(i):
+        m[i] = [-x for x in m[i]]
+        U[i] = [-x for x in U[i]]
+        for r in Uinv:
+            r[i] = -r[i]
+
+    def row_add(i, j, q):
+        # row_i += q * row_j
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+        for r in Uinv:
+            r[j] -= q * r[i]
+
+    def col_add(i, j, q):
+        # col_i += q * col_j
+        for r in m:
+            r[i] += q * r[j]
+        for r in V:
+            r[i] += q * r[j]
+        Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
+
+    n = min(rows, cols)
+    s = 0
+    while s < n:
+        # find a pivot of least absolute value in the remaining block
+        piv = None
+        best = None
+        for i in range(s, rows):
+            ri = m[i]
+            for j in range(s, cols):
+                x = ri[j]
+                if x != 0 and (best is None or abs(x) < best):
+                    piv, best = (i, j), abs(x)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        if piv[0] != s:
+            row_swap(s, piv[0])
+        if piv[1] != s:
+            col_swap(s, piv[1])
+        if m[s][s] < 0:
+            row_negate(s)
+        # clear the edging; restart if a remainder forces a smaller pivot
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(s + 1, rows):
+                if m[i][s] != 0:
+                    q = m[i][s] // m[s][s]
+                    row_add(i, s, -q)
+                    if m[i][s] != 0:
+                        row_swap(s, i)
+                        dirty = True
+            for j in range(s + 1, cols):
+                if m[s][j] != 0:
+                    q = m[s][j] // m[s][s]
+                    col_add(j, s, -q)
+                    if m[s][j] != 0:
+                        col_swap(s, j)
+                        dirty = True
+            if m[s][s] < 0:
+                row_negate(s)
+        s += 1
+
+    # enforce the divisibility chain d_i | d_{i+1}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(s - 1):
+            if m[i + 1][i + 1] % m[i][i] != 0:
+                # fold entry i+1 into the pivot at i via one extra row op
+                row_add(i, i + 1, 1)
+                # re-clear the 2x2 block with euclidean steps
+                while m[i][i + 1] != 0 or m[i + 1][i] != 0:
+                    if m[i][i] == 0:
+                        row_swap(i, i + 1)
+                        col_swap(i, i + 1)
+                    if m[i][i + 1] != 0:
+                        q = m[i][i + 1] // m[i][i]
+                        col_add(i + 1, i, -q)
+                        if m[i][i + 1] != 0:
+                            col_swap(i, i + 1)
+                    if m[i + 1][i] != 0:
+                        q = m[i + 1][i] // m[i][i]
+                        row_add(i + 1, i, -q)
+                        if m[i + 1][i] != 0:
+                            row_swap(i, i + 1)
+                if m[i][i] < 0:
+                    row_negate(i)
+                if m[i + 1][i + 1] < 0:
+                    row_negate(i + 1)
+                changed = True
+
+    sf.d = [m[i][i] for i in range(n) if m[i][i] != 0]
+    sf.rank = len(sf.d)
+    return sf

@@ -567,6 +567,7 @@ _DECODER_ARGV = {
 
 _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
               "points": "set_action", "blocks": "set_action",
+              "action": "set_action",
               "maps": "action", "sets": "cover", "amenable": "cover",
               "assignment": "coloring", "witnesses": "witnesses"}
 
@@ -593,6 +594,17 @@ _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
     ("coloring", "sets", 5),
     ("vanish-check", "assignment", 5),
     ("vanish-check", "witnesses", 5),
+    ("diffuse", "points", ["0", ["1"]]),
+    ("diffuse", "points", ["0", {"1": "1"}]),
+    ("diffuse", "blocks", [{"points": [["0"]], "horizon": 0,
+                            "group": {"kind": "free_abelian", "rank": 1},
+                            "action": {"kind": "translation"}}]),
+    ("diffuse", "blocks", [{"points": [{"0": "0"}], "horizon": 0,
+                            "group": {"kind": "free_abelian", "rank": 1},
+                            "action": {"kind": "translation"}}]),
+    ("diffuse", "action", {"kind": "table", "moves": {"1": 5, "-1": 5}}),
+    ("diffuse", "action", {"kind": "table",
+                           "moves": {"1": {"0": ["1"]}, "-1": {}}}),
 ])
 def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
                                              field, value):

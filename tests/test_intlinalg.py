@@ -3,10 +3,14 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given
+from conftest import random_multicomplex
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import smith_form as dense_smith_form
 
 from multicomplex import intlinalg
+from multicomplex.chains import (build_full_chain_complex,
+                                 build_reduced_chain_complex)
 from multicomplex.intlinalg import (identity_matrix, integer_kernel_basis,
                                     integer_quotient, mat_vec, matmul,
                                     rational_in_span, rational_kernel_basis,
@@ -18,6 +22,15 @@ from multicomplex.intlinalg import (identity_matrix, integer_kernel_basis,
 matrices = st.integers(1, 5).flatmap(lambda cols: st.lists(
     st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
     min_size=1, max_size=5))
+
+
+def _boundary_matrices(seed):
+    # dimension 3 at most: a 4-simplex has 120 orderings
+    mc = random_multicomplex(random.Random(seed), max_dim=3)
+    return [cc.boundary_matrix(n)
+            for cc in (build_full_chain_complex(mc),
+                       build_reduced_chain_complex(mc))
+            for n in sorted(cc.degrees()) if n > 0]
 
 
 def test_xgcd():
@@ -63,6 +76,19 @@ def test_smith_form_random_factorization(a):
     # U and V have integer inverses, so both are unimodular
     assert matmul(sf.U, sf.Uinv) == identity_matrix(rows)
     assert matmul(sf.V, sf.Vinv) == identity_matrix(cols)
+
+
+@settings(max_examples=100)
+# the main loop leaves diag(3, 5), which the divisibility pass makes (1, 15)
+@example([[[-6, 5], [3, 0]]])
+@given(st.one_of(matrices.map(lambda a: [a]),
+                 st.integers(0, 10**6).map(_boundary_matrices)))
+def test_smith_form_matches_the_dense_reference(batch):
+    for a in batch:
+        sf, ref = smith_form(a), dense_smith_form(a)
+        assert (sf.d, sf.rank) == (ref.d, ref.rank)
+        assert (sf.U, sf.Uinv) == (ref.U, ref.Uinv)
+        assert (sf.V, sf.Vinv) == (ref.V, ref.Vinv)
 
 
 @given(matrices, st.data())
