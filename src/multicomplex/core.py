@@ -188,7 +188,9 @@ class Multicomplex:
 
         Unresolvable ids are raised from the constructor instead; this
         checks the per-vertex simplex count, facet completeness, facet
-        vertex sets, and two-step composition consistency.
+        vertex sets, and two-step composition consistency.  Each facet is
+        read once per simplex, into a map from every vertex to the facet
+        that drops it, which the composition check then reads.
         """
         problems = []
         for v in self._vertices:
@@ -197,10 +199,16 @@ class Multicomplex:
                 problems.append(
                     "vertex %r has %d zero-simplices (expected exactly 1)"
                     % (v, n))
-        for sid, s in self._simplices.items():
+        simplices = self._simplices
+        drops = {}  # sid -> _drop_map, for the simplices with right facets
+        for sid, s in simplices.items():
             k = len(s.vset)
             if k == 0:
                 problems.append("simplex %r has an empty vertex set" % sid)
+                continue
+            drop = self._drop_map(s)
+            if drop is not None:
+                drops[sid] = drop
                 continue
             expected = {s.vset - {v} for v in s.vset} if k > 1 else set()
             got = set(s.facets)
@@ -219,17 +227,21 @@ class Multicomplex:
                         "facet of %r over %s is %r, which spans %s instead"
                         % (sid, _fmt_vset(b), fid,
                            _fmt_vset(self._simplices[fid].vset)))
-        # two-step consistency: dropping {u, w} must not depend on the order
-        for sid, s in self._simplices.items():
-            if len(s.vset) < 3:
+        # two-step consistency: dropping {u, w} must not depend on the order;
+        # simplices with wrong facets were reported above
+        def step(fid, v):
+            drop = drops.get(fid)
+            if drop is not None:
+                return drop[v]
+            f = simplices[fid]
+            return f.facets.get(f.vset - {v})
+
+        for sid, drop in drops.items():
+            if len(drop) < 3:
                 continue
-            if any(self._simplices[f].vset != b
-                   for b, f in s.facets.items()) or \
-               set(s.facets) != {s.vset - {v} for v in s.vset}:
-                continue  # already reported above
-            for u, w in combinations(sorted(s.vset), 2):
-                via_u = self._step(self._step(sid, u), w)
-                via_w = self._step(self._step(sid, w), u)
+            for u, w in combinations(sorted(drop), 2):
+                via_u = step(drop[u], w)
+                via_w = step(drop[w], u)
                 if via_u is None or via_w is None:
                     continue
                 if via_u != via_w:
@@ -239,10 +251,21 @@ class Multicomplex:
                         % (sid, u, w, via_u, w, u, via_w))
         return problems
 
-    def _step(self, sid, v):
-        s = self._simplices[sid]
-        nxt = s.facets.get(s.vset - {v})
-        return nxt
+    def _drop_map(self, s: _Simplex):
+        """{v: the facet of s over s.vset - {v}} when s has exactly one
+        facet over each such subset, spanning it; otherwise None."""
+        k = len(s.vset)
+        if len(s.facets) != (k if k > 1 else 0):
+            return None
+        drop = {}
+        for b, fid in s.facets.items():
+            rest = s.vset - b
+            if len(rest) != 1 or len(b) != k - 1 \
+                    or self._simplices[fid].vset != b:
+                return None
+            (v,) = rest
+            drop[v] = fid
+        return drop
 
     def is_valid(self) -> bool:
         return not self.validate()
@@ -538,7 +561,17 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         verts.append(apex)
         add(apex, {apex}, {})
         boundary = [sid + "@0", sid + "@1"]
-        for fid in mc.facets(sid).values():
+        for b, fid in mc.facets(sid).items():
+            if mc.vertex_set(fid) != b:
+                raise StructureError(
+                    "the facet of %r over %s is %r, which spans %s"
+                    % (sid, _fmt_vset(b), fid,
+                       _fmt_vset(mc.vertex_set(fid))))
+            if not b < mc.vertex_set(sid):
+                # a facet no smaller than sid has no prism yet
+                raise StructureError(
+                    "simplex %r has a spurious facet entry for %s"
+                    % (sid, _fmt_vset(b)))
             boundary.extend(prism_all[fid])
         boundary = sorted(set(boundary))
         cone_of = {b: sid + "^" + b for b in boundary}

@@ -1,10 +1,14 @@
 """Versioned JSON formats for every object the command line exchanges.
 
 One canonical rendering: keys sorted, two-space indent, trailing newline,
-rationals as "p/q" strings (plain integers stay bare of the slash).  A
-document produced by a dump function parses back to an equal object, and
-re-dumping parses byte-identically, which is what lets structured output
-be pinned in regression tests.
+rationals as "p/q" strings (plain integers stay bare of the slash).  The
+text is byte for byte json.dumps(doc, indent=2, sort_keys=True) plus a
+newline.  canonical_dumps writes it itself, on json's C string escaper,
+because CPython gives up its C encoder whenever an indent is asked for
+and the pure-Python one takes several times as long on large documents.
+A document produced by a dump function parses back to an equal object,
+and re-dumping parses byte-identically, which is what lets structured
+output be pinned in regression tests.
 """
 
 from __future__ import annotations
@@ -27,8 +31,60 @@ class FormatError(MulticomplexError):
     """A document that does not parse as the requested kind."""
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
+    out = []
+    try:
+        _write(doc, "\n", out)
+    except TypeError:
+        # a non-string key or an object json cannot write: json itself
+        # writes the same text or raises its own error
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the indented text of value; newline is "\\n" and its indent."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            if isinstance(item, str):
+                out.append(lead + _string(key) + ": " + _string(item))
+            else:
+                out.append(lead + _string(key) + ": ")
+                _write(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            out.append("[" + inner + ("," + inner).join(map(_string, value))
+                       + newline + "]")
+            return
+        except TypeError:  # not all strings
+            pass
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def parse_document(text: str) -> dict:

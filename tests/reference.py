@@ -4,8 +4,15 @@ smith_form is the dense Smith normal form the program ran before its
 elimination moved to sparse rows.  It makes the same pivots and the same
 elementary operations in the same order, so the sparse version must
 return a SmithForm with identical U, Uinv, V, Vinv, d and rank.
+
+validate is Multicomplex.validate as it was before each facet was read
+once per simplex: it finds every face by a frozenset difference.  The
+program's validate must return the same problems in the same order.
 """
 
+from itertools import combinations
+
+from multicomplex.core import Multicomplex, _fmt_vset
 from multicomplex.intlinalg import SmithForm
 
 
@@ -130,3 +137,60 @@ def smith_form(a: list[list[int]]) -> SmithForm:
     sf.d = [m[i][i] for i in range(n) if m[i][i] != 0]
     sf.rank = len(sf.d)
     return sf
+
+
+def validate(mc: Multicomplex) -> list[str]:
+    """All axiom violations of mc (empty list means valid)."""
+    simplices = mc._simplices
+
+    def step(sid, v):
+        s = simplices[sid]
+        return s.facets.get(s.vset - {v})
+
+    problems = []
+    for v in mc.vertices:
+        n = len(mc.simplices_over([v]))
+        if n != 1:
+            problems.append(
+                "vertex %r has %d zero-simplices (expected exactly 1)"
+                % (v, n))
+    for sid, s in simplices.items():
+        k = len(s.vset)
+        if k == 0:
+            problems.append("simplex %r has an empty vertex set" % sid)
+            continue
+        expected = {s.vset - {v} for v in s.vset} if k > 1 else set()
+        got = set(s.facets)
+        for b in sorted(expected - got, key=sorted):
+            problems.append(
+                "simplex %r is missing its facet over %s"
+                % (sid, _fmt_vset(b)))
+        for b in sorted(got - expected, key=sorted):
+            problems.append(
+                "simplex %r has a spurious facet entry for %s"
+                % (sid, _fmt_vset(b)))
+        for b in sorted(got & expected, key=sorted):
+            fid = s.facets[b]
+            if simplices[fid].vset != b:
+                problems.append(
+                    "facet of %r over %s is %r, which spans %s instead"
+                    % (sid, _fmt_vset(b), fid,
+                       _fmt_vset(simplices[fid].vset)))
+    # two-step consistency: dropping {u, w} must not depend on the order
+    for sid, s in simplices.items():
+        if len(s.vset) < 3:
+            continue
+        if any(simplices[f].vset != b for b, f in s.facets.items()) or \
+           set(s.facets) != {s.vset - {v} for v in s.vset}:
+            continue  # already reported above
+        for u, w in combinations(sorted(s.vset), 2):
+            via_u = step(step(sid, u), w)
+            via_w = step(step(sid, w), u)
+            if via_u is None or via_w is None:
+                continue
+            if via_u != via_w:
+                problems.append(
+                    "composition mismatch at %r: dropping %r then %r "
+                    "gives %r but dropping %r then %r gives %r"
+                    % (sid, u, w, via_u, w, u, via_w))
+    return problems

@@ -529,6 +529,21 @@ def test_a_bad_facet_exits_one_naming_the_simplex(tmp_path, capsys, facets,
     assert err.startswith("error: the facet of 'e' over {b} is ")
 
 
+@pytest.mark.parametrize("facets,error", [
+    ({"a": "e", "b": "b"},
+     "error: the facet of 'e' over {a} is 'e', which spans {a,b}"),
+    ({"a": "a", "b": "b", "a,b": "e"},
+     "error: simplex 'e' has a spurious facet entry for {a,b}"),
+], ids=["itself-over-a-vertex", "itself-over-its-vertices"])
+def test_product_with_a_facet_it_cannot_prism_exits_one(tmp_path, capsys,
+                                                        facets, error):
+    path = _write(tmp_path, "edge.json", _edge_doc(facets))
+    code, out, err = _run(capsys, ["product", path])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [error]
+
+
 def _decoder_docs():
     """Valid documents for every decoder, keyed by the name of the file."""
     mc = double_edge()

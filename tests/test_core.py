@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference
 from conftest import random_multicomplex
 from multicomplex.core import (Multicomplex, SimplicialMap, StructureError,
                                UnknownIdError, compose_maps, identity_map,
@@ -119,6 +122,77 @@ def test_two_step_composition_violation_reported():
     assert problems
     assert any("compos" in p or "disagree" in p or "face" in p
                for p in problems)
+
+
+def _edge(facets, extra=()):
+    """The edge e over {x, y}; facets keys comma-joined vertex ids."""
+    return Multicomplex(["x", "y"], [
+        ("x", frozenset(["x"]), {}), ("y", frozenset(["y"]), {}),
+        ("e", frozenset(["x", "y"]),
+         {frozenset(b.split(",")): f for b, f in facets.items()}),
+        *extra])
+
+
+@pytest.mark.parametrize("mc,problems", [
+    (Multicomplex(["u", "v", "w"], [("a", frozenset(["v"]), {}),
+                                    ("b", frozenset(["v"]), {}),
+                                    ("w", frozenset(["w"]), {})]),
+     ["vertex 'u' has 0 zero-simplices (expected exactly 1)",
+      "vertex 'v' has 2 zero-simplices (expected exactly 1)"]),
+    (_edge({"x": "x", "y": "y"}, [("z", frozenset(), {})]),
+     ["simplex 'z' has an empty vertex set"]),
+    (_edge({"x": "x"}), ["simplex 'e' is missing its facet over {y}"]),
+    (_edge({"x": "x", "y": "y", "x,y": "e"}),
+     ["simplex 'e' has a spurious facet entry for {x,y}"]),
+    (_edge({"x": "y", "y": "y"}),
+     ["facet of 'e' over {x} is 'y', which spans {y} instead"]),
+    (_tetra_with_edge_mismatch(consistent=False),
+     ["composition mismatch at 'T': dropping 'w' then 'z' gives 'e1' but "
+      "dropping 'z' then 'w' gives 'e2'"]),
+], ids=["zero-simplices", "empty", "missing", "spurious", "wrong-vertices",
+        "composition"])
+def test_validate_names_each_problem(mc, problems):
+    assert mc.validate() == problems
+    assert reference.validate(mc) == problems
+
+
+def _tampered(rng: random.Random, mc: Multicomplex) -> Multicomplex:
+    """mc with a few random defects: a facet entry dropped, added or
+    pointed elsewhere, a parallel copy of a face put under one coface, an
+    extra or empty zero-simplex, or a vertex without its zero-simplex."""
+    verts = list(mc.vertices)
+    triples = [(sid, mc.vertex_set(sid), mc.facets(sid))
+               for sid in mc.simplex_ids]
+    for i in range(rng.randint(1, 3)):
+        sid, vset, facets = rng.choice(triples)
+        kind = rng.randrange(6)
+        if kind == 0 and facets:
+            del facets[rng.choice(sorted(facets, key=sorted))]
+        elif kind == 1:
+            facets[rng.choice(triples)[1]] = rng.choice(triples)[0]
+        elif kind == 2 and facets:
+            facets[rng.choice(sorted(facets, key=sorted))] = \
+                rng.choice(triples)[0]
+        elif kind == 3:
+            cofaces = [f for _, _, f in triples if sid in f.values()]
+            copy = "%s#%d" % (sid, i)
+            triples.append((copy, vset, dict(facets)))
+            if cofaces:
+                f = rng.choice(cofaces)
+                f[next(b for b in f if f[b] == sid)] = copy
+        elif kind == 4:
+            triples.append(("extra%d" % i, frozenset(rng.sample(
+                verts, rng.randint(0, 1))), {}))
+        else:
+            verts.append("lonely%d" % i)
+    return Multicomplex(verts, triples)
+
+
+@given(st.integers(0, 10**6))
+def test_validate_matches_the_reference_on_tampered_complexes(seed):
+    rng = random.Random(seed)
+    mc = _tampered(rng, random_multicomplex(rng))
+    assert mc.validate() == reference.validate(mc)
 
 
 def test_face_deep_subsets():

@@ -5,9 +5,12 @@ compare the two texts.  Equality of the rebuilt object is checked too
 where the type supports it.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicomplex.chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
 from multicomplex.core import product_with_interval
@@ -53,6 +56,26 @@ def _roundtrip(doc, from_doc, to_doc):
     obj = from_doc(parse_document(text))
     assert canonical_dumps(to_doc(obj)) == text
     return obj
+
+
+_strings = st.text() | st.sampled_from(
+    ['"', "\\/", "\b\f\n\r\t", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"])
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-10 ** 40, 10 ** 40),
+              st.floats(allow_nan=False, allow_infinity=False), _strings),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.lists(_strings),
+                            st.dictionaries(_strings, inner),
+                            st.dictionaries(st.integers(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=100)
+@given(_json_values)
+def test_canonical_dumps_writes_the_text_of_json_dumps(value):
+    assert canonical_dumps(value) == json.dumps(value, indent=2,
+                                                sort_keys=True) + "\n"
 
 
 def test_parse_document_rejects_bad_inputs():

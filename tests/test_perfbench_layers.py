@@ -1,9 +1,10 @@
 """The benchmark's per-layer tracer still sees the layers it names.
 
 perfbench/layers.py rebinds functions where their callers look them up.
-If a caller imports one of them by name instead, the wrapper is never
-called and the layer's metrics read 0 without any error, so this test
-runs one job under the tracer and requires the Smith form to be seen.
+If a caller imports one of them by name instead, or the work moves out of
+the function the tracer wraps, the wrapper is never called and the
+layer's metrics read 0 without any error, so these tests run jobs under
+the tracer and require the layers they exercise to be seen.
 """
 
 import importlib.util
@@ -23,8 +24,9 @@ def _load_layers():
     return module
 
 
-def test_the_tracer_counts_the_smith_form_of_a_homology_job(tmp_path,
-                                                           capsys):
+def _traced(tmp_path, capsys, commands):
+    """The tracer's counts over the given commands on the triangle, each
+    of which must exit 0; the tracer must leave every name as it was."""
     layers = _load_layers()
     places = [(owner, attr) for _, where, *_ in layers.SPANNED + layers.COUNTED
               for owner, attr in where]
@@ -35,12 +37,28 @@ def test_the_tracer_counts_the_smith_form_of_a_homology_job(tmp_path,
     tracer = layers.Tracer()
     tracer.install()
     try:
-        code = cli.main(["homology", str(path), "--ring", "z"])
+        codes = [cli.main([name, str(path), *rest])
+                 for name, *rest in commands]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert code == 0
-    assert tracer.counts["cli.main.calls"] == 1
-    assert tracer.counts["intlinalg.smith_form.calls"] > 0
-    assert tracer.counts["intlinalg.smith_form.entries"] > 0
+    assert codes == [0] * len(commands)
+    assert tracer.counts["cli.main.calls"] == len(commands)
     assert [getattr(owner, attr) for owner, attr in places] == before
+    return tracer.counts
+
+
+def test_the_tracer_counts_the_smith_form_of_a_homology_job(tmp_path,
+                                                           capsys):
+    counts = _traced(tmp_path, capsys, [["homology", "--ring", "z"]])
+    assert counts["intlinalg.smith_form.calls"] > 0
+    assert counts["intlinalg.smith_form.entries"] > 0
+
+
+def test_the_tracer_counts_the_writer_validate_and_product(tmp_path,
+                                                          capsys):
+    counts = _traced(tmp_path, capsys, [["validate"], ["product"]])
+    for name in ("formats.dump.calls", "formats.bytes_out",
+                 "core.validate.calls", "core.product_with_interval.calls",
+                 "core.simplices_built"):
+        assert counts[name] > 0, name
