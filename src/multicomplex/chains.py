@@ -563,23 +563,20 @@ class HomologyResult:
             for i, c in self.cc.column(n + 1, j):
                 image_rows[i].append((j, c))
         coords = []
-        for row in sf.Vinv[sf.rank:]:
+        for row in sf.Vinv_rows[sf.rank:]:
             out = [0] * width
-            for i, x in enumerate(row):
-                if x:
-                    for j, c in image_rows[i]:
-                        out[j] += x * c
+            for i, x in row.items():
+                for j, c in image_rows[i]:
+                    out[j] += x * c
             coords.append(out)
         torsion, free, coeffs = intlinalg.smith_form(coords).cokernel()
-        kernel = [[(i, x) for i, x in enumerate(col) if x]
-                  for col in list(zip(*sf.V))[sf.rank:]]
+        kernel = sf.V_cols[sf.rank:]
         gens = []
         for cv in coeffs:
-            gen = [0] * len(sf.V)
-            for k, y in enumerate(cv):
-                if y:
-                    for i, x in kernel[k]:
-                        gen[i] += y * x
+            gen = [0] * sf.cols
+            for k, y in cv.items():
+                for i, x in kernel[k].items():
+                    gen[i] += y * x
             gens.append(gen)
         if self.ring == RING_RAT:
             torsion, gens = [], gens[len(torsion):]

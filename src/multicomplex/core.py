@@ -561,13 +561,18 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         verts.append(apex)
         add(apex, {apex}, {})
         boundary = [sid + "@0", sid + "@1"]
-        for b, fid in mc.facets(sid).items():
+        vset, facets = mc.vertex_set(sid), mc.facets(sid)
+        for v in sorted(vset):
+            if len(vset) > 1 and vset - {v} not in facets:
+                raise StructureError("the facet of %r over %s is missing"
+                                     % (sid, _fmt_vset(vset - {v})))
+        for b, fid in facets.items():
             if mc.vertex_set(fid) != b:
                 raise StructureError(
                     "the facet of %r over %s is %r, which spans %s"
                     % (sid, _fmt_vset(b), fid,
                        _fmt_vset(mc.vertex_set(fid))))
-            if not b < mc.vertex_set(sid):
+            if not b < vset:
                 # a facet no smaller than sid has no prism yet
                 raise StructureError(
                     "simplex %r has a spurious facet entry for %s"

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and the rationals.
 
-Matrices are passed and returned as dense lists of row lists, on Python
-ints (arbitrary precision) and fractions.Fraction.  No floats, no modular
-shortcuts.
+Matrices are passed in as dense lists of row lists, on Python ints
+(arbitrary precision) and fractions.Fraction, and vectors and bases come
+back as dense lists.  A SmithForm keeps its factors sparse, U and Vinv
+as rows and Uinv and V as columns.  No floats, no modular shortcuts.
 
 The integer Smith normal form is the one elimination the program runs:
 ranks, kernels, quotients and solutions over Z and over Q are all read
@@ -19,67 +20,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b != 0:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(a: list[list], b: list[list]) -> list[list]:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    assert all(len(row) == k for row in a) or not a
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j] != 0:
-                    oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a: list[list], v: list) -> list:
-    return [sum(c * x for c, x in zip(row, v) if c != 0) for row in a]
-
-
 class SmithForm:
     """Smith normal form U * A * V = D of an integer matrix A.
 
     d lists the diagonal of D (non-negative, each dividing the next);
     rank is the number of nonzero entries.  U, V are unimodular and the
     inverses Uinv, Vinv are tracked alongside so that A = Uinv * D * Vinv.
-    All four are dense lists of rows, built once when the elimination,
-    which runs on sparse rows, is done.  SmithForm(rows, cols) alone is
-    the factorization of the zero matrix.
+    All four are kept sparse, as lists of {index: nonzero}, in the shape
+    the elimination updates them in: U_rows and Vinv_rows hold the rows
+    of U and Vinv, Uinv_cols and V_cols the columns of Uinv and V.
+    SmithForm(rows, cols) alone is the factorization of the zero matrix.
     """
 
-    def __init__(self, rows: int, cols: int, d=(), U=None, Uinv=None,
-                 V=None, Vinv=None):
+    def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-        self.d: list[int] = list(d)
-        self.rank = len(self.d)
-        self.U = identity_matrix(rows) if U is None else U
-        self.Uinv = identity_matrix(rows) if Uinv is None else Uinv
-        self.V = identity_matrix(cols) if V is None else V
-        self.Vinv = identity_matrix(cols) if Vinv is None else Vinv
+        self.d: list[int] = []
+        self.U_rows = [{i: 1} for i in range(rows)]
+        self.Uinv_cols = [{i: 1} for i in range(rows)]
+        self.V_cols = [{j: 1} for j in range(cols)]
+        self.Vinv_rows = [{j: 1} for j in range(cols)]
+
+    @property
+    def rank(self) -> int:
+        return len(self.d)
 
     def solve(self, b: list, integral: bool = True):
         """One x with A @ x = b, or None if there is none.
@@ -87,33 +51,38 @@ class SmithForm:
         D * (Vinv x) = U b, so a solution exists exactly when (U b)_i
         vanishes past the rank, and then x = V (U b / d).  With integral
         the solution must be an integer vector, which needs d_i to divide
-        (U b)_i; otherwise b may hold Fractions and x is rational.
+        (U b)_i; otherwise b may hold Fractions and x is rational.  x is
+        returned as a dense list.
         """
-        ub = mat_vec(self.U, b)
+        ub = [sum(x * b[k] for k, x in row.items()) for row in self.U_rows]
         if any(ub[self.rank:]):
             return None
-        y = [0] * self.cols
+        x = [0] * self.cols
         for i, d in enumerate(self.d):
             if integral:
-                y[i], rem = divmod(ub[i], d)
+                y, rem = divmod(ub[i], d)
                 if rem:
                     return None
             else:
-                y[i] = Fraction(ub[i]) / d
-        return mat_vec(self.V, y)
+                y = Fraction(ub[i]) / d
+            if y:
+                for k, v in self.V_cols[i].items():
+                    x[k] += v * y
+        return x
 
     def cokernel(self):
         """Z^rows modulo the column span of A: (torsion, free_rank, gens).
 
         A = Uinv * D * Vinv, so the columns of Uinv form a basis in which
         the image is spanned by d_i times the i-th basis vector.  torsion
-        lists the invariant factors > 1; gens holds, as column vectors,
-        one generator per torsion factor and then one per free summand.
+        lists the invariant factors > 1; gens holds, as sparse columns of
+        Uinv, one generator per torsion factor and then one per free
+        summand.
         """
         torsion = [d for d in self.d if d > 1]
         picked = [i for i, d in enumerate(self.d) if d > 1]
         picked += range(self.rank, self.rows)
-        gens = [[row[i] for row in self.Uinv] for i in picked]
+        gens = [self.Uinv_cols[i] for i in picked]
         return torsion, self.rows - self.rank, gens
 
 
@@ -135,24 +104,6 @@ def _swap_keys(row: dict, i, j) -> None:
         row[j] = x
 
 
-def _dense(rows: list[dict], width: int) -> list[list[int]]:
-    out = []
-    for row in rows:
-        dense = [0] * width
-        for k, x in row.items():
-            dense[k] = x
-        out.append(dense)
-    return out
-
-
-def _dense_transposed(cols: list[dict], height: int) -> list[list[int]]:
-    out = [[0] * len(cols) for _ in range(height)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            out[i][j] = x
-    return out
-
-
 def smith_form(a: list[list[int]]) -> SmithForm:
     """Compute the Smith normal form of a (not modified).
 
@@ -161,15 +112,14 @@ def smith_form(a: list[list[int]]) -> SmithForm:
     Every matrix is kept as sparse rows {index: nonzero}: m and the
     row-operated U and Vinv by rows, and the column-operated Uinv and V
     by columns (UinvT, VT), so that every update is a sparse row update
-    and every swap a list swap.
+    and every swap a list swap.  The result keeps these lists as its
+    U_rows, Uinv_cols, V_cols and Vinv_rows.
     """
     m = [{j: x for j, x in enumerate(row) if x} for row in a]
     rows = len(m)
     cols = len(a[0]) if rows else 0
-    U = [{i: 1} for i in range(rows)]
-    UinvT = [{i: 1} for i in range(rows)]
-    VT = [{j: 1} for j in range(cols)]
-    Vinv = [{j: 1} for j in range(cols)]
+    sf = SmithForm(rows, cols)
+    U, UinvT, VT, Vinv = sf.U_rows, sf.Uinv_cols, sf.V_cols, sf.Vinv_rows
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -295,10 +245,8 @@ def smith_form(a: list[list[int]]) -> SmithForm:
                     row_negate(i + 1)
                 changed = True
 
-    d = [m[i][i] for i in range(n) if m[i].get(i)]
-    return SmithForm(rows, cols, d, _dense(U, rows),
-                     _dense_transposed(UinvT, rows),
-                     _dense_transposed(VT, cols), _dense(Vinv, cols))
+    sf.d = [m[i][i] for i in range(n) if m[i].get(i)]
+    return sf
 
 
 def integer_kernel_basis(a: list[list[int]], cols: int | None = None) -> list[list[int]]:
@@ -314,10 +262,8 @@ def integer_kernel_basis(a: list[list[int]], cols: int | None = None) -> list[li
         return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
     cols = len(a[0])
     sf = smith_form(a)
-    ker = []
-    for j in range(sf.rank, cols):
-        ker.append([sf.V[i][j] for i in range(cols)])
-    return ker
+    return [[col.get(i, 0) for i in range(cols)]
+            for col in sf.V_cols[sf.rank:]]
 
 
 def solve_integer(a: list[list[int]], b: list[int], cols: int | None = None):
@@ -348,7 +294,9 @@ def integer_quotient(kernel: list[list[int]], image_cols: list[list[int]]):
     y_cols = [sf.solve(c) for c in image_cols]
     if any(y is None for y in y_cols):
         raise ValueError("image column does not lie in the kernel lattice")
-    return smith_form([[y[i] for y in y_cols] for i in range(k)]).cokernel()
+    torsion, free, gens = smith_form([[y[i] for y in y_cols]
+                                      for i in range(k)]).cokernel()
+    return torsion, free, [[g.get(i, 0) for i in range(k)] for g in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +380,3 @@ def rational_solve(a, b, cols: int | None = None):
     for r, pc in enumerate(pivots):
         x[pc] = rref[r][cols]
     return x
-
-
-def rational_in_span(columns, target) -> bool:
-    """Whether target is a rational combination of the given column vectors."""
-    if not columns:
-        return all(x == 0 for x in target)
-    a = [[col[i] for col in columns] for i in range(len(target))]
-    return rational_solve(a, target) is not None

@@ -3,17 +3,97 @@
 smith_form is the dense Smith normal form the program ran before its
 elimination moved to sparse rows.  It makes the same pivots and the same
 elementary operations in the same order, so the sparse version must
-return a SmithForm with identical U, Uinv, V, Vinv, d and rank.
+return the same d and rank, and factors that densify (see dense_factors)
+to the same U, Uinv, V and Vinv.
+
+homology_data is HomologyResult._data as it was on the dense
+factorization, fed by this smith_form; the program's structure and
+generators must equal it.
 
 validate is Multicomplex.validate as it was before each facet was read
 once per simplex: it finds every face by a frozenset difference.  The
 program's validate must return the same problems in the same order.
+
+identity_matrix, matmul and mat_vec are the dense products the tests
+check factorizations and solutions with.
 """
 
 from itertools import combinations
 
+from multicomplex.chains import RING_RAT
 from multicomplex.core import Multicomplex, _fmt_vset
-from multicomplex.intlinalg import SmithForm
+
+
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def matmul(a: list[list], b: list[list]) -> list[list]:
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    assert all(len(row) == k for row in a) or not a
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            c = ai[t]
+            if c == 0:
+                continue
+            bt = b[t]
+            for j in range(m):
+                if bt[j] != 0:
+                    oi[j] += c * bt[j]
+    return out
+
+
+def mat_vec(a: list[list], v: list) -> list:
+    return [sum(c * x for c, x in zip(row, v) if c != 0) for row in a]
+
+
+def dense_factors(sf) -> tuple:
+    """(U, Uinv, V, Vinv) of a sparse SmithForm as dense lists of rows."""
+    def rows(sparse, width):
+        out = []
+        for row in sparse:
+            dense = [0] * width
+            for k, x in row.items():
+                dense[k] = x
+            out.append(dense)
+        return out
+
+    def cols(sparse, height):
+        out = [[0] * len(sparse) for _ in range(height)]
+        for j, col in enumerate(sparse):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
+
+    return (rows(sf.U_rows, sf.rows), cols(sf.Uinv_cols, sf.rows),
+            cols(sf.V_cols, sf.cols), rows(sf.Vinv_rows, sf.cols))
+
+
+class SmithForm:
+    """Dense U * A * V = D, with A = Uinv * D * Vinv, as lists of rows."""
+
+    def __init__(self, rows: int, cols: int):
+        self.rows = rows
+        self.cols = cols
+        self.d: list[int] = []
+        self.rank = 0
+        self.U = identity_matrix(rows)
+        self.Uinv = identity_matrix(rows)
+        self.V = identity_matrix(cols)
+        self.Vinv = identity_matrix(cols)
+
+    def cokernel(self):
+        """Z^rows modulo the column span of A: (torsion, free_rank, gens),
+        gens as dense columns of Uinv."""
+        torsion = [d for d in self.d if d > 1]
+        picked = [i for i, d in enumerate(self.d) if d > 1]
+        picked += range(self.rank, self.rows)
+        gens = [[row[i] for row in self.Uinv] for i in picked]
+        return torsion, self.rows - self.rank, gens
 
 
 def smith_form(a: list[list[int]]) -> SmithForm:
@@ -137,6 +217,45 @@ def smith_form(a: list[list[int]]) -> SmithForm:
     sf.d = [m[i][i] for i in range(n) if m[i][i] != 0]
     sf.rank = len(sf.d)
     return sf
+
+
+def homology_data(cc, n, ring):
+    """((free, torsion), generator vectors) of degree-n homology."""
+    def factor(m):
+        mat = cc.boundary_matrix(m)
+        return smith_form(mat) if mat else SmithForm(0, cc.dim(m))
+
+    sf = factor(n)
+    # the columns of V past the rank are a saturated basis of the
+    # cycles, and rows of Vinv past the rank give coordinates in it;
+    # both products run over nonzero entries only
+    width = cc.dim(n + 1)
+    image_rows = [[] for _ in range(cc.dim(n))]
+    for j in range(width):
+        for i, c in cc.column(n + 1, j):
+            image_rows[i].append((j, c))
+    coords = []
+    for row in sf.Vinv[sf.rank:]:
+        out = [0] * width
+        for i, x in enumerate(row):
+            if x:
+                for j, c in image_rows[i]:
+                    out[j] += x * c
+        coords.append(out)
+    torsion, free, coeffs = smith_form(coords).cokernel()
+    kernel = [[(i, x) for i, x in enumerate(col) if x]
+              for col in list(zip(*sf.V))[sf.rank:]]
+    gens = []
+    for cv in coeffs:
+        gen = [0] * len(sf.V)
+        for k, y in enumerate(cv):
+            if y:
+                for i, x in kernel[k]:
+                    gen[i] += y * x
+        gens.append(gen)
+    if ring == RING_RAT:
+        torsion, gens = [], gens[len(torsion):]
+    return (free, torsion), gens
 
 
 def validate(mc: Multicomplex) -> list[str]:

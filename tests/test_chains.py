@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from conftest import random_multicomplex
 from multicomplex.core import (
     StructureError,
@@ -246,6 +247,21 @@ def test_rational_homology_is_integral_homology_tensor_q(seed):
         for t, g in zip(torsion, zgens):
             assert hz.is_boundary(g) is None
             assert hz.is_boundary(g.scaled(t)) is not None
+
+
+@given(seeds)
+def test_homology_matches_the_dense_reference(seed):
+    # dimension 3 at most, as in test_every_builder_variant_is_a_complex
+    mc = random_multicomplex(random.Random(seed), max_dim=3)
+    for build in (build_full_chain_complex, build_reduced_chain_complex):
+        cc = build(mc, ring=RING_INT)
+        for ring in (RING_INT, RING_RAT):
+            hom = homology(cc, ring)
+            for n in sorted(cc.degrees()):
+                structure, gens = reference.homology_data(cc, n, ring)
+                assert hom.structure(n) == structure
+                assert hom.generators(n) == [
+                    cc.chain_from_vector(n, g, ring) for g in gens]
 
 
 @given(seeds)

@@ -534,7 +534,8 @@ def test_a_bad_facet_exits_one_naming_the_simplex(tmp_path, capsys, facets,
      "error: the facet of 'e' over {a} is 'e', which spans {a,b}"),
     ({"a": "a", "b": "b", "a,b": "e"},
      "error: simplex 'e' has a spurious facet entry for {a,b}"),
-], ids=["itself-over-a-vertex", "itself-over-its-vertices"])
+    ({"a": "a"}, "error: the facet of 'e' over {b} is missing"),
+], ids=["itself-over-a-vertex", "itself-over-its-vertices", "missing"])
 def test_product_with_a_facet_it_cannot_prism_exits_one(tmp_path, capsys,
                                                         facets, error):
     path = _write(tmp_path, "edge.json", _edge_doc(facets))

@@ -215,6 +215,39 @@ def test_blocks_must_partition():
     assert any("partition" in p or "overlap" in p for p in report.problems)
 
 
+def test_validate_action_on_set_names_each_block_problem():
+    # block 0 swaps 0 and 1 but also sends 10 to 0, out of block 1;
+    # block 1 swaps 10 and 11; block 2 is Z turning 20 and 21 and also
+    # sending 11 to 21.  Block 1's horizon 0 puts blocks 0 and 2 past
+    # it, and block 0's horizon 1 puts block 1 past it; block 2 moves
+    # nothing block 0 guards.
+    c2 = cyclic_group(2)
+    swap = {0: 1, 1: 0, 10: 0}
+    turn = {20: 21, 21: 20, 11: 21}
+    blocks = [
+        OrbitBlock([0, 1], c2,
+                   lambda g, x: swap.get(x, x) if g == "r1" else x,
+                   horizon=1),
+        OrbitBlock([10, 11], c2,
+                   lambda g, x: 21 - x if g == "r1" and x in (10, 11)
+                   else x, horizon=0),
+        OrbitBlock([20, 21], Z,
+                   lambda g, x: turn.get(x, x) if g[0] % 2 else x,
+                   horizon=3),
+    ]
+    a = ActionOnSet(None, [0, 1, 10, 11, 20, 21], None, blocks=blocks)
+    assert list(validate_action_on_set(a).problems) == [
+        "subgroup of block 0 moves 10 out of block 1",
+        "subgroup of block 2 moves 11 out of block 1",
+        "blocks 0 and 1 are not asymptotically disjoint: stage 1 is past "
+        "the horizon 1 but moves 10",
+        "blocks 1 and 0 are not asymptotically disjoint: stage 0 is past "
+        "the horizon 0 but moves 10",
+        "blocks 1 and 2 are not asymptotically disjoint: stage 2 is past "
+        "the horizon 0 but moves 11",
+    ]
+
+
 def test_local_diffuse_meets_budgets_and_preserves_sums():
     a = _two_block_action()
     f = SparseFunction({0: Fraction(2), 10: Fraction(1),

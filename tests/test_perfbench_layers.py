@@ -62,3 +62,11 @@ def test_the_tracer_counts_the_writer_validate_and_product(tmp_path,
                  "core.validate.calls", "core.product_with_interval.calls",
                  "core.simplices_built"):
         assert counts[name] > 0, name
+
+
+def test_the_tracer_counts_the_readers_of_a_volume_job(tmp_path, capsys):
+    counts = _traced(tmp_path, capsys, [["volume"]])
+    for name in ("chains.fundamental_cycle.calls",
+                 "chains.HomologyResult.generators.calls",
+                 "intlinalg.smith_form.calls", "exactlp.solve.calls"):
+        assert counts[name] > 0, name
