@@ -177,8 +177,13 @@ class ActionOnSet:
                     % (i, stray[0]))
 
     def oracle(self):
-        """The ambient oracle act(element, point), which takes elements
-        already coerced into self.group."""
+        """The ambient oracle act(element, point).
+
+        It takes elements already coerced into self.group and does not
+        check them again: apply coerces its element, and convolve,
+        _transporters and validate_action_on_set pass only elements
+        that a measure, generating_set or the group itself produced.
+        """
         if self.act is None:
             raise StructureError(
                 "this action has no ambient oracle; use its blocks")
@@ -283,7 +288,8 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
     from y to gamma.y, so the support never leaves supp(mu).supp(f).
     The values of f are scaled to ints over their lcm, so the sums run
     on ints over the denominator _den * lcm.  mu must be a measure on
-    a.group: its stored elements go to the oracle without coercion.
+    a.group: its stored elements were coerced when it was built and go
+    to the oracle as they are.
     """
     act = a.oracle()
     vals = f.items()
@@ -297,20 +303,30 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
             x = act(gamma, y)
             acc[x] = acc.get(x, 0) + w * v
     den = mu._den * fden
-    return SparseFunction({x: Fraction(n, den) for x, n in acc.items()})
+    out = SparseFunction()
+    out._vals = {x: Fraction(n, den) for x, n in acc.items() if n}
+    return out
 
 
 def measure_derivative(mu: FiniteSupportMeasure, phi) -> Fraction:
-    """The l1 norm of gamma -> mu(gamma*phi) - mu(gamma)."""
+    """The l1 norm of gamma -> mu(gamma*phi) - mu(gamma).
+
+    That function is nu - mu for nu(gamma) = mu(gamma*phi), the measure
+    with nu(s*phi^-1) = mu(s), so one product per atom builds nu.  The
+    group must satisfy the group laws (FiniteGroup.validate); a table on
+    which s -> s*phi^-1 folds two atoms together raises StructureError.
+    """
     g = mu.group
-    phi = g.coerce(phi)
-    inv = g.inverse(phi)
+    inv = g.inverse(g.coerce(phi))
+    product = g._product
     num = mu._num
-    gammas = set(num)
-    gammas |= {g.multiply(s, inv) for s in num}
-    return Fraction(sum(abs(num.get(g.multiply(gamma, phi), 0)
-                            - num.get(gamma, 0)) for gamma in gammas),
-                    mu._den)
+    shifted = {product(s, inv): n for s, n in num.items()}
+    if len(shifted) != len(num):
+        raise StructureError(
+            "right multiplication by %r is not injective: the group "
+            "table fails the group laws" % (phi,))
+    return Fraction(sum(abs(shifted.get(gamma, 0) - num.get(gamma, 0))
+                        for gamma in shifted.keys() | num.keys()), mu._den)
 
 
 def derivative_norm(mu: FiniteSupportMeasure, phis) -> Fraction:
@@ -334,7 +350,7 @@ MAX_BOX_ATOMS = 10 ** 6
 
 
 def _box_points(rank: int, n: int) -> list:
-    return [tuple(p) for p in iter_product(range(n), repeat=rank)]
+    return list(iter_product(range(n), repeat=rank))
 
 
 def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
@@ -364,7 +380,9 @@ def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
             raise DiffusionError(
                 "the Folner box of side %d in Z^%d would have %d atoms, "
                 "over the limit of %d" % (n, group.rank, atoms, MAX_BOX_ATOMS))
-        mu = uniform_measure(group, _box_points(group.rank, n))
+        # the box points are distinct int tuples: no coercion needed
+        mu = FiniteSupportMeasure._of_numerators(
+            group, [(p, 1) for p in _box_points(group.rank, n)], atoms)
         if derivative_norm(mu, phis) < epsilon:
             return mu
         n += 1  # unreachable given the bound; kept as the honest fallback
@@ -383,20 +401,22 @@ def _transporters(a: ActionOnSet, base):
     reached makes the action non-transitive on the enumerated range.
     """
     pts = set(a.points)
+    act = a.oracle()  # elements and generators need no coercion
     if a.group.is_finite:
         reach = {}
         for g in a.group.elements:
-            reach.setdefault(a.apply(g, base), g)
+            reach.setdefault(act(g, base), g)
     else:
         reach = {base: a.group.identity}
         queue = [base]
         gens = generating_set(a.group)
+        product = a.group._product
         while queue:
             x = queue.pop(0)
             for gen in gens:
-                y = a.apply(gen, x)
+                y = act(gen, x)
                 if y in pts and y not in reach:
-                    reach[y] = a.group.multiply(gen, reach[x])
+                    reach[y] = product(gen, reach[x])
                     queue.append(y)
     missing = [p for p in sorted(pts, key=repr) if p not in reach]
     if missing:

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add
 
 from .actions import GroupAction
 from .chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
-from .core import Multicomplex, MulticomplexError, SimplicialMap
+from .core import (Multicomplex, MulticomplexError, SimplicialMap,
+                   StructureError)
 from .covers import Coloring, Cover
-from .diffusion import (ActionOnSet, FiniteSupportMeasure, OrbitBlock,
-                        SparseFunction)
+from .diffusion import (MAX_BOX_ATOMS, ActionOnSet, FiniteSupportMeasure,
+                        OrbitBlock, SparseFunction)
 from .groups import FiniteGroup, FreeAbelianGroup
 
 SCHEMA_VERSION = 1
@@ -252,7 +254,14 @@ def group_from_doc(doc: dict):
         return FiniteGroup(_need(doc, "elements", list),
                            _need(doc, "table", dict))
     if kind == "free_abelian":
-        return FreeAbelianGroup(_need(doc, "rank", int))
+        rank = _need(doc, "rank", int)
+        # generating_set builds 2*rank tuples of rank entries each
+        if 2 * rank * rank > MAX_BOX_ATOMS:
+            raise StructureError(
+                "free abelian rank %d is too large: its generating set "
+                "would hold %d integers, over the limit of %d"
+                % (rank, 2 * rank * rank, MAX_BOX_ATOMS))
+        return FreeAbelianGroup(rank)
     raise FormatError("unknown group kind %r" % (kind,))
 
 
@@ -287,8 +296,8 @@ def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
 
 
 def measure_to_doc(mu: FiniteSupportMeasure) -> dict:
-    weights = {mu.group.element_key(el): rational_str(w)
-               for el, w in mu.items()}
+    key = mu.group.element_key
+    weights = {key(el): rational_str(w) for el, w in mu.items()}
     return {"schema_version": SCHEMA_VERSION,
             "group": group_to_doc(mu.group), "weights": weights}
 
@@ -320,7 +329,11 @@ def _oracle_from_doc(doc: dict, group):
 
     kind "table" lists, per element key, where each moved point goes;
     kind "translation" makes Z^d shift points written as comma-joined
-    integers, leaving all other points alone.
+    integers, leaving all other points alone.  The oracle takes elements
+    already coerced into group (see ActionOnSet.oracle) and does not
+    coerce them again; the table oracle still checks membership through
+    element_key.  The translation oracle parses each distinct point once
+    and keeps its coordinates for the oracle's lifetime.
     """
     kind = _need(doc, "kind")
     if kind == "table":
@@ -332,7 +345,7 @@ def _oracle_from_doc(doc: dict, group):
                                   "to JSON strings" % (key,))
 
         def act(el, x):
-            row = moves.get(group.element_key(group.coerce(el)))
+            row = moves.get(group.element_key(el))
             if row is None:
                 raise FormatError(
                     "no move table for element %r"
@@ -343,15 +356,22 @@ def _oracle_from_doc(doc: dict, group):
         if not isinstance(group, FreeAbelianGroup):
             raise FormatError("translation actions need a free abelian group")
 
+        parsed = {}  # point string -> coordinates, () for a fixed point
+
         def act(el, x):
-            try:
-                coords = tuple(int(p) for p in str(x).split(","))
-            except ValueError:
+            text = str(x)
+            coords = parsed.get(text)
+            if coords is None:
+                try:
+                    coords = tuple(int(p) for p in text.split(","))
+                except ValueError:
+                    coords = ()
+                if len(coords) != group.rank:
+                    coords = ()
+                parsed[text] = coords
+            if not coords:
                 return x
-            if len(coords) != group.rank:
-                return x
-            el = group.coerce(el)
-            return ",".join(str(c + e) for c, e in zip(coords, el))
+            return ",".join(map(str, map(add, coords, el)))
         return act
     raise FormatError("unknown action kind %r" % (kind,))
 

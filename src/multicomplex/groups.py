@@ -6,9 +6,16 @@ for it (averaging is a finite sum).  The free abelian model Z^d keeps
 elements as integer d-tuples.  Both expose the same small interface:
 identity, multiply, inverse, containment, and a string key per element
 for serialization.
+
+The public methods check their arguments.  Each model also has _product,
+the product of elements that are already coerced (decoded, generated or
+returned by the model itself), which the inner loops of diffusion call
+without checking them again.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .core import StructureError, UnknownIdError
 
@@ -71,9 +78,12 @@ class FiniteGroup:
     def __contains__(self, g) -> bool:
         return g in self._table
 
+    def _product(self, g, h):
+        return self._table[g][h]
+
     def multiply(self, g, h):
         try:
-            return self._table[g][h]
+            return self._product(g, h)
         except KeyError:
             raise UnknownIdError(
                 "unknown group element in product (%r, %r)" % (g, h)) from None
@@ -184,8 +194,11 @@ class FreeAbelianGroup:
     def identity(self) -> tuple:
         return (0,) * self.rank
 
+    def _product(self, g, h) -> tuple:
+        return tuple(map(add, g, h))
+
     def multiply(self, g, h) -> tuple:
-        return tuple(x + y for x, y in zip(self.coerce(g), self.coerce(h)))
+        return self._product(self.coerce(g), self.coerce(h))
 
     def inverse(self, g) -> tuple:
         return tuple(-x for x in self.coerce(g))
@@ -198,7 +211,7 @@ class FreeAbelianGroup:
         return True
 
     def element_key(self, el) -> str:
-        return ",".join(str(x) for x in self.coerce(el))
+        return ",".join(map(str, self.coerce(el)))
 
     def element_from_key(self, key: str) -> tuple:
         try:

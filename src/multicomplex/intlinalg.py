@@ -52,8 +52,11 @@ class SmithForm:
         vanishes past the rank, and then x = V (U b / d).  With integral
         the solution must be an integer vector, which needs d_i to divide
         (U b)_i; otherwise b may hold Fractions and x is rational.  x is
-        returned as a dense list.
+        returned as a dense list.  b must have one entry per row of A.
         """
+        if len(b) != self.rows:
+            raise ValueError("b must have one entry per row: expected "
+                             "length %d, got %d" % (self.rows, len(b)))
         ub = [sum(x * b[k] for k, x in row.items()) for row in self.U_rows]
         if any(ub[self.rank:]):
             return None

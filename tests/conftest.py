@@ -135,3 +135,18 @@ def random_zero_trivial_action(rng: random.Random, mc=None):
             sm[s] = fam[(i + j) % k]
         maps[g] = SimplicialMap(mc, mc, vm, sm)
     return GroupAction(group, mc, maps)
+
+
+def symmetric_group_3():
+    """S3 on the permutations of (0, 1, 2), each named by its images; the
+    smallest group in which g*h and h*g differ."""
+    from itertools import permutations
+
+    from multicomplex.groups import FiniteGroup
+
+    perms = list(permutations(range(3)))
+    name = {p: "".join(map(str, p)) for p in perms}
+    table = {name[p]: {name[q]: name[tuple(p[q[i]] for i in range(3))]
+                       for q in perms}
+             for p in perms}
+    return FiniteGroup([name[p] for p in perms], table)

@@ -16,6 +16,10 @@ program's validate must return the same problems in the same order.
 
 identity_matrix, matmul and mat_vec are the dense products the tests
 check factorizations and solutions with.
+
+translate is the translation oracle of a set-action document as it was
+before it kept the points it had parsed; the program's oracle must move
+every point the same way.
 """
 
 from itertools import combinations
@@ -313,3 +317,16 @@ def validate(mc: Multicomplex) -> list[str]:
                     "gives %r but dropping %r then %r gives %r"
                     % (sid, u, w, via_u, w, u, via_w))
     return problems
+
+
+def translate(rank: int, el: tuple, x):
+    """The translation action of a set-action document, parsing x afresh
+    on every call: a point that is a comma-joined list of rank integers
+    (as int() reads them) moves by el, and every other point is fixed."""
+    try:
+        coords = tuple(int(p) for p in str(x).split(","))
+    except ValueError:
+        return x
+    if len(coords) != rank:
+        return x
+    return ",".join(str(c + e) for c, e in zip(coords, el))

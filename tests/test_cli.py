@@ -359,6 +359,30 @@ def test_an_oversized_folner_box_exits_one_with_its_size(tmp_path, capsys):
                           "would have 160000800001 atoms")
 
 
+@pytest.mark.parametrize("rank", [2 ** 70, 708])
+def test_a_free_abelian_rank_past_the_limit_exits_one(tmp_path, capsys,
+                                                      rank):
+    # the generating set of Z^rank holds 2*rank^2 integers; 2^70 used to
+    # overflow building the identity, and a rank near 10^5 would fill
+    # memory with generators before anything else ran
+    action = {"schema_version": formats.SCHEMA_VERSION,
+              "points": ["0", "1"],
+              "group": {"kind": "free_abelian", "rank": rank},
+              "action": {"kind": "translation"}}
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"0": "1", "1": "-1"}}
+    code, out, err = _run(capsys, [
+        "diffuse", _write(tmp_path, "f.json", f),
+        "--action", _write(tmp_path, "action.json", action),
+        "--epsilon", "1/2"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: free abelian rank %d is too large: its generating set "
+        "would hold %d integers, over the limit of 1000000"
+        % (rank, 2 * rank * rank)]
+
+
 def _block_doc(points, n):
     group = cyclic_group(n)
     moves = {}

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import symmetric_group_3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +43,7 @@ from multicomplex.fixtures import (
     double_edge_swap_action,
 )
 from multicomplex.formats import measure_from_doc, measure_to_doc
-from multicomplex.groups import FreeAbelianGroup, cyclic_group
+from multicomplex.groups import FiniteGroup, FreeAbelianGroup, cyclic_group
 
 
 Z = FreeAbelianGroup(1)
@@ -382,6 +383,31 @@ def _diffusion_cases(draw):
         st.fractions(-3, 3, max_denominator=12), max_size=6))
     return (group, weights, ActionOnSet(group, points, act), values,
             draw(elements))
+
+
+def test_measure_derivative_on_a_nonabelian_group():
+    # mu(gamma*phi) and mu(phi*gamma) differ here, so a derivative that
+    # shifted on the wrong side would not match the reference
+    group = symmetric_group_3()
+    weights = {"012": Fraction(1, 2), "102": Fraction(1, 3),
+               "120": Fraction(1, 6)}
+    mu = FiniteSupportMeasure(group, weights)
+    for phi in group.elements:
+        assert measure_derivative(mu, phi) == _reference_derivative(
+            group, weights, phi)
+
+
+def test_measure_derivative_refuses_a_table_that_fails_the_group_laws():
+    # a has the inverse a, but b*a = a*a = e: right multiplication by
+    # a^-1 folds the support {a, b} onto one element
+    group = FiniteGroup(["e", "a", "b"],
+                        {"e": {"e": "e", "a": "a", "b": "b"},
+                         "a": {"e": "a", "a": "e", "b": "a"},
+                         "b": {"e": "b", "a": "e", "b": "b"}})
+    assert group.validate()
+    mu = uniform_measure(group, ["a", "b"])
+    with pytest.raises(StructureError, match="not injective"):
+        measure_derivative(mu, "a")
 
 
 @settings(max_examples=100)

@@ -48,7 +48,9 @@ from multicomplex.formats import (
     SCHEMA_VERSION,
 )
 from multicomplex.covers import Coloring, Cover
+from multicomplex.core import StructureError
 from multicomplex.groups import FreeAbelianGroup, cyclic_group
+from reference import translate
 
 
 def _roundtrip(doc, from_doc, to_doc):
@@ -167,6 +169,16 @@ def test_group_roundtrip_free_abelian():
     assert back.rank == 2
 
 
+def test_group_doc_limits_the_free_abelian_rank():
+    # the generating set holds 2*rank^2 integers: 999,698 at rank 707
+    assert group_from_doc({"kind": "free_abelian", "rank": 707}).rank == 707
+    with pytest.raises(StructureError) as exc:
+        group_from_doc({"kind": "free_abelian", "rank": 708})
+    assert str(exc.value) == (
+        "free abelian rank 708 is too large: its generating set would "
+        "hold 1002528 integers, over the limit of 1000000")
+
+
 def test_group_doc_rejects_unknown_kind():
     with pytest.raises(FormatError, match="unknown group kind"):
         group_from_doc({"kind": "braid"})
@@ -236,6 +248,50 @@ def test_set_action_from_doc_with_translations():
     a = set_action_from_doc(doc)
     assert a.apply((1,), "1") == "2"
     assert a.apply((1,), "spare") == "spare"
+
+
+def test_a_table_action_names_the_element_it_has_no_moves_for():
+    doc = {"schema_version": SCHEMA_VERSION,
+           "points": ["p", "q"],
+           "group": group_to_doc(cyclic_group(3)),
+           "action": {"kind": "table",
+                      "moves": {"r0": {}, "r1": {"p": "q", "q": "p"}}}}
+    a = set_action_from_doc(doc)
+    assert a.apply("r1", "p") == "q"
+    with pytest.raises(FormatError) as exc:
+        a.apply("r2", "p")
+    assert str(exc.value) == "no move table for element 'r2'"
+
+
+# parts of a point: int() reads a sign, surrounding space, an underscore
+# and a non-ASCII digit, and refuses the rest
+_POINT_PARTS = ["0", "-3", "+1", " 1", "1_0", "\u0663", "a", "", "1,2",
+                "1,2,3"]
+
+
+@st.composite
+def _translation_queries(draw):
+    rank = draw(st.sampled_from((1, 2)))
+    points = st.lists(st.sampled_from(_POINT_PARTS), min_size=1,
+                      max_size=2).map(",".join)
+    elements = st.tuples(*[st.integers(-3, 3)] * rank)
+    return rank, draw(st.lists(st.tuples(elements, points), min_size=1,
+                               max_size=12))
+
+
+@settings(max_examples=100)
+@given(_translation_queries())
+def test_the_translation_oracle_moves_points_as_the_reference(case):
+    rank, queries = case
+    a = set_action_from_doc({"schema_version": SCHEMA_VERSION,
+                             "points": sorted({x for _, x in queries}),
+                             "group": {"kind": "free_abelian", "rank": rank},
+                             "action": {"kind": "translation"}})
+    act = a.oracle()
+    # the second pass finds every point already parsed
+    for _ in range(2):
+        for el, x in queries:
+            assert act(el, x) == translate(rank, el, x)
 
 
 def test_set_action_from_doc_with_blocks():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import random_multicomplex
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -126,6 +127,18 @@ def test_solve_integer():
     # no columns: only the zero target is reachable
     assert solve_integer([], [0, 0], cols=0) == []
     assert solve_integer([[0], [0]], [1, 0]) is None
+
+
+@pytest.mark.parametrize("a,b,message", [
+    ([[1]], [1, 5], "expected length 1, got 2"),
+    ([[1], [2]], [1], "expected length 2, got 1"),
+])
+def test_solve_rejects_a_target_of_the_wrong_length(a, b, message):
+    with pytest.raises(ValueError) as exc:
+        solve_integer(a, b)
+    assert str(exc.value) == "b must have one entry per row: " + message
+    with pytest.raises(ValueError):
+        smith_form(a).solve(b, integral=False)
 
 
 def test_integer_quotient_structure():

@@ -24,16 +24,23 @@ def _load_layers():
     return module
 
 
-def _traced(tmp_path, capsys, commands):
-    """The tracer's counts over the given commands on the triangle, each
-    of which must exit 0; the tracer must leave every name as it was."""
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(formats.canonical_dumps(doc), encoding="utf-8")
+    return path
+
+
+def _traced(tmp_path, capsys, commands, path=None):
+    """The tracer's counts over the given commands on the document at
+    path (by default the triangle), each of which must exit 0; the
+    tracer must leave every name as it was."""
     layers = _load_layers()
     places = [(owner, attr) for _, where, *_ in layers.SPANNED + layers.COUNTED
               for owner, attr in where]
     before = [getattr(owner, attr) for owner, attr in places]
-    path = tmp_path / "mc.json"
-    path.write_text(formats.canonical_dumps(
-        formats.multicomplex_to_doc(triangle_boundary())), encoding="utf-8")
+    if path is None:
+        path = _write(tmp_path, "mc.json",
+                      formats.multicomplex_to_doc(triangle_boundary()))
     tracer = layers.Tracer()
     tracer.install()
     try:
@@ -69,4 +76,21 @@ def test_the_tracer_counts_the_readers_of_a_volume_job(tmp_path, capsys):
     for name in ("chains.fundamental_cycle.calls",
                  "chains.HomologyResult.generators.calls",
                  "intlinalg.smith_form.calls", "exactlp.solve.calls"):
+        assert counts[name] > 0, name
+
+
+def test_the_tracer_counts_the_diffusion_of_a_translation_job(tmp_path,
+                                                              capsys):
+    action = _write(tmp_path, "action.json", {
+        "schema_version": formats.SCHEMA_VERSION,
+        "points": ["%d,%d" % (i, j) for i in range(3) for j in range(3)],
+        "group": {"kind": "free_abelian", "rank": 2},
+        "action": {"kind": "translation"}})
+    f = _write(tmp_path, "f.json", {"schema_version": formats.SCHEMA_VERSION,
+                                    "values": {"0,0": "1", "2,1": "-1"}})
+    counts = _traced(tmp_path, capsys,
+                     [["diffuse", "--action", str(action), "--epsilon",
+                       "1/4"]], path=f)
+    for name in ("diffusion.measure_derivative.calls",
+                 "diffusion.convolve.pairs", "diffusion.folner_measure.atoms"):
         assert counts[name] > 0, name
