@@ -3,15 +3,16 @@
 An action is a finite group together with one simplicial automorphism per
 element.  This module validates actions, forms quotients by actions that
 fix every vertex, enumerates orbits of algebraic simplices, pushes chains
-forward along elements, and averages cochains over the group (the finite
-instance of invariant means: the mean of finitely many values is their
-average).
+forward along elements, and averages chains and cochains over the group
+(the finite instance of invariant means: the mean of finitely many values
+is their average), summing int numerators over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from . import intlinalg
 from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT,
@@ -249,40 +250,56 @@ class OrbitPartition:
             self.dimension, len(self.orbits))
 
 
-def orbits(a: GroupAction, k: int) -> OrbitPartition:
-    """Partition all degree-k algebraic simplices into orbits."""
+def _partition(a: GroupAction, k: int, keys) -> OrbitPartition:
+    """The orbits of the degree-k keys, each found from the first of its
+    members in the order given."""
     seen = set()
     orbs = []
-    for sid in sorted(a.complex.simplices_of_dimension(k)):
-        for tup in permutations(sorted(a.complex.vertex_set(sid))):
-            key = AlgebraicSimplex(sid, tup)
-            if key in seen:
-                continue
-            orb = {act_on_simplex(a, g, key) for g in a.group.elements}
-            seen |= orb
-            orbs.append(orb)
+    for key in keys:
+        if key in seen:
+            continue
+        orb = {act_on_simplex(a, g, key) for g in a.group.elements}
+        seen |= orb
+        orbs.append(orb)
     return OrbitPartition(k, orbs)
 
 
-def average_cochain(a: GroupAction, phi: Cochain) -> Cochain:
-    """The group average A(phi)(x) = (1/|G|) sum_g phi(g^{-1} x).
+def orbits(a: GroupAction, k: int) -> OrbitPartition:
+    """Partition all degree-k algebraic simplices into orbits."""
+    mc = a.complex
+    return _partition(a, k, (
+        AlgebraicSimplex(sid, tup)
+        for sid in sorted(mc.simplices_of_dimension(k))
+        for tup in permutations(sorted(mc.vertex_set(sid)))))
 
-    Rational output; invariant, norm non-increasing, and the identity on
-    cochains that were already invariant.
+
+def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:
+    """The group average (1/|G|) sum_g g.x of a chain or a cochain, over Q.
+
+    For a cochain it is A(phi)(y) = (1/|G|) sum_g phi(g^{-1} y).  It is
+    invariant, norm non-increasing, and the identity on what was already
+    invariant.  Sums run on int numerators over the lcm of the input
+    denominators.  Every key must be an ordering of its simplex's vertices.
     """
-    order = len(a.group)
-    terms = {}
+    mc = a.complex
+    terms = x.items()
+    for key, _ in terms:
+        if key.simplex not in mc or \
+                sorted(key.vertices) != sorted(mc.vertex_set(key.simplex)):
+            raise UnknownIdError("%s is not a degree-%d basis element"
+                                 % (key, x.degree))
+    den = lcm(*(v.denominator for _, v in terms))
+    nums = [(key, v.numerator * (den // v.denominator)) for key, v in terms]
+    acc = {}
     for g in a.group.elements:
-        # the functional x -> phi(g^{-1} x) has its mass at the g-images
-        for key, val in phi.items():
-            image = act_on_simplex(a, g, key)
-            cur = terms.get(image, Fraction(0)) + Fraction(val)
-            if cur == 0:
-                terms.pop(image, None)
-            else:
-                terms[image] = cur
-    return Cochain(phi.degree, RING_RAT,
-                   {k: v / order for k, v in terms.items()})
+        m = a.map_of(g)
+        for key, n in nums:
+            image = AlgebraicSimplex(m.apply_simplex(key.simplex),
+                                     tuple(map(m.apply_vertex, key.vertices)))
+            acc[image] = acc.get(image, 0) + n
+    den *= len(a.group)
+    return type(x)(x.degree, RING_RAT,
+                   {key: Fraction(n, den) for key, n in acc.items() if n})
 
 
 def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
@@ -301,38 +318,24 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
     mc = a.complex
     top = mc.dimension
     cc = build_reduced_chain_complex(mc, ring=RING_RAT)
-    orbit_index = {}
-    orbit_count = {}
-    for n in range(0, top + 1):
-        idx = {}
-        count = 0
-        for lab in cc.basis(n):
-            if lab in idx:
-                continue
-            orb = {act_on_simplex(a, g, lab) for g in a.group.elements}
-            for key in orb:
-                idx[key] = count
-            count += 1
-        orbit_index[n] = idx
-        orbit_count[n] = count
+    parts = {n: _partition(a, n, cc.basis(n)) for n in range(0, top + 1)}
     ranks = {-1: 0}
     for n in range(0, top + 1):
         if n + 1 > top:
             ranks[n] = 0
             continue
-        cols = orbit_count[n]
         labs_below = cc.basis(n)
         # value of every orbit indicator's coboundary on each (n+1)-simplex
         per_simplex = []
         for j, tau in enumerate(cc.basis(n + 1)):
-            row = [0] * cols
+            row = [0] * len(parts[n])
             for i, coef in cc.column(n + 1, j):
-                row[orbit_index[n][labs_below[i]]] += coef
+                row[parts[n].index_of(labs_below[i])] += coef
             per_simplex.append(row)
         # invariance makes the value constant along each (n+1)-orbit
-        mat = [None] * orbit_count[n + 1]
+        mat = [None] * len(parts[n + 1])
         for j, tau in enumerate(cc.basis(n + 1)):
-            oi = orbit_index[n + 1][tau]
+            oi = parts[n + 1].index_of(tau)
             if mat[oi] is None:
                 mat[oi] = per_simplex[j]
             elif mat[oi] != per_simplex[j]:
@@ -343,7 +346,7 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
         ranks[n] = intlinalg.smith_form(mat).rank if mat else 0
     dims = {}
     for n in range(0, top + 1):
-        dims[n] = (orbit_count[n] - ranks[n]) - ranks[n - 1]
+        dims[n] = (len(parts[n]) - ranks[n]) - ranks[n - 1]
     if max_degree is not None:
         dims = {n: d for n, d in dims.items() if n <= max_degree}
     return dims

@@ -229,10 +229,6 @@ class ChainComplex:
                         raise StructureError(
                             "boundary row index out of range in degree %d" % n)
 
-    @property
-    def top_degree(self):
-        return max((n for n, b in self._basis.items() if b), default=-1)
-
     def degrees(self):
         return sorted(self._basis)
 
@@ -475,9 +471,10 @@ def section_chain(chain: Chain) -> Chain:
     return Chain(chain.degree, chain.ring, dict(chain.items()))
 
 
-def alternate(chain: Chain) -> Chain:
+def alternate(chain: Chain | Cochain) -> Chain | Cochain:
     """Average the signed orderings of every term (a chain map, and a
-    projection onto alternating chains).  Result has rational ring."""
+    projection onto alternating chains).  The result is a Chain or a
+    Cochain like the input, with rational ring."""
     k = chain.degree
     terms = {}
     denom = 1
@@ -497,11 +494,11 @@ def alternate(chain: Chain) -> Chain:
                 terms.pop(lab, None)
             else:
                 terms[lab] = cur
-    return Chain(k, RING_RAT, terms)
+    return type(chain)(k, RING_RAT, terms)
 
 
-def is_alternating(chain: Chain) -> bool:
-    ref = Chain(chain.degree, RING_RAT, dict(chain.items()))
+def is_alternating(chain: Chain | Cochain) -> bool:
+    ref = type(chain)(chain.degree, RING_RAT, dict(chain.items()))
     return alternate(chain) == ref
 
 

@@ -267,9 +267,6 @@ class Multicomplex:
             drop[v] = fid
         return drop
 
-    def is_valid(self) -> bool:
-        return not self.validate()
-
     # -- substructures ------------------------------------------------------
 
     def submulticomplex(self, ids, close: bool = False) -> "Multicomplex":

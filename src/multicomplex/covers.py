@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .actions import GroupAction, average_cochain
-from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT, alternate)
+from .chains import AlgebraicSimplex, Cochain, RING_RAT, alternate
 from .core import (InternalInvariantError, Multicomplex, StructureError,
                    UnknownIdError, simplicial_complex)
 from itertools import permutations
@@ -216,9 +216,9 @@ def check_repeated_color_vanishing(phi: Cochain, a: GroupAction,
     phiq = Cochain(phi.degree, RING_RAT, dict(phi.items()))
 
     # alternation, checked through the projector
-    alt = alternate(Chain(phi.degree, RING_RAT, dict(phiq.items())))
-    if Cochain(phi.degree, RING_RAT, dict(alt.items())) != phiq:
-        diff = alt - Chain(phi.degree, RING_RAT, dict(phiq.items()))
+    alt = alternate(phiq)
+    if alt != phiq:
+        diff = alt - phiq
         raise StructureError(
             "the cochain is not alternating; it differs from its "
             "alternation at %s" % (diff.support()[0],))

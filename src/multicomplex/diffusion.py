@@ -28,7 +28,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
 
-from .actions import GroupAction, ValidationReport, act_on_chain, orbits
+from .actions import (GroupAction, ValidationReport, act_on_chain,
+                      average_cochain, orbits)
 from .chains import Chain, RING_RAT, alternate, build_full_chain_complex, homology
 from .core import (InternalInvariantError, Multicomplex, MulticomplexError,
                    StructureError)
@@ -656,9 +657,9 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     every orbit of algebraic simplices (averaging can only cancel what
     cancels orbitwise); require every group element to preserve the
     class of z, with an explicit bounding chain as witness; then average
-    the alternation uniformly over the group once, carrying a bounding
-    chain B with boundary(B) = current - z along.  With zero totals on
-    every orbit the average is exactly the zero chain, which is checked.
+    the alternation with average_cochain, carrying a bounding chain B
+    with boundary(B) = current - z along.  With zero totals on every
+    orbit the average is exactly the zero chain, which is checked.
     Returns (c', certificate); the final boundary check and the norm
     bound are verified exactly before returning.
     """
@@ -711,14 +712,11 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
             "alternation changed the homology class")
 
     if not c.is_zero:  # a zero alternation keeps its own witness
-        # uniform averaging; the certificate update mirrors the chain one
-        w = Fraction(1, len(a.group))
-        new_c = Chain(c.degree, RING_RAT, {})
-        new_b = Chain(c.degree + 1, RING_RAT, {})
-        for g in a.group.elements:
-            new_c = new_c + act_on_chain(a, g, c).scaled(w)
-            new_b = new_b + (act_on_chain(a, g, bounding) + witnesses[g]).scaled(w)
-        c, bounding = new_c, new_b
+        # g.c - z = g(c - z) + (g.z - z) is the boundary of g.B + w_g
+        c = average_cochain(a, c)
+        w = sum(witnesses.values(), Chain(c.degree + 1, RING_RAT))
+        bounding = average_cochain(a, bounding) + w.scaled(
+            Fraction(1, len(a.group)))
         if not c.is_zero:
             raise InternalInvariantError(
                 "averaging left norm %s, though the alternation sums to "

@@ -418,14 +418,18 @@ def coloring_to_doc(coloring: Coloring) -> dict:
 
 
 def coloring_from_doc(doc: dict) -> Coloring:
-    return Coloring(_need(doc, "assignment", dict))
+    assignment = _need(doc, "assignment", dict)
+    if not all(isinstance(j, str) for j in assignment.values()):
+        raise FormatError("field 'assignment' must map to JSON strings")
+    return Coloring(assignment)
 
 
 def witnesses_from_doc(doc: dict) -> dict:
     """The repeated-color witnesses: simplex id -> (element, u, w)."""
     witnesses = {}
     for sid, trip in _need(doc, "witnesses", dict, {}).items():
-        if not isinstance(trip, list) or len(trip) != 3:
+        if not isinstance(trip, list) or len(trip) != 3 or \
+                not all(isinstance(t, str) for t in trip):
             raise FormatError(
                 "witness for %r must be [element, vertex, vertex]" % (sid,))
         witnesses[sid] = tuple(trip)

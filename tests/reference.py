@@ -20,11 +20,19 @@ check factorizations and solutions with.
 translate is the translation oracle of a set-action document as it was
 before it kept the points it had parsed; the program's oracle must move
 every point the same way.
+
+average_cochain is the group average as it was before it summed int
+numerators over one denominator: it adds one Fraction per element and
+term.  toy_vanish_average is the averaging loop toy_vanish ran before it
+called average_cochain, on the alternation c, its bounding chain and the
+witnesses.  The program's average and certificate must equal them.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from multicomplex.chains import RING_RAT
+from multicomplex.actions import GroupAction, act_on_chain, act_on_simplex
+from multicomplex.chains import RING_RAT, Chain, Cochain
 from multicomplex.core import Multicomplex, _fmt_vset
 
 
@@ -330,3 +338,36 @@ def translate(rank: int, el: tuple, x):
     if len(coords) != rank:
         return x
     return ",".join(str(c + e) for c, e in zip(coords, el))
+
+
+def average_cochain(a: GroupAction, phi: Cochain) -> Cochain:
+    """The group average A(phi)(x) = (1/|G|) sum_g phi(g^{-1} x).
+
+    Rational output; invariant, norm non-increasing, and the identity on
+    cochains that were already invariant.
+    """
+    order = len(a.group)
+    terms = {}
+    for g in a.group.elements:
+        # the functional x -> phi(g^{-1} x) has its mass at the g-images
+        for key, val in phi.items():
+            image = act_on_simplex(a, g, key)
+            cur = terms.get(image, Fraction(0)) + Fraction(val)
+            if cur == 0:
+                terms.pop(image, None)
+            else:
+                terms[image] = cur
+    return Cochain(phi.degree, RING_RAT,
+                   {k: v / order for k, v in terms.items()})
+
+
+def toy_vanish_average(a: GroupAction, c: Chain, bounding: Chain,
+                       witnesses: dict) -> tuple:
+    """(average of c, its bounding chain), by one Chain sum per element."""
+    w = Fraction(1, len(a.group))
+    new_c = Chain(c.degree, RING_RAT, {})
+    new_b = Chain(c.degree + 1, RING_RAT, {})
+    for g in a.group.elements:
+        new_c = new_c + act_on_chain(a, g, c).scaled(w)
+        new_b = new_b + (act_on_chain(a, g, bounding) + witnesses[g]).scaled(w)
+    return new_c, new_b

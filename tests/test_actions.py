@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference
 from conftest import random_multicomplex, random_zero_trivial_action
 from multicomplex.actions import (
     act_on_chain,
@@ -19,6 +23,7 @@ from multicomplex.actions import (
     validate_action,
 )
 from multicomplex.chains import (
+    RING_INT,
     RING_RAT,
     AlgebraicSimplex,
     Chain,
@@ -126,6 +131,45 @@ def test_average_cochain_is_projection_onto_invariants():
         Fraction(1, 2)
     assert avg.linf_norm() <= phi.linf_norm()
     assert average_cochain(a, avg) == avg
+
+
+_FIXTURE_ACTIONS = (double_edge_swap_action, cone_swap_action,
+                    antipodal_action, triangle_symmetries)
+
+
+@st.composite
+def _averaging_cases(draw):
+    """An action (a fixture or a random vertex-fixing one) and a chain or
+    cochain on basis elements of one degree, over Z or Q."""
+    a = draw(st.sampled_from(_FIXTURE_ACTIONS).map(lambda f: f()) |
+             st.integers(0, 10**6).map(
+                 lambda s: random_zero_trivial_action(random.Random(s))))
+    mc = a.complex
+    k = draw(st.integers(0, mc.dimension))
+    keys = [AlgebraicSimplex(sid, tup)
+            for sid in sorted(mc.simplices_of_dimension(k))
+            for tup in permutations(sorted(mc.vertex_set(sid)))]
+    ring = draw(st.sampled_from((RING_INT, RING_RAT)))
+    dens = st.just(1) if ring == RING_INT else st.integers(1, 6)
+    terms = draw(st.lists(st.tuples(st.sampled_from(keys),
+                                    st.integers(-4, 4), dens), max_size=8))
+    kind = draw(st.sampled_from((Chain, Cochain)))
+    return a, kind(k, ring, [(key, Fraction(n, d)) for key, n, d in terms])
+
+
+@given(_averaging_cases())
+def test_average_matches_the_reference_and_projects_onto_invariants(case):
+    a, x = case
+    avg = average_cochain(a, x)
+    assert type(avg) is type(x)
+    assert (avg.degree, avg.ring) == (x.degree, RING_RAT)
+    assert avg.items() == reference.average_cochain(a, x).items()
+    for g in a.group.elements:
+        assert act_on_chain(a, g, avg).items() == avg.items()
+    assert average_cochain(a, avg) == avg
+    for orb in orbits(a, x.degree):  # the total on every orbit is kept
+        assert sum(avg.coefficient(key) for key in orb) == \
+            sum(x.coefficient(key) for key in orb)
 
 
 def test_invariant_cochain_dimensions_match_quotient_homology():

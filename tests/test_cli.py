@@ -321,6 +321,38 @@ def test_average_smears_a_cochain_over_the_swap(tmp_path, capsys):
         Fraction(1, 2)
 
 
+@pytest.mark.parametrize("command,terms,key", [
+    ("average", {("x", "c"): 1}, "(north;x,c)"),
+    ("average", {("x", "x"): 1}, "(north;x,x)"),
+    ("vanish-check", {("x", "c"): 1, ("c", "x"): -1}, "(north;c,x)"),
+], ids=["average-foreign-vertex", "average-repeated-vertex",
+        "vanish-check-foreign-vertex"])
+def test_a_term_off_its_simplex_is_no_basis_element(tmp_path, capsys,
+                                                    command, terms, key):
+    """A term whose vertices are not an ordering of its simplex's vertex
+    set is rejected before averaging, as toy-vanish rejects it."""
+    cpath = _write_mc(tmp_path, "cone.json", cone_over_double_edge())
+    apath = _write(tmp_path, "swap.json",
+                   formats.action_to_doc(cone_swap_action()))
+    phi = Cochain(1, RING_RAT, {AlgebraicSimplex("north", vs): v
+                                for vs, v in terms.items()})
+    ppath = _write(tmp_path, "phi.json", formats.cochain_to_doc(phi))
+    if command == "average":
+        argv = ["average", apath, "--complex", cpath, "--cochain", ppath]
+    else:
+        kpath = _write(tmp_path, "coloring.json", {
+            "schema_version": formats.SCHEMA_VERSION,
+            "assignment": {"c": "0", "x": "0", "y": "0"}})
+        wpath = _write(tmp_path, "witnesses.json", {
+            "schema_version": formats.SCHEMA_VERSION, "witnesses": {}})
+        argv = ["vanish-check", ppath, "--complex", cpath, "--action", apath,
+                "--coloring", kpath, "--witnesses", wpath]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s is not a degree-1 basis element\n" % key
+
+
 def test_diffuse_certifies_the_l1_bound(tmp_path, capsys):
     action = {"schema_version": formats.SCHEMA_VERSION,
               "points": ["0", "1", "2", "3"],
@@ -645,6 +677,8 @@ _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
     ("diffuse", "action", {"kind": "table", "moves": {"1": 5, "-1": 5}}),
     ("diffuse", "action", {"kind": "table",
                            "moves": {"1": {"0": ["1"]}, "-1": {}}}),
+    ("vanish-check", "witnesses", {"north": [["g"], "x", "y"]}),
+    ("vanish-check", "assignment", {"x": ["0"], "y": "0"}),
 ])
 def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
                                              field, value):

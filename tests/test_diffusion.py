@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import reference
 from conftest import symmetric_group_3
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,10 @@ from multicomplex.chains import (
     RING_RAT,
     AlgebraicSimplex,
     Chain,
+    alternate,
+    build_full_chain_complex,
     build_reduced_chain_complex,
+    homology,
 )
 from multicomplex.core import (
     InternalInvariantError,
@@ -286,6 +290,27 @@ def test_toy_vanish_on_the_cone():
     assert out.l1_norm() == 0
     assert cc.boundary_of(cert.bounding_chain) == out - z
     assert cert.verify(cc, z, out)
+
+
+@pytest.mark.parametrize("terms", [
+    {("north", ("x", "y")): 1, ("south", ("x", "y")): -1},
+    {("north", ("x", "y")): 3, ("south", ("y", "x")): 3},
+    {("north", ("x", "y")): Fraction(1, 3),
+     ("north", ("y", "x")): Fraction(-2, 3),
+     ("south", ("x", "y")): Fraction(-1, 2),
+     ("south", ("y", "x")): Fraction(1, 2)},
+])
+def test_toy_vanish_certificate_matches_the_old_averaging_loop(terms):
+    mc = cone_over_double_edge()
+    a = cone_swap_action()
+    z = Chain(1, RING_RAT, {AlgebraicSimplex(sid, vs): v
+                            for (sid, vs), v in terms.items()})
+    out, cert = toy_vanish(mc, a, z, Fraction(1, 100))
+    c = alternate(z)
+    bounding = homology(build_full_chain_complex(mc, ring=RING_RAT)) \
+        .is_boundary(c - z)
+    assert (out, cert.bounding_chain) == reference.toy_vanish_average(
+        a, c, bounding, cert.witnesses)
 
 
 def test_toy_vanish_rejects_class_flip_with_witness():

@@ -11,7 +11,9 @@ import importlib.util
 from pathlib import Path
 
 from multicomplex import cli, formats
-from multicomplex.fixtures import triangle_boundary
+from multicomplex.chains import RING_RAT, Cochain
+from multicomplex.fixtures import (cone_over_double_edge, cone_swap_action,
+                                   triangle_boundary)
 
 _LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -94,3 +96,28 @@ def test_the_tracer_counts_the_diffusion_of_a_translation_job(tmp_path,
     for name in ("diffusion.measure_derivative.calls",
                  "diffusion.convolve.pairs", "diffusion.folner_measure.atoms"):
         assert counts[name] > 0, name
+
+
+def test_the_tracer_counts_the_average_of_average_and_vanish_check(
+        tmp_path, capsys):
+    cone = _write(tmp_path, "cone.json",
+                  formats.multicomplex_to_doc(cone_over_double_edge()))
+    action = _write(tmp_path, "swap.json",
+                    formats.action_to_doc(cone_swap_action()))
+    phi = _write(tmp_path, "phi.json", formats.cochain_to_doc(Cochain(
+        1, RING_RAT, {("north", ("x", "y")): 1, ("north", ("y", "x")): -1,
+                      ("south", ("x", "y")): 1, ("south", ("y", "x")): -1})))
+    coloring = _write(tmp_path, "coloring.json", {
+        "schema_version": formats.SCHEMA_VERSION,
+        "assignment": {"c": "0", "x": "1", "y": "1"}})
+    witnesses = _write(tmp_path, "witnesses.json", {
+        "schema_version": formats.SCHEMA_VERSION, "witnesses": {}})
+    for counts in (
+            _traced(tmp_path, capsys, [["average", "--complex", str(cone),
+                                        "--cochain", str(phi)]], path=action),
+            _traced(tmp_path, capsys, [["vanish-check", "--complex",
+                                        str(cone), "--action", str(action),
+                                        "--coloring", str(coloring),
+                                        "--witnesses", str(witnesses)]],
+                    path=phi)):
+        assert counts["actions.average_cochain.calls"] > 0
