@@ -273,6 +273,16 @@ def orbits(a: GroupAction, k: int) -> OrbitPartition:
         for tup in permutations(sorted(mc.vertex_set(sid)))))
 
 
+def _check_orderings(mc: Multicomplex, keys, degree: int) -> None:
+    """Raise UnknownIdError at the first key that is not an ordering of
+    its simplex's vertices."""
+    for key in keys:
+        if key.simplex not in mc or \
+                sorted(key.vertices) != sorted(mc.vertex_set(key.simplex)):
+            raise UnknownIdError("%s is not a degree-%d basis element"
+                                 % (key, degree))
+
+
 def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:
     """The group average (1/|G|) sum_g g.x of a chain or a cochain, over Q.
 
@@ -281,13 +291,8 @@ def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:
     invariant.  Sums run on int numerators over the lcm of the input
     denominators.  Every key must be an ordering of its simplex's vertices.
     """
-    mc = a.complex
     terms = x.items()
-    for key, _ in terms:
-        if key.simplex not in mc or \
-                sorted(key.vertices) != sorted(mc.vertex_set(key.simplex)):
-            raise UnknownIdError("%s is not a degree-%d basis element"
-                                 % (key, x.degree))
+    _check_orderings(a.complex, (key for key, _ in terms), x.degree)
     den = lcm(*(v.denominator for _, v in terms))
     nums = [(key, v.numerator * (den // v.denominator)) for key, v in terms]
     acc = {}
@@ -325,13 +330,15 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
             ranks[n] = 0
             continue
         labs_below = cc.basis(n)
-        # value of every orbit indicator's coboundary on each (n+1)-simplex
+        # every orbit indicator's coboundary on each (n+1)-simplex, zeros
+        # dropped so that equal rows compare equal
         per_simplex = []
         for j, tau in enumerate(cc.basis(n + 1)):
-            row = [0] * len(parts[n])
+            row = {}
             for i, coef in cc.column(n + 1, j):
-                row[parts[n].index_of(labs_below[i])] += coef
-            per_simplex.append(row)
+                oi = parts[n].index_of(labs_below[i])
+                row[oi] = row.get(oi, 0) + coef
+            per_simplex.append({k: x for k, x in row.items() if x})
         # invariance makes the value constant along each (n+1)-orbit
         mat = [None] * len(parts[n + 1])
         for j, tau in enumerate(cc.basis(n + 1)):
@@ -343,7 +350,7 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
                     "coboundary of an invariant cochain is not constant on "
                     "the orbit of %s; the maps do not act simplicially "
                     "(run validate_action)" % (tau,))
-        ranks[n] = intlinalg.smith_form(mat).rank if mat else 0
+        ranks[n] = intlinalg.smith_form(mat, len(parts[n])).rank
     dims = {}
     for n in range(0, top + 1):
         dims[n] = (len(parts[n]) - ranks[n]) - ranks[n - 1]

@@ -12,7 +12,8 @@ One builder makes the full, repeated-vertex, reduced and relative
 complexes; they differ only in the tuples listed and simplices skipped.
 
 Homology is computed exactly from one integer Smith normal form per
-boundary map.  Rational homology is read off the same factorization,
+boundary map, handed over as sparse rows built from the sparse columns
+the complex holds.  Rational homology is read off the same factorization,
 since H(C;Q) = H(C;Z) (x) Q: the Betti numbers are the free ranks.
 """
 
@@ -249,14 +250,13 @@ class ChainComplex:
         return self._columns.get(n, ())[j]
 
     def boundary_matrix(self, n):
-        """Dense integer matrix of the boundary from degree n to n-1."""
-        rows = self.dim(n - 1)
-        cols = self.dim(n)
-        mat = [[0] * cols for _ in range(rows)]
+        """The boundary from degree n to n-1 as dim(n-1) sparse rows
+        {column: coefficient}, over dim(n) columns."""
+        rows = [{} for _ in range(self.dim(n - 1))]
         for j, col in enumerate(self._columns.get(n, ())):
             for row, coef in col:
-                mat[row][j] += coef
-        return mat
+                rows[row][j] = rows[row].get(j, 0) + coef
+        return rows
 
     def chain(self, degree, terms, ring=None) -> Chain:
         ch = Chain(degree, ring or self.ring, terms)
@@ -530,9 +530,8 @@ class HomologyResult:
     def _factor(self, m):
         """Smith form of the boundary from degree m to degree m-1."""
         if m not in self._factors:
-            mat = self.cc.boundary_matrix(m)
-            self._factors[m] = (intlinalg.smith_form(mat) if mat else
-                                intlinalg.SmithForm(0, self.cc.dim(m)))
+            self._factors[m] = intlinalg.smith_form(
+                self.cc.boundary_matrix(m), self.cc.dim(m))
         return self._factors[m]
 
     def structure(self, n):
@@ -554,19 +553,16 @@ class HomologyResult:
         # the columns of V past the rank are a saturated basis of the
         # cycles, and rows of Vinv past the rank give coordinates in it;
         # both products run over nonzero entries only
-        width = self.cc.dim(n + 1)
-        image_rows = [[] for _ in range(self.cc.dim(n))]
-        for j in range(width):
-            for i, c in self.cc.column(n + 1, j):
-                image_rows[i].append((j, c))
+        image = self.cc.boundary_matrix(n + 1)
         coords = []
         for row in sf.Vinv_rows[sf.rank:]:
-            out = [0] * width
+            out = {}
             for i, x in row.items():
-                for j, c in image_rows[i]:
-                    out[j] += x * c
+                for j, c in image[i].items():
+                    out[j] = out.get(j, 0) + x * c
             coords.append(out)
-        torsion, free, coeffs = intlinalg.smith_form(coords).cokernel()
+        torsion, free, coeffs = intlinalg.smith_form(
+            coords, self.cc.dim(n + 1)).cokernel()
         kernel = sf.V_cols[sf.rank:]
         gens = []
         for cv in coeffs:

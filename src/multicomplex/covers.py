@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .actions import GroupAction, average_cochain
+from .actions import GroupAction, _check_orderings, average_cochain
 from .chains import AlgebraicSimplex, Cochain, RING_RAT, alternate
 from .core import (InternalInvariantError, Multicomplex, StructureError,
                    UnknownIdError, simplicial_complex)
@@ -213,6 +213,8 @@ def check_repeated_color_vanishing(phi: Cochain, a: GroupAction,
     and reports repeated-color simplices that lack a witness.
     """
     mc = a.complex
+    # a term off the basis is a bad input, not a cochain that fails a check
+    _check_orderings(mc, phi.support(), phi.degree)
     phiq = Cochain(phi.degree, RING_RAT, dict(phi.items()))
 
     # alternation, checked through the projector

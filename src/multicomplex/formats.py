@@ -331,9 +331,10 @@ def _oracle_from_doc(doc: dict, group):
     kind "translation" makes Z^d shift points written as comma-joined
     integers, leaving all other points alone.  The oracle takes elements
     already coerced into group (see ActionOnSet.oracle) and does not
-    coerce them again; the table oracle still checks membership through
-    element_key.  The translation oracle parses each distinct point once
-    and keeps its coordinates for the oracle's lifetime.
+    coerce them again.  The table oracle keeps the move row of each
+    element that element_key resolved, so a bad element raises on every
+    call.  The translation oracle parses each distinct point once and
+    keeps its coordinates for the oracle's lifetime.
     """
     kind = _need(doc, "kind")
     if kind == "table":
@@ -344,12 +345,16 @@ def _oracle_from_doc(doc: dict, group):
                 raise FormatError("the moves of element %r must send points "
                                   "to JSON strings" % (key,))
 
+        resolved = {}  # element -> its move row
+
         def act(el, x):
-            row = moves.get(group.element_key(el))
+            row = resolved.get(el)
             if row is None:
-                raise FormatError(
-                    "no move table for element %r"
-                    % (group.element_key(el),))
+                key = group.element_key(el)
+                row = moves.get(key)
+                if row is None:
+                    raise FormatError("no move table for element %r" % (key,))
+                resolved[el] = row
             return row.get(x, x)
         return act
     if kind == "translation":

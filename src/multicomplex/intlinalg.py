@@ -1,9 +1,8 @@
 """Exact linear algebra over the integers and the rationals.
 
-Matrices are passed in as dense lists of row lists, on Python ints
-(arbitrary precision) and fractions.Fraction, and vectors and bases come
-back as dense lists.  A SmithForm keeps its factors sparse, U and Vinv
-as rows and Uinv and V as columns.  No floats, no modular shortcuts.
+The integer routines take a matrix as sparse rows {column: int} and its
+column count, and a SmithForm keeps its factors sparse, U and Vinv as
+rows and Uinv and V as columns.  No floats, no modular shortcuts.
 
 The integer Smith normal form is the one elimination the program runs:
 ranks, kernels, quotients and solutions over Z and over Q are all read
@@ -11,8 +10,10 @@ off a SmithForm, since a unimodular change of basis is also invertible
 over Q.  It eliminates on sparse rows, so an elementary operation costs
 the nonzeros it touches rather than a full row or column; the pivots and
 operations are those of the classical dense elimination, so the result
-is the same.  rational_rref and its rank, kernel and solve helpers
-eliminate over Q independently of it; the tests use them as a reference.
+is the same.  rational_rref and its kernel and solve helpers take dense
+lists of rows and eliminate over Q independently of it.  Only the tests
+call them, as a reference; they stay here while the benchmark's tracer
+names them.
 """
 
 from __future__ import annotations
@@ -107,20 +108,21 @@ def _swap_keys(row: dict, i, j) -> None:
         row[j] = x
 
 
-def smith_form(a: list[list[int]]) -> SmithForm:
+def smith_form(a: list[dict], cols: int) -> SmithForm:
     """Compute the Smith normal form of a (not modified).
 
-    The pivot is the entry of least absolute value in row-major order of
-    the remaining block, and the first unit found ends the search.
+    a holds the rows of a matrix with cols columns as {column: int}; zero
+    entries are dropped and the order of the keys does not matter.  The
+    pivot is the entry of least absolute value in row-major order of the
+    remaining block, and the first unit found ends the search.
     Every matrix is kept as sparse rows {index: nonzero}: m and the
     row-operated U and Vinv by rows, and the column-operated Uinv and V
     by columns (UinvT, VT), so that every update is a sparse row update
     and every swap a list swap.  The result keeps these lists as its
     U_rows, Uinv_cols, V_cols and Vinv_rows.
     """
-    m = [{j: x for j, x in enumerate(row) if x} for row in a]
+    m = [{j: x for j, x in row.items() if x} for row in a]
     rows = len(m)
-    cols = len(a[0]) if rows else 0
     sf = SmithForm(rows, cols)
     U, UinvT, VT, Vinv = sf.U_rows, sf.Uinv_cols, sf.V_cols, sf.Vinv_rows
 
@@ -252,54 +254,42 @@ def smith_form(a: list[list[int]]) -> SmithForm:
     return sf
 
 
-def integer_kernel_basis(a: list[list[int]], cols: int | None = None) -> list[list[int]]:
+def integer_kernel_basis(a: list[dict], cols: int) -> list[list[int]]:
     """Basis (as column vectors) of {x : a @ x = 0} over the integers.
 
     The result spans the kernel as a saturated sublattice: any integer
     vector in the rational kernel is an integer combination of it.
-    cols must be supplied when a has no rows.
     """
-    if not a:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    cols = len(a[0])
-    sf = smith_form(a)
+    sf = smith_form(a, cols)
     return [[col.get(i, 0) for i in range(cols)]
             for col in sf.V_cols[sf.rank:]]
 
 
-def solve_integer(a: list[list[int]], b: list[int], cols: int | None = None):
+def solve_integer(a: list[dict], b: list[int], cols: int):
     """One integer solution x of a @ x = b, or None if none exists."""
-    if not a:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [0] * cols
-    return smith_form(a).solve(b)
+    return smith_form(a, cols).solve(b)
 
 
-def integer_quotient(kernel: list[list[int]], image_cols: list[list[int]]):
+def integer_quotient(kernel: list[dict], image_cols: list[list[int]],
+                     cols: int):
     """Structure of (lattice spanned by kernel) / (lattice spanned by image).
 
-    kernel: list of column vectors forming a saturated lattice basis;
-    image_cols: column vectors, each lying in the span of kernel.
+    kernel: sparse rows of a matrix whose cols columns form a saturated
+    lattice basis; image_cols: dense column vectors in its span.
     Returns (torsion, free_rank, generator_coeffs) where torsion lists the
     invariant factors > 1 and generator_coeffs gives, for each torsion
     factor and then each free generator, its coefficients with respect to
     the kernel basis.
     """
-    k = len(kernel)
-    if k == 0:
-        return [], 0, []
-    m = len(kernel[0])
-    sf = smith_form([[kernel[j][i] for j in range(k)] for i in range(m)])
+    sf = smith_form(kernel, cols)
     # coordinates of each image column in the kernel basis
     y_cols = [sf.solve(c) for c in image_cols]
     if any(y is None for y in y_cols):
         raise ValueError("image column does not lie in the kernel lattice")
-    torsion, free, gens = smith_form([[y[i] for y in y_cols]
-                                      for i in range(k)]).cokernel()
-    return torsion, free, [[g.get(i, 0) for i in range(k)] for g in gens]
+    coords = [{t: y[i] for t, y in enumerate(y_cols) if y[i]}
+              for i in range(cols)]
+    torsion, free, gens = smith_form(coords, len(y_cols)).cokernel()
+    return torsion, free, [[g.get(i, 0) for i in range(cols)] for g in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +327,6 @@ def rational_rref(a):
         if r == rows:
             break
     return m, pivots
-
-
-def rational_rank(a) -> int:
-    return len(rational_rref(a)[1])
 
 
 def rational_kernel_basis(a, cols: int | None = None):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from hypothesis import settings
 
 from multicomplex import intlinalg
+from reference import dense
 from multicomplex.chains import RING_RAT, Chain
 from multicomplex.core import (Multicomplex, product_with_interval,
                                simplicial_complex)
@@ -64,8 +65,8 @@ def random_cycle(rng: random.Random, cc, degree: int, tries: int = 1):
     cols = cc.dim(degree)
     if cols == 0:
         return None
-    kernel = intlinalg.rational_kernel_basis(cc.boundary_matrix(degree),
-                                             cols=cols)
+    kernel = intlinalg.rational_kernel_basis(
+        dense(cc.boundary_matrix(degree), cols), cols=cols)
     if not kernel:
         return None
     for _ in range(tries):
@@ -85,7 +86,7 @@ def random_integer_cycle(rng: random.Random, cc, degree: int):
     if cols == 0:
         return None
     kernel = intlinalg.integer_kernel_basis(cc.boundary_matrix(degree),
-                                            cols=cols)
+                                            cols)
     if not kernel:
         return None
     vec = [0] * cols

@@ -10,6 +10,12 @@ homology_data is HomologyResult._data as it was on the dense
 factorization, fed by this smith_form; the program's structure and
 generators must equal it.
 
+boundary_matrix is ChainComplex.boundary_matrix as it was when it built
+a dense rows x cols list from the complex's columns; dense turns the
+sparse rows the program now returns into that form.  rational_rank is
+the rank by intlinalg.rational_rref, which eliminates over Q
+independently of the Smith form.
+
 validate is Multicomplex.validate as it was before each facet was read
 once per simplex: it finds every face by a frozenset difference.  The
 program's validate must return the same problems in the same order.
@@ -34,6 +40,7 @@ from itertools import combinations
 from multicomplex.actions import GroupAction, act_on_chain, act_on_simplex
 from multicomplex.chains import RING_RAT, Chain, Cochain
 from multicomplex.core import Multicomplex, _fmt_vset
+from multicomplex.intlinalg import rational_rref
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -61,6 +68,26 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
 
 def mat_vec(a: list[list], v: list) -> list:
     return [sum(c * x for c, x in zip(row, v) if c != 0) for row in a]
+
+
+def dense(rows: list[dict], cols: int) -> list[list]:
+    """Sparse rows {column: coefficient} as a dense list of rows."""
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def boundary_matrix(cc, n) -> list[list[int]]:
+    """Dense integer matrix of the boundary from degree n to n-1."""
+    rows = cc.dim(n - 1)
+    cols = cc.dim(n)
+    mat = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        for row, coef in cc.column(n, j):
+            mat[row][j] += coef
+    return mat
+
+
+def rational_rank(a) -> int:
+    return len(rational_rref(a)[1])
 
 
 def dense_factors(sf) -> tuple:
@@ -234,7 +261,7 @@ def smith_form(a: list[list[int]]) -> SmithForm:
 def homology_data(cc, n, ring):
     """((free, torsion), generator vectors) of degree-n homology."""
     def factor(m):
-        mat = cc.boundary_matrix(m)
+        mat = boundary_matrix(cc, m)
         return smith_form(mat) if mat else SmithForm(0, cc.dim(m))
 
     sf = factor(n)

@@ -37,7 +37,6 @@ from multicomplex.fixtures import (
     tetrahedron_boundary,
     triangle_boundary,
 )
-from multicomplex.intlinalg import rational_rank
 
 seeds = st.integers(0, 10**6)
 
@@ -84,7 +83,24 @@ def test_boundary_matrix_shape():
     cc = build_reduced_chain_complex(triangle_boundary())
     m = cc.boundary_matrix(1)
     assert len(m) == cc.dim(0)
-    assert all(len(row) == cc.dim(1) for row in m)
+    assert all(0 <= j < cc.dim(1) for row in m for j in row)
+    assert all(len(row) == cc.dim(1)
+               for row in reference.dense(m, cc.dim(1)))
+
+
+@given(seeds)
+def test_boundary_matrix_densifies_to_the_dense_reference(seed):
+    rng = random.Random(seed)
+    # dimension 3 at most: a 4-simplex has 120 orderings
+    mc = random_multicomplex(rng, max_dim=3)
+    top = rng.choice(mc.simplex_ids)
+    sub = mc.submulticomplex([top], close=True).simplex_ids
+    for cc in (build_full_chain_complex(mc), build_reduced_chain_complex(mc),
+               build_relative_complex(mc, sub, "reduced"),
+               build_relative_complex(mc, sub, "full")):
+        for n in range(-1, max(cc.degrees()) + 2):
+            assert reference.dense(cc.boundary_matrix(n), cc.dim(n)) == \
+                reference.boundary_matrix(cc, n)
 
 
 def _random_full_chain(rng, cc, degree):
@@ -223,8 +239,10 @@ def test_is_boundary_returns_checked_witness():
 def _rank_with_boundaries(cc, n, chains):
     """Rational rank of the degree-(n+1) boundary columns and the chains,
     by the rref reference."""
-    columns = [list(col) for col in zip(*cc.boundary_matrix(n + 1))]
-    return rational_rank(columns + [cc.vector_of(g) for g in chains])
+    mat = reference.dense(cc.boundary_matrix(n + 1), cc.dim(n + 1))
+    columns = [list(col) for col in zip(*mat)]
+    return reference.rational_rank(columns
+                                   + [cc.vector_of(g) for g in chains])
 
 
 @given(seeds)
@@ -434,6 +452,6 @@ def test_every_builder_variant_is_a_complex(seed):
             rows = [i for i, lab in enumerate(cc.basis(n - 1))
                     if lab.simplex not in sub]
             assert rel.basis(n) == tuple(cc.basis(n)[i] for i in kept)
-            mat = cc.boundary_matrix(n)
-            assert rel.boundary_matrix(n) == [[mat[r][j] for j in kept]
-                                              for r in rows]
+            mat = reference.dense(cc.boundary_matrix(n), cc.dim(n))
+            assert reference.dense(rel.boundary_matrix(n), rel.dim(n)) == \
+                [[mat[r][j] for j in kept] for r in rows]

@@ -325,12 +325,17 @@ def test_average_smears_a_cochain_over_the_swap(tmp_path, capsys):
     ("average", {("x", "c"): 1}, "(north;x,c)"),
     ("average", {("x", "x"): 1}, "(north;x,x)"),
     ("vanish-check", {("x", "c"): 1, ("c", "x"): -1}, "(north;c,x)"),
+    # not alternating either: the basis check must come first
+    ("vanish-check", {("x", "c"): 1}, "(north;x,c)"),
+    ("vanish-check", {("x", "x"): 1}, "(north;x,x)"),
 ], ids=["average-foreign-vertex", "average-repeated-vertex",
-        "vanish-check-foreign-vertex"])
+        "vanish-check-foreign-vertex", "vanish-check-foreign-vertex-alone",
+        "vanish-check-repeated-vertex"])
 def test_a_term_off_its_simplex_is_no_basis_element(tmp_path, capsys,
                                                     command, terms, key):
     """A term whose vertices are not an ordering of its simplex's vertex
-    set is rejected before averaging, as toy-vanish rejects it."""
+    set is rejected before averaging, as toy-vanish rejects it, and
+    vanish-check rejects it before it checks alternation."""
     cpath = _write_mc(tmp_path, "cone.json", cone_over_double_edge())
     apath = _write(tmp_path, "swap.json",
                    formats.action_to_doc(cone_swap_action()))

@@ -86,14 +86,16 @@ def test_no_single_ordering_of_the_top_cell_is_a_cycle():
 
 def test_full_cycle_lattice_rank():
     full = twisted_tetrahedron_full(RING_INT)
-    kernel = integer_kernel_basis(full.boundary_matrix(3))
+    kernel = integer_kernel_basis(full.boundary_matrix(3), full.dim(3))
     # without repeated-vertex tuples nothing above degree 3 trims the
     # cycle space, so it is much larger than the homology suggests
     assert len(kernel) == 16
     witness = full.vector_of(twisted_tetrahedron_minimal_cycle())
     from multicomplex.intlinalg import solve_integer
-    cols = [[k[i] for k in kernel] for i in range(len(witness))]
-    assert solve_integer(cols, list(witness)) is not None
+    # the matrix whose columns are the kernel basis, as sparse rows
+    rows = [{t: k[i] for t, k in enumerate(kernel) if k[i]}
+            for i in range(len(witness))]
+    assert solve_integer(rows, list(witness), len(kernel)) is not None
 
 
 def test_no_integral_cycle_of_norm_below_three_hits_the_top_class():

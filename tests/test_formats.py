@@ -48,7 +48,7 @@ from multicomplex.formats import (
     SCHEMA_VERSION,
 )
 from multicomplex.covers import Coloring, Cover
-from multicomplex.core import StructureError
+from multicomplex.core import StructureError, UnknownIdError
 from multicomplex.groups import FreeAbelianGroup, cyclic_group
 from reference import translate
 
@@ -261,6 +261,18 @@ def test_a_table_action_names_the_element_it_has_no_moves_for():
     with pytest.raises(FormatError) as exc:
         a.apply("r2", "p")
     assert str(exc.value) == "no move table for element 'r2'"
+    # the oracle keeps only rows it resolved: after a successful call,
+    # every call on a bad element raises afresh with the same message
+    act = a.oracle()
+    assert act("r1", "q") == "p"
+    for _ in range(2):
+        with pytest.raises(UnknownIdError) as unknown:
+            act("r9", "p")
+        assert str(unknown.value) == "unknown group element 'r9'"
+        with pytest.raises(FormatError) as exc:
+            act("r2", "p")
+        assert str(exc.value) == "no move table for element 'r2'"
+        assert act("r1", "p") == "q"
 
 
 # parts of a point: int() reads a sign, surrounding space, an underscore

@@ -154,7 +154,8 @@ def test_full_and_reduced_seminorms_agree_on_fixture_classes():
             # random full chain, closed up by subtracting a cone of its
             # boundary is overkill; instead randomize over cycle space
             from multicomplex.intlinalg import rational_kernel_basis
-            mat = full.boundary_matrix(degree)
+            from reference import dense
+            mat = dense(full.boundary_matrix(degree), full.dim(degree))
             kern = rational_kernel_basis(mat)
             if not kern:
                 break
