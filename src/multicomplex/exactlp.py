@@ -5,10 +5,14 @@ feasible starting basis.  A column of A is a sparse list of (row, int)
 pairs; b and c are scaled once to integers.  For the basis matrix B and
 D = |det B| the solver keeps the integral M = D * B^-1 (the adjugate of B
 up to sign) and updates it by pivots whose divisions are exact (Edmonds
-1967; Bareiss 1968), so Fractions are built only for the result.  Bland's
-rule (least variable index, both entering and leaving) makes the
-iteration finite also on degenerate problems; with the deterministic
-variable order used by callers this is the lexicographic tie-break.
+1967; Bareiss 1968), so Fractions are built only for the result.  The
+tableau is stored as sparse columns, one {row: nonzero int} dict each,
+so the entering column is summed over the nonzeros of A's column and a
+pivot rewrites only the columns with a nonzero in the pivot row (the
+others are rescaled when D changes).  Bland's rule (least variable
+index, both entering and leaving) makes the iteration finite also on
+degenerate problems; with the deterministic variable order used by
+callers this is the lexicographic tie-break.
 """
 
 from __future__ import annotations
@@ -32,13 +36,29 @@ class LPResult:
         self.basis = basis
 
 
-def _pivot(rows, d, l, den):
-    """Pivot on d[l] > 0 of d = rows * (entering column); returns d[l]."""
-    p, pivot_row = d[l], rows[l]
-    for i, f in enumerate(d):
-        if i != l and (f != 0 or p != den):
-            rows[i] = [(p * u - f * w) // den
-                       for u, w in zip(rows[i], pivot_row)]
+def _pivot(tableau, d, l, den):
+    """Pivot on d[l] > 0 of d = tableau * (entering column); returns d[l].
+
+    Row i != l of a column becomes (p * t_i - d_i * t_l) // den, so a
+    column with no entry in row l is only rescaled, and only if p != den.
+    """
+    p = d[l]
+    rest = [(i, -f) for i, f in d.items() if i != l]
+    for col in tableau:
+        w = col.get(l)
+        if p != den:
+            for i, u in col.items():
+                if w is None or i not in d:
+                    col[i] = p * u // den
+        if w is None:
+            continue
+        get = col.get
+        for i, g in rest:
+            v = (p * get(i, 0) + g * w) // den
+            if v:
+                col[i] = v
+            elif i in col:
+                del col[i]
     return p
 
 
@@ -56,37 +76,46 @@ def solve(columns, b, c, basis, max_iterations=None):
     sb = math.lcm(*(Fraction(v).denominator for v in b))
     sc = math.lcm(*(Fraction(v).denominator for v in c))
     c = [int(v * sc) for v in c]
-    # rows[i] = [M_i | den*sb*x_i] for i < m, rows[m] = [den*sc*y |
-    # den*sb*sc*c.x]; pivoting B into the identity basis of cost 0 is
-    # fraction-free Gauss-Jordan on [B | I]
-    rows = [[int(r == i) for r in range(m)] + [int(v * sb)]
-            for i, v in enumerate(b)] + [[0] * (m + 1)]
+    # the tableau [M | den*sb*x ; den*sc*y | den*sb*sc*c.x] by columns:
+    # tableau[r][i] is row i of column r, row m the objective row and
+    # column m the right-hand side; pivoting B into the identity basis
+    # of cost 0 is fraction-free Gauss-Jordan on [B | I]
+    tableau = [{r: 1} for r in range(m)]
+    tableau.append({i: int(v * sb) for i, v in enumerate(b) if v})
     den, place = 1, []
 
     def entering_column(j):
-        d = [sum(row[r] * v for r, v in columns[j]) for row in rows]
-        d[m] -= c[j] * den
-        return d
+        d = {}
+        for r, v in columns[j]:
+            for i, u in tableau[r].items():
+                d[i] = d.get(i, 0) + u * v
+        d[m] = d.get(m, 0) - c[j] * den
+        return {i: f for i, f in d.items() if f}
 
     for j in basis:
         d = entering_column(j)
-        l = next((i for i in range(m) if d[i] != 0 and i not in place), -1)
+        l = min((i for i in d if i < m and i not in place), default=-1)
         if l < 0:
             raise SimplexFailure("starting basis matrix is singular")
         if d[l] < 0:  # flip the sign of the identity column it replaces
-            rows[l] = [-v for v in rows[l]]
+            for col in tableau:
+                if l in col:
+                    col[l] = -col[l]
             d[l] = -d[l]
-        den = _pivot(rows, d, l, den)
+        den = _pivot(tableau, d, l, den)
         place.append(l)
-    rows = [rows[l] for l in place] + [rows[m]]
-    if any(row[m] < 0 for row in rows[:m]):
+    row_of = {l: i for i, l in enumerate(place)}
+    row_of[m] = m
+    tableau = [{row_of[i]: v for i, v in col.items()} for col in tableau]
+    rhs = tableau[m]
+    if any(v < 0 for i, v in rhs.items() if i < m):
         raise SimplexFailure("starting basis is infeasible")
     if max_iterations is None:
         # Bland's rule terminates; the cap only guards against bugs
         max_iterations = max(100000, 200 * (ncols + m + 10))
 
     for _ in range(max_iterations):
-        y, in_basis = rows[m], set(basis)
+        y, in_basis = [col.get(m, 0) for col in tableau], set(basis)
         # j prices out when c_j - y.a_j < 0, i.e. y.a_j > c_j * den here
         entering = next((j for j in range(ncols) if j not in in_basis and
                          sum(y[r] * v for r, v in columns[j]) > c[j] * den),
@@ -94,19 +123,20 @@ def solve(columns, b, c, basis, max_iterations=None):
         if entering < 0:
             x = [Fraction(0)] * ncols
             for i, j in enumerate(basis):
-                x[j] = Fraction(rows[i][m], den * sb)
+                x[j] = Fraction(rhs.get(i, 0), den * sb)
             return LPResult(Fraction(y[m], den * sb * sc), x,
                             [Fraction(v, den * sc) for v in y[:m]], basis)
         d = entering_column(entering)
         # least ratio x_i / d_i over d_i > 0 by cross-multiplication, ties
         # to the least variable index
         leave = -1
-        for i in range(m):
-            if d[i] > 0 and (leave < 0 or (rows[i][m] * d[leave], basis[i])
-                             < (rows[leave][m] * d[i], basis[leave])):
+        for i, f in d.items():
+            if i < m and f > 0 and (
+                    leave < 0 or (rhs.get(i, 0) * d[leave], basis[i])
+                    < (rhs.get(leave, 0) * f, basis[leave])):
                 leave = i
         if leave < 0:
             raise SimplexFailure("objective is unbounded below")
-        den = _pivot(rows, d, leave, den)
+        den = _pivot(tableau, d, leave, den)
         basis[leave] = entering
     raise SimplexFailure("iteration limit exceeded")

@@ -11,6 +11,7 @@ solver bug and raises InternalInvariantError.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -132,9 +133,10 @@ def simplicial_volume(mc: Multicomplex) -> VolumeResult:
 class IntegralSeminormResult:
     """Outcome of the bounded integral search.
 
-    best is the least ||z + d(b)||_1 found; certified says whether the
-    whole coefficient box was exhausted, making best the true minimum
-    over it.  status is "exact" or "unknown" accordingly.
+    best is the least ||z + d(b)||_1 found; certified says whether best
+    is proved to be the minimum over the coefficient box, by exhausting
+    the box or by reaching the LP dual bound.  status is "exact" or
+    "unknown" accordingly.
     """
 
     def __init__(self, best, certified, bounding_chain, representative):
@@ -157,10 +159,17 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
                                  support_bound=None) -> IntegralSeminormResult:
     """Minimum of ||z + d(b)||_1 over integral b with |b_j| <= coeff_bound.
 
-    Depth-first search over the coefficient box with sound pruning; when
-    support_bound caps the number of nonzero coefficients of b the search
-    region is truncated and the result is only certified if the incumbent
-    is exact anyway (norm zero, or no truncation happened).
+    Depth-first search over the coefficient box with sound pruning.  For
+    a cycle z with no support_bound the LP seminorm v is solved first:
+    its verified dual certificate phi gives ||z + d(b)||_1 >= phi(z) = v
+    for every b, so no integral b does better than ceil(v).  An integral
+    LP bounding chain inside the box is then the answer with no search,
+    and otherwise the search stops once it reaches ceil(v).  The result
+    is certified when best is proved minimal over the box: the box was
+    exhausted, or best reached the lower bound (ceil(v), or 0 without
+    the LP).  When support_bound caps the number of nonzero coefficients
+    of b the search region is truncated, and the result is only
+    certified if best is 0 or no truncation happened.
     """
     if z.ring != RING_INT:
         terms = {}
@@ -202,18 +211,26 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
 
     best = norm0 = sum(abs(v) for v in res)
     bvec, cur, truncated = [0] * k, [0] * k, False
+    lower = 0
+    if support_bound is None and coeff_bound > 0 and \
+            cc.boundary_of(z).is_zero:
+        lp = seminorm_l1(cc, z)
+        lower = math.ceil(lp.value)
+        b = [-v for v in cc.vector_of(lp.bounding_chain)]
+        if all(v.denominator == 1 and abs(v) <= coeff_bound for v in b):
+            best, bvec = lower, [int(v) for v in b]
 
     # depth-first over the columns, values in order; the frame
     # [norm, used, next value index] of column j sits at stack[j], since
     # a complex can have more columns than Python allows nested calls
     stack, child = [], (norm0, 0)
-    while child or stack:
+    while (child or stack) and best > lower:
         if child:
             norm, used = child
             j, child = len(stack), None
             if norm < best:
                 best, bvec = norm, list(cur)
-            if j < k and best > 0 and norm - suffix_power[j] < best and \
+            if j < k and norm - suffix_power[j] < best and \
                     sum(abs(res[r]) for r in by_last[:frozen[j]]) < best:
                 stack.append([norm, used, 0])
             continue
@@ -241,7 +258,7 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
             cur[j] = val
             child = (norm, used + 1)
 
-    certified = (best == 0) or not truncated
+    certified = best == lower or not truncated
     bchain = cc.chain_from_vector(n + 1, bvec, RING_INT)
     rep = z + cc.boundary_of(bchain)
     if rep.l1_norm() != best:

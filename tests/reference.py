@@ -32,14 +32,21 @@ numerators over one denominator: it adds one Fraction per element and
 term.  toy_vanish_average is the averaging loop toy_vanish ran before it
 called average_cochain, on the alternation c, its bounding chain and the
 witnesses.  The program's average and certificate must equal them.
+
+solve is exactlp.solve as it was before its tableau moved to sparse
+columns: it updates every row of a dense [M | D*x ; D*y | D*c*x] on
+every pivot.  The sparse solver makes the same pivots, so it must return
+the same basis, x, y and value, and raise the same SimplexFailure.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from multicomplex.actions import GroupAction, act_on_chain, act_on_simplex
 from multicomplex.chains import RING_RAT, Chain, Cochain
 from multicomplex.core import Multicomplex, _fmt_vset
+from multicomplex.exactlp import LPResult, SimplexFailure
 from multicomplex.intlinalg import rational_rref
 
 
@@ -398,3 +405,78 @@ def toy_vanish_average(a: GroupAction, c: Chain, bounding: Chain,
         new_c = new_c + act_on_chain(a, g, c).scaled(w)
         new_b = new_b + (act_on_chain(a, g, bounding) + witnesses[g]).scaled(w)
     return new_c, new_b
+
+
+def _dense_pivot(rows, d, l, den):
+    """Pivot on d[l] > 0 of d = rows * (entering column); returns d[l]."""
+    p, pivot_row = d[l], rows[l]
+    for i, f in enumerate(d):
+        if i != l and (f != 0 or p != den):
+            rows[i] = [(p * u - f * w) // den
+                       for u, w in zip(rows[i], pivot_row)]
+    return p
+
+
+def solve(columns, b, c, basis, max_iterations=None):
+    """exactlp.solve on a dense tableau of m + 1 rows."""
+    m, ncols = len(b), len(columns)
+    basis = list(basis)
+    if len(basis) != m:
+        raise SimplexFailure("basis size does not match the row count")
+    sb = math.lcm(*(Fraction(v).denominator for v in b))
+    sc = math.lcm(*(Fraction(v).denominator for v in c))
+    c = [int(v * sc) for v in c]
+    # rows[i] = [M_i | den*sb*x_i] for i < m, rows[m] = [den*sc*y |
+    # den*sb*sc*c.x]; pivoting B into the identity basis of cost 0 is
+    # fraction-free Gauss-Jordan on [B | I]
+    rows = [[int(r == i) for r in range(m)] + [int(v * sb)]
+            for i, v in enumerate(b)] + [[0] * (m + 1)]
+    den, place = 1, []
+
+    def entering_column(j):
+        d = [sum(row[r] * v for r, v in columns[j]) for row in rows]
+        d[m] -= c[j] * den
+        return d
+
+    for j in basis:
+        d = entering_column(j)
+        l = next((i for i in range(m) if d[i] != 0 and i not in place), -1)
+        if l < 0:
+            raise SimplexFailure("starting basis matrix is singular")
+        if d[l] < 0:  # flip the sign of the identity column it replaces
+            rows[l] = [-v for v in rows[l]]
+            d[l] = -d[l]
+        den = _dense_pivot(rows, d, l, den)
+        place.append(l)
+    rows = [rows[l] for l in place] + [rows[m]]
+    if any(row[m] < 0 for row in rows[:m]):
+        raise SimplexFailure("starting basis is infeasible")
+    if max_iterations is None:
+        # Bland's rule terminates; the cap only guards against bugs
+        max_iterations = max(100000, 200 * (ncols + m + 10))
+
+    for _ in range(max_iterations):
+        y, in_basis = rows[m], set(basis)
+        # j prices out when c_j - y.a_j < 0, i.e. y.a_j > c_j * den here
+        entering = next((j for j in range(ncols) if j not in in_basis and
+                         sum(y[r] * v for r, v in columns[j]) > c[j] * den),
+                        -1)
+        if entering < 0:
+            x = [Fraction(0)] * ncols
+            for i, j in enumerate(basis):
+                x[j] = Fraction(rows[i][m], den * sb)
+            return LPResult(Fraction(y[m], den * sb * sc), x,
+                            [Fraction(v, den * sc) for v in y[:m]], basis)
+        d = entering_column(entering)
+        # least ratio x_i / d_i over d_i > 0 by cross-multiplication, ties
+        # to the least variable index
+        leave = -1
+        for i in range(m):
+            if d[i] > 0 and (leave < 0 or (rows[i][m] * d[leave], basis[i])
+                             < (rows[leave][m] * d[i], basis[leave])):
+                leave = i
+        if leave < 0:
+            raise SimplexFailure("objective is unbounded below")
+        den = _dense_pivot(rows, d, leave, den)
+        basis[leave] = entering
+    raise SimplexFailure("iteration limit exceeded")

@@ -240,6 +240,37 @@ def test_int_seminorm_searches_past_the_recursion_limit(tmp_path, capsys):
     assert doc["certified"] is False
 
 
+def test_int_seminorm_ends_at_the_lp_bound(tmp_path, capsys):
+    # a meridian plus two triangle boundaries on the 6 x 6 grid torus:
+    # searching the whole box took seconds, the LP bound 6 ends it
+    n = 6
+
+    def v(i, j):
+        return "v%d_%d" % (i % n, j % n)
+    faces = [f for i in range(n) for j in range(n)
+             for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                       (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    terms = {}
+    loops = [[v(i, 0) for i in range(n)],
+             [v(0, 0), v(1, 0), v(1, 1)], [v(2, 2), v(2, 3), v(3, 3)]]
+    for loop in loops:
+        for x, y in zip(loop, loop[1:] + loop[:1]):
+            edge = tuple(sorted((x, y)))
+            key = AlgebraicSimplex(",".join(edge), edge)
+            terms[key] = terms.get(key, 0) + (1 if edge[0] == x else -1)
+    cpath = _write_mc(tmp_path, "torus.json", simplicial_complex(faces))
+    zpath = _write(tmp_path, "cycle.json", formats.chain_to_doc(
+        Chain(1, RING_INT, {k: c for k, c in terms.items() if c})))
+    code, doc, err = _run_json(capsys, ["int-seminorm", zpath, "--complex",
+                                        cpath, "--bound", "1"])
+    assert code == 0
+    assert doc["best"] == "6"
+    assert doc["status"] == "exact"
+    assert doc["certified"] is True
+    rep = formats.chain_from_doc(doc["representative"])
+    assert rep.l1_norm() == 6
+
+
 def test_simplex_failure_exits_three(tmp_path, capsys, monkeypatch):
     from multicomplex import exactlp
     solve = exactlp.solve

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multicomplex.core import MulticomplexError, special_sphere
+import reference
+from multicomplex.core import (MulticomplexError, simplicial_complex,
+                               special_sphere)
 from multicomplex.chains import (
     RING_INT,
     RING_RAT,
@@ -240,6 +242,100 @@ def test_bruteforce_rejects_fractional_chains():
         integral_seminorm_bruteforce(cc, z, coeff_bound=1)
 
 
+def test_bruteforce_on_a_non_cycle_searches_without_the_lp():
+    # seminorm_l1 refuses a non-cycle, so the LP bound must be skipped
+    cc = build_reduced_chain_complex(triangle_boundary(), ring=RING_INT)
+    z = Chain(1, RING_INT, {AlgebraicSimplex("x,y", ("x", "y")): 2})
+    res = integral_seminorm_bruteforce(cc, z, coeff_bound=1)
+    assert res.best == 2
+    assert res.status == "exact"
+    assert res.representative == z
+
+
+def _grid_torus(n):
+    """The n x n grid torus with each square cut along a diagonal, built as
+    in test_cli, and v(i, j), the name of the vertex at (i, j) mod n."""
+    def v(i, j):
+        return "v%d_%d" % (i % n, j % n)
+    faces = [f for i in range(n) for j in range(n)
+             for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                       (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    mc = simplicial_complex(faces)
+    return build_reduced_chain_complex(mc, ring=RING_INT), v
+
+
+def _loop_plus_boundaries(path, triangles):
+    """The closed path through the vertices of path, plus coef times the
+    boundary of each (a, b, c, coef) in triangles, on sorted edges."""
+    terms = {}
+    loops = [(path, 1)] + [((a, b, c), coef) for a, b, c, coef in triangles]
+    for loop, coef in loops:
+        for x, y in zip(loop, loop[1:] + loop[:1]):
+            edge = tuple(sorted((x, y)))
+            key = AlgebraicSimplex(",".join(edge), edge)
+            terms[key] = terms.get(key, 0) + (coef if edge[0] == x
+                                              else -coef)
+    return Chain(1, RING_INT, {k: c for k, c in terms.items() if c})
+
+
+def _in_box(chain, bound):
+    return all(c.denominator == 1 and abs(c) <= bound
+               for _, c in chain.items())
+
+
+def _plain_search(cc, z, bound):
+    # a support bound no search can reach: the whole box, no LP bound
+    return integral_seminorm_bruteforce(cc, z, bound,
+                                        support_bound=cc.dim(z.degree + 1))
+
+
+def test_bruteforce_takes_the_lp_chain_inside_the_box():
+    cc, v = _grid_torus(3)
+    z = _loop_plus_boundaries([v(i, 0) for i in range(3)],
+                              [(v(0, 1), v(1, 1), v(1, 2), 1),
+                               (v(0, 0), v(0, 1), v(1, 1), 1)])
+    lp = seminorm_l1(cc, z)
+    assert lp.value == 3 and _in_box(lp.bounding_chain, 1)
+    res = integral_seminorm_bruteforce(cc, z, coeff_bound=1)
+    assert (res.best, res.status) == (3, "exact")
+    # the LP's optimum, not the first one the search meets
+    assert dict(res.representative.items()) == \
+        dict(lp.optimal_representative.items())
+    assert dict(res.bounding_chain.items()) == \
+        {k: -c for k, c in lp.bounding_chain.items()}
+    plain = _plain_search(cc, z, 1)
+    assert (plain.best, plain.status) == (3, "exact")
+    assert plain.representative != res.representative
+
+
+def test_bruteforce_stops_at_the_lp_bound():
+    # the LP undoes 2 boundaries of one triangle, outside the box; the
+    # search finds another optimum inside it and stops there
+    cc, v = _grid_torus(4)
+    z = _loop_plus_boundaries([v(3, j) for j in range(4)],
+                              [(v(2, 0), v(2, 1), v(3, 1), 2)])
+    lp = seminorm_l1(cc, z)
+    assert lp.value == 4 and not _in_box(lp.bounding_chain, 1)
+    res = integral_seminorm_bruteforce(cc, z, coeff_bound=1)
+    assert (res.best, res.status) == (4, "exact")
+    assert _in_box(res.bounding_chain, 1)
+    plain = _plain_search(cc, z, 1)
+    assert plain.representative == res.representative
+
+
+def test_bruteforce_exhausts_a_box_above_the_lp_bound():
+    # 3 boundaries of one triangle cannot be undone with |b_j| <= 1
+    cc, v = _grid_torus(3)
+    z = _loop_plus_boundaries([v(i, 0) for i in range(3)],
+                              [(v(0, 1), v(1, 1), v(1, 2), 3)])
+    lp = seminorm_l1(cc, z)
+    assert lp.value == 3 and not _in_box(lp.bounding_chain, 1)
+    res = integral_seminorm_bruteforce(cc, z, coeff_bound=1)
+    assert (res.best, res.status) == (6, "exact")
+    plain = _plain_search(cc, z, 1)
+    assert (plain.best, plain.representative) == (6, res.representative)
+
+
 def test_lp_solver_on_a_tiny_program():
     # minimize 3 x0 + x1 subject to x0 + x1 = 2, x >= 0: optimum 2 at x1
     columns = [[(0, 1)], [(0, 1)]]
@@ -298,16 +394,32 @@ def small_lps(draw):
     for pos, col in zip(order, dense):
         columns[pos] = [(i, v) for i, v in enumerate(col) if v != 0]
     xb = [draw(st.fractions(0, 5, max_denominator=6)) for _ in range(m)]
+    # a degenerate start: some basic variables at zero, so that ratio
+    # ties and zero-length pivots occur
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        xb[i] = Fraction(0)
     b = [sum(bmat[i][j] * xb[j] for j in range(m)) for i in range(m)]
     assume(any(v.denominator > 1 for v in b))
     c = [draw(st.fractions(0, 4, max_denominator=5)) for _ in range(n)]
     return columns, b, c, list(order[:m])
 
 
+def _outcome(solver, columns, b, c, basis, max_iterations=None):
+    """Everything a solve returns, or the message it fails with."""
+    try:
+        res = solver(columns, b, c, basis, max_iterations)
+    except SimplexFailure as exc:
+        return str(exc)
+    return res.basis, res.x, res.y, res.value
+
+
 @settings(max_examples=100)
-@given(small_lps())
-def test_lp_solver_certifies_random_programs(lp):
+@given(small_lps(), st.integers(0, 3))
+def test_lp_solver_certifies_random_programs(lp, cap):
     columns, b, c, basis = lp
+    # the sparse tableau makes the dense reference's pivots
+    assert _outcome(solve, *lp) == _outcome(reference.solve, *lp)
+    assert _outcome(solve, *lp, cap) == _outcome(reference.solve, *lp, cap)
     res = solve(columns, b, c, basis)
     ax = [Fraction(0)] * len(b)
     for xj, col in zip(res.x, columns):
@@ -319,6 +431,31 @@ def test_lp_solver_certifies_random_programs(lp):
         assert cj - sum(res.y[i] * v for i, v in col) >= 0
     value = sum(cj * xj for cj, xj in zip(c, res.x))
     assert value == sum(bi * yi for bi, yi in zip(b, res.y)) == res.value
+
+
+@pytest.mark.parametrize("lp, message", [
+    (([[(0, 1)], [(0, 1)]], [Fraction(-1)], [1, 1], [0]),
+     "starting basis is infeasible"),
+    (([[(0, 1), (1, 2)], [(0, 2), (1, 4)], [(0, 1)], [(1, 1)]],
+      [Fraction(1), Fraction(2)], [1, 1, 1, 1], [0, 1]),
+     "starting basis matrix is singular"),
+    (([[(0, 1)], [(0, 1)]], [Fraction(2)], [1, 1], [0, 1]),
+     "basis size does not match the row count"),
+    (([[(0, 1)], [(0, -1)]], [Fraction(1)], [0, -1], [0]),
+     "objective is unbounded below"),
+])
+def test_lp_solver_fails_as_the_dense_reference(lp, message):
+    assert _outcome(solve, *lp) == _outcome(reference.solve, *lp) == message
+
+
+def test_lp_solver_cap_fails_as_the_dense_reference():
+    lp = ([[(0, 1)], [(0, 1)]], [Fraction(2)], [3, 1], [0])
+    # one pivot, then one pricing pass that proves the optimum
+    for cap in (0, 1):
+        assert _outcome(solve, *lp, cap) == \
+            _outcome(reference.solve, *lp, cap) == "iteration limit exceeded"
+    assert _outcome(solve, *lp, 2) == _outcome(reference.solve, *lp, 2) \
+        == ([1], [0, 2], [1], 2)
 
 
 def test_seminorm_scales_by_fractional_multiples():
