@@ -5,17 +5,16 @@ element.  This module validates actions, forms quotients by actions that
 fix every vertex, enumerates orbits of algebraic simplices, pushes chains
 forward along elements, and averages chains and cochains over the group
 (the finite instance of invariant means: the mean of finitely many values
-is their average), summing int numerators over one denominator.
+is their average), both on the fraction-free push-forward of chains.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 from . import intlinalg
 from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT,
+                     _numerators, _push_forward,
                      build_reduced_chain_complex)
 from .core import (Multicomplex, SimplicialMap, StructureError,
                    UnknownIdError)
@@ -91,15 +90,19 @@ def act_on_simplex(a: GroupAction, g, key) -> AlgebraicSimplex:
     vertex ordering move."""
     if not isinstance(key, AlgebraicSimplex):
         key = AlgebraicSimplex(key[0], tuple(key[1]))
-    m = a.map_of(g)
+    return _moved(a.map_of(g), key)
+
+
+def _moved(m: SimplicialMap, key: AlgebraicSimplex) -> AlgebraicSimplex:
     return AlgebraicSimplex(m.apply_simplex(key.simplex),
-                            tuple(m.apply_vertex(v) for v in key.vertices))
+                            tuple(map(m.apply_vertex, key.vertices)))
 
 
 def act_on_chain(a: GroupAction, g, chain: Chain) -> Chain:
     """Linear extension of the action to chains; commutes with boundary."""
-    return Chain(chain.degree, chain.ring,
-                 {act_on_simplex(a, g, key): val for key, val in chain.items()})
+    m = a.map_of(g)
+    return Chain(chain.degree, chain.ring, _push_forward(
+        chain.items(), lambda key: ((1, _moved(m, key)),)))
 
 
 def validate_action(a: GroupAction) -> ValidationReport:
@@ -288,23 +291,18 @@ def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:
 
     For a cochain it is A(phi)(y) = (1/|G|) sum_g phi(g^{-1} y).  It is
     invariant, norm non-increasing, and the identity on what was already
-    invariant.  Sums run on int numerators over the lcm of the input
-    denominators.  Every key must be an ordering of its simplex's vertices.
+    invariant.  It is the push-forward of sum_g g along g -> g.(den x),
+    on int numerators over the lcm den of the input denominators.  Every
+    key must be an ordering of its simplex's vertices.
     """
     terms = x.items()
     _check_orderings(a.complex, (key for key, _ in terms), x.degree)
-    den = lcm(*(v.denominator for _, v in terms))
-    nums = [(key, v.numerator * (den // v.denominator)) for key, v in terms]
-    acc = {}
-    for g in a.group.elements:
-        m = a.map_of(g)
-        for key, n in nums:
-            image = AlgebraicSimplex(m.apply_simplex(key.simplex),
-                                     tuple(map(m.apply_vertex, key.vertices)))
-            acc[image] = acc.get(image, 0) + n
-    den *= len(a.group)
-    return type(x)(x.degree, RING_RAT,
-                   {key: Fraction(n, den) for key, n in acc.items() if n})
+    den, nums = _numerators(terms)
+    maps = [a.map_of(g) for g in a.group.elements]
+    # elements outside, terms inside: the first undefined map raises
+    return type(x)(x.degree, RING_RAT, _push_forward(
+        ((m, 1) for m in maps),
+        lambda m: [(n, _moved(m, key)) for key, n in nums], den * len(maps)))
 
 
 def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
@@ -332,13 +330,9 @@ def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
         labs_below = cc.basis(n)
         # every orbit indicator's coboundary on each (n+1)-simplex, zeros
         # dropped so that equal rows compare equal
-        per_simplex = []
-        for j, tau in enumerate(cc.basis(n + 1)):
-            row = {}
-            for i, coef in cc.column(n + 1, j):
-                oi = parts[n].index_of(labs_below[i])
-                row[oi] = row.get(oi, 0) + coef
-            per_simplex.append({k: x for k, x in row.items() if x})
+        per_simplex = [_push_forward(cc.column(n + 1, j), lambda i: (
+            (1, parts[n].index_of(labs_below[i])),))
+            for j in range(cc.dim(n + 1))]
         # invariance makes the value constant along each (n+1)-orbit
         mat = [None] * len(parts[n + 1])
         for j, tau in enumerate(cc.basis(n + 1)):

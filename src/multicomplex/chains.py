@@ -10,6 +10,8 @@ cochains.
 
 One builder makes the full, repeated-vertex, reduced and relative
 complexes; they differ only in the tuples listed and simplices skipped.
+The boundary, projection, alternation, group action and group average
+all run on one fraction-free push-forward kernel, _push_forward.
 
 Homology is computed exactly from one integer Smith normal form per
 boundary map, handed over as sparse rows built from the sparse columns
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from typing import NamedTuple
 
 from . import intlinalg
@@ -182,12 +185,27 @@ class Cochain(_SparseModule):
         return total
 
 
-def l1_norm(chain: Chain):
-    return chain.l1_norm()
+def _numerators(terms):
+    """(den, [(key, n)]): each value of terms as n/den, den their lcm."""
+    terms = list(terms)
+    den = lcm(*(v.denominator for _, v in terms))
+    return den, [(key, v.numerator * (den // v.denominator))
+                 for key, v in terms]
 
 
-def linf_norm(cochain: Cochain):
-    return cochain.linf_norm()
+def _push_forward(terms, images, count=1) -> dict:
+    """The terms of (1/count) sum_{(key, v)} sum_{(c, image) in images(key)}
+    c.v.image, for int c, with keys visited in the order given.  Sums run
+    on int numerators over the lcm of the input denominators; each output
+    value is an int when the denominator is 1, else a Fraction."""
+    den, nums = _numerators(terms)
+    acc = {}
+    for key, n in nums:
+        for c, image in images(key):
+            acc[image] = acc.get(image, 0) + c * n
+    den *= count
+    return {key: n if den == 1 else Fraction(n, den)
+            for key, n in acc.items() if n}
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +301,14 @@ class ChainComplex:
 
     def boundary_of(self, chain: Chain) -> Chain:
         n = chain.degree
-        out = {}
         labels = self.basis(n - 1)
-        for key, val in chain._terms.items():
-            j = self.index_of(n, key)
-            for row, coef in self._columns.get(n, ())[j]:
-                lab = labels[row]
-                cur = out.get(lab, 0) + coef * val
-                if cur == 0:
-                    out.pop(lab, None)
-                else:
-                    out[lab] = cur
-        return Chain(n - 1, chain.ring, out)
+        columns = self._columns.get(n, ())
+
+        def faces(key):
+            return [(coef, labels[row])
+                    for row, coef in columns[self.index_of(n, key)]]
+        return Chain(n - 1, chain.ring,
+                     _push_forward(chain._terms.items(), faces))
 
     def coboundary_of(self, cochain: Cochain) -> Cochain:
         """The functional sending a degree-(n+1) simplex to phi(boundary)."""
@@ -325,10 +339,6 @@ class ChainComplex:
                 if any(v != 0 for v in acc.values()):
                     return False
         return True
-
-
-def boundary(cc: ChainComplex, chain: Chain) -> Chain:
-    return cc.boundary_of(chain)
 
 
 def _all_orderings(vs, n):
@@ -384,10 +394,8 @@ def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
                                % (fid, _fmt_vset(mc.vertex_set(fid)))))
                     col.append((row, -1 if i & 1 else 1))
                 if len(vs) <= n:  # repeated entries: equal faces add up
-                    acc = {}
-                    for row, c in col:
-                        acc[row] = acc.get(row, 0) + c
-                    col = [(row, c) for row, c in acc.items() if c]
+                    col = list(_push_forward(
+                        col, lambda row: ((1, row),)).items())
                 cols.append(col)
         basis[n], columns[n] = labels, cols
         index = {lab: i for i, lab in enumerate(labels)}
@@ -446,18 +454,14 @@ def build_relative_complex(mc: Multicomplex, sub_ids, variant="reduced",
 def project_chain(chain: Chain) -> Chain:
     """Full-to-reduced projection: sort each tuple, pick up the sign,
     kill tuples with repeated vertices."""
-    terms = {}
-    for key, val in chain.items():
-        if len(set(key.vertices)) != len(key.vertices):
-            continue
-        sign = permutation_sign(key.vertices)
-        canon = AlgebraicSimplex(key.simplex, tuple(sorted(key.vertices)))
-        cur = terms.get(canon, 0) + sign * val
-        if cur == 0:
-            terms.pop(canon, None)
-        else:
-            terms[canon] = cur
-    return Chain(chain.degree, chain.ring, terms)
+    def canon(key):
+        vs = key.vertices
+        if len(set(vs)) != len(vs):
+            return ()
+        return [(permutation_sign(vs),
+                 AlgebraicSimplex(key.simplex, tuple(sorted(vs))))]
+    return Chain(chain.degree, chain.ring,
+                 _push_forward(chain.items(), canon))
 
 
 def section_chain(chain: Chain) -> Chain:
@@ -474,27 +478,22 @@ def section_chain(chain: Chain) -> Chain:
 def alternate(chain: Chain | Cochain) -> Chain | Cochain:
     """Average the signed orderings of every term (a chain map, and a
     projection onto alternating chains).  The result is a Chain or a
-    Cochain like the input, with rational ring."""
+    Cochain like the input, with rational ring.  The (k+1)! orderings
+    are listed only when some term survives."""
     k = chain.degree
-    terms = {}
-    denom = 1
-    for i in range(2, k + 2):
-        denom *= i
-    for key, val in chain.items():
-        if len(set(key.vertices)) != len(key.vertices):
-            continue  # symmetrization cancels in pairs on repeated entries
-        val = Fraction(val, denom)
-        base = key.vertices
-        for perm in permutations(range(k + 1)):
-            sign = permutation_sign(perm)
-            tup = tuple(base[i] for i in perm)
-            lab = AlgebraicSimplex(key.simplex, tup)
-            cur = terms.get(lab, Fraction(0)) + sign * val
-            if cur == 0:
-                terms.pop(lab, None)
-            else:
-                terms[lab] = cur
-    return type(chain)(k, RING_RAT, terms)
+    # symmetrization cancels in pairs on repeated entries
+    live = [(key, v) for key, v in chain.items()
+            if len(set(key.vertices)) == len(key.vertices)]
+    if not live:
+        return type(chain)(k, RING_RAT)
+    perms = [(permutation_sign(p), p) for p in permutations(range(k + 1))]
+
+    def orderings(key):
+        vs = key.vertices
+        return [(sign, AlgebraicSimplex(key.simplex, tuple(vs[i] for i in p)))
+                for sign, p in perms]
+    return type(chain)(k, RING_RAT,
+                       _push_forward(live, orderings, len(perms)))
 
 
 def is_alternating(chain: Chain | Cochain) -> bool:
@@ -526,12 +525,19 @@ class HomologyResult:
         _check_ring(self.ring)
         self._cache = {}
         self._factors = {}
+        self._rows = {}
+
+    def _boundary_rows(self, m):
+        """Sparse rows of the boundary from degree m, built once."""
+        if m not in self._rows:
+            self._rows[m] = self.cc.boundary_matrix(m)
+        return self._rows[m]
 
     def _factor(self, m):
         """Smith form of the boundary from degree m to degree m-1."""
         if m not in self._factors:
             self._factors[m] = intlinalg.smith_form(
-                self.cc.boundary_matrix(m), self.cc.dim(m))
+                self._boundary_rows(m), self.cc.dim(m))
         return self._factors[m]
 
     def structure(self, n):
@@ -553,7 +559,7 @@ class HomologyResult:
         # the columns of V past the rank are a saturated basis of the
         # cycles, and rows of Vinv past the rank give coordinates in it;
         # both products run over nonzero entries only
-        image = self.cc.boundary_matrix(n + 1)
+        image = self._boundary_rows(n + 1)
         coords = []
         for row in sf.Vinv_rows[sf.rank:]:
             out = {}

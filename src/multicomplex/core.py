@@ -173,12 +173,19 @@ class Multicomplex:
         cur = s
         while cur.vset != b:
             v = max(cur.vset - b)
-            nxt = cur.facets.get(cur.vset - {v})
+            rest = cur.vset - {v}
+            nxt = cur.facets.get(rest)
             if nxt is None:
                 raise StructureError(
                     "simplex %r is missing its facet over %s"
-                    % (cur.sid, _fmt_vset(cur.vset - {v})))
-            cur = self._get(nxt)
+                    % (cur.sid, _fmt_vset(rest)))
+            nxt = self._get(nxt)
+            if nxt.vset != rest:  # following it could cycle forever
+                raise StructureError(
+                    "the facet of %r over %s is %r, which spans %s"
+                    % (cur.sid, _fmt_vset(rest), nxt.sid,
+                       _fmt_vset(nxt.vset)))
+            cur = nxt
         return cur.sid
 
     # -- validation ---------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .actions import GroupAction, action_from_vertex_maps
 from .chains import (RING_INT, RING_RAT, AlgebraicSimplex, Chain,
-                     ChainComplex, project_chain)
+                     ChainComplex, _push_forward, project_chain)
 from .core import (Multicomplex, SimplicialMap, simplicial_complex,
                    special_sphere)
 from .groups import cyclic_group
@@ -214,13 +214,11 @@ def twisted_tetrahedron_full(ring=RING_RAT) -> ChainComplex:
         index = {lab: i for i, lab in enumerate(basis[n - 1])}
         cols = []
         for lab in basis[n]:
-            acc = {}
-            sign = 1
-            for i in range(n + 1):
-                row = index[_twisted_face(lab.simplex, lab.vertices, i)]
-                acc[row] = acc.get(row, 0) + sign
-                sign = -sign
-            cols.append(sorted((r, c) for r, c in acc.items() if c != 0))
+            faces = [(-1 if i & 1 else 1,
+                      index[_twisted_face(lab.simplex, lab.vertices, i)])
+                     for i in range(n + 1)]
+            cols.append(sorted(_push_forward([(lab, 1)],
+                                              lambda _: faces).items()))
         columns[n] = cols
     return ChainComplex(ring, basis, columns)
 

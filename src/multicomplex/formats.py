@@ -248,11 +248,20 @@ def group_to_doc(group) -> dict:
     raise FormatError("unsupported group model %r" % (group,))
 
 
+def _finite_group_from_doc(doc: dict) -> FiniteGroup:
+    elements = _need(doc, "elements", list)
+    table = _need(doc, "table", dict)
+    if not all(isinstance(gh, str) for row in table.values()
+               if isinstance(row, dict) for gh in row.values()):
+        raise FormatError("the products of the composition table must be "
+                          "JSON strings")
+    return FiniteGroup(elements, table)
+
+
 def group_from_doc(doc: dict):
     kind = _need(doc, "kind")
     if kind == "finite":
-        return FiniteGroup(_need(doc, "elements", list),
-                           _need(doc, "table", dict))
+        return _finite_group_from_doc(doc)
     if kind == "free_abelian":
         rank = _need(doc, "rank", int)
         # generating_set builds 2*rank tuples of rank entries each
@@ -282,12 +291,16 @@ def action_to_doc(a: GroupAction) -> dict:
 
 
 def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
-    group = FiniteGroup(_need(doc, "elements", list),
-                        _need(doc, "table", dict))
+    group = _finite_group_from_doc(doc)
     maps = {}
     for g, entry in _need(doc, "maps", dict).items():
-        maps[g] = SimplicialMap(mc, mc, _need(entry, "vertex_map", dict),
-                                _need(entry, "simplex_map", dict))
+        vmap = _need(entry, "vertex_map", dict)
+        smap = _need(entry, "simplex_map", dict)
+        if not all(isinstance(x, str)
+                   for x in [*vmap.values(), *smap.values()]):
+            raise FormatError("the maps of element %r must send ids to JSON "
+                              "strings" % (g,))
+        maps[g] = SimplicialMap(mc, mc, vmap, smap)
     return GroupAction(group, mc, maps)
 
 
@@ -297,7 +310,10 @@ def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
 
 def measure_to_doc(mu: FiniteSupportMeasure) -> dict:
     key = mu.group.element_key
-    weights = {key(el): rational_str(w) for el, w in mu.items()}
+    items = mu.items()  # one Fraction object per distinct weight
+    distinct = {id(w): w for _, w in items}
+    text = {i: rational_str(w) for i, w in distinct.items()}
+    weights = {key(el): text[id(w)] for el, w in items}
     return {"schema_version": SCHEMA_VERSION,
             "group": group_to_doc(mu.group), "weights": weights}
 

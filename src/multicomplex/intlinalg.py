@@ -58,7 +58,9 @@ class SmithForm:
         if len(b) != self.rows:
             raise ValueError("b must have one entry per row: expected "
                              "length %d, got %d" % (self.rows, len(b)))
-        ub = [sum(x * b[k] for k, x in row.items()) for row in self.U_rows]
+        nonzero = [(k, y) for k, y in enumerate(b) if y]
+        ub = [sum(row[k] * y for k, y in nonzero if k in row)
+              for row in self.U_rows]
         if any(ub[self.rank:]):
             return None
         x = [0] * self.cols

@@ -32,6 +32,10 @@ numerators over one denominator: it adds one Fraction per element and
 term.  toy_vanish_average is the averaging loop toy_vanish ran before it
 called average_cochain, on the alternation c, its bounding chain and the
 witnesses.  The program's average and certificate must equal them.
+first_orbit_total is the orbit check toy_vanish ran before it read the
+orbit totals off the average: it lists every orbit by actions.orbits and
+sums c over each.  toy_vanish must reject the same orbit with the same
+total.
 
 solve is exactlp.solve as it was before its tableau moved to sparse
 columns: it updates every row of a dense [M | D*x ; D*y | D*c*x] on
@@ -43,7 +47,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from multicomplex.actions import GroupAction, act_on_chain, act_on_simplex
+from multicomplex.actions import (GroupAction, act_on_chain, act_on_simplex,
+                                  orbits)
 from multicomplex.chains import RING_RAT, Chain, Cochain
 from multicomplex.core import Multicomplex, _fmt_vset
 from multicomplex.exactlp import LPResult, SimplexFailure
@@ -405,6 +410,20 @@ def toy_vanish_average(a: GroupAction, c: Chain, bounding: Chain,
         new_c = new_c + act_on_chain(a, g, c).scaled(w)
         new_b = new_b + (act_on_chain(a, g, bounding) + witnesses[g]).scaled(w)
     return new_c, new_b
+
+
+def first_orbit_total(a: GroupAction, c: Chain):
+    """(total, least member) of the first orbit, in the order of
+    orbits(a, k), on which c has a nonzero total; None if there is none."""
+    part = orbits(a, c.degree)
+    sums = {}
+    for key, val in c.items():
+        oi = part.index_of(key)
+        sums[oi] = sums.get(oi, Fraction(0)) + val
+    for oi in sorted(sums):
+        if sums[oi] != 0:
+            return sums[oi], part.orbits[oi][0]
+    return None
 
 
 def _dense_pivot(rows, d, l, den):

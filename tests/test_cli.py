@@ -5,7 +5,9 @@ parsed back and checked, summaries land on stderr unless --output
 summary redirects them.
 """
 
+import contextlib
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -502,6 +504,26 @@ def test_toy_vanish_kills_the_cone_cycle(tmp_path, capsys):
     assert set(doc["certificate"]["witnesses"]) == {"e", "g"}
 
 
+def test_toy_vanish_on_a_cycle_its_alternation_kills_exits_one(tmp_path,
+                                                               capsys):
+    """Every ordering of both edges of the double edge is a cycle that
+    bounds nothing, and its alternation is zero."""
+    cpath = _write_mc(tmp_path, "edge.json", double_edge())
+    apath = _write(tmp_path, "flip.json",
+                   formats.action_to_doc(antipodal_action()))
+    z = Chain(1, RING_INT, {AlgebraicSimplex(s, vs): 1
+                            for s in ("north", "south")
+                            for vs in (("x", "y"), ("y", "x"))})
+    zpath = _write(tmp_path, "z.json", formats.chain_to_doc(z))
+    code, out, err = _run(capsys, ["toy-vanish", zpath, "--complex", cpath,
+                                   "--action", apath, "--epsilon", "1/4"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the alternation of z is not homologous to z, so averaging "
+        "it cannot keep the class of z"]
+
+
 def _arcs_doc():
     cover = Cover({"a": ["0", "1", "2"], "b": ["2", "3", "4"],
                    "c": ["4", "5", "0"]}, amenable={"a": True})
@@ -637,6 +659,65 @@ def test_product_with_a_facet_it_cannot_prism_exits_one(tmp_path, capsys,
     assert err.splitlines() == [error]
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, instead of hanging, when the block runs longer than seconds."""
+    def expire(*_):
+        raise AssertionError("still running after %d s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("facets,error", [
+    ({"a": "e", "b": "b"},
+     "error: the facet of 'e' over {a} is 'e', which spans {a,b}"),
+    ({"a": "a", "b": "a"},
+     "error: the facet of 'e' over {b} is 'a', which spans {a}"),
+], ids=["itself", "wrong-vertices"])
+def test_an_action_on_a_complex_with_a_bad_facet_exits_one(tmp_path, capsys,
+                                                          facets, error):
+    path = _write(tmp_path, "edge.json", _edge_doc(facets))
+    action = _write(tmp_path, "action.json", {
+        "schema_version": formats.SCHEMA_VERSION, "elements": ["1"],
+        "table": {"1": {"1": "1"}},
+        "maps": {"1": {"vertex_map": {"a": "a", "b": "b"},
+                       "simplex_map": {"a": "a", "b": "b", "e": "e"}}}})
+    with _within(10):
+        code, out, err = _run(capsys, ["quotient", action, "--complex", path])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [error]
+
+
+@pytest.mark.parametrize("command", ["toy-vanish", "vanish-check"])
+def test_a_zero_chain_of_huge_degree_exits_zero_at_once(tmp_path, capsys,
+                                                        command):
+    """No ordering of a simplex is listed for a chain with no terms."""
+    docs = {"complex": formats.multicomplex_to_doc(cone_over_double_edge()),
+            "action": formats.action_to_doc(cone_swap_action()),
+            "chain": {"schema_version": formats.SCHEMA_VERSION,
+                      "degree": 2 ** 70, "ring": RING_RAT, "terms": []},
+            "coloring": {"schema_version": formats.SCHEMA_VERSION,
+                         "assignment": {"c": "0", "x": "1", "y": "1"}},
+            "witnesses": {"schema_version": formats.SCHEMA_VERSION,
+                          "witnesses": {}}}
+    paths = {name: _write(tmp_path, name + ".json", doc)
+             for name, doc in docs.items()}
+    argv = [command, paths["chain"], "--complex", paths["complex"],
+            "--action", paths["action"]]
+    argv += (["--epsilon", "1/4"] if command == "toy-vanish" else
+             ["--coloring", paths["coloring"],
+              "--witnesses", paths["witnesses"]])
+    with _within(10):
+        code, out, err = _run(capsys, argv)
+    assert code == 0
+
+
 def _decoder_docs():
     """Valid documents for every decoder, keyed by the name of the file."""
     mc = double_edge()
@@ -675,9 +756,17 @@ _DECODER_ARGV = {
 
 _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
               "points": "set_action", "blocks": "set_action",
-              "action": "set_action",
-              "maps": "action", "sets": "cover", "amenable": "cover",
+              "action": "set_action", "group": "set_action",
+              "maps": "action", "table": "action",
+              "sets": "cover", "amenable": "cover",
               "assignment": "coloring", "witnesses": "witnesses"}
+
+
+def _swap_maps(kind, key, value):
+    """The maps of the double-edge swap with maps[g][kind][key] = value."""
+    maps = formats.action_to_doc(double_edge_swap_action())["maps"]
+    maps["g"][kind][key] = value
+    return maps
 
 
 @pytest.mark.parametrize("command,field,value", [
@@ -715,6 +804,15 @@ _FIELD_DOC = {"degree": "chain", "terms": "chain", "values": "function",
                            "moves": {"1": {"0": ["1"]}, "-1": {}}}),
     ("vanish-check", "witnesses", {"north": [["g"], "x", "y"]}),
     ("vanish-check", "assignment", {"x": ["0"], "y": "0"}),
+    ("quotient", "table", {"e": {"e": "e", "g": "g"}, "g": {"e": "g",
+                                                           "g": []}}),
+    ("average", "table", {"e": {"e": "e", "g": "g"}, "g": {"e": {},
+                                                          "g": "e"}}),
+    ("diffuse", "group", {"kind": "finite", "elements": ["e", "g"],
+                          "table": {"e": {"e": "e", "g": ["g"]},
+                                    "g": {"e": "g", "g": "e"}}}),
+    ("quotient", "maps", _swap_maps("simplex_map", "north", ["south"])),
+    ("average", "maps", _swap_maps("vertex_map", "x", {"x": "x"})),
 ])
 def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
                                              field, value):

@@ -41,10 +41,12 @@ from multicomplex.diffusion import (
     validate_action_on_set,
 )
 from multicomplex.fixtures import (
+    antipodal_action,
     cone_over_double_edge,
     cone_swap_action,
     double_edge,
     double_edge_swap_action,
+    triangle_symmetries,
 )
 from multicomplex.formats import measure_from_doc, measure_to_doc
 from multicomplex.groups import FiniteGroup, FreeAbelianGroup, cyclic_group
@@ -337,7 +339,48 @@ def test_toy_vanish_rejects_nonzero_orbit_mass():
                      AlgebraicSimplex("cy", ("c", "y")): -1})
     with pytest.raises(DiffusionError) as err:
         toy_vanish(mc, a, z, Fraction(1, 4))
-    assert "nonzero total" in str(err.value)
+    assert str(err.value) == (
+        "the alternation of z has nonzero total 1/2 on the orbit of "
+        "(cx;c,x); group averaging cannot cancel it there")
+
+
+_VANISH_FIXTURES = [(cone_over_double_edge, cone_swap_action),
+                    (double_edge, antipodal_action),
+                    (double_edge, double_edge_swap_action),
+                    (lambda: triangle_symmetries().complex,
+                     triangle_symmetries)]
+
+
+@given(st.sampled_from(_VANISH_FIXTURES),
+       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                min_size=1, max_size=8))
+def test_toy_vanish_rejects_the_orbit_the_old_orbit_sums_name(fixture,
+                                                              coeffs):
+    """z is a rational combination of 1-cycles of the full complex
+    (homology generators, then boundaries); the orbit check must name the
+    orbit and total that summing over orbits() names."""
+    make_mc, make_action = fixture
+    mc, a = make_mc(), make_action()
+    cc = build_full_chain_complex(mc, ring=RING_RAT)
+    hom = homology(cc)
+    cycles = hom.generators(1) + [cc.boundary_of(Chain(2, RING_RAT, {b: 1}))
+                                  for b in cc.basis(2)]
+    z = Chain(1, RING_RAT)
+    for cycle, q in zip(cycles, coeffs):
+        z = z + cycle.scaled(q)
+    expected = reference.first_orbit_total(a, alternate(z))
+    try:
+        toy_vanish(mc, a, z, Fraction(1, 100))
+    except DiffusionError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if expected is None:
+        assert message is None or "nonzero total" not in message
+    else:
+        assert message == (
+            "the alternation of z has nonzero total %s on the orbit of %s; "
+            "group averaging cannot cancel it there" % expected)
 
 
 def test_sparse_function_arithmetic():

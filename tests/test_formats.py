@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from multicomplex.chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
 from multicomplex.core import product_with_interval
-from multicomplex.diffusion import FiniteSupportMeasure, SparseFunction
+from multicomplex.diffusion import (FiniteSupportMeasure, SparseFunction,
+                                   uniform_measure)
 from multicomplex.fixtures import (
     cone_over_double_edge,
     cone_swap_action,
@@ -207,10 +208,14 @@ def test_measure_roundtrip_finite_group():
 
 def test_measure_roundtrip_lattice():
     g = FreeAbelianGroup(2)
-    mu = FiniteSupportMeasure(g, {(0, 0): Fraction(1, 2),
-                                  (1, -1): Fraction(1, 2)})
-    back = _roundtrip(measure_to_doc(mu), measure_from_doc, measure_to_doc)
-    assert back.items() == mu.items()
+    box = uniform_measure(g, [(i, j) for i in range(3) for j in range(3)])
+    for mu in (FiniteSupportMeasure(g, {(0, 0): Fraction(1, 2),
+                                        (1, -1): Fraction(1, 2)}), box):
+        doc = measure_to_doc(mu)
+        assert doc["weights"] == {g.element_key(el): str(w)
+                                  for el, w in mu.items()}
+        back = _roundtrip(doc, measure_from_doc, measure_to_doc)
+        assert back.items() == mu.items()
 
 
 def test_function_roundtrip():
