@@ -10,6 +10,12 @@ every simplex has pairwise distinct vertices and no preferred ordering.
 Only codimension-one facets are stored; deeper faces are derived by
 composing facet steps, which the composition axiom makes unambiguous.
 Instances are treated as immutable once built.
+
+Multicomplex's constructor is the one place ids are checked and facet
+maps are copied.  The decoder and the builders (skeleton,
+submulticomplex, the product with an interval) hand it their own
+frozensets and dicts; it checks simplices and facet targets in C and
+falls back to a loop over single ids only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -37,6 +43,23 @@ def _fmt_vset(vset) -> str:
     return "{" + ",".join(sorted(vset)) + "}"
 
 
+_is_frozenset = frozenset.__instancecheck__
+
+
+class _Memo(dict):
+    """fn(key) for every key looked up, computed once per key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class _Simplex:
     __slots__ = ("sid", "vset", "facets")
 
@@ -52,7 +75,8 @@ class Multicomplex:
     simplices is an iterable of (id, vertices, facets) triples, where
     facets maps each subset of the vertices with one vertex removed to the
     id of the chosen facet simplex.  Referential integrity is enforced
-    here; the remaining axioms are checked by validate().
+    here; the remaining axioms are checked by validate().  Each facet map
+    is copied once, here, so callers need not copy their own.
     """
 
     def __init__(self, vertices, simplices):
@@ -68,28 +92,34 @@ class Multicomplex:
             if v in seen:
                 raise UnknownIdError("duplicate vertex id %r" % v)
             seen.add(v)
-        self._simplices: dict[str, _Simplex] = {}
+        table: dict[str, _Simplex] = {}
+        by_vset: dict[frozenset, list[str]] = {}
         for sid, vset, facets in simplices:
             if not isinstance(sid, str) or not sid:
                 raise UnknownIdError("simplex ids must be nonempty strings")
-            if sid in self._simplices:
+            if sid in table:
                 raise UnknownIdError("duplicate simplex id %r" % sid)
             vset = frozenset(vset)
-            for v in vset:
-                if v not in seen:
-                    raise UnknownIdError(
-                        "simplex %r uses unknown vertex %r" % (sid, v))
-            self._simplices[sid] = _Simplex(
-                sid, vset, {frozenset(b): f for b, f in facets.items()})
-        for s in self._simplices.values():
-            for b, fid in s.facets.items():
-                if fid not in self._simplices:
-                    raise UnknownIdError(
-                        "simplex %r names unknown facet %r over %s"
-                        % (s.sid, fid, _fmt_vset(b)))
-        self._by_vset: dict[frozenset, list[str]] = {}
-        for s in self._simplices.values():
-            self._by_vset.setdefault(s.vset, []).append(s.sid)
+            if not vset <= seen:
+                for v in vset:
+                    if v not in seen:
+                        raise UnknownIdError(
+                            "simplex %r uses unknown vertex %r" % (sid, v))
+            copy = dict(facets)
+            if not all(map(_is_frozenset, copy)):
+                copy = {frozenset(b): f for b, f in copy.items()}
+            table[sid] = _Simplex(sid, vset, copy)
+            by_vset.setdefault(vset, []).append(sid)
+        for s in table.values():
+            if not all(map(table.__contains__, s.facets.values())):
+                for b, fid in s.facets.items():
+                    if fid not in table:
+                        raise UnknownIdError(
+                            "simplex %r names unknown facet %r over %s"
+                            % (s.sid, fid, _fmt_vset(b)))
+        self._vertex_ids = seen
+        self._simplices = table
+        self._by_vset = by_vset
 
     # -- basic accessors ----------------------------------------------------
 
@@ -302,7 +332,7 @@ class Multicomplex:
                             % (sid, fid))
         verts = sorted({v for sid in keep
                         for v in self._simplices[sid].vset})
-        triples = [(sid, s.vset, dict(s.facets))
+        triples = [(sid, s.vset, s.facets)
                    for sid, s in self._simplices.items() if sid in keep]
         return Multicomplex(verts, triples)
 
@@ -310,10 +340,9 @@ class Multicomplex:
         """The n-skeleton: all simplices of dimension at most n."""
         if n < 0:
             raise StructureError("skeleton dimension must be >= 0")
-        keep = [sid for sid, s in self._simplices.items()
-                if len(s.vset) - 1 <= n]
-        triples = [(sid, self._simplices[sid].vset,
-                    dict(self._simplices[sid].facets)) for sid in keep]
+        triples = [(sid, s.vset, s.facets)
+                   for sid, s in self._simplices.items()
+                   if len(s.vset) - 1 <= n]
         return Multicomplex(self._vertices, triples)
 
     def is_simplicial_complex(self) -> bool:
@@ -413,17 +442,27 @@ class SimplicialMap:
                  vertex_map: dict, simplex_map: dict):
         self.source = source
         self.target = target
-        self.vertex_map = dict(vertex_map)
-        self.simplex_map = dict(simplex_map)
-        for v, w in self.vertex_map.items():
-            if v not in source.vertices:
-                raise UnknownIdError("vertex map uses unknown vertex %r" % v)
-            if w not in target.vertices:
-                raise UnknownIdError(
-                    "vertex map sends %r to unknown vertex %r" % (v, w))
-        for s, t in self.simplex_map.items():
-            source.vertex_set(s)
-            target.vertex_set(t)
+        self.vertex_map = vm = dict(vertex_map)
+        self.simplex_map = sm = dict(simplex_map)
+        try:
+            known = (vm.keys() <= source._vertex_ids
+                     and target._vertex_ids.issuperset(vm.values())
+                     and sm.keys() <= source._simplices.keys()
+                     and all(map(target._simplices.__contains__,
+                                 sm.values())))
+        except TypeError:  # an unhashable image
+            known = False
+        if not known:  # name the first unknown id
+            for v, w in vm.items():
+                if v not in source.vertices:
+                    raise UnknownIdError(
+                        "vertex map uses unknown vertex %r" % v)
+                if w not in target.vertices:
+                    raise UnknownIdError(
+                        "vertex map sends %r to unknown vertex %r" % (v, w))
+            for s, t in sm.items():
+                source.vertex_set(s)
+                target.vertex_set(t)
 
     def vertex_image(self, vset) -> frozenset:
         missing = [v for v in vset if v not in self.vertex_map]
@@ -531,30 +570,27 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
     vset_of: dict[str, frozenset] = {}
     facets_of: dict[str, dict] = {}
 
-    def add(sid, vset, facets):
+    def add(sid, vset: frozenset, facets: dict):
         if sid in vset_of:
             return
-        vset_of[sid] = frozenset(vset)
-        facets_of[sid] = dict(facets)
-        triples.append((sid, vset_of[sid], facets_of[sid]))
+        vset_of[sid] = vset
+        facets_of[sid] = facets
+        triples.append((sid, vset, facets))
 
     # caps: two untouched copies of every simplex
-    for layer in ("0", "1"):
-        for sid in mc.simplex_ids:
-            vset = {v + "@" + layer for v in mc.vertex_set(sid)}
-            facets = {}
-            for b, fid in mc.facets(sid).items():
-                facets[frozenset(w + "@" + layer for w in b)] = \
-                    fid + "@" + layer
-            add(sid + "@" + layer, vset, facets)
+    simplices = mc._simplices
+    for layer in ("@0", "@1"):
+        moved = _Memo(lambda vset: frozenset([v + layer for v in vset]))
+        for sid, s in simplices.items():
+            add(sid + layer, moved[s.vset],
+                {moved[b]: fid + layer for b, fid in s.facets.items()})
 
     # prisms, one per simplex, built over the prisms of the facets.
     # prism_all[sid] lists every simplex id in the closed prism over sid;
     # the boundary of the prism is both caps plus the facet prisms.
     prism_all: dict[str, list[str]] = {}
 
-    order = sorted(mc.simplex_ids,
-                   key=lambda s: (len(mc.vertex_set(s)), s))
+    order = sorted(simplices, key=lambda s: (len(simplices[s].vset), s))
     taken = set(verts)
     for sid in order:
         # vertex ids may not contain commas, but simplex ids may
@@ -563,19 +599,20 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
             apex += "'"
         taken.add(apex)
         verts.append(apex)
-        add(apex, {apex}, {})
+        tip = frozenset([apex])
+        add(apex, tip, {})
         boundary = [sid + "@0", sid + "@1"]
-        vset, facets = mc.vertex_set(sid), mc.facets(sid)
+        vset, facets = simplices[sid].vset, simplices[sid].facets
         for v in sorted(vset):
             if len(vset) > 1 and vset - {v} not in facets:
                 raise StructureError("the facet of %r over %s is missing"
                                      % (sid, _fmt_vset(vset - {v})))
         for b, fid in facets.items():
-            if mc.vertex_set(fid) != b:
+            if simplices[fid].vset != b:
                 raise StructureError(
                     "the facet of %r over %s is %r, which spans %s"
                     % (sid, _fmt_vset(b), fid,
-                       _fmt_vset(mc.vertex_set(fid))))
+                       _fmt_vset(simplices[fid].vset)))
             if not b < vset:
                 # a facet no smaller than sid has no prism yet
                 raise StructureError(
@@ -587,13 +624,12 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         for b in boundary:
             cid = cone_of[b]
             bvs = vset_of[b]
-            cvs = bvs | {apex}
             facets = {bvs: b}
             for sub, f in facets_of[b].items():
-                facets[sub | {apex}] = cone_of[f]
+                facets[sub | tip] = cone_of[f]
             if len(bvs) == 1:
-                facets[frozenset({apex})] = apex
-            add(cid, cvs, facets)
+                facets[tip] = apex
+            add(cid, bvs | tip, facets)
         prism_all[sid] = boundary + [apex] + [cone_of[b] for b in boundary]
 
     product = Multicomplex(verts, triples)

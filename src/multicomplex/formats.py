@@ -9,6 +9,11 @@ and the pure-Python one takes several times as long on large documents.
 A document produced by a dump function parses back to an equal object,
 and re-dumping parses byte-identically, which is what lets structured
 output be pinned in regression tests.
+
+The multicomplex decoder checks only the JSON types of what it reads.
+It splits each distinct facet key once per document and hands the ids
+to the Multicomplex constructor, which checks them and copies the facet
+maps; the encoder likewise joins each facet vertex set once per call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from operator import add
 from .actions import GroupAction
 from .chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
 from .core import (Multicomplex, MulticomplexError, SimplicialMap,
-                   StructureError)
+                   StructureError, _Memo)
 from .covers import Coloring, Cover
 from .diffusion import (MAX_BOX_ATOMS, ActionOnSet, FiniteSupportMeasure,
                         OrbitBlock, SparseFunction)
@@ -149,11 +154,11 @@ def rational_from_str(s) -> Fraction:
 
 
 def multicomplex_to_doc(mc: Multicomplex) -> dict:
+    name = _Memo(lambda vset: ",".join(sorted(vset))).__getitem__
     simplices = []
     for sid in sorted(mc.simplex_ids,
                       key=lambda s: (mc.dimension_of(s), s)):
-        facets = {",".join(sorted(sub)): fid
-                  for sub, fid in mc.facets(sid).items()}
+        facets = {name(sub): fid for sub, fid in mc.facets(sid).items()}
         simplices.append({"id": sid,
                           "vertices": sorted(mc.vertex_set(sid)),
                           "facets": facets})
@@ -164,15 +169,19 @@ def multicomplex_to_doc(mc: Multicomplex) -> dict:
 
 def multicomplex_from_doc(doc: dict) -> Multicomplex:
     vertices = _need(doc, "vertices", list)
+    vset_of = _Memo(lambda name: frozenset(name.split(","))).__getitem__
     triples = []
     for entry in _need(doc, "simplices", list):
         vset = _need(entry, "vertices", list)
         facets = _need(entry, "facets", dict)
-        if not all(isinstance(v, str) for v in vset + list(facets.values())):
-            raise FormatError("simplex vertex and facet ids must be strings")
-        triples.append((_need(entry, "id"), frozenset(vset),
-                        {frozenset(key.split(",")): fid
-                         for key, fid in facets.items()}))
+        try:
+            "".join(vset)
+            "".join(facets.values())
+        except TypeError:
+            raise FormatError(
+                "simplex vertex and facet ids must be strings") from None
+        triples.append((_need(entry, "id"), vset,
+                        {vset_of(key): fid for key, fid in facets.items()}))
     return Multicomplex(vertices, triples)
 
 

@@ -6,10 +6,13 @@ verbatim, so the two-step face composition of the base complex carries
 over untouched), occasionally wrapped in a product with the interval.
 Everything is driven by seeded random.Random instances, so failures
 reproduce.  Property tests draw those seeds through hypothesis, under one
-derandomized profile, so every run tries the same examples.
+derandomized profile, so every run tries the same examples.  within()
+fails a test that would otherwise hang.
 """
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 from hypothesis import settings
@@ -23,6 +26,20 @@ from multicomplex.core import (Multicomplex, product_with_interval,
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("deterministic")
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail, instead of hanging, when the block runs longer than seconds."""
+    def expire(*_):
+        raise AssertionError("still running after %d s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_multicomplex(rng: random.Random, max_vertices: int = 7,

@@ -41,6 +41,14 @@ solve is exactlp.solve as it was before its tableau moved to sparse
 columns: it updates every row of a dense [M | D*x ; D*y | D*c*x] on
 every pivot.  The sparse solver makes the same pivots, so it must return
 the same basis, x, y and value, and raise the same SimplexFailure.
+
+multicomplex_from_doc and MulticomplexBuilt are the decoder and the
+Multicomplex constructor as they were before the constructor became the
+one place ids are checked and facet maps copied: the decoder checks
+every id with a generator and copies every facet map, and the
+constructor checks one vertex at a time and copies each facet map
+again.  On any document the program must build an equal complex, or
+raise the same exception with the same message.
 """
 
 import math
@@ -50,8 +58,10 @@ from itertools import combinations
 from multicomplex.actions import (GroupAction, act_on_chain, act_on_simplex,
                                   orbits)
 from multicomplex.chains import RING_RAT, Chain, Cochain
-from multicomplex.core import Multicomplex, _fmt_vset
+from multicomplex.core import (Multicomplex, UnknownIdError, _fmt_vset,
+                               _Simplex)
 from multicomplex.exactlp import LPResult, SimplexFailure
+from multicomplex.formats import FormatError, _need
 from multicomplex.intlinalg import rational_rref
 
 
@@ -499,3 +509,58 @@ def solve(columns, b, c, basis, max_iterations=None):
         den = _dense_pivot(rows, d, leave, den)
         basis[leave] = entering
     raise SimplexFailure("iteration limit exceeded")
+
+
+class MulticomplexBuilt(Multicomplex):
+    """A Multicomplex built by the constructor's checks as they were."""
+
+    def __init__(self, vertices, simplices):
+        self._vertices = tuple(vertices)
+        seen = set()
+        for v in self._vertices:
+            if not isinstance(v, str) or not v:
+                raise UnknownIdError("vertex ids must be nonempty strings")
+            if "," in v:
+                raise UnknownIdError(
+                    "vertex id %r contains a comma, which the file format "
+                    "reserves as a separator" % v)
+            if v in seen:
+                raise UnknownIdError("duplicate vertex id %r" % v)
+            seen.add(v)
+        self._vertex_ids = seen
+        self._simplices = {}
+        for sid, vset, facets in simplices:
+            if not isinstance(sid, str) or not sid:
+                raise UnknownIdError("simplex ids must be nonempty strings")
+            if sid in self._simplices:
+                raise UnknownIdError("duplicate simplex id %r" % sid)
+            vset = frozenset(vset)
+            for v in vset:
+                if v not in seen:
+                    raise UnknownIdError(
+                        "simplex %r uses unknown vertex %r" % (sid, v))
+            self._simplices[sid] = _Simplex(
+                sid, vset, {frozenset(b): f for b, f in facets.items()})
+        for s in self._simplices.values():
+            for b, fid in s.facets.items():
+                if fid not in self._simplices:
+                    raise UnknownIdError(
+                        "simplex %r names unknown facet %r over %s"
+                        % (s.sid, fid, _fmt_vset(b)))
+        self._by_vset = {}
+        for s in self._simplices.values():
+            self._by_vset.setdefault(s.vset, []).append(s.sid)
+
+
+def multicomplex_from_doc(doc: dict) -> Multicomplex:
+    vertices = _need(doc, "vertices", list)
+    triples = []
+    for entry in _need(doc, "simplices", list):
+        vset = _need(entry, "vertices", list)
+        facets = _need(entry, "facets", dict)
+        if not all(isinstance(v, str) for v in vset + list(facets.values())):
+            raise FormatError("simplex vertex and facet ids must be strings")
+        triples.append((_need(entry, "id"), frozenset(vset),
+                        {frozenset(key.split(",")): fid
+                         for key, fid in facets.items()}))
+    return MulticomplexBuilt(vertices, triples)

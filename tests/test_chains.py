@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from conftest import random_multicomplex
+from conftest import random_multicomplex, within
 from multicomplex.core import (
     StructureError,
     simplicial_complex,
@@ -19,6 +19,7 @@ from multicomplex.chains import (
     RING_RAT,
     AlgebraicSimplex,
     Chain,
+    MAX_ORDERINGS,
     Cochain,
     NoFundamentalCycleError,
     alternate,
@@ -169,6 +170,20 @@ def test_alternate_preserves_l1_norm_of_single_ordering():
     full = build_full_chain_complex(triangle_boundary())
     c = full.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1})
     assert alternate(c).l1_norm() == 1
+
+
+def test_alternating_past_the_ordering_limit_fails_at_once():
+    """One term of degree 9 has 10! = 3,628,800 orderings, over
+    MAX_ORDERINGS; one of degree 8 (362,880) is within it."""
+    vertices = tuple("v%d" % i for i in range(10))
+    for chain_type in (Chain, Cochain):
+        c = chain_type(9, RING_RAT, {AlgebraicSimplex("s", vertices): 1})
+        with within(5), pytest.raises(StructureError) as err:
+            alternate(c)
+        assert str(err.value) == (
+            "alternating 1 term(s) of degree 9 would list 1 x 10! "
+            "orderings, over the limit of %d" % MAX_ORDERINGS)
+    assert 362880 <= MAX_ORDERINGS < 3628800
 
 
 def test_homology_of_circle():

@@ -5,13 +5,13 @@ parsed back and checked, summaries land on stderr unless --output
 summary redirects them.
 """
 
-import contextlib
+import gc
 import json
-import signal
 from fractions import Fraction
 
 import pytest
 
+from conftest import within
 from multicomplex import formats
 from multicomplex.chains import (
     AlgebraicSimplex,
@@ -659,18 +659,58 @@ def test_product_with_a_facet_it_cannot_prism_exits_one(tmp_path, capsys,
     assert err.splitlines() == [error]
 
 
-@contextlib.contextmanager
-def _within(seconds):
-    """Fail, instead of hanging, when the block runs longer than seconds."""
-    def expire(*_):
-        raise AssertionError("still running after %d s" % seconds)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+@pytest.mark.parametrize("command", [
+    ["homology"], ["homology", "--variant", "full"],
+    ["homology", "--variant", "relative", "--subcomplex", "a"],
+    ["seminorm", "--complex"]])
+def test_an_empty_simplex_exits_one_as_validate_does(tmp_path, capsys,
+                                                    command):
+    doc = _edge_doc({"a": "a", "b": "b"})
+    doc["simplices"].append({"id": "z", "vertices": [], "facets": {}})
+    path = _write(tmp_path, "edge.json", doc)
+    zero = _write(tmp_path, "z.json", formats.chain_to_doc(
+        Chain(0, RING_RAT)))
+    code, out, err = _run(capsys, command + [path] + (
+        [zero] if command[0] == "seminorm" else []))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: simplex 'z' has an empty vertex set"]
+    assert _run(capsys, ["--output", "summary", "validate", path])[:2] == \
+        (1, "INVALID: 1 problem(s); first: simplex 'z' has an empty "
+            "vertex set\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,code", [
+    (["validate", "{complex}"], 0),
+    (["validate", "{missing}"], 2),
+    (["validate", "--no-such-option"], 2),
+], ids=["exit-0", "exit-2", "usage"])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys,
+                                                  monkeypatch, enabled,
+                                                  argv, code):
+    paths = {"complex": _write_mc(tmp_path, "c.json", triangle_boundary()),
+             "missing": str(tmp_path / "missing.json")}
+    during = []
+    decode = formats.multicomplex_from_doc
+
+    def watched(doc):
+        during.append(gc.isenabled())
+        return decode(doc)
+    monkeypatch.setattr(formats, "multicomplex_from_doc", watched)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
     try:
-        yield
+        try:
+            got = main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # argparse rejects the command line
+            got = exc.code
+        after = gc.isenabled()
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert got == code
+    assert after == enabled
+    assert during == ([False] if code == 0 else [])
 
 
 @pytest.mark.parametrize("facets,error", [
@@ -687,7 +727,7 @@ def test_an_action_on_a_complex_with_a_bad_facet_exits_one(tmp_path, capsys,
         "table": {"1": {"1": "1"}},
         "maps": {"1": {"vertex_map": {"a": "a", "b": "b"},
                        "simplex_map": {"a": "a", "b": "b", "e": "e"}}}})
-    with _within(10):
+    with within(10):
         code, out, err = _run(capsys, ["quotient", action, "--complex", path])
     assert code == 1
     assert out == ""
@@ -713,7 +753,7 @@ def test_a_zero_chain_of_huge_degree_exits_zero_at_once(tmp_path, capsys,
     argv += (["--epsilon", "1/4"] if command == "toy-vanish" else
              ["--coloring", paths["coloring"],
               "--witnesses", paths["witnesses"]])
-    with _within(10):
+    with within(10):
         code, out, err = _run(capsys, argv)
     assert code == 0
 

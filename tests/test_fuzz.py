@@ -7,12 +7,18 @@ whole document included), and requires an exit code of 0, 1 or 2 with no
 exception escaping: a bad document is an input error, never a traceback.
 New values are small JSON values, drawn partly from the document's own
 strings, so that mutated references often name real ids.
+
+Mutated multicomplex documents must also decode as the reference decoder
+and constructor decode them: to an equal complex with the same document,
+or to the same exception with the same message.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+
+import reference
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +28,10 @@ from multicomplex.chains import (RING_INT, RING_RAT, AlgebraicSimplex,
                                  Cochain, fundamental_cycle)
 from multicomplex.cli import main
 from multicomplex.covers import Cover
-from multicomplex.core import simplicial_complex
+from multicomplex.core import (product_with_interval, simplicial_complex,
+                               special_sphere)
 from multicomplex.fixtures import (cone_over_double_edge, cone_swap_action,
-                                   triangle_boundary)
+                                   double_edge, triangle_boundary)
 from multicomplex.groups import cyclic_group
 
 V = formats.SCHEMA_VERSION
@@ -164,11 +171,15 @@ def test_the_fuzzed_invocations_exit_zero_on_their_documents():
     assert [_run(argv, docs) for argv in INVOCATIONS] == [0] * len(INVOCATIONS)
 
 
-def _mutate(data, docs, name):
+def _mutate(data, docs, name, own_strings_first=False):
     """Replace or delete one value anywhere in docs[name], or replace the
-    whole document."""
+    whole document; own_strings_first draws one of the document's own
+    strings as the new value half of the time."""
     doc = docs[name]
-    values = _json_values(sorted(set(_strings(doc))) or ["x"])
+    names = sorted(set(_strings(doc))) or ["x"]
+    values = _json_values(names)
+    if own_strings_first:
+        values = st.sampled_from(names) | values
     where = data.draw(st.sampled_from(list(_places(doc))))
     if not where:
         docs[name] = data.draw(values)
@@ -191,3 +202,41 @@ def test_mutated_documents_exit_0_1_or_2(data):
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, docs, data.draw(st.sampled_from(names)))
     assert _run(argv, docs) in (0, 1, 2)
+
+
+def _complex_documents():
+    """Multicomplex documents with parallel simplices, decorated ids and
+    shared facet keys, keyed by name."""
+    return {name: formats.multicomplex_to_doc(mc) for name, mc in (
+        ("circle", triangle_boundary()),
+        ("cone", cone_over_double_edge()),
+        ("sphere", special_sphere(2)),
+        ("prism", product_with_interval(double_edge()).complex),
+        ("two-edges", simplicial_complex([("a", "b"), ("c", "d")])))}
+
+
+def _outcome(decode, doc):
+    try:
+        return decode(doc)
+    except Exception as exc:  # the exception is the outcome compared
+        return exc
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mutated_complexes_decode_as_the_reference(data):
+    docs = _complex_documents()
+    name = data.draw(st.sampled_from(sorted(docs)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, docs, name, own_strings_first=True)
+    want = _outcome(reference.multicomplex_from_doc, docs[name])
+    got = _outcome(formats.multicomplex_from_doc, docs[name])
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert got == want
+    assert (got.vertices, got.simplex_ids) == (want.vertices,
+                                               want.simplex_ids)
+    assert got._by_vset == want._by_vset
+    assert formats.multicomplex_to_doc(got) == \
+        formats.multicomplex_to_doc(want)
