@@ -1,11 +1,12 @@
 """Finite group actions on multicomplexes.
 
 An action is a finite group together with one simplicial automorphism per
-element.  This module validates actions, forms quotients by actions that
-fix every vertex, enumerates orbits of algebraic simplices, pushes chains
-forward along elements, and averages chains and cochains over the group
-(the finite instance of invariant means: the mean of finitely many values
-is their average), both on the fraction-free push-forward of chains.
+element.  This module validates actions on generators (every command
+validates an action where it enters, so the rest assume a valid one),
+forms quotients by actions that fix every vertex, enumerates orbits of
+algebraic simplices, pushes chains forward along elements, and averages
+chains and cochains over the group (the finite instance of invariant
+means), both on the fraction-free push-forward of chains.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT,
                      build_reduced_chain_complex)
 from .core import (Multicomplex, SimplicialMap, StructureError,
                    UnknownIdError)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _composition_failures, generating_set
 
 
 class ValidationReport:
@@ -108,48 +109,37 @@ def act_on_chain(a: GroupAction, g, chain: Chain) -> Chain:
 def validate_action(a: GroupAction) -> ValidationReport:
     """Check every action axiom and collect the violations.
 
-    Covers the group laws of the table, simpliciality of every map,
-    bijectivity (automorphism), and the homomorphism property
-    rho(g*h) = rho(g) o rho(h) on vertices and simplices.
+    The table must be a group, every map total, and the map of every
+    generator (generating_set) a simplicial bijection.  Then rho(g*s) =
+    rho(g) o rho(s) on the vertices and the simplex ids, for every
+    element g and generator s (groups._composition_failures), makes rho
+    a homomorphism: every map is a composite of the generators' maps, so
+    a simplicial bijection, and rho(e), an idempotent bijection, is id.
     """
-    problems = ["group table: " + p for p in a.group.validate()]
-    verts = set(a.complex.vertices)
-    sids = set(a.complex.simplex_ids)
-    bijective = {}
-    for g in a.group.elements:
+    group, mc = a.group, a.complex
+    problems = ["group table: " + p for p in group.validate()]
+    gens = generating_set(group)
+    for g in group.elements:
         m = a.map_of(g)
-        for p in m.validate():
-            problems.append("map of %r: %s" % (g, p))
-        vimg = set(m.vertex_map.get(v) for v in verts)
-        simg = set(m.simplex_map.get(s) for s in sids)
-        bijective[g] = (vimg == verts and simg == sids)
-        if not bijective[g]:
+        # a map holds known ids only, so its size tells if it is total;
+        # a partial map reports where it is undefined
+        if g in gens or (len(m.vertex_map), len(m.simplex_map)) != (
+                len(mc.vertices), len(mc.simplex_ids)):
+            problems.extend("map of %r: %s" % (g, p) for p in m.validate())
+        if g in gens and (set(m.vertex_map.values()) != set(mc.vertices) or
+                          set(m.simplex_map.values()) != set(mc.simplex_ids)):
             problems.append(
                 "map of %r is not an automorphism (vertex or simplex map "
                 "is not a bijection)" % (g,))
-    # homomorphism: only meaningful where the individual maps are total
-    for g in a.group.elements:
-        mg = a.map_of(g)
-        for h in a.group.elements:
-            mh = a.map_of(h)
-            mgh = a.map_of(a.group.multiply(g, h))
-            try:
-                for v in a.complex.vertices:
-                    if mgh.apply_vertex(v) != mg.apply_vertex(
-                            mh.apply_vertex(v)):
-                        problems.append(
-                            "homomorphism fails on vertex %r: "
-                            "(%r*%r) and %r after %r disagree" % (v, g, h, g, h))
-                        break
-                for s in a.complex.simplex_ids:
-                    if mgh.apply_simplex(s) != mg.apply_simplex(
-                            mh.apply_simplex(s)):
-                        problems.append(
-                            "homomorphism fails on simplex %r: "
-                            "(%r*%r) and %r after %r disagree" % (s, g, h, g, h))
-                        break
-            except UnknownIdError:
-                pass  # partial maps were already reported above
+    if problems:  # composition is checked on a group and total maps
+        return ValidationReport(problems)
+    for kind, points in (("vertex", mc.vertices), ("simplex", mc.simplex_ids)):
+        maps = {g: getattr(a.map_of(g), kind + "_map")
+                for g in group.elements}
+        problems.extend(
+            "homomorphism fails on %s %r: (%r*%r) and %r after %r disagree"
+            % (kind, x, g, s, g, s)
+            for g, s, x in _composition_failures(group, maps, points))
     return ValidationReport(problems)
 
 
@@ -165,8 +155,8 @@ def quotient(a: GroupAction):
 
     Simplices of the quotient are the orbits, named by their minimum
     member id; the facet of an orbit over a subset is the orbit of any
-    member's facet (the maps being simplicial makes this independent of
-    the member, which is re-checked here).
+    member's facet, the same for every member of an action that passes
+    validate_action, as every command that takes an action checks.
     """
     for g in a.group.elements:
         m = a.map_of(g)
@@ -181,30 +171,13 @@ def quotient(a: GroupAction):
                     "which no multicomplex admits; quotients are therefore "
                     "only formed for vertex-fixing actions." % (g, v, w))
     orbit_id = {}
-    members = {}
     for sid in a.complex.simplex_ids:
-        if sid in orbit_id:
-            continue
-        orb = sorted({a.map_of(g).apply_simplex(sid)
-                      for g in a.group.elements})
-        rep = orb[0]
-        for t in orb:
-            orbit_id[t] = rep
-        members[rep] = orb
-    triples = []
-    for rep, orb in sorted(members.items()):
-        vset = a.complex.vertex_set(rep)
-        facets = {b: orbit_id[fid]
-                  for b, fid in a.complex.facets(rep).items()}
-        for other in orb[1:]:
-            got = {b: orbit_id[fid]
-                   for b, fid in a.complex.facets(other).items()}
-            if got != facets:
-                raise StructureError(
-                    "orbit members %r and %r disagree on facet orbits; "
-                    "the maps do not act simplicially (run validate_action)"
-                    % (rep, other))
-        triples.append((rep, vset, facets))
+        if sid not in orbit_id:
+            orb = {a.map_of(g).apply_simplex(sid) for g in a.group.elements}
+            orbit_id.update(dict.fromkeys(orb, min(orb)))
+    triples = [(rep, a.complex.vertex_set(rep),
+                {b: orbit_id[fid] for b, fid in a.complex.facets(rep).items()})
+               for rep in sorted(set(orbit_id.values()))]
     quot = Multicomplex(a.complex.vertices, triples)
     projection = SimplicialMap(
         a.complex, quot, {v: v for v in a.complex.vertices},

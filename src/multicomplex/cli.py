@@ -4,7 +4,8 @@ Every subcommand reads versioned JSON documents (file path or "-" for
 stdin), writes one structured JSON document to stdout, and a one-line
 human summary to stderr; --output summary swaps stdout over to the
 summary alone.  Exit codes: 0 success, 1 domain error, 2 parse or
-reference error, 3 internal invariant breach.
+reference error, 3 internal invariant breach; an action that fails an
+axiom exits 1, as every command validates the actions it reads.
 
 main pauses the cyclic garbage collector for the job: a job builds only
 acyclic data, which reference counting frees, so the collector's passes
@@ -20,7 +21,7 @@ import gc
 import sys
 from fractions import Fraction
 
-from . import formats
+from . import diffusion, formats
 from .actions import (average_cochain, orbits, quotient, validate_action)
 from .chains import (RING_INT, RING_RAT, build_full_chain_complex,
                      build_reduced_chain_complex, build_relative_complex,
@@ -53,6 +54,19 @@ def _load(path: str) -> dict:
 
 def _load_mc(path: str):
     return formats.multicomplex_from_doc(_load(path))
+
+
+def _reject_invalid(report):
+    if not report.ok:
+        raise MulticomplexError(
+            "invalid action: " + "; ".join(report.problems))
+
+
+def _load_action(args):
+    mc = _load_mc(args.complex)
+    a = formats.action_from_doc(_load(args.action), mc)
+    _reject_invalid(validate_action(a))
+    return mc, a
 
 
 def _emit(args, doc: dict, summary: str) -> None:
@@ -204,12 +218,7 @@ def _cmd_int_seminorm(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    mc = _load_mc(args.complex)
-    a = formats.action_from_doc(_load(args.action), mc)
-    report = validate_action(a)
-    if not report.ok:
-        raise MulticomplexError(
-            "invalid action: " + "; ".join(report.problems))
+    mc, a = _load_action(args)
     q, proj = quotient(a)
     doc = {"schema_version": formats.SCHEMA_VERSION,
            "complex": formats.multicomplex_to_doc(q),
@@ -220,8 +229,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    mc = _load_mc(args.complex)
-    a = formats.action_from_doc(_load(args.action), mc)
+    mc, a = _load_action(args)
     part = orbits(a, args.degree)
     doc = {"schema_version": formats.SCHEMA_VERSION, "degree": args.degree,
            "orbits": [[{"simplex": key.simplex,
@@ -233,8 +241,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_average(args) -> int:
-    mc = _load_mc(args.complex)
-    a = formats.action_from_doc(_load(args.action), mc)
+    mc, a = _load_action(args)
     phi = formats.cochain_from_doc(_load(args.cochain))
     avg = average_cochain(a, phi)
     _emit(args, formats.cochain_to_doc(avg),
@@ -244,6 +251,8 @@ def _cmd_average(args) -> int:
 
 def _cmd_diffuse(args) -> int:
     a = formats.set_action_from_doc(_load(args.action))
+    # looked up on its module, where perfbench/layers.py wraps it
+    _reject_invalid(diffusion.validate_action_on_set(a))
     f = formats.function_from_doc(_load(args.function))
     epsilon = formats.rational_from_str(args.epsilon)
     mu, out = diffuse_to_epsilon(a, f, epsilon)
@@ -274,8 +283,7 @@ def _cmd_local_diffuse(args) -> int:
 
 
 def _cmd_toy_vanish(args) -> int:
-    mc = _load_mc(args.complex)
-    a = formats.action_from_doc(_load(args.action), mc)
+    mc, a = _load_action(args)
     z = formats.chain_from_doc(_load(args.chain))
     epsilon = formats.rational_from_str(args.epsilon)
     result, cert = toy_vanish(mc, a, z, epsilon)
@@ -321,8 +329,7 @@ def _cmd_coloring(args) -> int:
 
 
 def _cmd_vanish_check(args) -> int:
-    mc = _load_mc(args.complex)
-    a = formats.action_from_doc(_load(args.action), mc)
+    mc, a = _load_action(args)
     phi = formats.cochain_from_doc(_load(args.cochain))
     coloring = formats.coloring_from_doc(_load(args.coloring))
     witnesses = formats.witnesses_from_doc(_load(args.witnesses))

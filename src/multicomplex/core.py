@@ -569,10 +569,15 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
     triples = []
     vset_of: dict[str, frozenset] = {}
     facets_of: dict[str, dict] = {}
+    made_from: dict[str, str] = {}
 
-    def add(sid, vset: frozenset, facets: dict):
+    def add(sid, vset: frozenset, facets: dict, source: str):
+        # ids that contain '@' or '^' can name two simplices alike
         if sid in vset_of:
-            return
+            raise StructureError(
+                "the product names two of its simplices %r, one made from "
+                "%r and one from %r" % (sid, made_from[sid], source))
+        made_from[sid] = source
         vset_of[sid] = vset
         facets_of[sid] = facets
         triples.append((sid, vset, facets))
@@ -583,7 +588,7 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         moved = _Memo(lambda vset: frozenset([v + layer for v in vset]))
         for sid, s in simplices.items():
             add(sid + layer, moved[s.vset],
-                {moved[b]: fid + layer for b, fid in s.facets.items()})
+                {moved[b]: fid + layer for b, fid in s.facets.items()}, sid)
 
     # prisms, one per simplex, built over the prisms of the facets.
     # prism_all[sid] lists every simplex id in the closed prism over sid;
@@ -600,7 +605,7 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         taken.add(apex)
         verts.append(apex)
         tip = frozenset([apex])
-        add(apex, tip, {})
+        add(apex, tip, {}, sid)
         boundary = [sid + "@0", sid + "@1"]
         vset, facets = simplices[sid].vset, simplices[sid].facets
         for v in sorted(vset):
@@ -629,7 +634,7 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
                 facets[sub | tip] = cone_of[f]
             if len(bvs) == 1:
                 facets[tip] = apex
-            add(cid, bvs | tip, facets)
+            add(cid, bvs | tip, facets, sid)
         prism_all[sid] = boundary + [apex] + [cone_of[b] for b in boundary]
 
     product = Multicomplex(verts, triples)

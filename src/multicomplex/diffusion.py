@@ -16,7 +16,8 @@ Bareiss (1968).
 
 The module covers measures and their derivatives, box (Folner) measures,
 single-orbit diffusion with a certified bound, sequential diffusion over
-the orbits of a truncated locally finite action, and finally the toy
+the orbits of a truncated locally finite action (local_diffuse and the
+diffuse command validate their actions first), and the toy
 vanishing pipeline, which drives the l1 norm of an alternating cycle to
 zero by group averaging while certifying that its class is kept.  Its
 orbit check reads the orbit totals off the group average.
@@ -25,7 +26,9 @@ orbit check reads the orbit totals off the group average.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product as iter_product
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
@@ -34,8 +37,9 @@ from .actions import (GroupAction, ValidationReport, act_on_chain,
 from .chains import (Chain, RING_RAT, _numerators, alternate,
                      build_full_chain_complex, homology)
 from .core import (InternalInvariantError, Multicomplex, MulticomplexError,
-                   StructureError)
-from .groups import FiniteGroup, FreeAbelianGroup, generating_set
+                   StructureError, _Memo)
+from .groups import (FiniteGroup, FreeAbelianGroup, _composition_failures,
+                     generating_set)
 
 
 class DiffusionError(MulticomplexError):
@@ -463,71 +467,58 @@ def diffuse_to_epsilon(a: ActionOnSet, f: SparseFunction, epsilon):
 # ---------------------------------------------------------------------------
 # truncated locally finite actions
 
-COMPOSITION_SAMPLES = 64  # triples sampled per oracle when there are more
 SAMPLE_SEED = 0
 
 
 def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
-    """Sampled action axioms plus the orbit-structure checks.
+    """The action axioms of every oracle plus the orbit-structure checks.
 
-    The identity axiom is checked on every enumerated point; composition
-    on sampled (or, when small, all) triples.  With blocks: the blocks
-    partition the points; every designated subgroup is transitive on its
-    own block and maps every block onto itself; and whenever s' is at or
-    past the horizon of s, subgroup s' moves nothing in block s or in the
-    set of points subgroup s moves.  Everything runs on the enumerated
-    range only, which the notes record.
+    The identity must fix every enumerated point.  A finite group's table
+    must be a group, and composition is proved on the points through the
+    generators (groups._composition_failures).  Z^d has no finite set of
+    elements to check, so composition is sampled on 64 triples, which the
+    notes say; a translation oracle acts by construction.  With blocks,
+    they partition the points; every designated subgroup is transitive on
+    its own block and maps every block onto itself; and whenever s' is at
+    or past the horizon of s, subgroup s' moves nothing in block s or in
+    the points subgroup s moves.  Everything runs on the enumerated range
+    only, which the notes record.
     """
     problems = []
     notes = []
     rng = random.Random(SAMPLE_SEED)
 
-    def sample_elements(group, k):
-        if group.is_finite:
-            els = list(group.elements)
-            return els if len(els) <= k else rng.sample(els, k)
-        return [tuple(rng.randint(-3, 3) for _ in range(group.rank))
-                for _ in range(k)]
-
     def check_oracle(label, group, act, points):
+        if group.is_finite:
+            table = group.validate()
+            problems.extend("%s: group table: %s" % (label, p) for p in table)
+            if table:
+                return
         e = group.identity
-        for x in points:
-            if act(e, x) != x:
-                problems.append(
-                    "%s: identity moves %r to %r" % (label, x, act(e, x)))
-        if not points:
-            return
-        if group.is_finite and \
-                len(group.elements) ** 2 * len(points) <= 4096:
-            pairs = [(g, h) for g in group.elements for h in group.elements]
-            triples = [(g, h, x) for (g, h) in pairs for x in points]
-        else:
-            triples = [(g, h, rng.choice(points))
-                       for g in sample_elements(group, 8)
-                       for h in sample_elements(group, 8)]
-            triples = triples[:COMPOSITION_SAMPLES]
-        for g, h, x in triples:
-            gh = group.multiply(g, h)
-            if act(gh, x) != act(g, act(h, x)):
-                problems.append(
-                    "%s: composition fails at (%r, %r, %r)" % (label, g, h, x))
-        notes.append("%s: composition checked on %d triples"
-                     % (label, len(triples)))
+        problems.extend("%s: identity moves %r to %r" % (label, x, act(e, x))
+                        for x in points if act(e, x) != x)
+        if group.is_finite:
+            broken = _composition_failures(group, {
+                g: _Memo(partial(act, g)) for g in group.elements}, points)
+        else:  # Z^d has no finite set of elements to check
+            draw = [tuple(rng.randint(-3, 3) for _ in range(group.rank))
+                    for _ in range(16)]
+            broken = [(g, h, x) for g in draw[:8] for h in draw[8:]
+                      for x in rng.sample(points, min(1, len(points)))
+                      if act(group._product(g, h), x) != act(g, act(h, x))]
+            notes.append("%s: composition sampled only, Z^%d being "
+                         "infinite" % (label, group.rank))
+        problems.extend("%s: composition fails at (%r, %r, %r)"
+                        % (label, g, h, x) for g, h, x in broken)
 
     if a.group is not None and a.act is not None:
         check_oracle("ambient action", a.group, a.act, list(a.points))
 
     if a.blocks:
-        counts = {}
-        for b in a.blocks:
-            for x in b.points:
-                counts[x] = counts.get(x, 0) + 1
-        for x in a.points:
-            n = counts.get(x, 0)
-            if n != 1:
-                problems.append(
-                    "blocks do not partition the points: %r appears in %d "
-                    "blocks" % (x, n))
+        counts = Counter(x for b in a.blocks for x in b.points)
+        problems.extend("blocks do not partition the points: %r appears in "
+                        "%d blocks" % (x, counts[x])
+                        for x in a.points if counts[x] != 1)
         moved = []
         for s, b in enumerate(a.blocks):
             check_oracle("block %d" % s, b.group, b.act, list(b.points))
@@ -544,14 +535,12 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
                       for gen in generating_set(b.group)]
             for t, other in enumerate(a.blocks):
                 target = set(other.points)
-                for image in images:
-                    escaped = [x for x in other.points
-                               if image[x] not in target]
-                    if escaped:
-                        problems.append(
-                            "subgroup of block %d moves %r out of block %d"
-                            % (s, escaped[0], t))
-                        break
+                escaped = [x for image in images for x in other.points
+                           if image[x] not in target]
+                if escaped:
+                    problems.append(
+                        "subgroup of block %d moves %r out of block %d"
+                        % (s, escaped[0], t))
             moved.append({x for x in a.points
                           if any(image[x] != x for image in images)})
         for s, b in enumerate(a.blocks):

@@ -89,57 +89,49 @@ class FiniteGroup:
                 "unknown group element in product (%r, %r)" % (g, h)) from None
 
     def validate(self) -> list[str]:
-        """All group-law violations (empty list means the table is a group)."""
-        problems = []
-        els = self._elements
+        """All group-law violations (empty list means the table is a group).
+
+        Associativity is checked on generators by Light's test."""
         tab = self._table
-        ids = [e for e in els
-               if all(tab[e][g] == g == tab[g][e] for g in els)]
-        if len(ids) != 1:
-            problems.append(
-                "table has %d two-sided identities (expected exactly 1)"
-                % len(ids))
-        for a in els:
-            for b in els:
-                ab = tab[a][b]
-                for c in els:
-                    if tab[ab][c] != tab[a][tab[b][c]]:
-                        problems.append(
-                            "associativity fails at (%r, %r, %r): "
-                            "(%r*%r)*%r = %r but %r*(%r*%r) = %r"
-                            % (a, b, c, a, b, c, tab[ab][c],
-                               a, b, c, tab[a][tab[b][c]]))
+        ids = self._identities()
+        problems = [] if len(ids) == 1 else [
+            "table has %d two-sided identities (expected exactly 1)"
+            % len(ids)]
+        problems.extend(
+            "associativity fails at (%r, %r, %r): (%r*%r)*%r = %r but "
+            "%r*(%r*%r) = %r" % (a, s, x, a, s, x, tab[tab[a][s]][x],
+                                  a, s, x, tab[a][tab[s][x]])
+            for a, s, x in _composition_failures(self, tab, self._elements))
         if len(ids) == 1:
-            e = ids[0]
-            for g in els:
-                inv = [h for h in els if tab[g][h] == e and tab[h][g] == e]
-                if len(inv) != 1:
-                    problems.append(
-                        "element %r has %d two-sided inverses" % (g, len(inv)))
+            problems.extend(
+                "element %r has %d two-sided inverses" % (g, len(inv))
+                for g, inv in self._inverses_of(ids[0]).items()
+                if len(inv) != 1)
         return problems
+
+    def _identities(self) -> list:
+        tab = self._table
+        return [e for e in self._elements
+                if all(tab[e][g] == g == tab[g][e] for g in self._elements)]
+
+    def _inverses_of(self, e) -> dict:
+        tab = self._table
+        return {g: [h for h, gh in tab[g].items() if gh == e == tab[h][g]]
+                for g in self._elements}
 
     @property
     def identity(self):
         if self._identity is None:
-            for e in self._elements:
-                if all(self._table[e][g] == g == self._table[g][e]
-                       for g in self._elements):
-                    self._identity = e
-                    break
-            else:
+            ids = self._identities()
+            if not ids:
                 raise StructureError("the table has no two-sided identity")
+            self._identity = ids[0]
         return self._identity
 
     def inverse(self, g):
         if self._inverses is None:
-            e = self.identity
-            inverses = {}
-            for a in self._elements:
-                for b in self._elements:
-                    if self._table[a][b] == e and self._table[b][a] == e:
-                        inverses[a] = b
-                        break
-            self._inverses = inverses
+            self._inverses = {h: inv[0] for h, inv in
+                              self._inverses_of(self.identity).items() if inv}
         try:
             return self._inverses[g]
         except KeyError:
@@ -151,16 +143,8 @@ class FiniteGroup:
             raise UnknownIdError("unknown group element %r" % (g,))
         return g
 
-    # string keys for the file formats
-    def element_key(self, g) -> str:
-        if g not in self._table:
-            raise UnknownIdError("unknown group element %r" % (g,))
-        return g
-
-    def element_from_key(self, key: str):
-        if key not in self._table:
-            raise UnknownIdError("unknown group element %r" % (key,))
-        return key
+    # string keys for the file formats: the element ids themselves
+    element_key = element_from_key = coerce
 
     def __repr__(self) -> str:
         return "FiniteGroup(%d elements)" % len(self._elements)
@@ -227,19 +211,59 @@ class FreeAbelianGroup:
 
 
 def generating_set(group) -> list:
-    """A finite generating set: every element for a finite group, the
-    positive and negative unit vectors for Z^d.
+    """A small finite generating set: for a finite group, each element,
+    in element order with the idempotents (in a group, the identity)
+    last, that the left-normed products ((s1*s2)*...)*sk of those taken
+    before it do not reach, so that these products reach every element
+    of the table, group or not; for Z^d, the positive and negative unit
+    vectors.
 
     A point of an acted-on set fixed by all of these is fixed by the
     whole group, which is what the support computations rely on.
     """
     if group.is_finite:
-        return list(group.elements)
-    gens = []
-    for i in range(group.rank):
-        gens.append(tuple(1 if j == i else 0 for j in range(group.rank)))
-        gens.append(tuple(-1 if j == i else 0 for j in range(group.rank)))
-    return gens
+        tab = group._table
+        gens, reached = [], set()
+        for g in sorted(group.elements, key=lambda g: tab[g][g] == g):
+            if g not in reached:
+                gens.append(g)
+                # the products that end in g, then all a new one starts
+                fresh = [g, *(tab[r][g] for r in reached)]
+                while fresh:
+                    x = fresh.pop()
+                    if x not in reached:
+                        reached.add(x)
+                        fresh.extend(tab[x][s] for s in gens)
+        return gens
+    return [tuple(sign if j == i else 0 for j in range(group.rank))
+            for i in range(group.rank) for sign in (1, -1)]
+
+
+def _composition_failures(group, maps, points) -> list:
+    """(g, s, x) for each element g and generator s (generating_set) of a
+    finite group with maps[g*s][x] != maps[g][maps[s][x]], at the first
+    point x that fails: the one check of the group laws and of both
+    action validators.
+
+    On an associative table it proves maps[g*h] = maps[g] o maps[h] for
+    every h, by induction on the length of h as a left-normed product of
+    generators.  For maps[g][x] = g*x it is Light's associativity test:
+    the s that pass are closed under products (Clifford and Preston, The
+    Algebraic Theory of Semigroups I, 1961, section 1.2).
+    """
+    gens = generating_set(group)
+    images = {g: list(map(maps[g].__getitem__, points))
+              for g in group.elements}
+    broken = []
+    for g in group.elements:
+        mine = maps[g].__getitem__
+        for s in gens:
+            then = list(map(mine, images[s]))
+            got = images[group._product(g, s)]
+            if got != then:
+                broken.append((g, s, next(
+                    x for x, p, q in zip(points, got, then) if p != q)))
+    return broken
 
 
 def cyclic_group(n: int, names=None) -> FiniteGroup:

@@ -168,3 +168,50 @@ def symmetric_group_3():
                        for q in perms}
              for p in perms}
     return FiniteGroup([name[p] for p in perms], table)
+
+
+def wheel_action(n: int):
+    """The dihedral group of order 2n on the wheel with n spokes: the
+    rotations rot0, ..., and the reflections ref0, ... of its rim."""
+    from multicomplex.actions import action_from_vertex_maps
+
+    rim = ["r%02d" % i for i in range(n)]
+    mc = simplicial_complex([("c", rim[i], rim[(i + 1) % n])
+                             for i in range(n)])
+    vmaps = {}
+    for j in range(n):
+        vmaps["rot%d" % j] = dict({rim[i]: rim[(i + j) % n]
+                                   for i in range(n)}, c="c")
+        vmaps["ref%d" % j] = dict({rim[i]: rim[(j - i) % n]
+                                   for i in range(n)}, c="c")
+    return action_from_vertex_maps(mc, vmaps)
+
+
+def cone_action(k: int, group=None):
+    """The cone with apex c over k parallel edges e0, e1, ... from x to
+    y, whose triangles are t0, t1, ...; the j-th element of group (Z/k
+    by default) turns e_i and t_i to e_{i+j} and t_{i+j}, mod k, and
+    fixes every vertex.  With another group it need not be an action."""
+    from multicomplex.actions import GroupAction
+    from multicomplex.core import SimplicialMap
+    from multicomplex.groups import cyclic_group
+
+    triples = [(v, {v}, {}) for v in "cxy"]
+    triples += [("c" + v, {"c", v}, {frozenset("c"): "c", frozenset(v): v})
+                for v in "xy"]
+    for i in range(k):
+        triples.append(("e%d" % i, {"x", "y"},
+                        {frozenset("x"): "x", frozenset("y"): "y"}))
+        triples.append(("t%d" % i, {"c", "x", "y"},
+                        {frozenset("cx"): "cx", frozenset("cy"): "cy",
+                         frozenset("xy"): "e%d" % i}))
+    mc = Multicomplex("cxy", triples)
+    group = group or cyclic_group(k)
+    maps = {}
+    for j, g in enumerate(group.elements):
+        smap = {s: s for s in mc.simplex_ids}
+        for i in range(k):
+            smap["e%d" % i] = "e%d" % ((i + j) % k)
+            smap["t%d" % i] = "t%d" % ((i + j) % k)
+        maps[g] = SimplicialMap(mc, mc, {v: v for v in "cxy"}, smap)
+    return GroupAction(group, mc, maps)

@@ -42,6 +42,15 @@ columns: it updates every row of a dense [M | D*x ; D*y | D*c*x] on
 every pivot.  The sparse solver makes the same pivots, so it must return
 the same basis, x, y and value, and raise the same SimplexFailure.
 
+group_problems, validate_action and composition_problems are the
+exhaustive checks of the group and action axioms the program ran before
+it checked them on a generating set: group_problems is
+FiniteGroup.validate with associativity on all |G|^3 triples,
+validate_action checks every map and the homomorphism on all |G|^2
+pairs, and composition_problems checks a finite set action on every
+triple (g, h, x).  On any table action the program's validators must
+find a problem exactly when these do.
+
 multicomplex_from_doc and MulticomplexBuilt are the decoder and the
 Multicomplex constructor as they were before the constructor became the
 one place ids are checked and facet maps copied: the decoder checks
@@ -564,3 +573,83 @@ def multicomplex_from_doc(doc: dict) -> Multicomplex:
                         {frozenset(key.split(",")): fid
                          for key, fid in facets.items()}))
     return MulticomplexBuilt(vertices, triples)
+
+
+def group_problems(group) -> list[str]:
+    """The group-law violations of a FiniteGroup's table."""
+    problems = []
+    els = group.elements
+    tab = group.table
+    ids = [e for e in els
+           if all(tab[e][g] == g == tab[g][e] for g in els)]
+    if len(ids) != 1:
+        problems.append(
+            "table has %d two-sided identities (expected exactly 1)"
+            % len(ids))
+    for a in els:
+        for b in els:
+            ab = tab[a][b]
+            for c in els:
+                if tab[ab][c] != tab[a][tab[b][c]]:
+                    problems.append(
+                        "associativity fails at (%r, %r, %r)" % (a, b, c))
+    if len(ids) == 1:
+        e = ids[0]
+        for g in els:
+            inv = [h for h in els if tab[g][h] == e and tab[h][g] == e]
+            if len(inv) != 1:
+                problems.append(
+                    "element %r has %d two-sided inverses" % (g, len(inv)))
+    return problems
+
+
+def validate_action(a: GroupAction) -> list[str]:
+    """Every violation of the action axioms: the group laws, every map
+    simplicial and bijective, and rho(g*h) = rho(g) o rho(h) for all
+    pairs on vertices and simplices."""
+    problems = ["group table: " + p for p in group_problems(a.group)]
+    verts = set(a.complex.vertices)
+    sids = set(a.complex.simplex_ids)
+    for g in a.group.elements:
+        m = a.map_of(g)
+        for p in m.validate():
+            problems.append("map of %r: %s" % (g, p))
+        if set(m.vertex_map.get(v) for v in verts) != verts or \
+                set(m.simplex_map.get(s) for s in sids) != sids:
+            problems.append("map of %r is not an automorphism" % (g,))
+    for g in a.group.elements:
+        mg = a.map_of(g)
+        for h in a.group.elements:
+            mh = a.map_of(h)
+            mgh = a.map_of(a.group.multiply(g, h))
+            try:
+                for v in a.complex.vertices:
+                    if mgh.apply_vertex(v) != mg.apply_vertex(
+                            mh.apply_vertex(v)):
+                        problems.append("homomorphism fails on vertex %r"
+                                        % (v,))
+                        break
+                for s in a.complex.simplex_ids:
+                    if mgh.apply_simplex(s) != mg.apply_simplex(
+                            mh.apply_simplex(s)):
+                        problems.append("homomorphism fails on simplex %r"
+                                        % (s,))
+                        break
+            except UnknownIdError:
+                pass  # partial maps were already reported above
+    return problems
+
+
+def composition_problems(group, act, points) -> list[str]:
+    """The identity on every point and composition on every triple
+    (g, h, x) of a finite group acting on points through act."""
+    e = group.identity
+    problems = ["identity moves %r" % (x,) for x in points if act(e, x) != x]
+    for g in group.elements:
+        for h in group.elements:
+            gh = group.multiply(g, h)
+            for x in points:
+                if act(gh, x) != act(g, act(h, x)):
+                    problems.append("composition fails at (%r, %r, %r)"
+                                    % (g, h, x))
+    return problems

@@ -5,11 +5,14 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import random_multicomplex, random_zero_trivial_action
+from conftest import (cone_action, random_multicomplex,
+                      random_zero_trivial_action, symmetric_group_3,
+                      wheel_action)
+from multicomplex import formats
 from multicomplex.actions import (
     act_on_chain,
     act_on_simplex,
@@ -33,6 +36,7 @@ from multicomplex.chains import (
     homology,
 )
 from multicomplex.core import StructureError, simplicial_complex
+from multicomplex.diffusion import ActionOnSet, validate_action_on_set
 from multicomplex.fixtures import (
     antipodal_action,
     cone_swap_action,
@@ -222,3 +226,60 @@ def test_random_zero_trivial_actions_validate_and_quotient():
         hom = homology(build_reduced_chain_complex(quot))
         for n, d in dims.items():
             assert d == hom.betti(n)
+
+
+def _s3_on_the_triangle():
+    """symmetric_group_3, each element permuting the vertices 0, 1, 2 of
+    a solid triangle as its name says."""
+    mc = simplicial_complex([("0", "1", "2")])
+    return action_from_vertex_maps(mc, {
+        g: {str(i): g[i] for i in range(3)}
+        for g in symmetric_group_3().elements})
+
+
+_TABLE_ACTIONS = [
+    lambda data: random_zero_trivial_action(
+        random.Random(data.draw(st.integers(0, 10**6)))),
+    lambda data: wheel_action(data.draw(st.integers(3, 5))),
+    lambda data: cone_action(data.draw(st.integers(2, 5))),
+    lambda data: _s3_on_the_triangle(),
+]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_the_generator_checks_fail_exactly_when_the_exhaustive_ones_do(data):
+    """One entry of a table action is changed: a product, a vertex or
+    simplex image (or its removal), or a move of the same maps given as
+    a set action; or nothing is."""
+    a = data.draw(st.sampled_from(_TABLE_ACTIONS))(data)
+    mc, group = a.complex, a.group
+    doc = formats.action_to_doc(a)
+    g = data.draw(st.sampled_from(group.elements))
+    kind = data.draw(st.sampled_from(
+        ["product", "vertex", "simplex", "undefined", "move", "none"]))
+    if kind == "product":
+        h = data.draw(st.sampled_from(group.elements))
+        doc["table"][g][h] = data.draw(st.sampled_from(group.elements))
+    elif kind in ("vertex", "simplex"):
+        ids = mc.vertices if kind == "vertex" else mc.simplex_ids
+        doc["maps"][g][kind + "_map"][data.draw(st.sampled_from(ids))] = \
+            data.draw(st.sampled_from(ids))
+    elif kind == "undefined":
+        field = data.draw(st.sampled_from(["vertex_map", "simplex_map"]))
+        del doc["maps"][g][field][data.draw(st.sampled_from(
+            sorted(doc["maps"][g][field])))]
+    if kind != "move":
+        b = formats.action_from_doc(doc, mc)
+        assert bool(validate_action(b).problems) == \
+            bool(reference.validate_action(b))
+        return
+    # the simplex maps as a set action; a point may move off the points
+    points = list(mc.simplex_ids)
+    moves = {h: dict(a.map_of(h).simplex_map) for h in group.elements}
+    moves[g][data.draw(st.sampled_from(points))] = data.draw(
+        st.sampled_from(points + ["elsewhere"]))
+    act = lambda h, x: moves[h].get(x, x)  # noqa: E731
+    report = validate_action_on_set(ActionOnSet(group, points, act))
+    assert report.ok == (not reference.composition_problems(
+        group, act, points))

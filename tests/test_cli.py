@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import within
+from conftest import cone_action, within
 from multicomplex import formats
 from multicomplex.chains import (
     AlgebraicSimplex,
@@ -869,3 +869,90 @@ def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_product_rejects_ids_that_collide(tmp_path, capsys):
+    """The cone of the prism over x on the cap x@0 is named x^x@0, which
+    is also the cap of the 0-simplex x^x."""
+    path = _write(tmp_path, "mc.json", {
+        "schema_version": formats.SCHEMA_VERSION, "vertices": ["x", "y"],
+        "simplices": [{"id": "x", "vertices": ["x"], "facets": {}},
+                      {"id": "x^x", "vertices": ["y"], "facets": {}}]})
+    code, out, err = _run(capsys, ["product", path])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the product names two of its simplices 'x^x@0', one made "
+        "from 'x^x' and one from 'x'"]
+
+
+def _action_jobs(tmp_path, a):
+    """Every command that reads a simplicial action, on a and on documents
+    that cone_action(3) accepts."""
+    paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in {
+        "complex": formats.multicomplex_to_doc(a.complex),
+        "action": formats.action_to_doc(a),
+        "phi": formats.cochain_to_doc(Cochain(1, RING_RAT, {
+            AlgebraicSimplex("e0", ("x", "y")): 1})),
+        "psi": formats.cochain_to_doc(Cochain(1, RING_RAT, {
+            AlgebraicSimplex("e%d" % i, vs): 1 if vs == ("x", "y") else -1
+            for i in range(3) for vs in (("x", "y"), ("y", "x"))})),
+        "z": formats.chain_to_doc(Chain(1, RING_RAT, {
+            AlgebraicSimplex("e0", ("x", "y")): 1,
+            AlgebraicSimplex("e1", ("x", "y")): -1})),
+        "coloring": {"schema_version": formats.SCHEMA_VERSION,
+                     "assignment": {"c": "0", "x": "1", "y": "2"}},
+        "witnesses": {"schema_version": formats.SCHEMA_VERSION,
+                      "witnesses": {}}}.items()}
+    where = ["--complex", paths["complex"]]
+    return [
+        ["average", paths["action"], *where, "--cochain", paths["phi"]],
+        ["orbits", paths["action"], *where, "--degree", "1"],
+        ["quotient", paths["action"], *where],
+        ["toy-vanish", paths["z"], *where, "--action", paths["action"],
+         "--epsilon", "1/4"],
+        ["vanish-check", paths["psi"], *where, "--action", paths["action"],
+         "--coloring", paths["coloring"], "--witnesses", paths["witnesses"]]]
+
+
+def test_every_command_that_reads_an_action_rejects_a_non_homomorphism(
+        tmp_path, capsys):
+    """Z/2 turning the cone over a 3-fold edge by one third: every map is
+    a simplicial automorphism, but r1 after r1 is not the map of r0.
+    average used to print (e0 + e1)/2, which r1 moves, and exit 0."""
+    a = cone_action(3, cyclic_group(2))
+    for argv in _action_jobs(tmp_path, a):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.splitlines() == [
+            "error: invalid action: homomorphism fails on simplex 'e0': "
+            "('r1'*'r1') and 'r1' after 'r1' disagree"], argv
+    for argv in _action_jobs(tmp_path, cone_action(3)):
+        assert _run(capsys, argv)[0] == 0, argv
+
+
+def test_a_map_undefined_off_the_generators_is_reported(tmp_path, capsys):
+    # Z/3 is generated by r0 and r1; the map of r2 misses the apex
+    doc = formats.action_to_doc(cone_action(3))
+    del doc["maps"]["r2"]["vertex_map"]["c"]
+    argv = _action_jobs(tmp_path, cone_action(3))[0]
+    _write(tmp_path, "action.json", doc)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: invalid action: map of 'r2': vertex map is undefined on 'c'"]
+
+
+def test_diffuse_rejects_a_point_the_translation_does_not_fix(tmp_path,
+                                                              capsys):
+    action = {"schema_version": formats.SCHEMA_VERSION,
+              "points": ["0", "01", "2"],
+              "group": {"kind": "free_abelian", "rank": 1},
+              "action": {"kind": "translation"}}
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"0": "1", "2": "-1"}}
+    code, out, err = _run(capsys, [
+        "diffuse", _write(tmp_path, "f.json", f), "--action",
+        _write(tmp_path, "action.json", action), "--epsilon", "1/2"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: invalid action: ambient action: identity moves '01' to '1'"]

@@ -11,6 +11,10 @@ strings, so that mutated references often name real ids.
 Mutated multicomplex documents must also decode as the reference decoder
 and constructor decode them: to an equal complex with the same document,
 or to the same exception with the same message.
+
+Complexes renamed with ids made of the separators that the product with
+the interval appends ('@', '^' and "'") must either exit 1 from product
+or give a product that validates with the homology of its input.
 """
 
 import contextlib
@@ -25,11 +29,12 @@ from hypothesis import strategies as st
 
 from multicomplex import formats
 from multicomplex.chains import (RING_INT, RING_RAT, AlgebraicSimplex,
-                                 Cochain, fundamental_cycle)
+                                 Cochain, build_reduced_chain_complex,
+                                 fundamental_cycle, homology)
 from multicomplex.cli import main
 from multicomplex.covers import Cover
-from multicomplex.core import (product_with_interval, simplicial_complex,
-                               special_sphere)
+from multicomplex.core import (Multicomplex, product_with_interval,
+                               simplicial_complex, special_sphere)
 from multicomplex.fixtures import (cone_over_double_edge, cone_swap_action,
                                    double_edge, triangle_boundary)
 from multicomplex.groups import cyclic_group
@@ -121,6 +126,11 @@ def _run(argv, docs):
     """The exit code of main(argv) with each document name in argv
     replaced by the path of that document, written to a scratch
     directory."""
+    return _output(argv, docs)[0]
+
+
+def _output(argv, docs):
+    """The exit code and stdout of _run."""
     with tempfile.TemporaryDirectory() as tmp:
         args = []
         for a in argv:
@@ -132,7 +142,7 @@ def _run(argv, docs):
             args.append(a)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return main(args)
+            return main(args), out.getvalue()
 
 
 def _places(doc, where=()):
@@ -240,3 +250,37 @@ def test_mutated_complexes_decode_as_the_reference(data):
     assert got._by_vset == want._by_vset
     assert formats.multicomplex_to_doc(got) == \
         formats.multicomplex_to_doc(want)
+
+
+def _betti(mc) -> list:
+    hom = homology(build_reduced_chain_complex(mc))
+    return [hom.betti(n) for n in range(mc.dimension + 1)]
+
+
+_SEPARATED = st.text(alphabet="xy^@'", min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ids_with_the_product_separators_exit_1_or_keep_the_homology(data):
+    mc = data.draw(st.sampled_from([
+        triangle_boundary(), double_edge(), cone_over_double_edge(),
+        simplicial_complex([("a", "b")], vertices=["c"])]))
+    names = data.draw(st.lists(
+        _SEPARATED, min_size=len(mc.vertices) + len(mc.simplex_ids),
+        max_size=len(mc.vertices) + len(mc.simplex_ids), unique=True))
+    vname = dict(zip(mc.vertices, names))
+    sname = dict(zip(mc.simplex_ids, names[len(mc.vertices):]))
+    renamed = Multicomplex(vname.values(), [
+        (sname[sid], {vname[v] for v in mc.vertex_set(sid)},
+         {frozenset(vname[v] for v in b): sname[fid]
+          for b, fid in mc.facets(sid).items()})
+        for sid in mc.simplex_ids])
+    code, out = _output(["product", "mc.json"], {
+        "mc.json": formats.multicomplex_to_doc(renamed)})
+    assert code in (0, 1)
+    if code == 0:
+        prod = formats.multicomplex_from_doc(formats.parse_document(out)
+                                             ["complex"])
+        assert prod.validate() == []
+        assert _betti(prod) == _betti(renamed) + [0]

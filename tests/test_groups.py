@@ -1,16 +1,19 @@
-"""Group models: the public methods check their arguments, and the
-unchecked product the diffusion loops use agrees with multiply."""
+"""Group models: the public methods check their arguments, the
+unchecked product the diffusion loops use agrees with multiply, and the
+group laws are checked on a small generating set."""
 
 from fractions import Fraction
 
 import pytest
-from conftest import symmetric_group_3
-from hypothesis import given
+import reference
+from conftest import symmetric_group_3, wheel_action
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicomplex.core import StructureError, UnknownIdError
 from multicomplex.diffusion import FiniteSupportMeasure
-from multicomplex.groups import FreeAbelianGroup, cyclic_group
+from multicomplex.groups import (FiniteGroup, FreeAbelianGroup, cyclic_group,
+                                 generating_set)
 
 
 Z2 = FreeAbelianGroup(2)
@@ -72,3 +75,72 @@ def test_the_unchecked_product_is_multiply(data):
         product = lambda g, h: tuple(x + y for x, y in zip(g, h))  # noqa: E731
     g, h = data.draw(elements), data.draw(elements)
     assert group._product(g, h) == group.multiply(g, h) == product(g, h)
+
+
+def _left_normed_products(table, gens) -> set:
+    """Every ((s1*s2)*...)*sk with each si in gens, k >= 1."""
+    reached, fresh = set(), list(gens)
+    while fresh:
+        x = fresh.pop()
+        if x not in reached:
+            reached.add(x)
+            fresh.extend(table[x][s] for s in gens)
+    return reached
+
+
+def test_a_generating_set_takes_one_element_per_cyclic_block():
+    # the identity comes last, so only the trivial group takes it
+    assert generating_set(cyclic_group(1)) == ["r0"]
+    assert generating_set(cyclic_group(12)) == ["r1"]
+    assert generating_set(wheel_action(30).group) == ["ref0", "rot1"]
+    assert generating_set(symmetric_group_3()) == ["021", "102"]
+    assert generating_set(FreeAbelianGroup(2)) == [(1, 0), (-1, 0),
+                                                   (0, 1), (0, -1)]
+
+
+@st.composite
+def _tables(draw):
+    """A group table with up to two products changed, or any table."""
+    if draw(st.booleans()):
+        group = draw(_finite)
+        els = group.elements
+        table = group.table
+        for _ in range(draw(st.integers(0, 2))):
+            g, h, gh = (draw(st.sampled_from(els)) for _ in range(3))
+            table[g][h] = gh
+        return FiniteGroup(els, table)
+    els = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    return FiniteGroup(els, {g: {h: draw(st.sampled_from(els)) for h in els}
+                             for g in els})
+
+
+@settings(max_examples=200)
+@given(_tables())
+def test_the_group_laws_fail_on_generators_exactly_when_they_fail(group):
+    gens = generating_set(group)
+    assert _left_normed_products(group.table, gens) == set(group.elements)
+    assert bool(group.validate()) == bool(reference.group_problems(group))
+    assert any("associativity" in p for p in group.validate()) == \
+        any("associativity" in p for p in reference.group_problems(group))
+
+
+def test_associativity_that_fails_only_past_the_powers_of_r1_is_found():
+    # r1*r1 = r0, so the products of r1 reach only r0 and r1, and every
+    # failing triple has r2 or r3 third; r2 joins the generators, and the
+    # check finds the failures with a generator in the middle
+    table = {"r0": {"r0": "r0", "r1": "r1", "r2": "r2", "r3": "r3"},
+             "r1": {"r0": "r1", "r1": "r0", "r2": "r0", "r3": "r1"},
+             "r2": {"r0": "r2", "r1": "r3", "r2": "r0", "r3": "r1"},
+             "r3": {"r0": "r3", "r1": "r2", "r2": "r1", "r3": "r0"}}
+    group = FiniteGroup(["r0", "r1", "r2", "r3"], table)
+    failing = reference.group_problems(group)
+    assert failing and all(p.endswith(("'r2')", "'r3')")) for p in failing)
+    assert generating_set(group) == ["r1", "r2"]
+    assert group.validate() == [
+        "associativity fails at (%r, %r, 'r2'): (%r*%r)*'r2' = %r but "
+        "%r*(%r*'r2') = %r" % (a, s, a, s, left, a, s, right)
+        for a, s, left, right in [("r1", "r1", "r2", "r1"),
+                                  ("r1", "r2", "r2", "r1"),
+                                  ("r2", "r1", "r1", "r2"),
+                                  ("r3", "r1", "r0", "r3"),
+                                  ("r3", "r2", "r0", "r3")]]

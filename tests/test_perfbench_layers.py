@@ -94,7 +94,8 @@ def test_the_tracer_counts_the_diffusion_of_a_translation_job(tmp_path,
                      [["diffuse", "--action", str(action), "--epsilon",
                        "1/4"]], path=f)
     for name in ("diffusion.measure_derivative.calls",
-                 "diffusion.convolve.pairs", "diffusion.folner_measure.atoms"):
+                 "diffusion.convolve.pairs", "diffusion.folner_measure.atoms",
+                 "diffusion.validate_action_on_set.calls"):
         assert counts[name] > 0, name
 
 
@@ -121,3 +122,4 @@ def test_the_tracer_counts_the_average_of_average_and_vanish_check(
                                         "--witnesses", str(witnesses)]],
                     path=phi)):
         assert counts["actions.average_cochain.calls"] > 0
+        assert counts["actions.validate_action.calls"] > 0
