@@ -131,7 +131,9 @@ def validate_action(a: GroupAction) -> ValidationReport:
             problems.append(
                 "map of %r is not an automorphism (vertex or simplex map "
                 "is not a bijection)" % (g,))
-    if problems:  # composition is checked on a group and total maps
+    # composition is checked on a group and total maps; the generators'
+    # maps, being bijections, carry the points into themselves
+    if problems:
         return ValidationReport(problems)
     for kind, points in (("vertex", mc.vertices), ("simplex", mc.simplex_ids)):
         maps = {g: getattr(a.map_of(g), kind + "_map")
@@ -139,7 +141,7 @@ def validate_action(a: GroupAction) -> ValidationReport:
         problems.extend(
             "homomorphism fails on %s %r: (%r*%r) and %r after %r disagree"
             % (kind, x, g, s, g, s)
-            for g, s, x in _composition_failures(group, maps, points))
+            for g, s, x in _composition_failures(group, maps, points, gens))
     return ValidationReport(problems)
 
 

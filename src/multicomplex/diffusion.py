@@ -26,7 +26,6 @@ orbit check reads the orbit totals off the group average.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
@@ -474,32 +473,57 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
     """The action axioms of every oracle plus the orbit-structure checks.
 
     The identity must fix every enumerated point.  A finite group's table
-    must be a group, and composition is proved on the points through the
-    generators (groups._composition_failures).  Z^d has no finite set of
+    must be a group, and composition is proved through the generators
+    (groups._composition_failures) on the points closed under them, which
+    an action keeps within |G| times as many.  Z^d has no finite set of
     elements to check, so composition is sampled on 64 triples, which the
     notes say; a translation oracle acts by construction.  With blocks,
-    they partition the points; every designated subgroup is transitive on
-    its own block and maps every block onto itself; and whenever s' is at
-    or past the horizon of s, subgroup s' moves nothing in block s or in
-    the points subgroup s moves.  Everything runs on the enumerated range
-    only, which the notes record.
+    they partition the points; every designated subgroup acts on all the
+    points, is transitive on its own block and maps every block onto
+    itself; and whenever s' is at or past the horizon of s, subgroup s'
+    moves nothing in block s or in the points subgroup s moves.  Once a
+    subgroup acts, its generators tell what it moves and where.
+    Everything runs on the enumerated range only, which the notes record.
     """
     problems = []
     notes = []
     rng = random.Random(SAMPLE_SEED)
 
     def check_oracle(label, group, act, points):
+        """Check one oracle on points and return the maps of its
+        generators, which compute each image once."""
+        gens = generating_set(group)
+        maps = {s: _Memo(partial(act, s)) for s in gens}
         if group.is_finite:
             table = group.validate()
             problems.extend("%s: group table: %s" % (label, p) for p in table)
             if table:
-                return
-        e = group.identity
-        problems.extend("%s: identity moves %r to %r" % (label, x, act(e, x))
-                        for x in points if act(e, x) != x)
+                return maps
+            # the kernel proves composition on points the generators carry
+            # into themselves, so it runs on the points closed under them;
+            # an action reaches at most |G| times as many
+            closed, seen = list(points), set(points)
+            cap = len(group) * len(points)
+            for x in closed:
+                for s in gens:
+                    if maps[s][x] not in seen:
+                        seen.add(maps[s][x])
+                        closed.append(maps[s][x])
+                if len(closed) > cap:
+                    problems.append(
+                        "%s: the generators carry the points to over %d "
+                        "points, more than any action of the group reaches"
+                        % (label, cap))
+                    return maps
+            every = {g: maps[g] if g in maps else
+                     {x: act(g, x) for x in closed} for g in group.elements}
+            identity = every[group.identity].__getitem__
+        else:
+            identity = partial(act, group.identity)
+        problems.extend("%s: identity moves %r to %r" % (label, x, identity(x))
+                        for x in points if identity(x) != x)
         if group.is_finite:
-            broken = _composition_failures(group, {
-                g: _Memo(partial(act, g)) for g in group.elements}, points)
+            broken = _composition_failures(group, every, closed, gens)
         else:  # Z^d has no finite set of elements to check
             draw = [tuple(rng.randint(-3, 3) for _ in range(group.rank))
                     for _ in range(16)]
@@ -510,18 +534,28 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
                          "infinite" % (label, group.rank))
         problems.extend("%s: composition fails at (%r, %r, %r)"
                         % (label, g, h, x) for g, h, x in broken)
+        return maps
 
     if a.group is not None and a.act is not None:
         check_oracle("ambient action", a.group, a.act, list(a.points))
 
     if a.blocks:
-        counts = Counter(x for b in a.blocks for x in b.points)
-        problems.extend("blocks do not partition the points: %r appears in "
-                        "%d blocks" % (x, counts[x])
-                        for x in a.points if counts[x] != 1)
+        counts = {}
+        for b in a.blocks:
+            for x in b.points:
+                counts[x] = counts.get(x, 0) + 1
+        for x in a.points:
+            n = counts.get(x, 0)
+            if n != 1:
+                problems.append(
+                    "blocks do not partition the points: %r appears in %d "
+                    "blocks" % (x, n))
         moved = []
         for s, b in enumerate(a.blocks):
-            check_oracle("block %d" % s, b.group, b.act, list(b.points))
+            # local_diffuse convolves every point by every subgroup, so
+            # each subgroup must act on all of them, not only its block
+            images = check_oracle("block %d" % s, b.group, b.act,
+                                  list(a.points)).values()
             try:
                 _transporters(ActionOnSet(b.group, b.points, b.act),
                               sorted(b.points, key=repr)[0])
@@ -530,17 +564,17 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
             except IndexError:
                 problems.append("block %d is empty" % s)
             # every block must be carried onto itself by every subgroup;
-            # images[k][x] is the image of x under the k-th generator
-            images = [{x: b.act(gen, x) for x in a.points}
-                      for gen in generating_set(b.group)]
+            # each of images maps a point to its image under a generator
             for t, other in enumerate(a.blocks):
                 target = set(other.points)
-                escaped = [x for image in images for x in other.points
-                           if image[x] not in target]
-                if escaped:
-                    problems.append(
-                        "subgroup of block %d moves %r out of block %d"
-                        % (s, escaped[0], t))
+                for image in images:
+                    escaped = [x for x in other.points
+                               if image[x] not in target]
+                    if escaped:
+                        problems.append(
+                            "subgroup of block %d moves %r out of block %d"
+                            % (s, escaped[0], t))
+                        break
             moved.append({x for x in a.points
                           if any(image[x] != x for image in images)})
         for s, b in enumerate(a.blocks):

@@ -92,46 +92,53 @@ class FiniteGroup:
         """All group-law violations (empty list means the table is a group).
 
         Associativity is checked on generators by Light's test."""
+        problems = []
+        els = self._elements
         tab = self._table
-        ids = self._identities()
-        problems = [] if len(ids) == 1 else [
-            "table has %d two-sided identities (expected exactly 1)"
-            % len(ids)]
-        problems.extend(
-            "associativity fails at (%r, %r, %r): (%r*%r)*%r = %r but "
-            "%r*(%r*%r) = %r" % (a, s, x, a, s, x, tab[tab[a][s]][x],
-                                  a, s, x, tab[a][tab[s][x]])
-            for a, s, x in _composition_failures(self, tab, self._elements))
+        ids = [e for e in els
+               if all(tab[e][g] == g == tab[g][e] for g in els)]
+        if len(ids) != 1:
+            problems.append(
+                "table has %d two-sided identities (expected exactly 1)"
+                % len(ids))
+        for a, s, c in _composition_failures(self, tab, els,
+                                             generating_set(self)):
+            problems.append(
+                "associativity fails at (%r, %r, %r): "
+                "(%r*%r)*%r = %r but %r*(%r*%r) = %r"
+                % (a, s, c, a, s, c, tab[tab[a][s]][c],
+                   a, s, c, tab[a][tab[s][c]]))
         if len(ids) == 1:
-            problems.extend(
-                "element %r has %d two-sided inverses" % (g, len(inv))
-                for g, inv in self._inverses_of(ids[0]).items()
-                if len(inv) != 1)
+            e = ids[0]
+            for g in els:
+                inv = [h for h in els if tab[g][h] == e and tab[h][g] == e]
+                if len(inv) != 1:
+                    problems.append(
+                        "element %r has %d two-sided inverses" % (g, len(inv)))
         return problems
-
-    def _identities(self) -> list:
-        tab = self._table
-        return [e for e in self._elements
-                if all(tab[e][g] == g == tab[g][e] for g in self._elements)]
-
-    def _inverses_of(self, e) -> dict:
-        tab = self._table
-        return {g: [h for h, gh in tab[g].items() if gh == e == tab[h][g]]
-                for g in self._elements}
 
     @property
     def identity(self):
         if self._identity is None:
-            ids = self._identities()
-            if not ids:
+            for e in self._elements:
+                if all(self._table[e][g] == g == self._table[g][e]
+                       for g in self._elements):
+                    self._identity = e
+                    break
+            else:
                 raise StructureError("the table has no two-sided identity")
-            self._identity = ids[0]
         return self._identity
 
     def inverse(self, g):
         if self._inverses is None:
-            self._inverses = {h: inv[0] for h, inv in
-                              self._inverses_of(self.identity).items() if inv}
+            e = self.identity
+            inverses = {}
+            for a in self._elements:
+                for b in self._elements:
+                    if self._table[a][b] == e and self._table[b][a] == e:
+                        inverses[a] = b
+                        break
+            self._inverses = inverses
         try:
             return self._inverses[g]
         except KeyError:
@@ -143,8 +150,16 @@ class FiniteGroup:
             raise UnknownIdError("unknown group element %r" % (g,))
         return g
 
-    # string keys for the file formats: the element ids themselves
-    element_key = element_from_key = coerce
+    # string keys for the file formats
+    def element_key(self, g) -> str:
+        if g not in self._table:
+            raise UnknownIdError("unknown group element %r" % (g,))
+        return g
+
+    def element_from_key(self, key: str):
+        if key not in self._table:
+            raise UnknownIdError("unknown group element %r" % (key,))
+        return key
 
     def __repr__(self) -> str:
         return "FiniteGroup(%d elements)" % len(self._elements)
@@ -239,19 +254,21 @@ def generating_set(group) -> list:
             for i in range(group.rank) for sign in (1, -1)]
 
 
-def _composition_failures(group, maps, points) -> list:
-    """(g, s, x) for each element g and generator s (generating_set) of a
-    finite group with maps[g*s][x] != maps[g][maps[s][x]], at the first
-    point x that fails: the one check of the group laws and of both
-    action validators.
+def _composition_failures(group, maps, points, gens) -> list:
+    """(g, s, x) for each element g and generator s in gens of a finite
+    group with maps[g*s][x] != maps[g][maps[s][x]], at the first point x
+    that fails: the one check of the group laws and of both action
+    validators.  gens is generating_set(group), which the caller has.
 
-    On an associative table it proves maps[g*h] = maps[g] o maps[h] for
-    every h, by induction on the length of h as a left-normed product of
-    generators.  For maps[g][x] = g*x it is Light's associativity test:
-    the s that pass are closed under products (Clifford and Preston, The
-    Algebraic Theory of Semigroups I, 1961, section 1.2).
+    On an associative table, and points that maps[s] carries into points
+    for every s in gens, it proves maps[g*h] = maps[g] o maps[h] on the
+    points for every h, by induction on the length of h as a left-normed
+    product of generators; the step reads the hypothesis at maps[s][x],
+    so on points that are not closed it proves nothing.  For maps[g][x] =
+    g*x it is Light's associativity test: the s that pass are closed
+    under products (Clifford and Preston, The Algebraic Theory of
+    Semigroups I, 1961, section 1.2).
     """
-    gens = generating_set(group)
     images = {g: list(map(maps[g].__getitem__, points))
               for g in group.elements}
     broken = []

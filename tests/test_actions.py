@@ -37,6 +37,7 @@ from multicomplex.chains import (
 )
 from multicomplex.core import StructureError, simplicial_complex
 from multicomplex.diffusion import ActionOnSet, validate_action_on_set
+from multicomplex.groups import cyclic_group
 from multicomplex.fixtures import (
     antipodal_action,
     cone_swap_action,
@@ -250,8 +251,8 @@ _TABLE_ACTIONS = [
 @given(st.data())
 def test_the_generator_checks_fail_exactly_when_the_exhaustive_ones_do(data):
     """One entry of a table action is changed: a product, a vertex or
-    simplex image (or its removal), or a move of the same maps given as
-    a set action; or nothing is."""
+    simplex image (or its removal), or up to three moves of the same maps
+    given as a set action; or nothing is."""
     a = data.draw(st.sampled_from(_TABLE_ACTIONS))(data)
     mc, group = a.complex, a.group
     doc = formats.action_to_doc(a)
@@ -274,12 +275,42 @@ def test_the_generator_checks_fail_exactly_when_the_exhaustive_ones_do(data):
         assert bool(validate_action(b).problems) == \
             bool(reference.validate_action(b))
         return
-    # the simplex maps as a set action; a point may move off the points
-    points = list(mc.simplex_ids)
+    # the simplex maps as a set action on some of the simplices; up to
+    # three moves change anywhere, and a point may move off the simplices
+    # and on from there
+    ids = list(mc.simplex_ids)
+    points = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                unique=True))
     moves = {h: dict(a.map_of(h).simplex_map) for h in group.elements}
-    moves[g][data.draw(st.sampled_from(points))] = data.draw(
-        st.sampled_from(points + ["elsewhere"]))
+    off = ids + ["elsewhere", "beyond"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        h = data.draw(st.sampled_from(group.elements))
+        moves[h][data.draw(st.sampled_from(off))] = data.draw(
+            st.sampled_from(off))
     act = lambda h, x: moves[h].get(x, x)  # noqa: E731
     report = validate_action_on_set(ActionOnSet(group, points, act))
     assert report.ok == (not reference.composition_problems(
         group, act, points))
+
+
+def test_a_set_action_is_checked_where_its_generators_carry_the_points():
+    group = cyclic_group(3)
+    # r1 turns x, y, z, so every check with the generator r1 at x passes,
+    # yet r2 after r2 sends x to w, not to y; the checks at y and z find
+    # it
+    moves = {"r0": {}, "r1": {"x": "y", "y": "z", "z": "x"},
+             "r2": {"x": "z", "y": "x", "z": "w"}}
+    act = lambda g, x: moves[g].get(x, x)  # noqa: E731
+    assert reference.composition_problems(group, act, ["x"])
+    report = validate_action_on_set(ActionOnSet(group, ["x"], act))
+    assert list(report.problems) == [
+        "ambient action: composition fails at ('r1', 'r1', 'z')",
+        "ambient action: composition fails at ('r2', 'r1', 'y')"]
+    # r1 carries x to y, y to z and z to w: an orbit of four points is
+    # more than Z/3 makes of one
+    moves["r1"]["z"] = "w"
+    assert reference.composition_problems(group, act, ["x"])
+    report = validate_action_on_set(ActionOnSet(group, ["x"], act))
+    assert list(report.problems) == [
+        "ambient action: the generators carry the points to over 3 "
+        "points, more than any action of the group reaches"]

@@ -484,6 +484,28 @@ def test_local_diffuse_reports_per_block_budgets(tmp_path, capsys):
         assert Fraction(entry["norm"]) <= Fraction(1, 8)
 
 
+def test_local_diffuse_rejects_a_subgroup_that_carries_a_point_off(
+        tmp_path, capsys):
+    # Z/3 turns the block p0, p1, p2 and fixes q0 under r1, but r2
+    # carries q0 of block 1 to q1 of block 2
+    block = _block_doc(("p0", "p1", "p2"), 3)
+    block["action"]["moves"]["r2"].update(q0="q1", q1="q0")
+    action = {"schema_version": formats.SCHEMA_VERSION,
+              "points": ["p0", "p1", "p2", "q0", "q1"],
+              "blocks": [block, _block_doc(("q0",), 1),
+                         _block_doc(("q1",), 1)]}
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"p0": "1", "p1": "-1", "q0": "1", "q1": "-1"}}
+    code, out, err = _run(capsys, [
+        "local-diffuse", _write(tmp_path, "f.json", f),
+        "--action", _write(tmp_path, "action.json", action),
+        "--epsilons", "1/8,1,1", "--threshold", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid orbit structure: ")
+    assert "block 0" in err.splitlines()[0]
+
+
 def test_toy_vanish_kills_the_cone_cycle(tmp_path, capsys):
     cpath = _write_mc(tmp_path, "cone.json", cone_over_double_edge())
     apath = _write(tmp_path, "swap.json",

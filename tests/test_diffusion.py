@@ -227,7 +227,8 @@ def test_validate_action_on_set_names_each_block_problem():
     # block 1 swaps 10 and 11; block 2 is Z turning 20 and 21 and also
     # sending 11 to 21.  Block 1's horizon 0 puts blocks 0 and 2 past
     # it, and block 0's horizon 1 puts block 1 past it; block 2 moves
-    # nothing block 0 guards.
+    # nothing block 0 guards.  Neither block 0 nor block 2 acts on the
+    # points: 10 and 11 do not come back.
     c2 = cyclic_group(2)
     swap = {0: 1, 1: 0, 10: 0}
     turn = {20: 21, 21: 20, 11: 21}
@@ -244,7 +245,11 @@ def test_validate_action_on_set_names_each_block_problem():
     ]
     a = ActionOnSet(None, [0, 1, 10, 11, 20, 21], None, blocks=blocks)
     assert list(validate_action_on_set(a).problems) == [
+        "block 0: composition fails at ('r1', 'r1', 10)",
         "subgroup of block 0 moves 10 out of block 1",
+        "block 2: composition fails at ((3,), (3,), 11)",
+        "block 2: composition fails at ((3,), (-1,), 11)",
+        "block 2: composition fails at ((-1,), (3,), 11)",
         "subgroup of block 2 moves 11 out of block 1",
         "blocks 0 and 1 are not asymptotically disjoint: stage 1 is past "
         "the horizon 1 but moves 10",
