@@ -4,18 +4,19 @@ An action is a finite group together with one simplicial automorphism per
 element.  This module validates actions on generators (every command
 validates an action where it enters, so the rest assume a valid one),
 forms quotients by actions that fix every vertex, enumerates orbits of
-algebraic simplices, pushes chains forward along elements, and averages
-chains and cochains over the group (the finite instance of invariant
-means), both on the fraction-free push-forward of chains.
+algebraic simplices, pushes chains forward along elements on the
+fraction-free push-forward of chains, and averages chains and cochains
+over the group as orbit means (the finite instance of invariant means).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 from . import intlinalg
 from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT,
-                     _numerators, _push_forward,
+                     _limit_orderings, _push_forward,
                      build_reduced_chain_complex)
 from .core import (Multicomplex, SimplicialMap, StructureError,
                    UnknownIdError)
@@ -145,10 +146,16 @@ def validate_action(a: GroupAction) -> ValidationReport:
     return ValidationReport(problems)
 
 
+def _moved_vertex(a: GroupAction):
+    """The first (element, vertex, image) that moves a vertex, or None."""
+    return next(((g, v, w) for g in a.group.elements
+                 for v in a.complex.vertices
+                 for w in [a.map_of(g).apply_vertex(v)] if w != v), None)
+
+
 def is_zero_trivial(a: GroupAction) -> bool:
     """True when every element fixes every vertex."""
-    return all(a.map_of(g).apply_vertex(v) == v
-               for g in a.group.elements for v in a.complex.vertices)
+    return _moved_vertex(a) is None
 
 
 def quotient(a: GroupAction):
@@ -160,18 +167,15 @@ def quotient(a: GroupAction):
     member's facet, the same for every member of an action that passes
     validate_action, as every command that takes an action checks.
     """
-    for g in a.group.elements:
-        m = a.map_of(g)
-        for v in a.complex.vertices:
-            w = m.apply_vertex(v)
-            if w != v:
-                raise StructureError(
-                    "cannot form the quotient: element %r moves vertex %r "
-                    "to %r, so the action is not trivial on vertices.  "
-                    "Identifying distinct vertices can force a simplex onto "
-                    "a repeated vertex (an edge whose endpoints merge), "
-                    "which no multicomplex admits; quotients are therefore "
-                    "only formed for vertex-fixing actions." % (g, v, w))
+    moved = _moved_vertex(a)
+    if moved:
+        raise StructureError(
+            "cannot form the quotient: element %r moves vertex %r to %r, "
+            "so the action is not trivial on vertices.  Identifying "
+            "distinct vertices can force a simplex onto a repeated vertex "
+            "(an edge whose endpoints merge), which no multicomplex admits; "
+            "quotients are therefore only formed for vertex-fixing actions."
+            % moved)
     orbit_id = {}
     for sid in a.complex.simplex_ids:
         if sid not in orbit_id:
@@ -243,11 +247,13 @@ def _partition(a: GroupAction, k: int, keys) -> OrbitPartition:
 
 
 def orbits(a: GroupAction, k: int) -> OrbitPartition:
-    """Partition all degree-k algebraic simplices into orbits."""
+    """Partition all degree-k algebraic simplices into orbits.  More than
+    MAX_ORDERINGS of them raise StructureError before any is listed."""
     mc = a.complex
+    sids = sorted(mc.simplices_of_dimension(k))
+    _limit_orderings("the orbits of %d simplex(es)", len(sids), k)
     return _partition(a, k, (
-        AlgebraicSimplex(sid, tup)
-        for sid in sorted(mc.simplices_of_dimension(k))
+        AlgebraicSimplex(sid, tup) for sid in sids
         for tup in permutations(sorted(mc.vertex_set(sid)))))
 
 
@@ -261,23 +267,27 @@ def _check_orderings(mc: Multicomplex, keys, degree: int) -> None:
                                  % (key, degree))
 
 
+def _orbit_totals(a: GroupAction, x: Chain | Cochain) -> list:
+    """[(orbit, total of x over it)] for the orbits meeting the support of
+    x, by least member; each key must order its simplex's vertices."""
+    keys = x.support()
+    _check_orderings(a.complex, keys, x.degree)
+    return [(orb, sum(map(x.coefficient, orb)))
+            for orb in _partition(a, x.degree, keys)]
+
+
 def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:
     """The group average (1/|G|) sum_g g.x of a chain or a cochain, over Q.
 
     For a cochain it is A(phi)(y) = (1/|G|) sum_g phi(g^{-1} y).  It is
     invariant, norm non-increasing, and the identity on what was already
-    invariant.  It is the push-forward of sum_g g along g -> g.(den x),
-    on int numerators over the lcm den of the input denominators.  Every
-    key must be an ordering of its simplex's vertices.
+    invariant.  Each member of an orbit is g.key for |G|/|orbit| elements
+    g, so it gets the total of x over the orbit divided by the orbit size.
+    Every key must be an ordering of its simplex's vertices.
     """
-    terms = x.items()
-    _check_orderings(a.complex, (key for key, _ in terms), x.degree)
-    den, nums = _numerators(terms)
-    maps = [a.map_of(g) for g in a.group.elements]
-    # elements outside, terms inside: the first undefined map raises
-    return type(x)(x.degree, RING_RAT, _push_forward(
-        ((m, 1) for m in maps),
-        lambda m: [(n, _moved(m, key)) for key, n in nums], den * len(maps)))
+    return type(x)(x.degree, RING_RAT, {
+        key: Fraction(total, len(orb))
+        for orb, total in _orbit_totals(a, x) if total for key in orb})
 
 
 def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:

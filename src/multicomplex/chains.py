@@ -10,8 +10,9 @@ cochains.
 
 One builder makes the full, repeated-vertex, reduced and relative
 complexes; they differ only in the tuples listed and simplices skipped.
-The boundary, projection, alternation, group action and group average
-all run on one fraction-free push-forward kernel, _push_forward.
+The boundary, projection, alternation and group action all run on one
+fraction-free push-forward kernel, _push_forward; the group average is
+the orbit mean (actions.average_cochain).
 
 Homology is computed exactly from one integer Smith normal form per
 boundary map, handed over as sparse rows built from the sparse columns
@@ -489,6 +490,20 @@ def section_chain(chain: Chain) -> Chain:
 MAX_ORDERINGS = 10 ** 6
 
 
+def _limit_orderings(what: str, count: int, k: int) -> None:
+    """Raise StructureError, before any is listed, when count x (k+1)!
+    orderings are more than MAX_ORDERINGS; what % count names them."""
+    if not count:  # k may be huge when nothing is listed
+        return
+    work = count
+    for n in range(2, k + 2):
+        work *= n
+        if work > MAX_ORDERINGS:
+            raise StructureError(
+                "%s of degree %d would list %d x %d! orderings, over the "
+                "limit of %d" % (what % count, k, count, k + 1, MAX_ORDERINGS))
+
+
 def alternate(chain: Chain | Cochain) -> Chain | Cochain:
     """Average the signed orderings of every term (a chain map, and a
     projection onto alternating chains).  The result is a Chain or a
@@ -501,14 +516,7 @@ def alternate(chain: Chain | Cochain) -> Chain | Cochain:
             if len(set(key.vertices)) == len(key.vertices)]
     if not live:
         return type(chain)(k, RING_RAT)
-    work = len(live)
-    for n in range(2, k + 2):
-        work *= n
-        if work > MAX_ORDERINGS:
-            raise StructureError(
-                "alternating %d term(s) of degree %d would list %d x %d! "
-                "orderings, over the limit of %d"
-                % (len(live), k, len(live), k + 1, MAX_ORDERINGS))
+    _limit_orderings("alternating %d term(s)", len(live), k)
     perms = [(permutation_sign(p), p) for p in permutations(range(k + 1))]
 
     def orderings(key):

@@ -20,7 +20,7 @@ the orbits of a truncated locally finite action (local_diffuse and the
 diffuse command validate their actions first), and the toy
 vanishing pipeline, which drives the l1 norm of an alternating cycle to
 zero by group averaging while certifying that its class is kept.  Its
-orbit check reads the orbit totals off the group average.
+orbit check reads the orbit totals the group average divides.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from functools import partial
 from itertools import product as iter_product
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
-from .actions import (GroupAction, ValidationReport, act_on_chain,
-                      act_on_simplex, average_cochain, orbits)
+from .actions import (GroupAction, ValidationReport, _orbit_totals,
+                      act_on_chain, average_cochain, orbits)
 from .chains import (Chain, RING_RAT, _numerators, alternate,
                      build_full_chain_complex, homology)
 from .core import (InternalInvariantError, Multicomplex, MulticomplexError,
@@ -677,15 +677,14 @@ class ToyVanishCertificate:
 def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     """Average an alternating cycle to l1 norm <= epsilon, certifiably.
 
-    Pipeline: alternate z and average the alternation with
-    average_cochain.  The average at a key is the orbit total over the
-    orbit size, so a nonzero one names an orbit that averaging cannot
-    cancel, and the request is rejected; otherwise the zero average is
-    the result c'.  Every group element must preserve the class of z,
-    with an explicit bounding chain as witness; averaging these carries
-    a bounding chain B with boundary(B) = c' - z.  Returns (c',
-    certificate); the final boundary check and the norm bound are
-    verified exactly before returning.
+    Pipeline: alternate z and average the alternation.  The average at a key
+    is the orbit total over the orbit size, so a nonzero total names an
+    orbit that averaging cannot cancel, and the request is rejected;
+    otherwise the average is the result c' = 0.  Every group element must
+    preserve the class of z, with an explicit bounding chain as witness;
+    averaging these carries a bounding chain B with boundary(B) = c' - z.
+    Returns (c', certificate); the final boundary check and the norm bound
+    are verified exactly before returning.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -700,14 +699,12 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     c = alternate(zq)
 
     # orbitwise cancellation: the average is (orbit total)/(orbit size)
-    avg = average_cochain(a, c)
-    if not avg.is_zero:
-        key = avg.support()[0]
-        size = len({act_on_simplex(a, g, key) for g in a.group.elements})
-        raise DiffusionError(
-            "the alternation of z has nonzero total %s on the orbit "
-            "of %s; group averaging cannot cancel it there"
-            % (avg.coefficient(key) * size, key))
+    for orb, total in _orbit_totals(a, c):
+        if total:
+            raise DiffusionError(
+                "the alternation of z has nonzero total %s on the orbit "
+                "of %s; group averaging cannot cancel it there"
+                % (total, orb[0]))
 
     # class preservation, with explicit witnesses
     witnesses = {}
@@ -737,7 +734,7 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
         w = sum(witnesses.values(), Chain(c.degree + 1, RING_RAT))
         bounding = average_cochain(a, bounding) + w.scaled(
             Fraction(1, len(a.group)))
-    c = avg
+    c = Chain(c.degree, RING_RAT)
     if cc.boundary_of(bounding) != c - zq:
         raise InternalInvariantError(
             "the certificate does not bound the difference")

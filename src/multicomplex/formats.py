@@ -352,14 +352,14 @@ def function_from_doc(doc: dict) -> SparseFunction:
 def _oracle_from_doc(doc: dict, group):
     """The action oracle of a set-action document.
 
-    kind "table" lists, per element key, where each moved point goes;
-    kind "translation" makes Z^d shift points written as comma-joined
-    integers, leaving all other points alone.  The oracle takes elements
-    already coerced into group (see ActionOnSet.oracle) and does not
-    coerce them again.  The table oracle keeps the move row of each
+    kind "table" lists, per element key of a finite group, where each moved
+    point goes; kind "translation" makes Z^d shift points written as
+    comma-joined integers, leaving all other points alone.  The oracle takes
+    elements already coerced into group (see ActionOnSet.oracle) and does
+    not coerce them again.  The table oracle keeps the move row of each
     element that element_key resolved, so a bad element raises on every
-    call.  The translation oracle parses each distinct point once and
-    keeps its coordinates for the oracle's lifetime.
+    call.  The translation oracle parses each distinct point once and keeps
+    its coordinates for the oracle's lifetime.
     """
     kind = _need(doc, "kind")
     if kind == "table":
@@ -369,6 +369,8 @@ def _oracle_from_doc(doc: dict, group):
                        for y in _need(moves, key, dict).values()):
                 raise FormatError("the moves of element %r must send points "
                                   "to JSON strings" % (key,))
+        if isinstance(group, FreeAbelianGroup):
+            raise FormatError("table actions need a finite group")
 
         resolved = {}  # element -> its move row
 

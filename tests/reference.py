@@ -27,15 +27,15 @@ translate is the translation oracle of a set-action document as it was
 before it kept the points it had parsed; the program's oracle must move
 every point the same way.
 
-average_cochain is the group average as it was before it summed int
-numerators over one denominator: it adds one Fraction per element and
-term.  toy_vanish_average is the averaging loop toy_vanish ran before it
-called average_cochain, on the alternation c, its bounding chain and the
+average_cochain is the group average as it was before it became the
+orbit mean: it adds one Fraction per element and term.
+toy_vanish_average is the averaging loop toy_vanish ran before it called
+average_cochain, on the alternation c, its bounding chain and the
 witnesses.  The program's average and certificate must equal them.
-first_orbit_total is the orbit check toy_vanish ran before it read the
-orbit totals off the average: it lists every orbit by actions.orbits and
-sums c over each.  toy_vanish must reject the same orbit with the same
-total.
+first_orbit_total is the orbit check toy_vanish ran before it summed c
+over only the orbits that meet its support: it lists every orbit by
+actions.orbits and sums c over each.  toy_vanish must reject the same
+orbit with the same total.
 
 solve is exactlp.solve as it was before its tableau moved to sparse
 columns: it updates every row of a dense [M | D*x ; D*y | D*c*x] on

@@ -12,7 +12,7 @@ import reference
 from conftest import (cone_action, random_multicomplex,
                       random_zero_trivial_action, symmetric_group_3,
                       wheel_action)
-from multicomplex import formats
+from multicomplex import actions, formats
 from multicomplex.actions import (
     act_on_chain,
     act_on_simplex,
@@ -144,11 +144,14 @@ _FIXTURE_ACTIONS = (double_edge_swap_action, cone_swap_action,
 
 @st.composite
 def _averaging_cases(draw):
-    """An action (a fixture or a random vertex-fixing one) and a chain or
-    cochain on basis elements of one degree, over Z or Q."""
+    """An action (a fixture, a random vertex-fixing one, a dihedral one on
+    a wheel or a cyclic one on a cone) and a chain or cochain on basis
+    elements of one degree, over Z or Q."""
     a = draw(st.sampled_from(_FIXTURE_ACTIONS).map(lambda f: f()) |
              st.integers(0, 10**6).map(
-                 lambda s: random_zero_trivial_action(random.Random(s))))
+                 lambda s: random_zero_trivial_action(random.Random(s))) |
+             st.integers(3, 6).map(wheel_action) |
+             st.integers(1, 4).map(cone_action))
     mc = a.complex
     k = draw(st.integers(0, mc.dimension))
     keys = [AlgebraicSimplex(sid, tup)
@@ -175,6 +178,28 @@ def test_average_matches_the_reference_and_projects_onto_invariants(case):
     for orb in orbits(a, x.degree):  # the total on every orbit is kept
         assert sum(avg.coefficient(key) for key in orb) == \
             sum(x.coefficient(key) for key in orb)
+
+
+def test_the_average_moves_each_orbit_met_once(monkeypatch):
+    """Averaging the spokes of the 30-spoke wheel under its dihedral
+    group of order 60 walks the group once per orbit met: 120 moves for
+    the two orbits of ordered spokes, not one per element and term."""
+    a = wheel_action(30)
+    spokes = [AlgebraicSimplex(sid, vs)
+              for sid in sorted(a.complex.simplices_of_dimension(1))
+              if "c" in a.complex.vertex_set(sid)
+              for vs in permutations(sorted(a.complex.vertex_set(sid)))]
+    phi = Cochain(1, RING_RAT, {key: i for i, key in enumerate(spokes, 1)})
+    part = orbits(a, 1)
+    met = {part.index_of(key) for key in spokes}
+    calls = []
+    moved = actions._moved
+    monkeypatch.setattr(actions, "_moved",
+                        lambda m, key: calls.append(key) or moved(m, key))
+    avg = average_cochain(a, phi)
+    assert len(spokes) == 60 and len(met) == 2
+    assert len(calls) <= len(a.group) * len(met) == 120
+    assert avg.items() == reference.average_cochain(a, phi).items()
 
 
 def test_invariant_cochain_dimensions_match_quotient_homology():

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import cone_action, within
 from multicomplex import formats
+from multicomplex.actions import trivial_action
 from multicomplex.chains import (
     AlgebraicSimplex,
     Chain,
@@ -336,6 +337,26 @@ def test_orbits_of_the_double_edge_swap(tmp_path, capsys):
     assert len(doc["orbits"]) == 2
     for orb in doc["orbits"]:
         assert {e["simplex"] for e in orb} == {"north", "south"}
+
+
+def test_orbits_past_the_ordering_limit_exits_one_at_once(tmp_path, capsys):
+    """The 9-simplex has 10! = 3,628,800 orderings, over MAX_ORDERINGS;
+    a degree it has no simplex of lists none."""
+    mc = simplicial_complex([tuple("v%d" % i for i in range(10))])
+    cpath = _write_mc(tmp_path, "simplex.json", mc)
+    apath = _write(tmp_path, "trivial.json",
+                   formats.action_to_doc(trivial_action(mc)))
+    with within(5):
+        code, out, err = _run(capsys, ["orbits", apath, "--complex", cpath,
+                                       "--degree", "9"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the orbits of 1 simplex(es) of degree 9 would list 1 x 10! "
+        "orderings, over the limit of 1000000"]
+    with within(5):
+        code, doc, err = _run_json(capsys, [
+            "orbits", apath, "--complex", cpath, "--degree", str(2 ** 70)])
+    assert (code, doc["orbits"]) == (0, [])
 
 
 def test_average_smears_a_cochain_over_the_swap(tmp_path, capsys):
@@ -962,6 +983,29 @@ def test_a_map_undefined_off_the_generators_is_reported(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: invalid action: map of 'r2': vertex map is undefined on 'c'"]
+
+
+@pytest.mark.parametrize("where", ["ambient", "block"])
+def test_a_table_action_of_a_free_abelian_group_exits_two(tmp_path, capsys,
+                                                         where):
+    """Z has no finite move table: an element without a row, which the
+    validation sample and the Folner box draw, could not move a point."""
+    group = {"kind": "free_abelian", "rank": 1}
+    table = {"kind": "table", "moves": {"0": {}, "1": {"p": "q", "q": "p"},
+                                        "-1": {"p": "q", "q": "p"}}}
+    action = {"schema_version": formats.SCHEMA_VERSION, "points": ["p", "q"]}
+    if where == "ambient":
+        action.update(group=group, action=table)
+    else:
+        action["blocks"] = [{"points": ["p", "q"], "group": group,
+                             "action": table, "horizon": 1}]
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"p": "1", "q": "-1"}}
+    code, out, err = _run(capsys, [
+        "diffuse", _write(tmp_path, "f.json", f), "--action",
+        _write(tmp_path, "action.json", action), "--epsilon", "1/2"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: table actions need a finite group"]
 
 
 def test_diffuse_rejects_a_point_the_translation_does_not_fix(tmp_path,

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 import reference
-from conftest import symmetric_group_3
+from conftest import cone_action, symmetric_group_3, wheel_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -353,7 +353,10 @@ _VANISH_FIXTURES = [(cone_over_double_edge, cone_swap_action),
                     (double_edge, antipodal_action),
                     (double_edge, double_edge_swap_action),
                     (lambda: triangle_symmetries().complex,
-                     triangle_symmetries)]
+                     triangle_symmetries),
+                    (lambda: wheel_action(4).complex,
+                     lambda: wheel_action(4)),
+                    (lambda: cone_action(3).complex, lambda: cone_action(3))]
 
 
 @given(st.sampled_from(_VANISH_FIXTURES),
