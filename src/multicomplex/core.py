@@ -202,8 +202,10 @@ class Multicomplex:
                 (_fmt_vset(b), sid))
         cur = s
         while cur.vset != b:
-            v = max(cur.vset - b)
-            rest = cur.vset - {v}
+            if len(cur.vset) == len(b) + 1:  # the last step
+                rest = b
+            else:
+                rest = cur.vset - {max(cur.vset - b)}
             nxt = cur.facets.get(rest)
             if nxt is None:
                 raise StructureError(
@@ -465,11 +467,13 @@ class SimplicialMap:
                 target.vertex_set(t)
 
     def vertex_image(self, vset) -> frozenset:
-        missing = [v for v in vset if v not in self.vertex_map]
-        if missing:
+        vm = self.vertex_map
+        try:
+            return frozenset([vm[v] for v in vset])
+        except KeyError:
+            missing = [v for v in vset if v not in vm]
             raise UnknownIdError(
-                "vertex map is undefined on %r" % sorted(missing)[0])
-        return frozenset(self.vertex_map[v] for v in vset)
+                "vertex map is undefined on %r" % sorted(missing)[0]) from None
 
     def validate(self) -> list[str]:
         """All violations of the simplicial map conditions."""
@@ -482,22 +486,23 @@ class SimplicialMap:
                 problems.append("simplex map is undefined on %r" % sid)
         if problems:
             return problems
-        for sid in self.source.simplex_ids:
-            a = self.source.vertex_set(sid)
-            fa = self.vertex_image(a)
-            tid = self.simplex_map[sid]
-            if self.target.vertex_set(tid) != fa:
+        # the maps are total: read each source record once
+        sm, face = self.simplex_map, self.target.face
+        targets = self.target._simplices
+        for sid, s in self.source._simplices.items():
+            fa = self.vertex_image(s.vset)
+            tid = sm[sid]
+            tv = targets[tid].vset
+            if tv != fa:
                 problems.append(
                     "simplex %r maps to %r, which spans %s instead of %s"
-                    % (sid, tid, _fmt_vset(self.target.vertex_set(tid)),
-                       _fmt_vset(fa)))
+                    % (sid, tid, _fmt_vset(tv), _fmt_vset(fa)))
                 continue
             # facet compatibility, including collapsing maps where the
             # image of a facet subset equals the image of the whole set
-            for b, fid in self.source.facets(sid).items():
-                fb = self.vertex_image(b)
-                want = self.simplex_map[fid]
-                got = self.target.face(tid, fb)
+            for b, fid in s.facets.items():
+                got = face(tid, self.vertex_image(b))
+                want = sm[fid]
                 if got != want:
                     problems.append(
                         "facet square fails at %r over %s: image facet is "

@@ -13,6 +13,22 @@ others are rescaled when D changes).  Bland's rule (least variable
 index, both entering and leaving) makes the iteration finite also on
 degenerate problems; with the deterministic variable order used by
 callers this is the lexicographic tie-break.
+
+Every column is priced once, after the starting basis is set up; from
+then on the integral reduced costs rc_j = y.a_j - c_j * D are updated
+per pivot instead of priced again.  A pivot on row l with entering
+column d = M a_e, p = d_l and old denominator D gives
+
+    rc'_j = (p * rc_j - d_m * alpha_j) // D,  alpha_j = (row l of M).a_j,
+
+exactly, where d_m = rc_e > 0.  alpha is summed from a row index of A
+over the nonzeros of row l of M, so a pivot touches only the columns
+that meet those rows, unless D changes (p != D): then the columns with
+alpha_j = 0 are rescaled by p / D as well, an exact division that keeps
+their sign.  The update keeps every other basic column at rc = 0
+(alpha_j = 0), takes the entering one to 0 (alpha_e = p) and the
+leaving one to -d_m < 0 (alpha = D), so Bland's entering variable is the
+first set byte of a bytearray that flags rc_j > 0.
 """
 
 from __future__ import annotations
@@ -37,14 +53,16 @@ class LPResult:
 
 
 def _pivot(tableau, d, l, den):
-    """Pivot on d[l] > 0 of d = tableau * (entering column); returns d[l].
+    """Pivot on d[l] > 0 of d = tableau * (entering column).
 
     Row i != l of a column becomes (p * t_i - d_i * t_l) // den, so a
     column with no entry in row l is only rescaled, and only if p != den.
+    Row l is left as it is; it is returned as (column, entry) pairs.
     """
     p = d[l]
     rest = [(i, -f) for i, f in d.items() if i != l]
-    for col in tableau:
+    row = []
+    for r, col in enumerate(tableau):
         w = col.get(l)
         if p != den:
             for i, u in col.items():
@@ -52,6 +70,7 @@ def _pivot(tableau, d, l, den):
                     col[i] = p * u // den
         if w is None:
             continue
+        row.append((r, w))
         get = col.get
         for i, g in rest:
             v = (p * get(i, 0) + g * w) // den
@@ -59,7 +78,7 @@ def _pivot(tableau, d, l, den):
                 col[i] = v
             elif i in col:
                 del col[i]
-    return p
+    return row
 
 
 def solve(columns, b, c, basis, max_iterations=None):
@@ -73,8 +92,8 @@ def solve(columns, b, c, basis, max_iterations=None):
     basis = list(basis)
     if len(basis) != m:
         raise SimplexFailure("basis size does not match the row count")
-    sb = math.lcm(*(Fraction(v).denominator for v in b))
-    sc = math.lcm(*(Fraction(v).denominator for v in c))
+    sb = math.lcm(*(v.denominator for v in b))
+    sc = math.lcm(*(v.denominator for v in c))
     c = [int(v * sc) for v in c]
     # the tableau [M | den*sb*x ; den*sc*y | den*sb*sc*c.x] by columns:
     # tableau[r][i] is row i of column r, row m the objective row and
@@ -102,7 +121,8 @@ def solve(columns, b, c, basis, max_iterations=None):
                 if l in col:
                     col[l] = -col[l]
             d[l] = -d[l]
-        den = _pivot(tableau, d, l, den)
+        _pivot(tableau, d, l, den)
+        den = d[l]
         place.append(l)
     row_of = {l: i for i, l in enumerate(place)}
     row_of[m] = m
@@ -114,13 +134,21 @@ def solve(columns, b, c, basis, max_iterations=None):
         # Bland's rule terminates; the cap only guards against bugs
         max_iterations = max(100000, 200 * (ncols + m + 10))
 
+    # price every column once; rc[j] = y.a_j - c_j * den, and j may enter
+    # when rc[j] > 0
+    y = [col.get(m, 0) for col in tableau]
+    rc = [sum(y[r] * v for r, v in col) - cj * den
+          for col, cj in zip(columns, c)]
+    priced_in = bytearray(v > 0 for v in rc)
+    by_row = [[] for _ in range(m)]
+    for j, col in enumerate(columns):
+        for r, v in col:
+            by_row[r].append((j, v))
+
     for _ in range(max_iterations):
-        y, in_basis = [col.get(m, 0) for col in tableau], set(basis)
-        # j prices out when c_j - y.a_j < 0, i.e. y.a_j > c_j * den here
-        entering = next((j for j in range(ncols) if j not in in_basis and
-                         sum(y[r] * v for r, v in columns[j]) > c[j] * den),
-                        -1)
+        entering = priced_in.find(1)
         if entering < 0:
+            y = [col.get(m, 0) for col in tableau]
             x = [Fraction(0)] * ncols
             for i, j in enumerate(basis):
                 x[j] = Fraction(rhs.get(i, 0), den * sb)
@@ -137,6 +165,20 @@ def solve(columns, b, c, basis, max_iterations=None):
                 leave = i
         if leave < 0:
             raise SimplexFailure("objective is unbounded below")
-        den = _pivot(tableau, d, leave, den)
+        # _pivot keeps row leave of M and returns it; alpha_j is that row
+        # times a_j, summed over its nonzeros
+        p, f = d[leave], d[m]
+        alpha = {}
+        for r, w in _pivot(tableau, d, leave, den):
+            if r < m:
+                for j, v in by_row[r]:
+                    alpha[j] = alpha.get(j, 0) + w * v
+        # a column with alpha_j = 0 only changes when den does
+        touched = (alpha.items() if p == den else
+                   ((j, alpha.get(j, 0)) for j in range(ncols)))
+        for j, a in touched:
+            v = (p * rc[j] - f * a) // den
+            rc[j], priced_in[j] = v, v > 0
+        den = p
         basis[leave] = entering
     raise SimplexFailure("iteration limit exceeded")

@@ -73,7 +73,8 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
     rep = cc.chain_from_vector(n, rep_vec, RING_RAT)
     bchain = cc.chain_from_vector(n + 1, b_vec, RING_RAT)
 
-    # exact certification of the whole package
+    # exact certification of the whole package; the sup-norm and boundary
+    # checks run on the integer numerators of y over one common denominator
     if (z - cc.boundary_of(bchain)) != rep:
         raise InternalInvariantError("representative and bounding chain "
                                      "disagree")
@@ -81,10 +82,12 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
         raise InternalInvariantError("optimal value does not match the "
                                      "representative norm")
     y = res.y
-    if any(abs(v) > 1 for v in y):
+    den = math.lcm(*(v.denominator for v in y))
+    num = [v.numerator * (den // v.denominator) for v in y]
+    if any(abs(v) > den for v in num):
         raise InternalInvariantError("dual certificate exceeds sup-norm one")
     for col in bnd_cols:
-        if sum(y[r] * coef for r, coef in col) != 0:
+        if sum(num[r] * coef for r, coef in col):
             raise InternalInvariantError("dual certificate does not vanish "
                                          "on boundaries")
     pairing = sum(t * v for t, v in zip(target, y))

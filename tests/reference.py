@@ -20,6 +20,13 @@ validate is Multicomplex.validate as it was before each facet was read
 once per simplex: it finds every face by a frozenset difference.  The
 program's validate must return the same problems in the same order.
 
+map_problems is SimplicialMap.validate as it was before it read each
+source record once: it maps every facet's vertex set through a
+missing-list (vertex_image) and finds the image facet by face, which
+removes one vertex at a time, the last step too, as Multicomplex.face
+did.  The program's validate must return the same problems in the same
+order, or raise the same exception with the same message.
+
 identity_matrix, matmul and mat_vec are the dense products the tests
 check factorizations and solutions with.
 
@@ -46,10 +53,10 @@ group_problems, validate_action and composition_problems are the
 exhaustive checks of the group and action axioms the program ran before
 it checked them on a generating set: group_problems is
 FiniteGroup.validate with associativity on all |G|^3 triples,
-validate_action checks every map and the homomorphism on all |G|^2
-pairs, and composition_problems checks a finite set action on every
-triple (g, h, x).  On any table action the program's validators must
-find a problem exactly when these do.
+validate_action checks every map (by map_problems) and the
+homomorphism on all |G|^2 pairs, and composition_problems checks a
+finite set action on every triple (g, h, x).  On any table action the
+program's validators must find a problem exactly when these do.
 
 multicomplex_from_doc and MulticomplexBuilt are the decoder and the
 Multicomplex constructor as they were before the constructor became the
@@ -67,8 +74,8 @@ from itertools import combinations
 from multicomplex.actions import (GroupAction, act_on_chain, act_on_simplex,
                                   orbits)
 from multicomplex.chains import RING_RAT, Chain, Cochain
-from multicomplex.core import (Multicomplex, UnknownIdError, _fmt_vset,
-                               _Simplex)
+from multicomplex.core import (Multicomplex, StructureError, UnknownIdError,
+                               _fmt_vset, _Simplex)
 from multicomplex.exactlp import LPResult, SimplexFailure
 from multicomplex.formats import FormatError, _need
 from multicomplex.intlinalg import rational_rref
@@ -385,6 +392,75 @@ def validate(mc: Multicomplex) -> list[str]:
     return problems
 
 
+def vertex_image(f, vset) -> frozenset:
+    missing = [v for v in vset if v not in f.vertex_map]
+    if missing:
+        raise UnknownIdError(
+            "vertex map is undefined on %r" % sorted(missing)[0])
+    return frozenset(f.vertex_map[v] for v in vset)
+
+
+def face(mc: Multicomplex, sid: str, subset) -> str:
+    s = mc._get(sid)
+    b = frozenset(subset)
+    if not b:
+        raise StructureError("faces are indexed by nonempty subsets")
+    if not b <= s.vset:
+        raise StructureError(
+            "%s is not a subset of the vertices of %r" %
+            (_fmt_vset(b), sid))
+    cur = s
+    while cur.vset != b:
+        v = max(cur.vset - b)
+        rest = cur.vset - {v}
+        nxt = cur.facets.get(rest)
+        if nxt is None:
+            raise StructureError(
+                "simplex %r is missing its facet over %s"
+                % (cur.sid, _fmt_vset(rest)))
+        nxt = mc._get(nxt)
+        if nxt.vset != rest:
+            raise StructureError(
+                "the facet of %r over %s is %r, which spans %s"
+                % (cur.sid, _fmt_vset(rest), nxt.sid,
+                   _fmt_vset(nxt.vset)))
+        cur = nxt
+    return cur.sid
+
+
+def map_problems(f) -> list[str]:
+    """All violations of the simplicial map conditions of f."""
+    problems = []
+    for v in f.source.vertices:
+        if v not in f.vertex_map:
+            problems.append("vertex map is undefined on %r" % v)
+    for sid in f.source.simplex_ids:
+        if sid not in f.simplex_map:
+            problems.append("simplex map is undefined on %r" % sid)
+    if problems:
+        return problems
+    for sid in f.source.simplex_ids:
+        a = f.source.vertex_set(sid)
+        fa = vertex_image(f, a)
+        tid = f.simplex_map[sid]
+        if f.target.vertex_set(tid) != fa:
+            problems.append(
+                "simplex %r maps to %r, which spans %s instead of %s"
+                % (sid, tid, _fmt_vset(f.target.vertex_set(tid)),
+                   _fmt_vset(fa)))
+            continue
+        for b, fid in f.source.facets(sid).items():
+            fb = vertex_image(f, b)
+            want = f.simplex_map[fid]
+            got = face(f.target, tid, fb)
+            if got != want:
+                problems.append(
+                    "facet square fails at %r over %s: image facet is "
+                    "%r but the facet maps to %r"
+                    % (sid, _fmt_vset(b), got, want))
+    return problems
+
+
 def translate(rank: int, el: tuple, x):
     """The translation action of a set-action document, parsing x afresh
     on every call: a point that is a comma-joined list of rank integers
@@ -612,7 +688,7 @@ def validate_action(a: GroupAction) -> list[str]:
     sids = set(a.complex.simplex_ids)
     for g in a.group.elements:
         m = a.map_of(g)
-        for p in m.validate():
+        for p in map_problems(m):
             problems.append("map of %r: %s" % (g, p))
         if set(m.vertex_map.get(v) for v in verts) != verts or \
                 set(m.simplex_map.get(s) for s in sids) != sids:

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from conftest import random_multicomplex
-from multicomplex.core import (Multicomplex, SimplicialMap, StructureError,
+from conftest import cone_action, random_multicomplex, wheel_action
+from multicomplex.core import (Multicomplex, MulticomplexError,
+                               SimplicialMap, StructureError,
                                UnknownIdError, compose_maps, identity_map,
                                product_with_interval, simplicial_complex,
                                special_sphere)
@@ -238,6 +239,97 @@ def test_simplicial_map_validate_and_compose():
     bad = SimplicialMap(mc, mc, dict(rot), dict(smap))
     bad.simplex_map["x,y"] = "x,y"
     assert bad.validate()
+
+
+
+def _map_outcome(validate, f):
+    """The problems validate finds in f, or the error it raises."""
+    try:
+        return validate(f)
+    except MulticomplexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _corrupted(rng: random.Random, f: SimplicialMap) -> SimplicialMap:
+    """f with a few vertex and simplex images moved or dropped."""
+    verts, sids = list(f.target.vertices), list(f.target.simplex_ids)
+    vm, sm = dict(f.vertex_map), dict(f.simplex_map)
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            vm[rng.choice(sorted(vm))] = rng.choice(verts)
+        elif kind == 1:
+            sm[rng.choice(sorted(sm))] = rng.choice(sids)
+        elif kind == 2:
+            # the simplex moves to another one over the same image
+            sid = rng.choice(sorted(sm))
+            image = frozenset(vm.get(v) for v in f.source.vertex_set(sid))
+            sm[sid] = rng.choice(f.target.simplices_over(image) or sids)
+        elif kind == 3 and rng.random() < 0.3:
+            del vm[rng.choice(sorted(vm))]
+        elif rng.random() < 0.3:
+            del sm[rng.choice(sorted(sm))]
+    return SimplicialMap(f.source, f.target, vm, sm)
+
+
+@given(st.integers(0, 10**6))
+def test_map_validate_matches_the_reference_on_corrupted_maps(seed):
+    rng = random.Random(seed)
+    a = wheel_action(rng.randint(3, 7)) if rng.random() < 0.5 else \
+        cone_action(rng.randint(1, 4))
+    f = a.map_of(rng.choice(a.group.elements))
+    assert f.validate() == reference.map_problems(f) == []
+    bad = _corrupted(rng, f)
+    assert bad.validate() == reference.map_problems(bad)
+
+
+@given(st.integers(0, 10**6))
+def test_map_validate_matches_the_reference_on_tampered_complexes(seed):
+    # a random vertex map on a tampered complex, each simplex sent to a
+    # simplex over its image where there is one: face() may then meet a
+    # missing or wrong facet, or a facet entry over a set it cannot hold
+    rng = random.Random(seed)
+    mc = _tampered(rng, random_multicomplex(rng))
+    verts, sids = list(mc.vertices), list(mc.simplex_ids)
+    vm = {v: v if rng.random() < 0.7 else rng.choice(verts) for v in verts}
+    sm = {}
+    for sid in sids:
+        image = frozenset(vm[v] for v in mc.vertex_set(sid))
+        sm[sid] = rng.choice(mc.simplices_over(image) or sids)
+    f = SimplicialMap(mc, mc, vm, sm)
+    assert _map_outcome(SimplicialMap.validate, f) == \
+        _map_outcome(reference.map_problems, f)
+
+
+@pytest.mark.parametrize("extra, message", [
+    # a spurious facet entry over a set the simplex does not hold
+    (("e", "xy", {frozenset("x"): "x", frozenset("y"): "y",
+                  frozenset("z"): "z"}),
+     r"\{z\} is not a subset of the vertices of 'e'"),
+    # a simplex over no vertices, with an entry over no vertices
+    (("o", "", {frozenset(): "o"}), "faces are indexed by nonempty subsets"),
+])
+def test_map_validate_raises_where_face_does(extra, message):
+    mc = Multicomplex("xyz", [(v, v, {}) for v in "xyz"] + [extra])
+    f = identity_map(mc)
+    with pytest.raises(StructureError, match=message):
+        f.validate()
+    assert _map_outcome(SimplicialMap.validate, f) == \
+        _map_outcome(reference.map_problems, f)
+
+
+def test_map_validate_walks_to_a_deep_face():
+    # the entry over {x} in the facet map of t skips a level: the face
+    # of t over {x}, found through xy, is x, not the x2 it names
+    triples = [(v, v, {}) for v in "xyz"] + [("x2", "x", {})]
+    triples += [(a + b, a + b, {frozenset(a): a, frozenset(b): b})
+                for a, b in ("xy", "xz", "yz")]
+    triples.append(("t", "xyz", {frozenset("xy"): "xy", frozenset("xz"): "xz",
+                                 frozenset("yz"): "yz", frozenset("x"): "x2"}))
+    f = identity_map(Multicomplex("xyz", triples))
+    problems = ["facet square fails at 't' over {x}: image facet is 'x' but "
+                "the facet maps to 'x2'"]
+    assert f.validate() == reference.map_problems(f) == problems
 
 
 def test_collapse_map_is_degenerate():

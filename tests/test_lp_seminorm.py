@@ -372,23 +372,31 @@ def test_lp_solver_rejects_singular_start():
 
 
 @st.composite
-def small_lps(draw):
+def small_lps(draw, max_rows=4, max_extra=5, degenerate=False):
     """(columns, b, c, basis): a feasible start B = L U with |det B| >= 2,
     b = B x_B for a nonnegative fractional x_B, and costs c >= 0, so an
-    optimum exists."""
-    m = draw(st.integers(1, 4))
-    n = m + draw(st.integers(0, 5))
+    optimum exists.  A degenerate program has at most one basic variable
+    above zero at the start, and its rows fall into up to three blocks:
+    B is block diagonal and every other column lies inside one block, so
+    a pivot in one block leaves the columns of the others untouched."""
+    m = draw(st.integers(1, max_rows))
+    n = m + draw(st.integers(0, max_extra))
+    block = [draw(st.integers(0, 2)) if degenerate else 0 for _ in range(m)]
     ints = st.integers(-3, 3)
-    lower = [[1 if i == j else draw(ints) if i > j else 0
-              for j in range(m)] for i in range(m)]
+    lower = [[1 if i == j else draw(ints) if i > j and block[i] == block[j]
+              else 0 for j in range(m)] for i in range(m)]
     diag = [draw(st.sampled_from((1, -1, 2, -3))) for _ in range(m)]
     diag[draw(st.integers(0, m - 1))] = draw(st.sampled_from((2, -2, 3)))
-    upper = [[diag[i] if i == j else draw(ints) if j > i else 0
-              for j in range(m)] for i in range(m)]
+    upper = [[diag[i] if i == j else draw(ints) if j > i and
+              block[i] == block[j] else 0 for j in range(m)]
+             for i in range(m)]
     bmat = [[sum(lower[i][t] * upper[t][j] for t in range(m))
              for j in range(m)] for i in range(m)]
     dense = [[bmat[i][j] for i in range(m)] for j in range(m)]
-    dense += [[draw(ints) for _ in range(m)] for _ in range(n - m)]
+    for _ in range(n - m):
+        home = draw(st.sampled_from(block)) if degenerate else 0
+        dense.append([draw(ints) if block[i] == home else 0
+                      for i in range(m)])
     order = draw(st.permutations(range(n)))
     columns = [None] * n
     for pos, col in zip(order, dense):
@@ -396,11 +404,18 @@ def small_lps(draw):
     xb = [draw(st.fractions(0, 5, max_denominator=6)) for _ in range(m)]
     # a degenerate start: some basic variables at zero, so that ratio
     # ties and zero-length pivots occur
-    for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
-        xb[i] = Fraction(0)
+    if degenerate:
+        keep = draw(st.integers(0, m - 1))
+        xb = [v if i == keep else Fraction(0) for i, v in enumerate(xb)]
+    else:
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+            xb[i] = Fraction(0)
     b = [sum(bmat[i][j] * xb[j] for j in range(m)) for i in range(m)]
     assume(any(v.denominator > 1 for v in b))
     c = [draw(st.fractions(0, 4, max_denominator=5)) for _ in range(n)]
+    if degenerate:  # a dear start, so that the solver pivots away
+        for j in order[:m]:
+            c[j] += 3
     return columns, b, c, list(order[:m])
 
 
@@ -431,6 +446,71 @@ def test_lp_solver_certifies_random_programs(lp, cap):
         assert cj - sum(res.y[i] * v for i, v in col) >= 0
     value = sum(cj * xj for cj, xj in zip(c, res.x))
     assert value == sum(bi * yi for bi, yi in zip(b, res.y)) == res.value
+
+
+@settings(max_examples=100)
+@given(small_lps(max_rows=8, max_extra=12, degenerate=True), st.integers(0, 3))
+def test_lp_solver_matches_the_reference_on_degenerate_programs(lp, cap):
+    # most pivots are degenerate and change |det B|; a column in another
+    # block is not touched by them, so its reduced cost is only rescaled
+    assert _outcome(solve, *lp) == _outcome(reference.solve, *lp)
+    assert _outcome(solve, *lp, cap) == _outcome(reference.solve, *lp, cap)
+
+
+def _seminorm_lp(cc, z):
+    """The program seminorm_l1 hands to exactlp.solve for z in cc."""
+    from multicomplex import exactlp
+    programs = []
+
+    def record(*lp):
+        programs.append(lp)
+        return solve(*lp)
+    saved, exactlp.solve = exactlp.solve, record
+    try:
+        seminorm_l1(cc, z)
+    finally:
+        exactlp.solve = saved
+    (lp,) = programs
+    return lp
+
+
+def _path(vertices):
+    """The closed path through vertices, on the ordered edges."""
+    terms = {}
+    for x, y in zip(vertices, vertices[1:] + vertices[:1]):
+        terms[AlgebraicSimplex(",".join(sorted((x, y))), (x, y))] = 1
+    return Chain(1, RING_RAT, terms)
+
+
+def _seminorm_program(case):
+    """The complex and the class of one seminorm program."""
+    if case == "grid3":
+        cc, v = _grid_torus(3)
+        return cc, _loop_plus_boundaries(
+            [v(i, 0) for i in range(3)],
+            [(v(0, 1), v(1, 1), v(1, 2), 1), (v(0, 0), v(0, 1), v(1, 1), -1)])
+    if case == "grid4":
+        cc, v = _grid_torus(4)
+        return cc, _loop_plus_boundaries(
+            [v(i, i) for i in range(4)],
+            [(v(2, 0), v(2, 1), v(3, 1), 2), (v(0, 2), v(1, 2), v(1, 3), -1)])
+    if case == "torus7":
+        cc = build_full_chain_complex(seven_vertex_torus())
+        return cc, _path([str(3 * i % 7) for i in range(7)]).scaled(2)
+    cc = build_full_chain_complex(special_sphere(3))
+    return cc, _path(["v2", "v0", "v3"])
+
+
+@pytest.mark.parametrize("case, rows, cols, value", [
+    ("grid3", 27, 90, 3), ("grid4", 48, 160, 4), ("torus7", 42, 252, 14),
+    ("sphere3", 12, 72, 0)])
+def test_lp_solver_matches_the_reference_on_seminorm_programs(case, rows,
+                                                              cols, value):
+    lp = _seminorm_lp(*_seminorm_program(case))
+    assert (len(lp[1]), len(lp[0])) == (rows, cols)
+    got = _outcome(solve, *lp)
+    assert got == _outcome(reference.solve, *lp)
+    assert got[3] == value
 
 
 @pytest.mark.parametrize("lp, message", [
@@ -481,3 +561,57 @@ def test_dual_certificate_vanishes_on_boundaries():
 def _torus_loop(cc):
     from multicomplex.chains import homology
     return homology(cc).generators(1)[0]
+
+
+def _doctored(real, breach):
+    """real, with its LPResult broken so that exactly the certification
+    check named by breach fails in seminorm_l1; the u, w, +d and -d
+    variables come in that order."""
+    def solve(columns, b, c, basis, *rest):
+        res = real(columns, b, c, basis, *rest)
+        m = len(b)
+        x, y, value = list(res.x), list(res.y), res.value
+        if breach == "bounding":  # one more triangle in the chain
+            x[2 * m] += 1
+        elif breach == "value":
+            value += 1
+        elif breach == "sup-norm":
+            y[0] = Fraction(2)
+        elif breach == "boundary":  # 1 on one row of a boundary column
+            row = columns[2 * m][0][0]
+            y = [Fraction(int(i == row)) for i in range(m)]
+        else:  # the zero certificate pairs with z to 0
+            y = [Fraction(0)] * m
+        return LPResult(value, x, y, res.basis)
+    return solve
+
+
+@pytest.mark.parametrize("breach, message", [
+    ("bounding", "representative and bounding chain disagree"),
+    ("value", "optimal value does not match the representative norm"),
+    ("sup-norm", "dual certificate exceeds sup-norm one"),
+    ("boundary", "dual certificate does not vanish on boundaries"),
+    ("gap", "duality gap is not zero"),
+])
+def test_seminorm_certification_refuses_a_doctored_solve(
+        breach, message, monkeypatch, tmp_path, capsys):
+    from multicomplex import exactlp, formats
+    from multicomplex.cli import main
+    from multicomplex.core import InternalInvariantError
+    mc = seven_vertex_torus()
+    cc = build_reduced_chain_complex(mc)
+    z = _loop_plus_boundaries([str(i) for i in range(7)], [])
+    assert seminorm_l1(cc, z).value > 0
+    monkeypatch.setattr(exactlp, "solve", _doctored(exactlp.solve, breach))
+    with pytest.raises(InternalInvariantError) as exc:
+        seminorm_l1(cc, z)
+    assert str(exc.value) == message
+    paths = []
+    for name, doc in (("mc.json", formats.multicomplex_to_doc(mc)),
+                      ("z.json", formats.chain_to_doc(z))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(formats.canonical_dumps(doc), encoding="utf-8")
+    code = main(["seminorm", str(paths[1]), "--complex", str(paths[0])])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "internal invariant breach: %s" % message in err
