@@ -22,6 +22,7 @@ since H(C;Q) = H(C;Z) (x) Q: the Betti numbers are the free ranks.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -366,7 +367,9 @@ def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
     sid when t[i] occurs again in t, and otherwise lies on the facet of
     sid over the rest.  Faces on a skipped simplex are dropped; a facet
     that is missing or spans the wrong vertices raises StructureError,
-    and so does a simplex with no vertices, which no tuple lists.
+    and so does a simplex with no vertices, which no tuple lists.  All
+    the orderings of the simplices, when more than MAX_ORDERINGS, raise
+    StructureError before any is listed.
     """
     empty = mc.simplices_over(())
     if empty:
@@ -375,6 +378,16 @@ def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
     shape = [(sid, mc.vertex_set(sid), tuple(sorted(mc.vertex_set(sid))),
               mc.facets(sid)) for sid in sorted(mc.simplex_ids)
              if sid not in skip]
+    if tuples is _all_orderings:
+        sizes = Counter(len(vs) for _, _, vs, _ in shape
+                        if len(vs) <= top + 1)
+        work = sum(_orderings(count, size - 1)
+                   for size, count in sizes.items())
+        if work > MAX_ORDERINGS:
+            raise StructureError(
+                "the full chain complex of %d simplex(es) in degrees 0..%d "
+                "would list at least %d orderings, over the limit of %d"
+                % (sum(sizes.values()), top, work, MAX_ORDERINGS))
     basis, columns, index = {}, {}, {}
     for n in range(top + 1):
         labels, cols = [], []
@@ -415,11 +428,13 @@ def build_full_chain_complex(mc: Multicomplex, max_degree=None,
 
     By default tuples with repeated vertices are not generated: every
     degree-n basis element is one of the (n+1)! orderings of a geometric
-    n-simplex.  With with_repeats=True the degree-n basis consists of all
-    length-(n+1) tuples covering the vertex set of some simplex of
-    dimension at most n; this larger complex is nonzero in every degree,
-    so an explicit max_degree is required, and it supplies the bounding
-    chains that make class seminorms agree with the reduced complex.
+    n-simplex, and more than MAX_ORDERINGS of them in all raise
+    StructureError before any is listed.  With with_repeats=True the
+    degree-n basis consists of all length-(n+1) tuples covering the
+    vertex set of some simplex of dimension at most n; this larger
+    complex is nonzero in every degree, so an explicit max_degree is
+    required, and it supplies the bounding chains that make class
+    seminorms agree with the reduced complex.
     """
     if not with_repeats:
         return _build(mc, _top(mc, max_degree), ring, _all_orderings)
@@ -481,27 +496,36 @@ def section_chain(chain: Chain) -> Chain:
     return Chain(chain.degree, chain.ring, dict(chain.items()))
 
 
-# The most (term, ordering) pairs alternate may list: it lists all (k+1)!
-# orderings of every surviving term of degree k.  One term of degree 8
-# (362,880 orderings) took 5.8 s, one of degree 7 (40,320) 0.43 s, and
-# 10,000 terms of degree 3 (240,000) 2.1 s, on one core of an Intel Xeon
-# under CPython 3.11; the cost per ordering grows with k, so the limit
-# stands for roughly 15 s.
+# The most (term, ordering) pairs alternate may list, and the most
+# orderings of simplices a full chain complex may hold.  alternate lists
+# all (k+1)! orderings of every surviving term of degree k.  One term of
+# degree 8 (362,880 orderings) took 5.8 s, one of degree 7 (40,320)
+# 0.43 s, and 10,000 terms of degree 3 (240,000) 2.1 s, on one core of an
+# Intel Xeon under CPython 3.11; the cost per ordering grows with k, so
+# the limit stands for roughly 15 s.  The full chain complex of the
+# 7-simplex with all its faces (109,600 orderings) took 2.5 s to build
+# at about 100 MiB on the same machine.
 MAX_ORDERINGS = 10 ** 6
+
+
+def _orderings(count: int, k: int) -> int:
+    """count x (k+1)!, or a partial product of it once that is over
+    MAX_ORDERINGS, so that a huge k costs nothing."""
+    work = count
+    for n in range(2, k + 2):
+        if not 0 < work <= MAX_ORDERINGS:
+            break
+        work *= n
+    return work
 
 
 def _limit_orderings(what: str, count: int, k: int) -> None:
     """Raise StructureError, before any is listed, when count x (k+1)!
     orderings are more than MAX_ORDERINGS; what % count names them."""
-    if not count:  # k may be huge when nothing is listed
-        return
-    work = count
-    for n in range(2, k + 2):
-        work *= n
-        if work > MAX_ORDERINGS:
-            raise StructureError(
-                "%s of degree %d would list %d x %d! orderings, over the "
-                "limit of %d" % (what % count, k, count, k + 1, MAX_ORDERINGS))
+    if _orderings(count, k) > MAX_ORDERINGS:
+        raise StructureError(
+            "%s of degree %d would list %d x %d! orderings, over the "
+            "limit of %d" % (what % count, k, count, k + 1, MAX_ORDERINGS))
 
 
 def alternate(chain: Chain | Cochain) -> Chain | Cochain:

@@ -8,11 +8,12 @@ the discrete derivative of mu.  Amenability enters only through the two
 shipped group models: finite groups average exactly, and free abelian
 groups carry uniform box measures with arbitrarily small derivative.
 
-Measures are stored fraction-free: integer numerators over one common
-denominator (the lcm of the weight denominators), so derivatives and
-convolutions run on ints and build a Fraction only for a value that
-leaves the module, in the manner of the fraction-free eliminations of
-Bareiss (1968).
+Measures and functions are both stored fraction-free: integer
+numerators over one common denominator (the lcm of the denominators of
+their values), so derivatives, convolutions, norms and sums run on ints
+and build a Fraction only for a value that leaves the module, in the
+manner of the fraction-free eliminations of Bareiss (1968).  The
+document writers format each distinct numerator once.
 
 The module covers measures and their derivatives, box (Folner) measures,
 single-orbit diffusion with a certified bound, sequential diffusion over
@@ -29,6 +30,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
+from math import gcd, lcm
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
 from .actions import (GroupAction, ValidationReport, _orbit_totals,
@@ -204,67 +206,90 @@ class ActionOnSet:
 
 
 class SparseFunction:
-    """A finitely supported rational function on opaque points."""
+    """A finitely supported rational function on opaque points.
+
+    Like a FiniteSupportMeasure, it keeps its values as int numerators:
+    _num[x] is nonzero on the support, over one positive denominator
+    _den, the least one (the lcm of the reduced denominators of the
+    values, 1 for the zero function).  So each function has one stored
+    form, which equality compares; value() and items() return reduced
+    Fractions.
+    """
 
     def __init__(self, values=None):
-        self._vals = {}
-        if values:
-            items = values.items() if hasattr(values, "items") else values
-            for x, v in items:
-                # repeated points add up; a mapping never repeats one
-                v = Fraction(v)
-                if x in self._vals:
-                    v += self._vals[x]
-                if v:
-                    self._vals[x] = v
-                else:
-                    self._vals.pop(x, None)
+        items = values.items() if hasattr(values, "items") else values or ()
+        den, pairs = _numerators((x, Fraction(v)) for x, v in items)
+        num = {}
+        for x, n in pairs:  # repeated points add up; a mapping has none
+            num[x] = num.get(x, 0) + n
+        self._store(num, den)
+
+    @classmethod
+    def _of_numerators(cls, num, den):
+        """The function with value n/den at x for each x: n in num."""
+        f = cls.__new__(cls)
+        f._store(num, den)
+        return f
+
+    def _store(self, num, den):
+        """Keep num over den without its zeros, over the least den."""
+        num = {x: n for x, n in num.items() if n}
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {x: n // g for x, n in num.items()}
+            den //= g
+        self._num = num
+        self._den = den
 
     def value(self, x) -> Fraction:
-        return self._vals.get(x, Fraction(0))
+        return Fraction(self._num.get(x, 0), self._den)
 
     def support(self) -> list:
-        return sorted(self._vals, key=repr)
+        return sorted(self._num, key=repr)
 
     def items(self) -> list:
-        return sorted(self._vals.items(), key=lambda kv: repr(kv[0]))
+        # one Fraction per distinct value
+        values = {n: Fraction(n, self._den) for n in set(self._num.values())}
+        return sorted(((x, values[n]) for x, n in self._num.items()),
+                      key=lambda kv: repr(kv[0]))
 
     @property
     def is_zero(self) -> bool:
-        return not self._vals
+        return not self._num
 
     def l1_norm(self) -> Fraction:
-        return sum((abs(v) for v in self._vals.values()), Fraction(0))
+        return Fraction(sum(map(abs, self._num.values())), self._den)
 
     def total(self) -> Fraction:
-        return sum(self._vals.values(), Fraction(0))
+        return Fraction(sum(self._num.values()), self._den)
 
     def sum_over(self, points) -> Fraction:
-        return sum((self._vals.get(x, Fraction(0)) for x in set(points)),
-                   Fraction(0))
+        get = self._num.get
+        return Fraction(sum(get(x, 0) for x in set(points)), self._den)
 
     def norm_over(self, points) -> Fraction:
-        return sum((abs(self._vals.get(x, Fraction(0))) for x in set(points)),
-                   Fraction(0))
+        get = self._num.get
+        return Fraction(sum(abs(get(x, 0)) for x in set(points)), self._den)
 
     def restrict(self, points) -> "SparseFunction":
         keep = set(points)
-        return SparseFunction({x: v for x, v in self._vals.items()
-                               if x in keep})
+        return SparseFunction._of_numerators(
+            {x: n for x, n in self._num.items() if x in keep}, self._den)
 
     def scaled(self, factor) -> "SparseFunction":
         factor = Fraction(factor)
-        return SparseFunction({x: v * factor for x, v in self._vals.items()})
+        p = factor.numerator
+        return SparseFunction._of_numerators(
+            {x: n * p for x, n in self._num.items()},
+            self._den * factor.denominator)
 
     def __add__(self, other):
-        out = dict(self._vals)
-        for x, v in other._vals.items():
-            cur = out.get(x, Fraction(0)) + v
-            if cur == 0:
-                out.pop(x, None)
-            else:
-                out[x] = cur
-        return SparseFunction(out)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = {x: n * a for x, n in self._num.items()}
+        for x, n in other._num.items():
+            out[x] = out.get(x, 0) + n * b
+        return SparseFunction._of_numerators(out, den)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -273,8 +298,8 @@ class SparseFunction:
         return self.scaled(-1)
 
     def __eq__(self, other):
-        return (isinstance(other, SparseFunction)
-                and self._vals == other._vals)
+        return (isinstance(other, SparseFunction) and self._den == other._den
+                and self._num == other._num)
 
     def __repr__(self) -> str:
         body = ", ".join("%r: %s" % (x, v) for x, v in self.items())
@@ -291,33 +316,31 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
 
     Computed over the supports: the atom at gamma moves the mass f(y)
     from y to gamma.y, so the support never leaves supp(mu).supp(f).
-    The values of f are scaled to ints over their lcm, so the sums run
-    on ints over the denominator _den * lcm.  mu must be a measure on
-    a.group: its stored elements were coerced when it was built and go
-    to the oracle as they are.
+    The sums run on the int numerators of both, over the denominator
+    mu._den * f._den.  mu must be a measure on a.group: its stored
+    elements were coerced when it was built and go to the oracle as
+    they are.
     """
     act = a.oracle()
-    fden, fnum = _numerators(f.items())
+    # atoms in the order of mu.items() and points in the order of
+    # f.items(), so that a failing oracle fails on the first such pair
+    fnum = sorted(f._num.items(), key=lambda kv: repr(kv[0]))
     acc = {}
-    # atoms in the order of mu.items(), so a failing oracle fails on the
-    # same atom as it would there
     for gamma, w in sorted(mu._num.items()):
         for y, v in fnum:
             x = act(gamma, y)
             acc[x] = acc.get(x, 0) + w * v
-    den = mu._den * fden
-    out = SparseFunction()
-    out._vals = {x: Fraction(n, den) for x, n in acc.items() if n}
-    return out
+    return SparseFunction._of_numerators(acc, mu._den * f._den)
 
 
 def measure_derivative(mu: FiniteSupportMeasure, phi) -> Fraction:
     """The l1 norm of gamma -> mu(gamma*phi) - mu(gamma).
 
     That function is nu - mu for nu(gamma) = mu(gamma*phi), the measure
-    with nu(s*phi^-1) = mu(s), so one product per atom builds nu.  The
-    group must satisfy the group laws (FiniteGroup.validate); a table on
-    which s -> s*phi^-1 folds two atoms together raises StructureError.
+    with nu(s*phi^-1) = mu(s), so one product per atom builds nu.  Both
+    have total 1, so the norm is twice the mass by which nu exceeds mu.
+    The group must satisfy the group laws (FiniteGroup.validate); a table
+    on which s -> s*phi^-1 folds two atoms together raises StructureError.
     """
     g = mu.group
     inv = g.inverse(g.coerce(phi))
@@ -328,8 +351,9 @@ def measure_derivative(mu: FiniteSupportMeasure, phi) -> Fraction:
         raise StructureError(
             "right multiplication by %r is not injective: the group "
             "table fails the group laws" % (phi,))
-    return Fraction(sum(abs(shifted.get(gamma, 0) - num.get(gamma, 0))
-                        for gamma in shifted.keys() | num.keys()), mu._den)
+    get = num.get
+    return Fraction(2 * sum(n - m for gamma, n in shifted.items()
+                            if n > (m := get(gamma, 0))), mu._den)
 
 
 def derivative_norm(mu: FiniteSupportMeasure, phis) -> Fraction:
@@ -345,10 +369,12 @@ def derivative_norm(mu: FiniteSupportMeasure, phis) -> Fraction:
 # The most atoms a Folner box may have.  The box side grows like
 # 2|phi|_1/epsilon, so a small epsilon asks for a box that cannot be
 # built; such a request fails at once instead.  At the limit, a unit
-# dipole's box takes folner_measure 9.2 s and convolve 15.2 s at 367 MiB
-# peak RSS in Z^1 (side 1,000,001), and 11.3 s and 17.1 s at 382 MiB in
-# Z^2 (side 1,001), on one core of an Intel Xeon under CPython 3.11;
-# time and memory grow linearly in the atoms from there.
+# dipole's box takes folner_measure 1.6 s and convolve 2.4 s at 356 MiB
+# peak RSS in Z^1 (side 1,000,000), and 1.9 s and 3.2 s at 342 MiB in
+# Z^2 (side 1,000), best of three runs on one core of a 2-vCPU Intel
+# Xeon under CPython 3.11; writing the measure and the result as one
+# document takes another 1.8-2.1 s.  Time and memory grow linearly in
+# the atoms from there.
 MAX_BOX_ATOMS = 10 ** 6
 
 
@@ -446,13 +472,16 @@ def diffuse_to_epsilon(a: ActionOnSet, f: SparseFunction, epsilon):
     if f.is_zero:
         return delta_measure(a.group, a.group.identity), f
     pts = set(a.points)
-    for x in f.support():
+    support = f.support()
+    for x in support:
         if x not in pts:
             raise DiffusionError(
                 "f is supported at %r, outside the enumerated points" % (x,))
-    base = f.support()[0]
+    base = support[0]
     reach = _transporters(a, base)
-    inverted = {a.group.inverse(reach[y]) for y in f.support()}
+    # the base's own transporter is the identity on Z^d, whose derivative
+    # is 0, and a finite group's measure takes no phis
+    inverted = {a.group.inverse(reach[y]) for y in support[1:]}
     mu = folner_measure(a.group, inverted, epsilon / f.l1_norm())
     out = convolve(mu, f, a)
     bound = abs(f.total()) + epsilon

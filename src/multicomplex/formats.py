@@ -318,11 +318,10 @@ def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
 
 
 def measure_to_doc(mu: FiniteSupportMeasure) -> dict:
-    key = mu.group.element_key
-    items = mu.items()  # one Fraction object per distinct weight
-    distinct = {id(w): w for _, w in items}
-    text = {i: rational_str(w) for i, w in distinct.items()}
-    weights = {key(el): text[id(w)] for el, w in items}
+    # the atoms were coerced when mu was built
+    key = mu.group._key
+    text = _numerator_text(mu._num.values(), mu._den)
+    weights = {key(el): text[n] for el, n in mu._num.items()}
     return {"schema_version": SCHEMA_VERSION,
             "group": group_to_doc(mu.group), "weights": weights}
 
@@ -335,13 +334,18 @@ def measure_from_doc(doc: dict) -> FiniteSupportMeasure:
 
 
 def function_to_doc(f: SparseFunction) -> dict:
-    values = {}
-    for x, v in f.items():
-        if not isinstance(x, str):
-            raise FormatError(
-                "only string-labelled points serialize; got %r" % (x,))
-        values[x] = rational_str(v)
-    return {"schema_version": SCHEMA_VERSION, "values": values}
+    stray = [x for x in f._num if not isinstance(x, str)]
+    if stray:
+        raise FormatError("only string-labelled points serialize; got %r"
+                          % (min(stray, key=repr),))
+    text = _numerator_text(f._num.values(), f._den)
+    return {"schema_version": SCHEMA_VERSION,
+            "values": {x: text[n] for x, n in f._num.items()}}
+
+
+def _numerator_text(numerators, den) -> dict:
+    """The text of n/den for each distinct n: a box has one for all."""
+    return {n: rational_str(Fraction(n, den)) for n in set(numerators)}
 
 
 def function_from_doc(doc: dict) -> SparseFunction:

@@ -152,8 +152,11 @@ class FiniteGroup:
 
     # string keys for the file formats
     def element_key(self, g) -> str:
-        if g not in self._table:
-            raise UnknownIdError("unknown group element %r" % (g,))
+        return self._key(self.coerce(g))
+
+    @staticmethod
+    def _key(g) -> str:
+        """The key of an element already coerced."""
         return g
 
     def element_from_key(self, key: str):
@@ -210,7 +213,12 @@ class FreeAbelianGroup:
         return True
 
     def element_key(self, el) -> str:
-        return ",".join(map(str, self.coerce(el)))
+        return self._key(self.coerce(el))
+
+    @staticmethod
+    def _key(el) -> str:
+        """The key of an element already coerced."""
+        return ",".join(map(str, el))
 
     def element_from_key(self, key: str) -> tuple:
         try:

@@ -65,6 +65,15 @@ every id with a generator and copies every facet map, and the
 constructor checks one vertex at a time and copies each facet map
 again.  On any document the program must build an equal complex, or
 raise the same exception with the same message.
+
+SparseFunction is diffusion.SparseFunction as it was when it kept one
+reduced Fraction per point.  On any values the program's function must
+give the same values, items, support, repr, norms and sums, and
+arithmetic, restriction and equality must agree.  measure_to_doc and
+function_to_doc are the writers as they were on those Fractions: they
+format one Fraction per point (or per distinct weight) and key each atom
+by group.element_key, which coerces it again.  The program's writers
+must give the same canonical text.
 """
 
 import math
@@ -77,7 +86,8 @@ from multicomplex.chains import RING_RAT, Chain, Cochain
 from multicomplex.core import (Multicomplex, StructureError, UnknownIdError,
                                _fmt_vset, _Simplex)
 from multicomplex.exactlp import LPResult, SimplexFailure
-from multicomplex.formats import FormatError, _need
+from multicomplex.formats import (SCHEMA_VERSION, FormatError, _need,
+                                  group_to_doc, rational_str)
 from multicomplex.intlinalg import rational_rref
 
 
@@ -729,3 +739,101 @@ def composition_problems(group, act, points) -> list[str]:
                     problems.append("composition fails at (%r, %r, %r)"
                                     % (g, h, x))
     return problems
+
+
+class SparseFunction:
+    """A finitely supported rational function on opaque points."""
+
+    def __init__(self, values=None):
+        self._vals = {}
+        if values:
+            items = values.items() if hasattr(values, "items") else values
+            for x, v in items:
+                # repeated points add up; a mapping never repeats one
+                v = Fraction(v)
+                if x in self._vals:
+                    v += self._vals[x]
+                if v:
+                    self._vals[x] = v
+                else:
+                    self._vals.pop(x, None)
+
+    def value(self, x) -> Fraction:
+        return self._vals.get(x, Fraction(0))
+
+    def support(self) -> list:
+        return sorted(self._vals, key=repr)
+
+    def items(self) -> list:
+        return sorted(self._vals.items(), key=lambda kv: repr(kv[0]))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._vals
+
+    def l1_norm(self) -> Fraction:
+        return sum((abs(v) for v in self._vals.values()), Fraction(0))
+
+    def total(self) -> Fraction:
+        return sum(self._vals.values(), Fraction(0))
+
+    def sum_over(self, points) -> Fraction:
+        return sum((self._vals.get(x, Fraction(0)) for x in set(points)),
+                   Fraction(0))
+
+    def norm_over(self, points) -> Fraction:
+        return sum((abs(self._vals.get(x, Fraction(0))) for x in set(points)),
+                   Fraction(0))
+
+    def restrict(self, points) -> "SparseFunction":
+        keep = set(points)
+        return SparseFunction({x: v for x, v in self._vals.items()
+                               if x in keep})
+
+    def scaled(self, factor) -> "SparseFunction":
+        factor = Fraction(factor)
+        return SparseFunction({x: v * factor for x, v in self._vals.items()})
+
+    def __add__(self, other):
+        out = dict(self._vals)
+        for x, v in other._vals.items():
+            cur = out.get(x, Fraction(0)) + v
+            if cur == 0:
+                out.pop(x, None)
+            else:
+                out[x] = cur
+        return SparseFunction(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseFunction)
+                and self._vals == other._vals)
+
+    def __repr__(self) -> str:
+        body = ", ".join("%r: %s" % (x, v) for x, v in self.items())
+        return "SparseFunction({%s})" % body
+
+
+def measure_to_doc(mu) -> dict:
+    key = mu.group.element_key
+    items = mu.items()  # one Fraction object per distinct weight
+    distinct = {id(w): w for _, w in items}
+    text = {i: rational_str(w) for i, w in distinct.items()}
+    weights = {key(el): text[id(w)] for el, w in items}
+    return {"schema_version": SCHEMA_VERSION,
+            "group": group_to_doc(mu.group), "weights": weights}
+
+
+def function_to_doc(f) -> dict:
+    values = {}
+    for x, v in f.items():
+        if not isinstance(x, str):
+            raise FormatError(
+                "only string-labelled points serialize; got %r" % (x,))
+        values[x] = rational_str(v)
+    return {"schema_version": SCHEMA_VERSION, "values": values}

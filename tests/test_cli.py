@@ -339,6 +339,28 @@ def test_orbits_of_the_double_edge_swap(tmp_path, capsys):
         assert {e["simplex"] for e in orb} == {"north", "south"}
 
 
+def test_full_homology_past_the_ordering_limit_exits_one_at_once(tmp_path,
+                                                                  capsys):
+    """The 9-simplex with all its faces has 1,023 simplices and
+    sum_k C(10, k+1) (k+1)! = 9,864,100 orderings, over MAX_ORDERINGS;
+    the reduced complex lists one tuple per simplex."""
+    mc = simplicial_complex([tuple("v%d" % i for i in range(10))])
+    cpath = _write_mc(tmp_path, "simplex.json", mc)
+    with within(5):
+        code, out, err = _run(capsys, ["homology", cpath, "--variant", "full",
+                                       "--ring", "q"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the full chain complex of 1023 simplex(es) in degrees 0..9 "
+        "would list at least 9864100 orderings, over the limit of 1000000"]
+    with within(5):
+        code, doc, err = _run_json(capsys, ["homology", cpath, "--variant",
+                                            "reduced", "--ring", "q"])
+    assert code == 0
+    assert [doc["structure"][str(k)]["betti"] for k in range(10)] == [
+        1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
 def test_orbits_past_the_ordering_limit_exits_one_at_once(tmp_path, capsys):
     """The 9-simplex has 10! = 3,628,800 orderings, over MAX_ORDERINGS;
     a degree it has no simplex of lists none."""

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 import reference
@@ -404,6 +405,86 @@ def test_sparse_function_arithmetic():
     assert f.norm_over([1]) == Fraction(1, 2)
 
 
+_POINTS = [0, 1, 2, 3, "a", "b", (0, 1)]
+_VALUES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(-3, 3, max_denominator=12))
+# repeated points add up; a mapping has none
+_FUNCTION_VALUES = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_POINTS), _VALUES), max_size=8),
+    st.dictionaries(st.sampled_from(_POINTS), _VALUES, max_size=6))
+
+
+def _check_against(f, ref):
+    """f gives what the Fraction reference gives and keeps the least
+    denominator."""
+    assert f.items() == ref.items()
+    assert f.support() == ref.support()
+    assert repr(f) == repr(ref)
+    assert f.is_zero == ref.is_zero
+    assert f._den == lcm(*(v.denominator for _, v in ref.items()))
+    assert all(f._num.values())
+
+
+@settings(max_examples=200)
+@given(_FUNCTION_VALUES, _FUNCTION_VALUES,
+       st.lists(st.sampled_from(_POINTS), max_size=5),
+       st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=6)))
+def test_sparse_function_matches_the_fraction_reference(values, other,
+                                                        points, factor):
+    f, ref = SparseFunction(values), reference.SparseFunction(values)
+    g, gref = SparseFunction(other), reference.SparseFunction(other)
+    _check_against(f, ref)
+    for x in _POINTS:
+        assert type(f.value(x)) is Fraction and f.value(x) == ref.value(x)
+    assert f.l1_norm() == ref.l1_norm()
+    assert f.total() == ref.total()
+    assert f.sum_over(points) == ref.sum_over(points)
+    assert f.norm_over(points) == ref.norm_over(points)
+    for got, want in ((f + g, ref + gref), (f - g, ref - gref), (-f, -ref),
+                      (f.scaled(factor), ref.scaled(factor)),
+                      (f.scaled(0), ref.scaled(0)),
+                      (f.restrict(points), ref.restrict(points))):
+        _check_against(got, want)
+    assert (f == g) == (ref == gref)
+    assert f == SparseFunction(ref.items()) and f != ref.items()
+
+
+@st.composite
+def _block_dipoles(draw, nblocks=24):
+    """A truncated action of nblocks cyclic blocks, as the local-diffuse
+    benchmark slot builds them, with one dipole on each block."""
+    blocks, values = [], []
+    for b in range(nblocks):
+        k = draw(st.integers(2, 5))
+        pts = ["b%dp%d" % (b, i) for i in range(k)]
+        group = cyclic_group(k)
+        moves = {g: {pts[i]: pts[(i + j) % k] for i in range(k)}
+                 for j, g in enumerate(group.elements)}
+        blocks.append(OrbitBlock(pts, group,
+                                 lambda g, x, moves=moves: moves[g].get(x, x),
+                                 horizon=b + 1))
+        x, y = draw(st.permutations(pts))[:2]
+        w = draw(st.fractions(Fraction(1, 9), 5, max_denominator=9))
+        values += [(x, w), (y, -w)]
+    points = [x for b in blocks for x in b.points]
+    budgets = [Fraction(1, draw(st.integers(2, 16))) for _ in blocks]
+    return (ActionOnSet(None, points, None, blocks=blocks), values, budgets,
+            draw(st.integers(0, nblocks)))
+
+
+@settings(max_examples=20)
+@given(_block_dipoles())
+def test_local_diffuse_keeps_the_least_denominator(case):
+    a, values, budgets, threshold = case
+    out = local_diffuse(a, SparseFunction(values), budgets, threshold)
+    # every stage of a finite block convolves by its uniform measure
+    ref = reference.SparseFunction(values)
+    for b in a.blocks:
+        weights = {g: Fraction(1, len(b.group)) for g in b.group.elements}
+        ref = _reference_convolve(weights, dict(ref.items()), b.act)
+    _check_against(out, ref)
+
+
 # Plain-Fraction references for the integer kernels of convolve and
 # measure_derivative.
 
@@ -414,7 +495,7 @@ def _reference_convolve(weights, values, act):
         for y, v in values.items():
             x = act(gamma, y)
             acc[x] = acc.get(x, Fraction(0)) + w * v
-    return SparseFunction(acc)
+    return reference.SparseFunction(acc)
 
 
 def _reference_derivative(group, weights, phi):
@@ -493,7 +574,7 @@ def test_integer_kernels_match_the_fraction_reference(case):
     mu = FiniteSupportMeasure(group, weights)
     f = SparseFunction(values)
     out = convolve(mu, f, a)
-    assert out == _reference_convolve(weights, values, a.act)
+    _check_against(out, _reference_convolve(weights, values, a.act))
     assert out.total() == f.total()
     assert out.l1_norm() <= f.l1_norm()
     assert measure_derivative(mu, phi) == _reference_derivative(

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from multicomplex.chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
 from multicomplex.core import product_with_interval
-from multicomplex.diffusion import (FiniteSupportMeasure, SparseFunction,
-                                   uniform_measure)
+from conftest import symmetric_group_3
+from multicomplex.diffusion import (ActionOnSet, FiniteSupportMeasure,
+                                    SparseFunction, convolve, folner_measure,
+                                    uniform_measure)
 from multicomplex.fixtures import (
     cone_over_double_edge,
     cone_swap_action,
@@ -51,6 +53,7 @@ from multicomplex.formats import (
 from multicomplex.covers import Coloring, Cover
 from multicomplex.core import StructureError, UnknownIdError
 from multicomplex.groups import FreeAbelianGroup, cyclic_group
+import reference
 from reference import translate
 
 
@@ -227,6 +230,80 @@ def test_function_roundtrip():
 def test_function_doc_needs_string_points():
     with pytest.raises(FormatError, match="string-labelled"):
         function_to_doc(SparseFunction({3: Fraction(1)}))
+    # the point named is the first one by repr, as on the reference
+    f = SparseFunction({"a": 1, 7: 2, (1,): 3, 5: 4})
+    for writer in (function_to_doc, reference.function_to_doc):
+        with pytest.raises(FormatError) as err:
+            writer(f)
+        assert str(err.value) == ("only string-labelled points serialize; "
+                                  "got (1,)")
+
+
+def _writer_measures():
+    z1, z2, z3 = (FreeAbelianGroup(d) for d in (1, 2, 3))
+    box = folner_measure(z2, [(1, 0), (0, -1)], Fraction(1, 8))
+    assert len(box) == 17 * 17
+    c6 = cyclic_group(6)
+    return [
+        box,
+        folner_measure(z1, [(3,)], Fraction(1, 5)),
+        uniform_measure(z3, [(i, j, k) for i in range(4) for j in range(-2, 2)
+                             for k in range(3)]),
+        FiniteSupportMeasure(z2, {(0, 0): Fraction(1, 2),
+                                  (-1, 7): Fraction(1, 3),
+                                  (12, -3): Fraction(1, 6)}),
+        uniform_measure(c6, c6.elements),
+        FiniteSupportMeasure(c6, {"r0": Fraction(1, 4), "r2": Fraction(1, 4),
+                                  "r3": Fraction(1, 3), "r5": Fraction(1, 6)}),
+        uniform_measure(symmetric_group_3(), ["012", "120", "201"]),
+    ]
+
+
+def _writer_functions():
+    plane = ActionOnSet(FreeAbelianGroup(2), [],
+                        lambda g, x: "%d,%d" % tuple(
+                            map(sum, zip(g, map(int, x.split(","))))))
+    dipole = SparseFunction({"0,0": Fraction(3, 2), "2,1": Fraction(-3, 2)})
+    return [
+        SparseFunction({}),
+        dipole,
+        # a box spreads a dipole into many equal values
+        convolve(folner_measure(FreeAbelianGroup(2), [(1, 0)], Fraction(1, 6)),
+                 dipole, plane),
+        SparseFunction({"p%d" % i: Fraction(1 if i % 3 else -2, 3)
+                        for i in range(300)}),
+        SparseFunction({"p%d" % i: Fraction(i - 20, i % 7 + 1)
+                        for i in range(40)}),
+        SparseFunction({"x": 5, "y": -5, "z": Fraction(10, 2)}),
+    ]
+
+
+def test_writers_give_the_reference_text():
+    for mu in _writer_measures():
+        doc = measure_to_doc(mu)
+        assert doc == reference.measure_to_doc(mu)
+        assert canonical_dumps(doc) == canonical_dumps(
+            reference.measure_to_doc(mu))
+    for f in _writer_functions():
+        doc = function_to_doc(f)
+        assert doc == reference.function_to_doc(f)
+        assert canonical_dumps(doc) == canonical_dumps(
+            reference.function_to_doc(f))
+        assert function_from_doc(doc) == f
+
+
+def test_measure_doc_coerces_no_atom(monkeypatch):
+    mu = _writer_measures()[0]
+    calls = []
+    coerce = FreeAbelianGroup.coerce
+    monkeypatch.setattr(FreeAbelianGroup, "coerce",
+                        lambda group, el: calls.append(el)
+                        or coerce(group, el))
+    doc = measure_to_doc(mu)
+    assert calls == []
+    # the reference keys each atom through element_key, which coerces it
+    assert doc == reference.measure_to_doc(mu)
+    assert len(calls) == len(mu) == 289
 
 
 def test_set_action_from_doc_with_move_tables():
