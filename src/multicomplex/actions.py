@@ -103,8 +103,9 @@ def _moved(m: SimplicialMap, key: AlgebraicSimplex) -> AlgebraicSimplex:
 def act_on_chain(a: GroupAction, g, chain: Chain) -> Chain:
     """Linear extension of the action to chains; commutes with boundary."""
     m = a.map_of(g)
-    return Chain(chain.degree, chain.ring, _push_forward(
-        chain.items(), lambda key: ((1, _moved(m, key)),)))
+    return Chain._of_numerators(chain.degree, chain.ring, _push_forward(
+        sorted(chain._num.items()), lambda key: ((1, _moved(m, key)),)),
+        chain._den)
 
 
 def validate_action(a: GroupAction) -> ValidationReport:

@@ -8,10 +8,16 @@ and kills tuples with repeated entries, leaving one basis element per
 geometric simplex.  Both carry an l1 norm on chains and an linf norm on
 cochains.
 
+Chains, cochains, and the functions and measures of the diffusion
+module keep their values in one fraction-free store, _FractionFree, so
+sums, push-forwards, norms and convolutions run on int numerators and
+build a Fraction only for a value that leaves the store, in the manner
+of the fraction-free eliminations of Bareiss (1968).
+
 One builder makes the full, repeated-vertex, reduced and relative
 complexes; they differ only in the tuples listed and simplices skipped.
 The boundary, projection, alternation and group action all run on one
-fraction-free push-forward kernel, _push_forward; the group average is
+push-forward kernel of numerators, _push_forward; the group average is
 the orbit mean (actions.average_cochain).
 
 Homology is computed exactly from one integer Smith normal form per
@@ -25,7 +31,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import intlinalg
@@ -74,88 +81,156 @@ def permutation_sign(seq) -> int:
     return sign
 
 
-class _SparseModule:
-    """Shared behaviour of Chain and Cochain: sparse coefficient maps."""
+class _FractionFree:
+    """Finitely supported rational values: the value at a key is
+    _num[key]/_den, each numerator a nonzero int and _den the least
+    positive common denominator (1 when there are no values), so equal
+    values have one stored form.  Subclasses add their own checks, and
+    _like(num, den), the values num/den on the space of self."""
 
-    __slots__ = ("degree", "ring", "_terms")
+    __slots__ = ("_num", "_den")
+    _order = None  # the sort key of support(); None sorts the keys
 
-    def __init__(self, degree, ring, terms=None):
-        _check_ring(ring)
-        self.degree = degree
-        self.ring = ring
-        self._terms = {}
-        if terms:
-            for key, val in (terms.items() if hasattr(terms, "items")
-                             else terms):
-                if not isinstance(key, AlgebraicSimplex):
-                    key = AlgebraicSimplex(key[0], tuple(key[1]))
-                if len(key.vertices) != degree + 1:
-                    raise StructureError(
-                        "term %s has %d vertices but the degree is %d"
-                        % (key, len(key.vertices), degree))
-                val = _coerce(ring, val)
-                if val != 0:
-                    cur = self._terms.get(key)
-                    if cur is None:
-                        self._terms[key] = val
-                    else:
-                        cur += val
-                        if cur == 0:
-                            del self._terms[key]
-                        else:
-                            self._terms[key] = cur
+    def _store(self, num, den):
+        """Keep num over den without its zeros, over the least den."""
+        num = {key: n for key, n in num.items() if n}
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {key: n // g for key, n in num.items()}
+            den //= g
+        self._num = num
+        self._den = den
+        return self
 
-    def coefficient(self, key):
-        if not isinstance(key, AlgebraicSimplex):
-            key = AlgebraicSimplex(key[0], tuple(key[1]))
-        return self._terms.get(key, _coerce(self.ring, 0))
+    def _store_values(self, pairs):
+        """Keep value v at key for each (key, v) in pairs; repeats add up."""
+        den, pairs = _numerators(pairs)
+        num = {}
+        for key, n in pairs:
+            num[key] = num.get(key, 0) + n
+        return self._store(num, den)
 
-    def items(self):
-        return sorted(self._terms.items())
-
-    def support(self):
-        return sorted(self._terms)
-
-    @property
-    def is_zero(self):
-        return not self._terms
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.degree == other.degree
-                and self.ring == other.ring and self._terms == other._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def _combine(self, other, flip):
+    def _check_like(self, other):
         if type(other) is not type(self):
             raise StructureError("cannot combine %s with %s"
                                  % (type(self).__name__, type(other).__name__))
-        if other.degree != self.degree or other.ring != self.ring:
-            raise StructureError("degree or ring mismatch in combination")
-        terms = dict(self._terms)
-        for key, val in other._terms.items():
-            cur = terms.get(key, 0) + (-val if flip else val)
-            if cur == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = cur
-        return type(self)(self.degree, self.ring, terms)
+
+    def _space(self) -> tuple:
+        """What besides the values two equal stores share."""
+        return ()
+
+    def numerators(self):
+        """(den, num): the value at each key of the read-only mapping num
+        is num[key]/den, with no zero in num and den the least."""
+        return self._den, MappingProxyType(self._num)
+
+    def support(self) -> list:
+        return sorted(self._num, key=self._order)
+
+    def items(self) -> list:
+        # one Fraction per distinct value: a box measure has one for all
+        num = self._num
+        values = {n: Fraction(n, self._den) for n in set(num.values())}
+        return [(key, values[num[key]]) for key in self.support()]
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._den == other._den
+                and self._num == other._num
+                and self._space() == other._space())
+
+    def _combine(self, other, sign):
+        self._check_like(other)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        out = {key: n * a for key, n in self._num.items()}
+        for key, n in other._num.items():
+            out[key] = out.get(key, 0) + n * b
+        return self._like(out, den)
 
     def __add__(self, other):
-        return self._combine(other, False)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, factor):
-        factor = _coerce(self.ring, factor)
-        return type(self)(
-            self.degree, self.ring,
-            {k: v * factor for k, v in self._terms.items()})
+        factor = Fraction(factor)
+        p = factor.numerator
+        return self._like({key: n * p for key, n in self._num.items()},
+                          self._den * factor.denominator)
+
+    def l1_norm(self) -> Fraction:
+        return Fraction(sum(map(abs, self._num.values())), self._den)
+
+    def total(self) -> Fraction:
+        return Fraction(sum(self._num.values()), self._den)
+
+
+class _SparseModule(_FractionFree):
+    """Shared behaviour of Chain and Cochain: degree-n terms over a ring;
+    over Z the denominator is 1."""
+
+    __slots__ = ("degree", "ring")
+
+    def __init__(self, degree, ring, terms=None):
+        _check_ring(ring)
+        self.degree = degree
+        self.ring = ring
+        pairs = []
+        for key, val in (terms.items() if hasattr(terms, "items")
+                         else terms or ()):
+            if not isinstance(key, AlgebraicSimplex):
+                key = AlgebraicSimplex(key[0], tuple(key[1]))
+            if len(key.vertices) != degree + 1:
+                raise StructureError(
+                    "term %s has %d vertices but the degree is %d"
+                    % (key, len(key.vertices), degree))
+            pairs.append((key, _coerce(ring, val)))
+        self._store_values(pairs)
+
+    @classmethod
+    def _of_numerators(cls, degree, ring, num, den=1):
+        """The terms n/den at key for each key: n in num; the keys must
+        be AlgebraicSimplex of the degree, and den 1 over Z."""
+        new = cls.__new__(cls)
+        new.degree = degree
+        new.ring = ring
+        return new._store(num, den)
+
+    def _like(self, num, den):
+        return self._of_numerators(self.degree, self.ring, num, den)
+
+    def _check_like(self, other):
+        super()._check_like(other)
+        if other.degree != self.degree or other.ring != self.ring:
+            raise StructureError("degree or ring mismatch in combination")
+
+    def _space(self) -> tuple:
+        return self.degree, self.ring
+
+    def as_rational(self):
+        """The same terms over Q (self when it is over Q)."""
+        if self.ring == RING_RAT:
+            return self
+        return self._of_numerators(self.degree, RING_RAT, self._num)
+
+    def coefficient(self, key) -> Fraction:
+        if not isinstance(key, AlgebraicSimplex):
+            key = AlgebraicSimplex(key[0], tuple(key[1]))
+        return Fraction(self._num.get(key, 0), self._den)
+
+    def scaled(self, factor):
+        return super().scaled(_coerce(self.ring, factor))
 
     def __repr__(self):
         body = " + ".join("%s*%s" % (v, k) for k, v in self.items())
@@ -164,50 +239,42 @@ class _SparseModule:
 
 
 class Chain(_SparseModule):
-    def l1_norm(self):
-        return sum(abs(v) for v in self._terms.values())
+    """A finite formal sum of algebraic simplices."""
 
 
 class Cochain(_SparseModule):
     """A linear functional on chains, zero outside its support."""
 
-    def linf_norm(self):
-        return max((abs(v) for v in self._terms.values()),
-                   default=_coerce(self.ring, 0))
+    def linf_norm(self) -> Fraction:
+        return Fraction(max(map(abs, self._num.values()), default=0),
+                        self._den)
 
-    def pairing(self, chain: Chain):
+    def pairing(self, chain: Chain) -> Fraction:
         if chain.degree != self.degree:
             raise StructureError("cochain and chain degrees differ")
-        total = Fraction(0) if (self.ring == RING_RAT
-                                or chain.ring == RING_RAT) else 0
-        for key, val in chain._terms.items():
-            phi = self._terms.get(key)
-            if phi is not None:
-                total += phi * val
-        return total
+        get = self._num.get
+        return Fraction(sum(n * get(key, 0) for key, n in chain._num.items()),
+                        self._den * chain._den)
 
 
-def _numerators(terms):
-    """(den, [(key, n)]): each value of terms as n/den, den their lcm."""
-    terms = list(terms)
-    den = lcm(*(v.denominator for _, v in terms))
+def _numerators(pairs):
+    """(den, [(key, n)]): each value v of pairs as n/den, den the lcm of
+    their denominators."""
+    pairs = list(pairs)
+    den = lcm(*(v.denominator for _, v in pairs))
     return den, [(key, v.numerator * (den // v.denominator))
-                 for key, v in terms]
+                 for key, v in pairs]
 
 
-def _push_forward(terms, images, count=1) -> dict:
-    """The terms of (1/count) sum_{(key, v)} sum_{(c, image) in images(key)}
-    c.v.image, for int c, with keys visited in the order given.  Sums run
-    on int numerators over the lcm of the input denominators; each output
-    value is an int when the denominator is 1, else a Fraction."""
-    den, nums = _numerators(terms)
+def _push_forward(pairs, images) -> dict:
+    """The nonzero int numerators of sum_{(key, n)} sum_{(c, image) in
+    images(key)} c.n.image, for int n and c, with keys visited in the
+    order given; the caller keeps the denominator."""
     acc = {}
-    for key, n in nums:
+    for key, n in pairs:
         for c, image in images(key):
             acc[image] = acc.get(image, 0) + c * n
-    den *= count
-    return {key: n if den == 1 else Fraction(n, den)
-            for key, n in acc.items() if n}
+    return {key: n for key, n in acc.items() if n}
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +376,19 @@ class ChainComplex:
         def faces(key):
             return [(coef, labels[row])
                     for row, coef in columns[self.index_of(n, key)]]
-        return Chain(n - 1, chain.ring,
-                     _push_forward(chain._terms.items(), faces))
+        return Chain._of_numerators(
+            n - 1, chain.ring, _push_forward(chain._num.items(), faces),
+            chain._den)
 
     def coboundary_of(self, cochain: Cochain) -> Cochain:
         """The functional sending a degree-(n+1) simplex to phi(boundary)."""
         n = cochain.degree
-        out = {}
+        get = cochain._num.get
         labels = self.basis(n)
-        for j, key in enumerate(self.basis(n + 1)):
-            total = 0
-            for row, coef in self._columns.get(n + 1, ())[j]:
-                val = cochain._terms.get(labels[row])
-                if val is not None:
-                    total += coef * val
-            if total != 0:
-                out[key] = total
-        return Cochain(n + 1, cochain.ring, out)
+        columns = self._columns.get(n + 1, ())
+        return Cochain._of_numerators(n + 1, cochain.ring, {
+            key: sum(coef * get(labels[row], 0) for row, coef in columns[j])
+            for j, key in enumerate(self.basis(n + 1))}, cochain._den)
 
     def boundary_squares_to_zero(self) -> bool:
         """Exact check that consecutive boundary maps compose to zero."""
@@ -481,8 +544,9 @@ def project_chain(chain: Chain) -> Chain:
             return ()
         return [(permutation_sign(vs),
                  AlgebraicSimplex(key.simplex, tuple(sorted(vs))))]
-    return Chain(chain.degree, chain.ring,
-                 _push_forward(chain.items(), canon))
+    return Chain._of_numerators(
+        chain.degree, chain.ring,
+        _push_forward(sorted(chain._num.items()), canon), chain._den)
 
 
 def section_chain(chain: Chain) -> Chain:
@@ -536,7 +600,7 @@ def alternate(chain: Chain | Cochain) -> Chain | Cochain:
     of them in all raise StructureError before any is listed."""
     k = chain.degree
     # symmetrization cancels in pairs on repeated entries
-    live = [(key, v) for key, v in chain.items()
+    live = [(key, n) for key, n in sorted(chain._num.items())
             if len(set(key.vertices)) == len(key.vertices)]
     if not live:
         return type(chain)(k, RING_RAT)
@@ -547,13 +611,12 @@ def alternate(chain: Chain | Cochain) -> Chain | Cochain:
         vs = key.vertices
         return [(sign, AlgebraicSimplex(key.simplex, tuple(vs[i] for i in p)))
                 for sign, p in perms]
-    return type(chain)(k, RING_RAT,
-                       _push_forward(live, orderings, len(perms)))
+    return type(chain)._of_numerators(
+        k, RING_RAT, _push_forward(live, orderings), chain._den * len(perms))
 
 
 def is_alternating(chain: Chain | Cochain) -> bool:
-    ref = type(chain)(chain.degree, RING_RAT, dict(chain.items()))
-    return alternate(chain) == ref
+    return alternate(chain) == chain.as_rational()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,10 @@ and reported, never interpreted.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .actions import GroupAction, _check_orderings, average_cochain
-from .chains import AlgebraicSimplex, Cochain, RING_RAT, alternate
-from .core import (InternalInvariantError, Multicomplex, StructureError,
-                   UnknownIdError, simplicial_complex)
+from .chains import AlgebraicSimplex, Cochain, alternate
+from .core import (MAX_SIMPLICES, InternalInvariantError, Multicomplex,
+                   StructureError, UnknownIdError, simplicial_complex)
 from itertools import permutations
 
 
@@ -71,7 +69,8 @@ def nerve(c: Cover, max_dim=None) -> Multicomplex:
     spans a simplex exactly when the corresponding members intersect.
 
     Indices become string vertex ids.  Members that are empty sets span
-    nothing, not even a vertex.  max_dim truncates the result.
+    nothing, not even a vertex.  max_dim truncates the result; over
+    MAX_SIMPLICES faces raise StructureError before any is built.
     """
     items = [(str(j), set(c.member(j))) for j in c.indices() if c.member(j)]
     faces = []
@@ -88,6 +87,11 @@ def nerve(c: Cover, max_dim=None) -> Multicomplex:
                 meet = pts & items[q][1]
                 if meet:
                     nxt.append((positions + (q,), meet))
+            if len(faces) + len(nxt) > MAX_SIMPLICES:
+                raise StructureError(
+                    "the nerve of %d members would have at least %d faces, "
+                    "over the limit of %d"
+                    % (len(items), len(faces) + len(nxt), MAX_SIMPLICES))
         frontier = nxt
     return simplicial_complex(faces)
 
@@ -215,24 +219,22 @@ def check_repeated_color_vanishing(phi: Cochain, a: GroupAction,
     mc = a.complex
     # a term off the basis is a bad input, not a cochain that fails a check
     _check_orderings(mc, phi.support(), phi.degree)
-    phiq = Cochain(phi.degree, RING_RAT, dict(phi.items()))
+    phiq = phi.as_rational()
 
     # alternation, checked through the projector
     alt = alternate(phiq)
     if alt != phiq:
-        diff = alt - phiq
         raise StructureError(
             "the cochain is not alternating; it differs from its "
-            "alternation at %s" % (diff.support()[0],))
+            "alternation at %s" % ((alt - phiq).support()[0],))
 
     # invariance: a cochain equals its group average exactly when the
     # action preserves it
     avg = average_cochain(a, phiq)
     if avg != phiq:
-        diff = avg - phiq
         raise StructureError(
             "the cochain is not invariant under the action; its group "
-            "average differs at %s" % (diff.support()[0],))
+            "average differs at %s" % ((avg - phiq).support()[0],))
 
     degree = phi.degree
     verified = []

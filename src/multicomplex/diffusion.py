@@ -8,12 +8,9 @@ the discrete derivative of mu.  Amenability enters only through the two
 shipped group models: finite groups average exactly, and free abelian
 groups carry uniform box measures with arbitrarily small derivative.
 
-Measures and functions are both stored fraction-free: integer
-numerators over one common denominator (the lcm of the denominators of
-their values), so derivatives, convolutions, norms and sums run on ints
-and build a Fraction only for a value that leaves the module, in the
-manner of the fraction-free eliminations of Bareiss (1968).  The
-document writers format each distinct numerator once.
+Measures and functions keep their values in the fraction-free store of
+chains (chains._FractionFree), so derivatives and convolutions run on
+int numerators.
 
 The module covers measures and their derivatives, box (Folner) measures,
 single-orbit diffusion with a certified bound, sequential diffusion over
@@ -30,12 +27,11 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
-from math import gcd, lcm
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
 from .actions import (GroupAction, ValidationReport, _orbit_totals,
                       act_on_chain, average_cochain, orbits)
-from .chains import (Chain, RING_RAT, _numerators, alternate,
+from .chains import (Chain, RING_RAT, _FractionFree, _numerators, alternate,
                      build_full_chain_complex, homology)
 from .core import (InternalInvariantError, Multicomplex, MulticomplexError,
                    StructureError, _Memo)
@@ -59,14 +55,13 @@ class DiffusionError(MulticomplexError):
 # measures
 
 
-class FiniteSupportMeasure:
+class FiniteSupportMeasure(_FractionFree):
     """A probability measure with finite support on a group model.
 
     Weights are positive rationals summing to exactly 1; entries with
-    weight zero are dropped on construction.  They are kept as positive
-    int numerators _num[el] over one common denominator _den, so that
-    sum(_num.values()) == _den; weight() and items() return them as
-    reduced Fractions.
+    weight zero are dropped on construction.  The elements are coerced
+    into the group, and the numerators of the weights sum to the
+    denominator; weight() and items() return reduced Fractions.
     """
 
     def __init__(self, group, weights):
@@ -79,9 +74,7 @@ class FiniteSupportMeasure:
     def _of_numerators(cls, group, pairs, den):
         """The measure with weight n/den at el for each (el, n) in pairs;
         the elements must already be coerced."""
-        mu = cls.__new__(cls)
-        mu._check(group, pairs, den)
-        return mu
+        return cls.__new__(cls)._check(group, pairs, den)
 
     def _check(self, group, pairs, den):
         """Check the weights n/den and store them, summing repeats."""
@@ -98,22 +91,16 @@ class FiniteSupportMeasure:
             raise StructureError(
                 "measure weights must sum to 1, got %s" % Fraction(total, den))
         self.group = group
-        self._num = num
-        self._den = den
+        return self._store(num, den)
+
+    def _like(self, num, den):
+        return self._of_numerators(self.group, num.items(), den)
+
+    def _space(self) -> tuple:
+        return (self.group,)
 
     def weight(self, el) -> Fraction:
         return Fraction(self._num.get(self.group.coerce(el), 0), self._den)
-
-    def support(self) -> list:
-        return sorted(self._num)
-
-    def items(self) -> list:
-        # one Fraction per distinct weight: a box measure has one for all
-        weights = {n: Fraction(n, self._den) for n in set(self._num.values())}
-        return sorted((el, weights[n]) for el, n in self._num.items())
-
-    def __len__(self) -> int:
-        return len(self._num)
 
     def __repr__(self) -> str:
         return "FiniteSupportMeasure(%d atoms)" % len(self._num)
@@ -205,63 +192,28 @@ class ActionOnSet:
             ", %d blocks" % len(self.blocks) if self.blocks else "")
 
 
-class SparseFunction:
-    """A finitely supported rational function on opaque points.
+class SparseFunction(_FractionFree):
+    """A finitely supported rational function on opaque points, listed
+    in the order of their reprs; value() and items() return reduced
+    Fractions."""
 
-    Like a FiniteSupportMeasure, it keeps its values as int numerators:
-    _num[x] is nonzero on the support, over one positive denominator
-    _den, the least one (the lcm of the reduced denominators of the
-    values, 1 for the zero function).  So each function has one stored
-    form, which equality compares; value() and items() return reduced
-    Fractions.
-    """
+    _order = repr
 
     def __init__(self, values=None):
         items = values.items() if hasattr(values, "items") else values or ()
-        den, pairs = _numerators((x, Fraction(v)) for x, v in items)
-        num = {}
-        for x, n in pairs:  # repeated points add up; a mapping has none
-            num[x] = num.get(x, 0) + n
-        self._store(num, den)
+        # repeated points add up; a mapping has none
+        self._store_values((x, Fraction(v)) for x, v in items)
 
     @classmethod
     def _of_numerators(cls, num, den):
         """The function with value n/den at x for each x: n in num."""
-        f = cls.__new__(cls)
-        f._store(num, den)
-        return f
+        return cls.__new__(cls)._store(num, den)
 
-    def _store(self, num, den):
-        """Keep num over den without its zeros, over the least den."""
-        num = {x: n for x, n in num.items() if n}
-        g = gcd(den, *num.values())
-        if g > 1:
-            num = {x: n // g for x, n in num.items()}
-            den //= g
-        self._num = num
-        self._den = den
+    def _like(self, num, den):
+        return self._of_numerators(num, den)
 
     def value(self, x) -> Fraction:
         return Fraction(self._num.get(x, 0), self._den)
-
-    def support(self) -> list:
-        return sorted(self._num, key=repr)
-
-    def items(self) -> list:
-        # one Fraction per distinct value
-        values = {n: Fraction(n, self._den) for n in set(self._num.values())}
-        return sorted(((x, values[n]) for x, n in self._num.items()),
-                      key=lambda kv: repr(kv[0]))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def l1_norm(self) -> Fraction:
-        return Fraction(sum(map(abs, self._num.values())), self._den)
-
-    def total(self) -> Fraction:
-        return Fraction(sum(self._num.values()), self._den)
 
     def sum_over(self, points) -> Fraction:
         get = self._num.get
@@ -273,33 +225,8 @@ class SparseFunction:
 
     def restrict(self, points) -> "SparseFunction":
         keep = set(points)
-        return SparseFunction._of_numerators(
+        return self._of_numerators(
             {x: n for x, n in self._num.items() if x in keep}, self._den)
-
-    def scaled(self, factor) -> "SparseFunction":
-        factor = Fraction(factor)
-        p = factor.numerator
-        return SparseFunction._of_numerators(
-            {x: n * p for x, n in self._num.items()},
-            self._den * factor.denominator)
-
-    def __add__(self, other):
-        den = lcm(self._den, other._den)
-        a, b = den // self._den, den // other._den
-        out = {x: n * a for x, n in self._num.items()}
-        for x, n in other._num.items():
-            out[x] = out.get(x, 0) + n * b
-        return SparseFunction._of_numerators(out, den)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseFunction) and self._den == other._den
-                and self._num == other._num)
 
     def __repr__(self) -> str:
         body = ", ".join("%r: %s" % (x, v) for x, v in self.items())
@@ -699,8 +626,7 @@ class ToyVanishCertificate:
         self.witnesses = dict(witnesses)
 
     def verify(self, cc, z: Chain, result: Chain) -> bool:
-        zq = Chain(z.degree, RING_RAT, dict(z.items()))
-        return cc.boundary_of(self.bounding_chain) == result - zq
+        return cc.boundary_of(self.bounding_chain) == result - z.as_rational()
 
 
 def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
@@ -721,7 +647,7 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     if a.complex is not mc and a.complex != mc:
         raise StructureError("the action lives on a different complex")
     cc = build_full_chain_complex(mc, ring=RING_RAT)
-    zq = Chain(z.degree, RING_RAT, dict(z.items()))
+    zq = z.as_rational()
     if not cc.boundary_of(zq).is_zero:
         raise StructureError("toy_vanish expects a cycle")
     hom = homology(cc)

@@ -14,6 +14,8 @@ The multicomplex decoder checks only the JSON types of what it reads.
 It splits each distinct facet key once per document and hands the ids
 to the Multicomplex constructor, which checks them and copies the facet
 maps; the encoder likewise joins each facet vertex set once per call.
+The writers of chains, cochains, measures and functions share one
+formatter of store numerators, which writes each distinct value once.
 """
 
 from __future__ import annotations
@@ -190,10 +192,11 @@ def multicomplex_from_doc(doc: dict) -> Multicomplex:
 
 
 def _terms_to_doc(obj) -> list:
+    num, text = _numerator_text(obj)
     return [{"simplex": key.simplex,
              "vertices": list(key.vertices),
-             "coeff": rational_str(val)}
-            for key, val in obj.items()]
+             "coeff": text[num[key]]}
+            for key in obj.support()]
 
 
 def _terms_from_doc(entries, ring):
@@ -204,11 +207,9 @@ def _terms_from_doc(entries, ring):
             raise FormatError("term vertices must be strings")
         key = AlgebraicSimplex(_need(entry, "simplex", str), tuple(vertices))
         val = rational_from_str(_need(entry, "coeff"))
-        if ring == RING_INT:
-            if val.denominator != 1:
-                raise FormatError("non-integer coefficient %s in an "
-                                  "integer chain" % val)
-            val = val.numerator
+        if ring == RING_INT and val.denominator != 1:
+            raise FormatError("non-integer coefficient %s in an integer "
+                              "chain" % val)
         terms[key] = val
     return terms
 
@@ -320,8 +321,8 @@ def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
 def measure_to_doc(mu: FiniteSupportMeasure) -> dict:
     # the atoms were coerced when mu was built
     key = mu.group._key
-    text = _numerator_text(mu._num.values(), mu._den)
-    weights = {key(el): text[n] for el, n in mu._num.items()}
+    num, text = _numerator_text(mu)
+    weights = {key(el): text[n] for el, n in num.items()}
     return {"schema_version": SCHEMA_VERSION,
             "group": group_to_doc(mu.group), "weights": weights}
 
@@ -334,18 +335,20 @@ def measure_from_doc(doc: dict) -> FiniteSupportMeasure:
 
 
 def function_to_doc(f: SparseFunction) -> dict:
-    stray = [x for x in f._num if not isinstance(x, str)]
+    num, text = _numerator_text(f)
+    stray = [x for x in num if not isinstance(x, str)]
     if stray:
         raise FormatError("only string-labelled points serialize; got %r"
                           % (min(stray, key=repr),))
-    text = _numerator_text(f._num.values(), f._den)
     return {"schema_version": SCHEMA_VERSION,
-            "values": {x: text[n] for x, n in f._num.items()}}
+            "values": {x: text[n] for x, n in num.items()}}
 
 
-def _numerator_text(numerators, den) -> dict:
-    """The text of n/den for each distinct n: a box has one for all."""
-    return {n: rational_str(Fraction(n, den)) for n in set(numerators)}
+def _numerator_text(store) -> tuple:
+    """(num, text): the numerators of a store and the text of n/den for
+    each distinct n, formatted once (a box measure has one for all)."""
+    den, num = store.numerators()
+    return num, {n: rational_str(Fraction(n, den)) for n in set(num.values())}
 
 
 def function_from_doc(doc: dict) -> SparseFunction:

@@ -37,15 +37,9 @@ class SeminormResult:
         self.dual_certificate = dual_certificate
 
 
-def _as_rational_chain(chain: Chain) -> Chain:
-    if chain.ring == RING_RAT:
-        return chain
-    return Chain(chain.degree, RING_RAT, dict(chain.items()))
-
-
 def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
     """Exact l1 seminorm of the class of the cycle z in its complex."""
-    z = _as_rational_chain(z)
+    z = z.as_rational()
     n = z.degree
     for key in z.support():
         cc.index_of(n, key)
@@ -73,30 +67,25 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
     rep = cc.chain_from_vector(n, rep_vec, RING_RAT)
     bchain = cc.chain_from_vector(n + 1, b_vec, RING_RAT)
 
-    # exact certification of the whole package; the sup-norm and boundary
-    # checks run on the integer numerators of y over one common denominator
+    # exact certification of the whole package; the boundary check runs
+    # on the integer numerators of y over one common denominator
     if (z - cc.boundary_of(bchain)) != rep:
         raise InternalInvariantError("representative and bounding chain "
                                      "disagree")
     if rep.l1_norm() != res.value:
         raise InternalInvariantError("optimal value does not match the "
                                      "representative norm")
-    y = res.y
-    den = math.lcm(*(v.denominator for v in y))
-    num = [v.numerator * (den // v.denominator) for v in y]
-    if any(abs(v) > den for v in num):
+    labels = cc.basis(n)
+    phi = Cochain(n, RING_RAT, zip(labels, res.y))
+    if phi.linf_norm() > 1:
         raise InternalInvariantError("dual certificate exceeds sup-norm one")
+    _, num = phi.numerators()
     for col in bnd_cols:
-        if sum(num[r] * coef for r, coef in col):
+        if sum(num.get(labels[r], 0) * coef for r, coef in col):
             raise InternalInvariantError("dual certificate does not vanish "
                                          "on boundaries")
-    pairing = sum(t * v for t, v in zip(target, y))
-    if pairing != res.value:
+    if phi.pairing(z) != res.value:
         raise InternalInvariantError("duality gap is not zero")
-
-    labels = cc.basis(n)
-    phi = Cochain(n, RING_RAT,
-                  {labels[i]: y[i] for i in range(m) if y[i] != 0})
     return SeminormResult(res.value, rep, bchain, phi)
 
 
@@ -106,7 +95,7 @@ def dual_check(res: SeminormResult, z: Chain) -> bool:
     seminorm_l1 already refuses to return on a nonzero gap, so this is an
     auditable restatement of that guarantee rather than a new computation.
     """
-    return res.dual_certificate.pairing(_as_rational_chain(z)) == res.value
+    return res.dual_certificate.pairing(z) == res.value
 
 
 class VolumeResult:
@@ -128,8 +117,7 @@ def simplicial_volume(mc: Multicomplex) -> VolumeResult:
 
     fc = fundamental_cycle(mc, ring=RING_INT)
     cc = build_reduced_chain_complex(mc, ring=RING_RAT)
-    z = Chain(fc.degree, RING_RAT, dict(fc.items()))
-    res = seminorm_l1(cc, z)
+    res = seminorm_l1(cc, fc.as_rational())
     return VolumeResult(res.value, fc, res)
 
 
@@ -175,13 +163,9 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
     certified if best is 0 or no truncation happened.
     """
     if z.ring != RING_INT:
-        terms = {}
-        for key, val in z.items():
-            if val.denominator != 1:
-                raise MulticomplexError(
-                    "integral search needs an integral chain")
-            terms[key] = int(val)
-        z = Chain(z.degree, RING_INT, terms)
+        if any(val.denominator != 1 for _, val in z.items()):
+            raise MulticomplexError("integral search needs an integral chain")
+        z = Chain(z.degree, RING_INT, z.items())
     if coeff_bound < 0:
         raise MulticomplexError("coefficient bound must be >= 0")
     n = z.degree

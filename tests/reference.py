@@ -74,6 +74,17 @@ function_to_doc are the writers as they were on those Fractions: they
 format one Fraction per point (or per distinct weight) and key each atom
 by group.element_key, which coerces it again.  The program's writers
 must give the same canonical text.
+
+_SparseModule, Chain and Cochain are the chains and cochains as they
+were when each kept a dict of reduced values (ints over Z, Fractions
+over Q) and the constructor summed and checked every term.  On any
+terms the program's stores must give the same items, support, repr,
+norms, pairings and arithmetic; boundary, alternate, act_on_chain and
+convolve must give what these build from the same terms.
+
+simplicial_complex is core.simplicial_complex as it was when it listed
+every subset of every face it was handed.  The program must build an
+equal complex from any family of faces.
 """
 
 import math
@@ -82,7 +93,9 @@ from itertools import combinations
 
 from multicomplex.actions import (GroupAction, act_on_chain, act_on_simplex,
                                   orbits)
-from multicomplex.chains import RING_RAT, Chain, Cochain
+from multicomplex import chains
+from multicomplex.chains import (RING_RAT, AlgebraicSimplex, _check_ring,
+                                 _coerce)
 from multicomplex.core import (Multicomplex, StructureError, UnknownIdError,
                                _fmt_vset, _Simplex)
 from multicomplex.exactlp import LPResult, SimplexFailure
@@ -484,7 +497,7 @@ def translate(rank: int, el: tuple, x):
     return ",".join(str(c + e) for c, e in zip(coords, el))
 
 
-def average_cochain(a: GroupAction, phi: Cochain) -> Cochain:
+def average_cochain(a: GroupAction, phi: chains.Cochain) -> chains.Cochain:
     """The group average A(phi)(x) = (1/|G|) sum_g phi(g^{-1} x).
 
     Rational output; invariant, norm non-increasing, and the identity on
@@ -501,23 +514,23 @@ def average_cochain(a: GroupAction, phi: Cochain) -> Cochain:
                 terms.pop(image, None)
             else:
                 terms[image] = cur
-    return Cochain(phi.degree, RING_RAT,
-                   {k: v / order for k, v in terms.items()})
+    return chains.Cochain(phi.degree, RING_RAT,
+                          {k: v / order for k, v in terms.items()})
 
 
-def toy_vanish_average(a: GroupAction, c: Chain, bounding: Chain,
-                       witnesses: dict) -> tuple:
+def toy_vanish_average(a: GroupAction, c: chains.Chain,
+                       bounding: chains.Chain, witnesses: dict) -> tuple:
     """(average of c, its bounding chain), by one Chain sum per element."""
     w = Fraction(1, len(a.group))
-    new_c = Chain(c.degree, RING_RAT, {})
-    new_b = Chain(c.degree + 1, RING_RAT, {})
+    new_c = chains.Chain(c.degree, RING_RAT, {})
+    new_b = chains.Chain(c.degree + 1, RING_RAT, {})
     for g in a.group.elements:
         new_c = new_c + act_on_chain(a, g, c).scaled(w)
         new_b = new_b + (act_on_chain(a, g, bounding) + witnesses[g]).scaled(w)
     return new_c, new_b
 
 
-def first_orbit_total(a: GroupAction, c: Chain):
+def first_orbit_total(a: GroupAction, c: chains.Chain):
     """(total, least member) of the first orbit, in the order of
     orbits(a, k), on which c has a nonzero total; None if there is none."""
     part = orbits(a, c.degree)
@@ -837,3 +850,146 @@ def function_to_doc(f) -> dict:
                 "only string-labelled points serialize; got %r" % (x,))
         values[x] = rational_str(v)
     return {"schema_version": SCHEMA_VERSION, "values": values}
+
+
+class _SparseModule:
+    """Shared behaviour of Chain and Cochain: sparse coefficient maps."""
+
+    __slots__ = ("degree", "ring", "_terms")
+
+    def __init__(self, degree, ring, terms=None):
+        _check_ring(ring)
+        self.degree = degree
+        self.ring = ring
+        self._terms = {}
+        if terms:
+            for key, val in (terms.items() if hasattr(terms, "items")
+                             else terms):
+                if not isinstance(key, AlgebraicSimplex):
+                    key = AlgebraicSimplex(key[0], tuple(key[1]))
+                if len(key.vertices) != degree + 1:
+                    raise StructureError(
+                        "term %s has %d vertices but the degree is %d"
+                        % (key, len(key.vertices), degree))
+                val = _coerce(ring, val)
+                if val != 0:
+                    cur = self._terms.get(key)
+                    if cur is None:
+                        self._terms[key] = val
+                    else:
+                        cur += val
+                        if cur == 0:
+                            del self._terms[key]
+                        else:
+                            self._terms[key] = cur
+
+    def coefficient(self, key):
+        if not isinstance(key, AlgebraicSimplex):
+            key = AlgebraicSimplex(key[0], tuple(key[1]))
+        return self._terms.get(key, _coerce(self.ring, 0))
+
+    def items(self):
+        return sorted(self._terms.items())
+
+    def support(self):
+        return sorted(self._terms)
+
+    @property
+    def is_zero(self):
+        return not self._terms
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.degree == other.degree
+                and self.ring == other.ring and self._terms == other._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def _combine(self, other, flip):
+        if type(other) is not type(self):
+            raise StructureError("cannot combine %s with %s"
+                                 % (type(self).__name__, type(other).__name__))
+        if other.degree != self.degree or other.ring != self.ring:
+            raise StructureError("degree or ring mismatch in combination")
+        terms = dict(self._terms)
+        for key, val in other._terms.items():
+            cur = terms.get(key, 0) + (-val if flip else val)
+            if cur == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = cur
+        return type(self)(self.degree, self.ring, terms)
+
+    def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, factor):
+        factor = _coerce(self.ring, factor)
+        return type(self)(
+            self.degree, self.ring,
+            {k: v * factor for k, v in self._terms.items()})
+
+    def __repr__(self):
+        body = " + ".join("%s*%s" % (v, k) for k, v in self.items())
+        return "%s(%d;%s)[%s]" % (type(self).__name__, self.degree,
+                                  self.ring, body or "0")
+
+
+class Chain(_SparseModule):
+    def l1_norm(self):
+        return sum(abs(v) for v in self._terms.values())
+
+
+class Cochain(_SparseModule):
+    """A linear functional on chains, zero outside its support."""
+
+    def linf_norm(self):
+        return max((abs(v) for v in self._terms.values()),
+                   default=_coerce(self.ring, 0))
+
+    def pairing(self, chain: Chain):
+        if chain.degree != self.degree:
+            raise StructureError("cochain and chain degrees differ")
+        total = Fraction(0) if (self.ring == RING_RAT
+                                or chain.ring == RING_RAT) else 0
+        for key, val in chain._terms.items():
+            phi = self._terms.get(key)
+            if phi is not None:
+                total += phi * val
+        return total
+
+
+def simplicial_complex(faces, vertices=()) -> Multicomplex:
+    """The simplicial complex generated by the given vertex sets.
+
+    Faces are iterables of vertex ids; the downward closure is taken.
+    Every simplex id is its sorted comma-joined vertex set.
+    """
+    subsets = set()
+    verts = {str(v) for v in vertices}
+    for f in faces:
+        fs = frozenset(str(v) for v in f)
+        if not fs:
+            raise StructureError("faces must be nonempty")
+        verts |= fs
+        for k in range(1, len(fs) + 1):
+            for sub in combinations(sorted(fs), k):
+                subsets.add(frozenset(sub))
+    for v in verts:
+        subsets.add(frozenset([v]))
+    triples = []
+    for sub in sorted(subsets, key=lambda s: (len(s), sorted(s))):
+        sid = ",".join(sorted(sub))
+        facets = {}
+        if len(sub) > 1:
+            for v in sub:
+                b = sub - {v}
+                facets[b] = ",".join(sorted(b))
+        triples.append((sid, sub, facets))
+    return Multicomplex(sorted(verts), triples)

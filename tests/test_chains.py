@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import random_multicomplex, within
+from conftest import cone_action, random_multicomplex, within
+from multicomplex.actions import act_on_chain, act_on_simplex
 from multicomplex.core import (
     StructureError,
     simplicial_complex,
@@ -29,15 +32,19 @@ from multicomplex.chains import (
     fundamental_cycle,
     homology,
     is_alternating,
+    permutation_sign,
     project_chain,
     section_chain,
 )
+from multicomplex.diffusion import (ActionOnSet, FiniteSupportMeasure,
+                                    SparseFunction, convolve)
 from multicomplex.fixtures import (
     double_edge,
     seven_vertex_torus,
     tetrahedron_boundary,
     triangle_boundary,
 )
+from multicomplex.groups import cyclic_group
 
 seeds = st.integers(0, 10**6)
 
@@ -470,3 +477,89 @@ def test_every_builder_variant_is_a_complex(seed):
             mat = reference.dense(cc.boundary_matrix(n), cc.dim(n))
             assert reference.dense(rel.boundary_matrix(n), rel.dim(n)) == \
                 [[mat[r][j] for j in kept] for r in rows]
+
+
+# every store operation against the Fraction references, on the cone over
+# three parallel edges, with its repeated-vertex tuples, and Z/3 turning it
+_CONE = cone_action(3)
+_CONE_CC = build_full_chain_complex(_CONE.complex, max_degree=2,
+                                    with_repeats=True)
+_Z3 = cyclic_group(3)
+_TURN = {g: {"p%d" % i: "p%d" % ((i + j) % 3) for i in range(3)}
+         for j, g in enumerate(_Z3.elements)}
+_ON_POINTS = ActionOnSet(_Z3, ["p0", "p1", "p2", "q"],
+                         lambda g, x: _TURN[g].get(x, x))
+
+
+@st.composite
+def _store_cases(draw):
+    ring = draw(st.sampled_from([RING_INT, RING_RAT]))
+    degree = draw(st.integers(1, 2))
+    value = (st.integers(-3, 3) if ring == RING_INT
+             else st.fractions(-3, 3, max_denominator=6))
+    # repeated keys add up
+    terms = st.lists(st.tuples(st.sampled_from(_CONE_CC.basis(degree)),
+                               value), max_size=6)
+    weights = draw(st.lists(st.integers(0, 4), min_size=3,
+                            max_size=3).filter(any))
+    values = st.tuples(st.sampled_from(_ON_POINTS.points),
+                       st.fractions(-2, 2, max_denominator=6))
+    return (ring, degree, draw(terms), draw(terms), draw(terms), draw(value),
+            draw(st.sampled_from(_CONE.group.elements)),
+            {g: Fraction(w, sum(weights))
+             for g, w in zip(_Z3.elements, weights)},
+            draw(st.lists(values, max_size=5)))
+
+
+def _canonical(x):
+    """Nonzero numerators over the least denominator."""
+    assert all(x._num.values())
+    assert x._den == lcm(*(v.denominator for _, v in x.items()))
+
+
+def _same(got, ref):
+    assert got.items() == ref.items()
+    assert got.support() == ref.support()
+    assert repr(got) == repr(ref)
+    _canonical(got)
+
+
+@settings(max_examples=100)
+@given(_store_cases())
+def test_fraction_free_stores_match_the_fraction_references(case):
+    ring, degree, a, b, phi, factor, g, weights, values = case
+    c, rc = Chain(degree, ring, a), reference.Chain(degree, ring, a)
+    d, rd = Chain(degree, ring, b), reference.Chain(degree, ring, b)
+    co, rco = Cochain(degree, ring, phi), reference.Cochain(degree, ring, phi)
+    for got, ref in ((c, rc), (co, rco), (c + d, rc + rd), (c - d, rc - rd),
+                     (-co, -rco), (c.scaled(factor), rc.scaled(factor)),
+                     (co.scaled(factor), rco.scaled(factor))):
+        _same(got, ref)
+    assert (c == d) == (rc == rd)
+    assert c.l1_norm() == rc.l1_norm()
+    assert co.linf_norm() == rco.linf_norm()
+    assert co.pairing(c) == rco.pairing(rc)
+
+    labels = _CONE_CC.basis(degree - 1)
+    _same(_CONE_CC.boundary_of(c), reference.Chain(degree - 1, ring, [
+        (labels[row], coef * v) for key, v in rc.items()
+        for row, coef in _CONE_CC.column(degree, _CONE_CC.index_of(degree,
+                                                                   key))]))
+    perms = list(permutations(range(degree + 1)))
+    for x, rx in ((c, rc), (co, rco)):
+        _same(alternate(x), type(rx)(degree, RING_RAT, [
+            (AlgebraicSimplex(key.simplex, tuple(key.vertices[i] for i in p)),
+             permutation_sign(p) * Fraction(v, len(perms)))
+            for key, v in rx.items() if len(set(key.vertices)) == degree + 1
+            for p in perms]))
+    _same(act_on_chain(_CONE, g, c), reference.Chain(degree, ring, [
+        (act_on_simplex(_CONE, g, key), v) for key, v in rc.items()]))
+
+    mu = FiniteSupportMeasure(_Z3, weights)
+    _canonical(mu)
+    assert mu.items() == sorted((el, w) for el, w in weights.items() if w)
+    f, rf = SparseFunction(values), reference.SparseFunction(values)
+    act = _ON_POINTS.oracle()
+    _same(f, rf)
+    _same(convolve(mu, f, _ON_POINTS), reference.SparseFunction([
+        (act(el, x), w * v) for el, w in mu.items() for x, v in rf.items()]))

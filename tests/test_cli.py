@@ -381,6 +381,29 @@ def test_orbits_past_the_ordering_limit_exits_one_at_once(tmp_path, capsys):
     assert (code, doc["orbits"]) == (0, [])
 
 
+def test_sphere_past_the_simplex_limit_exits_one_at_once(capsys):
+    """The special 40-sphere has 2^41 simplices, over MAX_SIMPLICES."""
+    with within(1):
+        code, out, err = _run(capsys, ["sphere", "--dim", "40"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the special 40-sphere would have 2^41 simplices, over the "
+        "limit of 32768"]
+
+
+def test_nerve_past_the_simplex_limit_exits_one_at_once(tmp_path, capsys):
+    """40 members through one point span 2^40 - 1 faces, over
+    MAX_SIMPLICES; the count stops once it passes the limit."""
+    cover = Cover({"m%02d" % j: ["p", "q%d" % j] for j in range(40)})
+    path = _write(tmp_path, "cover.json", formats.cover_to_doc(cover))
+    with within(1):
+        code, out, err = _run(capsys, ["nerve", path])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the nerve of 40 members would have at least 32769 faces, "
+        "over the limit of 32768"]
+
+
 def test_average_smears_a_cochain_over_the_swap(tmp_path, capsys):
     cpath = _write_mc(tmp_path, "cone.json", cone_over_double_edge())
     apath = _write(tmp_path, "swap.json",

@@ -48,6 +48,17 @@ def test_special_spheres():
     assert sorted(labelled.vertices) == ["p", "q"]
 
 
+@given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1,
+                         max_size=5), max_size=8),
+       st.lists(st.sampled_from("abcdefg"), max_size=3))
+def test_simplicial_complex_matches_the_reference(faces, vertices):
+    """Skipping a face already listed as a subset of a larger one builds
+    the complex that listing every subset of every face builds."""
+    mc = simplicial_complex(faces, vertices)
+    ref = reference.simplicial_complex(faces, vertices)
+    assert mc == ref and mc.simplex_ids == ref.simplex_ids
+
+
 def test_every_vertex_gets_one_zero_simplex():
     # a second 0-simplex over the same vertex is reported
     mc = Multicomplex(["v"], [("a", frozenset(["v"]), {}),
