@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import intlinalg
 from .core import (Multicomplex, MulticomplexError, StructureError,
-                   UnknownIdError, _fmt_vset)
+                   UnknownIdError)
 
 RING_INT = "Z"
 RING_RAT = "Q"
@@ -425,36 +425,32 @@ def _top(mc: Multicomplex, max_degree):
 
 def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
     """The complex in degrees 0..top whose degree-n basis is (sid; t) for
-    t in tuples(vs, n), vs the sorted vertices of sid, over the ids not
-    in skip in sorted order.  Face i of (sid; t) drops t[i]: it stays on
-    sid when t[i] occurs again in t, and otherwise lies on the facet of
-    sid over the rest.  Faces on a skipped simplex are dropped; a facet
-    that is missing or spans the wrong vertices raises StructureError,
-    and so does a simplex with no vertices, which no tuple lists.  All
-    the orderings of the simplices, when more than MAX_ORDERINGS, raise
-    StructureError before any is listed.
+    t in tuples(vs, n), vs the sorted vertices of sid, over the ids of
+    dimension at most top and not in skip, in sorted order.  Face i of
+    (sid; t) drops t[i]: it stays on sid when t[i] occurs again in t, and
+    otherwise lies on the facet of sid over the rest, read from
+    mc.drop_map(sid) once per listed simplex, which raises validate's
+    first problem for a simplex with no vertices or wrong facets.  Faces
+    on a skipped simplex are dropped.  All the orderings of the
+    simplices, when more than MAX_FULL_ORDERINGS, raise StructureError
+    before any is listed.
     """
-    empty = mc.simplices_over(())
-    if empty:
-        raise StructureError(
-            "simplex %r has an empty vertex set" % empty[0])
-    shape = [(sid, mc.vertex_set(sid), tuple(sorted(mc.vertex_set(sid))),
-              mc.facets(sid)) for sid in sorted(mc.simplex_ids)
-             if sid not in skip]
+    listed = [sid for sid in sorted(mc.simplex_ids)
+              if sid not in skip and mc.dimension_of(sid) <= top]
     if tuples is _all_orderings:
-        sizes = Counter(len(vs) for _, _, vs, _ in shape
-                        if len(vs) <= top + 1)
-        work = sum(_orderings(count, size - 1)
-                   for size, count in sizes.items())
-        if work > MAX_ORDERINGS:
+        dims = Counter(map(mc.dimension_of, listed))
+        work = sum(_orderings(count, k) for k, count in dims.items())
+        if work > MAX_FULL_ORDERINGS:
             raise StructureError(
                 "the full chain complex of %d simplex(es) in degrees 0..%d "
                 "would list at least %d orderings, over the limit of %d"
-                % (sum(sizes.values()), top, work, MAX_ORDERINGS))
+                % (len(listed), top, work, MAX_FULL_ORDERINGS))
+    shape = [(sid, tuple(sorted(mc.vertex_set(sid))), mc.drop_map(sid))
+             for sid in listed]
     basis, columns, index = {}, {}, {}
     for n in range(top + 1):
         labels, cols = [], []
-        for sid, vset, vs, facets in shape:
+        for sid, vs, drop in shape:
             if len(vs) > n + 1:  # no (n+1)-tuple covers vs
                 continue
             for t in tuples(vs, n):
@@ -462,19 +458,10 @@ def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
                 col = []
                 for i, v in enumerate(t if n else ()):
                     rest = t[:i] + t[i + 1:]
-                    fid = sid if v in rest else facets.get(vset - {v})
-                    if fid in skip and mc.vertex_set(fid) == set(rest):
-                        continue
-                    # a plain tuple finds the equal AlgebraicSimplex key
-                    row = index.get((fid, rest))
-                    if row is None:
-                        raise StructureError(
-                            "the facet of %r over %s is %s"
-                            % (sid, _fmt_vset(vset - {v}),
-                               "missing" if fid is None else
-                               "%r, which spans %s"
-                               % (fid, _fmt_vset(mc.vertex_set(fid)))))
-                    col.append((row, -1 if i & 1 else 1))
+                    fid = sid if v in rest else drop[v]
+                    if fid not in skip:
+                        # a plain tuple finds the equal AlgebraicSimplex key
+                        col.append((index[fid, rest], -1 if i & 1 else 1))
                 if len(vs) <= n:  # repeated entries: equal faces add up
                     col = list(_push_forward(
                         col, lambda row: ((1, row),)).items())
@@ -491,7 +478,7 @@ def build_full_chain_complex(mc: Multicomplex, max_degree=None,
 
     By default tuples with repeated vertices are not generated: every
     degree-n basis element is one of the (n+1)! orderings of a geometric
-    n-simplex, and more than MAX_ORDERINGS of them in all raise
+    n-simplex, and more than MAX_FULL_ORDERINGS of them in all raise
     StructureError before any is listed.  With with_repeats=True the
     degree-n basis consists of all length-(n+1) tuples covering the
     vertex set of some simplex of dimension at most n; this larger
@@ -519,12 +506,7 @@ def build_relative_complex(mc: Multicomplex, sub_ids, variant="reduced",
                            max_degree=None, ring=RING_RAT) -> ChainComplex:
     """The quotient complex of mc by a facet-closed set of simplex ids."""
     sub = frozenset(sub_ids)
-    for sid in sub:
-        for fid in mc.facets(sid).values():
-            if fid not in sub:
-                raise StructureError(
-                    "subcomplex ids are not facet-closed: %r needs %r"
-                    % (sid, fid))
+    mc.check_facet_closed(sub)
     tuples = {"reduced": _sorted_tuple, "full": _all_orderings}.get(variant)
     if tuples is None:
         raise StructureError("unknown complex variant %r" % variant)
@@ -560,16 +542,21 @@ def section_chain(chain: Chain) -> Chain:
     return Chain(chain.degree, chain.ring, dict(chain.items()))
 
 
-# The most (term, ordering) pairs alternate may list, and the most
-# orderings of simplices a full chain complex may hold.  alternate lists
+# The most (term, ordering) pairs alternate may list.  alternate lists
 # all (k+1)! orderings of every surviving term of degree k.  One term of
 # degree 8 (362,880 orderings) took 5.8 s, one of degree 7 (40,320)
 # 0.43 s, and 10,000 terms of degree 3 (240,000) 2.1 s, on one core of an
 # Intel Xeon under CPython 3.11; the cost per ordering grows with k, so
-# the limit stands for roughly 15 s.  The full chain complex of the
-# 7-simplex with all its faces (109,600 orderings) took 2.5 s to build
-# at about 100 MiB on the same machine.
+# the limit stands for roughly 15 s.
 MAX_ORDERINGS = 10 ** 6
+
+# The most orderings of simplices a full chain complex may hold.  On one
+# core of a 2-vCPU Intel Xeon under CPython 3.11, the full complexes of
+# the 5-, 6- and 7-simplex and of two and three disjoint 7-simplices
+# (1,956, 13,699, 109,600, 219,200 and 328,800 orderings) took 0.01,
+# 0.08, 1.02, 2.9 and 5.2 s to build at 1.4, 10.7, 94, 189 and 287 MiB
+# tracemalloc peak; the limit stands for about 1.5 s and 115 MiB.
+MAX_FULL_ORDERINGS = 2 ** 17
 
 
 def _orderings(count: int, k: int) -> int:

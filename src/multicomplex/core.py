@@ -16,6 +16,11 @@ maps are copied.  The decoder and the builders (skeleton,
 submulticomplex, the product with an interval) hand it their own
 frozensets and dicts; it checks simplices and facet targets in C and
 falls back to a loop over single ids only to name the first bad one.
+
+The chain-complex builders and the product with an interval read facets
+only through drop_map(sid), which raises the first problem validate()
+lists against sid; check_facet_closed serves submulticomplex and the
+relative complex.  face() walks facet steps with texts of its own.
 """
 
 from __future__ import annotations
@@ -101,10 +106,8 @@ class Multicomplex:
                 raise UnknownIdError("duplicate simplex id %r" % sid)
             vset = frozenset(vset)
             if not vset <= seen:
-                for v in vset:
-                    if v not in seen:
-                        raise UnknownIdError(
-                            "simplex %r uses unknown vertex %r" % (sid, v))
+                raise UnknownIdError("simplex %r uses unknown vertex %r"
+                                     % (sid, min(vset - seen, key=str)))
             copy = dict(facets)
             if not all(map(_is_frozenset, copy)):
                 copy = {frozenset(b): f for b, f in copy.items()}
@@ -241,31 +244,11 @@ class Multicomplex:
         simplices = self._simplices
         drops = {}  # sid -> _drop_map, for the simplices with right facets
         for sid, s in simplices.items():
-            k = len(s.vset)
-            if k == 0:
-                problems.append("simplex %r has an empty vertex set" % sid)
-                continue
             drop = self._drop_map(s)
-            if drop is not None:
+            if drop is None:
+                problems.extend(self._facet_problems(s))
+            else:
                 drops[sid] = drop
-                continue
-            expected = {s.vset - {v} for v in s.vset} if k > 1 else set()
-            got = set(s.facets)
-            for b in sorted(expected - got, key=sorted):
-                problems.append(
-                    "simplex %r is missing its facet over %s"
-                    % (sid, _fmt_vset(b)))
-            for b in sorted(got - expected, key=sorted):
-                problems.append(
-                    "simplex %r has a spurious facet entry for %s"
-                    % (sid, _fmt_vset(b)))
-            for b in sorted(got & expected, key=sorted):
-                fid = s.facets[b]
-                if self._simplices[fid].vset != b:
-                    problems.append(
-                        "facet of %r over %s is %r, which spans %s instead"
-                        % (sid, _fmt_vset(b), fid,
-                           _fmt_vset(self._simplices[fid].vset)))
         # two-step consistency: dropping {u, w} must not depend on the order;
         # simplices with wrong facets were reported above
         def step(fid, v):
@@ -290,11 +273,25 @@ class Multicomplex:
                         % (sid, u, w, via_u, w, u, via_w))
         return problems
 
+    def drop_map(self, sid: str) -> dict:
+        """{v: the id of the facet of sid over its vertices less v}.
+
+        Raises StructureError with the first problem validate() lists
+        against sid: an empty vertex set, or a facet that is missing,
+        spurious or spans the wrong vertices.
+        """
+        s = self._get(sid)
+        drop = self._drop_map(s)
+        if drop is None:
+            raise StructureError(self._facet_problems(s)[0])
+        return drop
+
     def _drop_map(self, s: _Simplex):
-        """{v: the facet of s over s.vset - {v}} when s has exactly one
-        facet over each such subset, spanning it; otherwise None."""
+        """{v: the facet of s over s.vset - {v}} when s has vertices and
+        exactly one facet over each such subset, spanning it; otherwise
+        None."""
         k = len(s.vset)
-        if len(s.facets) != (k if k > 1 else 0):
+        if not k or len(s.facets) != (k if k > 1 else 0):
             return None
         drop = {}
         for b, fid in s.facets.items():
@@ -306,6 +303,29 @@ class Multicomplex:
             drop[v] = fid
         return drop
 
+    def _facet_problems(self, s: _Simplex) -> list[str]:
+        """What validate() lists against the vertices and facets of s, in
+        its order: empty, missing, spurious, then wrong-span facets."""
+        k = len(s.vset)
+        if k == 0:
+            return ["simplex %r has an empty vertex set" % s.sid]
+        expected = {s.vset - {v} for v in s.vset} if k > 1 else set()
+        got = set(s.facets)
+        problems = [
+            "simplex %r is missing its facet over %s" % (s.sid, _fmt_vset(b))
+            for b in sorted(expected - got, key=sorted)]
+        problems += [
+            "simplex %r has a spurious facet entry for %s"
+            % (s.sid, _fmt_vset(b))
+            for b in sorted(got - expected, key=sorted)]
+        for b in sorted(got & expected, key=sorted):
+            span = self._simplices[s.facets[b]].vset
+            if span != b:
+                problems.append(
+                    "facet of %r over %s is %r, which spans %s instead"
+                    % (s.sid, _fmt_vset(b), s.facets[b], _fmt_vset(span)))
+        return problems
+
     # -- substructures ------------------------------------------------------
 
     def submulticomplex(self, ids, close: bool = False) -> "Multicomplex":
@@ -314,29 +334,32 @@ class Multicomplex:
         The id set must be closed under facets unless close=True, in which
         case the facet closure is taken.  Vertices are the ones used.
         """
-        keep = set()
         stack = [self._get(sid).sid for sid in ids]
-        for sid in stack:
-            keep.add(sid)
-        if close:
-            while stack:
-                sid = stack.pop()
-                for fid in self._simplices[sid].facets.values():
-                    if fid not in keep:
-                        keep.add(fid)
-                        stack.append(fid)
-        else:
-            for sid in sorted(keep):
-                for fid in self._simplices[sid].facets.values():
-                    if fid not in keep:
-                        raise StructureError(
-                            "id set is not facet-closed: %r needs %r"
-                            % (sid, fid))
+        keep = set(stack)
+        if not close:
+            self.check_facet_closed(keep)
+        while close and stack:  # the facet closure
+            for fid in self._simplices[stack.pop()].facets.values():
+                if fid not in keep:
+                    keep.add(fid)
+                    stack.append(fid)
         verts = sorted({v for sid in keep
                         for v in self._simplices[sid].vset})
         triples = [(sid, s.vset, s.facets)
                    for sid, s in self._simplices.items() if sid in keep]
         return Multicomplex(verts, triples)
+
+    def check_facet_closed(self, ids) -> None:
+        """Raise unless every facet of every id in ids is in ids, naming
+        the least id with a facet outside them and its least such facet."""
+        ids = set(ids)
+        for sid in sorted(ids):
+            lacking = [fid for fid in self._get(sid).facets.values()
+                       if fid not in ids]
+            if lacking:
+                raise StructureError(
+                    "subcomplex ids are not facet-closed: %r needs %r"
+                    % (sid, min(lacking)))
 
     def skeleton(self, n: int) -> "Multicomplex":
         """The n-skeleton: all simplices of dimension at most n."""
@@ -378,37 +401,42 @@ class Multicomplex:
 MAX_SIMPLICES = 2 ** 15
 
 
-def simplicial_complex(faces, vertices=()) -> Multicomplex:
-    """The simplicial complex generated by the given vertex sets.
-
-    Faces are iterables of vertex ids; the downward closure is taken.
-    Every simplex id is its sorted comma-joined vertex set.  Faces are
-    closed largest first, skipping a face listed as a subset of an earlier
-    one, so a downward closed family costs one visit per face.
-    """
-    faces = [frozenset(str(v) for v in f) for f in faces]
-    if not all(faces):
-        raise StructureError("faces must be nonempty")
+def _closed_faces(faces) -> list:
+    """(id, vertices, facets) for every nonempty subset of the given
+    vertex sets, by size and then by sorted vertices; every id is the
+    sorted comma-joined vertex set.  Faces are closed largest first,
+    skipping a face listed as a subset of an earlier one, so a downward
+    closed family costs one visit per face."""
     subsets = set()
-    verts = {str(v) for v in vertices}.union(*faces)
     for fs in sorted(faces, key=len, reverse=True):
         if fs in subsets:
             continue
         for k in range(1, len(fs) + 1):
             for sub in combinations(sorted(fs), k):
                 subsets.add(frozenset(sub))
-    for v in verts:
-        subsets.add(frozenset([v]))
     triples = []
     for sub in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        sid = ",".join(sorted(sub))
         facets = {}
         if len(sub) > 1:
             for v in sub:
                 b = sub - {v}
                 facets[b] = ",".join(sorted(b))
-        triples.append((sid, sub, facets))
-    return Multicomplex(sorted(verts), triples)
+        triples.append((",".join(sorted(sub)), sub, facets))
+    return triples
+
+
+def simplicial_complex(faces, vertices=()) -> Multicomplex:
+    """The simplicial complex generated by the given vertex sets.
+
+    Faces are iterables of vertex ids; the downward closure is taken.
+    Every simplex id is its sorted comma-joined vertex set.
+    """
+    faces = [frozenset(str(v) for v in f) for f in faces]
+    if not all(faces):
+        raise StructureError("faces must be nonempty")
+    verts = {str(v) for v in vertices}.union(*faces)
+    return Multicomplex(sorted(verts), _closed_faces(
+        faces + [frozenset([v]) for v in verts]))
 
 
 def special_sphere(n: int, labels=None) -> Multicomplex:
@@ -430,19 +458,9 @@ def special_sphere(n: int, labels=None) -> Multicomplex:
     if len(labels) != n + 1:
         raise StructureError("expected %d vertex labels" % (n + 1))
     full = frozenset(labels)
-    triples = []
-    for k in range(1, n + 1):
-        for sub in combinations(sorted(full), k):
-            sub = frozenset(sub)
-            facets = {}
-            if len(sub) > 1:
-                for v in sub:
-                    b = sub - {v}
-                    facets[b] = ",".join(sorted(b))
-            triples.append((",".join(sorted(sub)), sub, facets))
-    top_facets = {full - {v}: ",".join(sorted(full - {v})) for v in full}
-    triples.append(("north", full, dict(top_facets)))
-    triples.append(("south", full, dict(top_facets)))
+    # the closure of the full set lists it last, over its boundary
+    *triples, (_, _, facets) = _closed_faces([full])
+    triples += [("north", full, facets), ("south", full, facets)]
     return Multicomplex(sorted(labels), triples)
 
 
@@ -629,22 +647,7 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         tip = frozenset([apex])
         add(apex, tip, {}, sid)
         boundary = [sid + "@0", sid + "@1"]
-        vset, facets = simplices[sid].vset, simplices[sid].facets
-        for v in sorted(vset):
-            if len(vset) > 1 and vset - {v} not in facets:
-                raise StructureError("the facet of %r over %s is missing"
-                                     % (sid, _fmt_vset(vset - {v})))
-        for b, fid in facets.items():
-            if simplices[fid].vset != b:
-                raise StructureError(
-                    "the facet of %r over %s is %r, which spans %s"
-                    % (sid, _fmt_vset(b), fid,
-                       _fmt_vset(simplices[fid].vset)))
-            if not b < vset:
-                # a facet no smaller than sid has no prism yet
-                raise StructureError(
-                    "simplex %r has a spurious facet entry for %s"
-                    % (sid, _fmt_vset(b)))
+        for fid in mc.drop_map(sid).values():  # each prism built already
             boundary.extend(prism_all[fid])
         boundary = sorted(set(boundary))
         cone_of = {b: sid + "^" + b for b in boundary}

@@ -263,7 +263,7 @@ def check_repeated_color_vanishing(phi: Cochain, a: GroupAction,
             raise StructureError(
                 "witness %r for %r does not transpose %r and %r"
                 % (g, sid, v1, v2))
-        for u in vset - {v1, v2}:
+        for u in sorted(vset - {v1, v2}):
             if m.apply_vertex(u) != u:
                 raise StructureError(
                     "witness %r for %r moves the third vertex %r, so the "

@@ -448,7 +448,10 @@ def cover_from_doc(doc: dict) -> Cover:
         if not all(isinstance(v, str) for v in _need(sets, j, list)):
             raise FormatError("cover member %r must list string vertices"
                               % (j,))
-    return Cover(sets, _need(doc, "amenable", dict, {}))
+    amenable = _need(doc, "amenable", dict, {})
+    if not all(isinstance(flag, bool) for flag in amenable.values()):
+        raise FormatError("field 'amenable' must map to JSON booleans")
+    return Cover(sets, amenable)
 
 
 def coloring_to_doc(coloring: Coloring) -> dict:

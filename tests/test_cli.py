@@ -19,12 +19,13 @@ from multicomplex.chains import (
     Chain,
     Cochain,
     RING_INT,
+    MAX_FULL_ORDERINGS,
     RING_RAT,
     fundamental_cycle,
 )
 from multicomplex.cli import main
 from multicomplex.covers import Cover
-from multicomplex.core import simplicial_complex, special_sphere
+from multicomplex.core import Multicomplex, simplicial_complex, special_sphere
 from multicomplex.fixtures import (
     antipodal_action,
     cone_over_double_edge,
@@ -342,7 +343,7 @@ def test_orbits_of_the_double_edge_swap(tmp_path, capsys):
 def test_full_homology_past_the_ordering_limit_exits_one_at_once(tmp_path,
                                                                   capsys):
     """The 9-simplex with all its faces has 1,023 simplices and
-    sum_k C(10, k+1) (k+1)! = 9,864,100 orderings, over MAX_ORDERINGS;
+    sum_k C(10, k+1) (k+1)! = 9,864,100 orderings, over MAX_FULL_ORDERINGS;
     the reduced complex lists one tuple per simplex."""
     mc = simplicial_complex([tuple("v%d" % i for i in range(10))])
     cpath = _write_mc(tmp_path, "simplex.json", mc)
@@ -352,13 +353,35 @@ def test_full_homology_past_the_ordering_limit_exits_one_at_once(tmp_path,
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: the full chain complex of 1023 simplex(es) in degrees 0..9 "
-        "would list at least 9864100 orderings, over the limit of 1000000"]
+        "would list at least 9864100 orderings, over the limit of 131072"]
     with within(5):
         code, doc, err = _run_json(capsys, ["homology", cpath, "--variant",
                                             "reduced", "--ring", "q"])
     assert code == 0
     assert [doc["structure"][str(k)]["betti"] for k in range(10)] == [
         1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_full_homology_just_past_its_limit_exits_one_at_once(tmp_path,
+                                                             capsys):
+    """The 7-simplex with all its faces has 255 simplices and 109,600
+    orderings; five parallel copies of one of its 6-faces, of 5,040
+    orderings each, take it past MAX_FULL_ORDERINGS, and four would not."""
+    mc = simplicial_complex([tuple("v%d" % i for i in range(8))])
+    face = "v0,v1,v2,v3,v4,v5,v6"
+    copies = [("%s~%d" % (face, i), mc.vertex_set(face), mc.facets(face))
+              for i in range(5)]
+    mc = Multicomplex(mc.vertices, [(s, mc.vertex_set(s), mc.facets(s))
+                                    for s in mc.simplex_ids] + copies)
+    assert 109600 + 4 * 5040 <= MAX_FULL_ORDERINGS < 109600 + 5 * 5040
+    cpath = _write_mc(tmp_path, "simplex.json", mc)
+    with within(1):
+        code, out, err = _run(capsys, ["homology", cpath, "--variant", "full",
+                                       "--ring", "q"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the full chain complex of 260 simplex(es) in degrees 0..7 "
+        "would list at least 134800 orderings, over the limit of 131072"]
 
 
 def test_orbits_past_the_ordering_limit_exits_one_at_once(tmp_path, capsys):
@@ -712,31 +735,37 @@ def _edge_doc(facets):
                            "facets": facets}]}
 
 
-@pytest.mark.parametrize("facets", [{"a": "a"}, {"a": "a", "b": "a"}],
-                         ids=["missing", "wrong-vertices"])
+@pytest.mark.parametrize("facets,error", [
+    ({"a": "a"}, "error: simplex 'e' is missing its facet over {b}"),
+    ({"a": "a", "b": "a"},
+     "error: facet of 'e' over {b} is 'a', which spans {a} instead"),
+    ({"a": "a", "b": "b", "a,b": "e"},
+     "error: simplex 'e' has a spurious facet entry for {a,b}"),
+], ids=["missing", "wrong-vertices", "spurious"])
 @pytest.mark.parametrize("command", [
     ["homology"], ["homology", "--variant", "full"],
     ["homology", "--variant", "relative", "--subcomplex", "a"],
     ["seminorm", "--complex"]])
 def test_a_bad_facet_exits_one_naming_the_simplex(tmp_path, capsys, facets,
-                                                  command):
+                                                  error, command):
+    """Each builder names the fault as validate does."""
     path = _write(tmp_path, "edge.json", _edge_doc(facets))
     zero = _write(tmp_path, "z.json", formats.chain_to_doc(
         Chain(0, RING_RAT)))
     code, out, err = _run(capsys, command + [path] + (
         [zero] if command[0] == "seminorm" else []))
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: the facet of 'e' over {b} is ")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [error]
+    code, doc, err = _run_json(capsys, ["validate", path])
+    assert (code, doc["problems"]) == (1, [error[len("error: "):]])
 
 
 @pytest.mark.parametrize("facets,error", [
     ({"a": "e", "b": "b"},
-     "error: the facet of 'e' over {a} is 'e', which spans {a,b}"),
+     "error: facet of 'e' over {a} is 'e', which spans {a,b} instead"),
     ({"a": "a", "b": "b", "a,b": "e"},
      "error: simplex 'e' has a spurious facet entry for {a,b}"),
-    ({"a": "a"}, "error: the facet of 'e' over {b} is missing"),
+    ({"a": "a"}, "error: simplex 'e' is missing its facet over {b}"),
 ], ids=["itself-over-a-vertex", "itself-over-its-vertices", "missing"])
 def test_product_with_a_facet_it_cannot_prism_exits_one(tmp_path, capsys,
                                                         facets, error):
@@ -941,6 +970,9 @@ def _swap_maps(kind, key, value):
                                     "g": {"e": "g", "g": "e"}}}),
     ("quotient", "maps", _swap_maps("simplex_map", "north", ["south"])),
     ("average", "maps", _swap_maps("vertex_map", "x", {"x": "x"})),
+    ("mult", "amenable", {"0": "false"}),
+    ("mult", "amenable", {"1": []}),
+    ("mult", "amenable", {"0": 1}),
 ])
 def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
                                              field, value):

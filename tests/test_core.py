@@ -1,13 +1,20 @@
 """Multicomplex structure, faces, maps, products."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multicomplex
 import reference
 from conftest import cone_action, random_multicomplex, wheel_action
+from multicomplex.chains import (build_full_chain_complex,
+                                 build_reduced_chain_complex,
+                                 build_relative_complex)
 from multicomplex.core import (Multicomplex, MulticomplexError,
                                SimplicialMap, StructureError,
                                UnknownIdError, compose_maps, identity_map,
@@ -205,6 +212,82 @@ def test_validate_matches_the_reference_on_tampered_complexes(seed):
     rng = random.Random(seed)
     mc = _tampered(rng, random_multicomplex(rng))
     assert mc.validate() == reference.validate(mc)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**6))
+def test_builders_read_facets_as_validate_does(seed):
+    """Each chain-complex builder and the product either succeed, when
+    validate finds no fault in the facets of a simplex they read, or
+    raise the first fault validate finds in one of them."""
+    rng = random.Random(seed)
+    mc = _tampered(rng, random_multicomplex(rng))
+    top = min(mc.dimension, 3)
+    sub = mc.submulticomplex(rng.sample(mc.simplex_ids, 2),
+                             close=True).simplex_ids
+    upto_top = [sid for sid in mc.simplex_ids if mc.dimension_of(sid) <= top]
+    builds = [
+        (lambda m: build_full_chain_complex(m, top), upto_top),
+        (lambda m: build_reduced_chain_complex(m, top), upto_top),
+        (lambda m: build_full_chain_complex(m, top, with_repeats=True),
+         upto_top),
+        (lambda m: build_relative_complex(m, sub, max_degree=top),
+         [sid for sid in upto_top if sid not in sub]),
+        (product_with_interval, mc.simplex_ids),
+    ]
+    problems = reference.validate(mc)
+    faults = {sid: [p for p in problems if p.startswith(
+        ("simplex %r " % sid, "facet of %r " % sid))] for sid in mc.simplex_ids}
+    for build, read in builds:
+        firsts = [faults[sid][0] for sid in read if faults[sid]]
+        try:
+            build(mc)
+        except StructureError as exc:
+            assert str(exc) in firsts
+        else:
+            assert firsts == []
+
+
+_HASH_ORDER_CASES = """
+from multicomplex.actions import action_from_vertex_maps
+from multicomplex.chains import RING_RAT, Cochain, build_relative_complex
+from multicomplex.core import Multicomplex, simplicial_complex
+from multicomplex.covers import Coloring, check_repeated_color_vanishing
+
+def text(run):
+    try:
+        run()
+    except Exception as exc:
+        print(exc)
+
+text(lambda: Multicomplex("ab", [("s", "pqr", {})]))
+cycle = Multicomplex("abcd", [(v, v, {}) for v in "abcd"] + [
+    ("e%d" % i, e, {frozenset(v): v for v in e})
+    for i, e in enumerate(["ab", "bc", "cd", "ad"])])
+text(lambda: build_relative_complex(cycle, ["e0", "e1", "e2", "e3"]))
+swap = action_from_vertex_maps(simplicial_complex(["abcd"]), {
+    "1": {v: v for v in "abcd"}, "g": dict(zip("abcd", "badc"))})
+text(lambda: check_repeated_color_vanishing(
+    Cochain(3, RING_RAT), swap, Coloring(dict(zip("abcd", "0012"))),
+    {"a,b,c,d": ("g", "a", "b")}))
+"""
+
+
+def test_error_texts_do_not_depend_on_the_hash_seed():
+    """An unknown vertex, an unclosed subcomplex and a witness that moves
+    a third vertex are each named by the least id, under any seed."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(multicomplex.__file__)))
+    texts = {subprocess.run(
+        [sys.executable, "-c", _HASH_ORDER_CASES], check=True,
+        capture_output=True, text=True, timeout=60,
+        env=dict(env, PYTHONHASHSEED=str(seed))).stdout
+        for seed in range(6)}
+    assert texts == {
+        "simplex 's' uses unknown vertex 'p'\n"
+        "subcomplex ids are not facet-closed: 'e0' needs 'a'\n"
+        "witness 'g' for 'a,b,c,d' moves the third vertex 'c', so the sign "
+        "argument does not apply\n"}
 
 
 def test_face_deep_subsets():
