@@ -19,6 +19,12 @@ diffuse command validate their actions first), and the toy
 vanishing pipeline, which drives the l1 norm of an alternating cycle to
 zero by group averaging while certifying that its class is kept.  Its
 orbit check reads the orbit totals the group average divides.
+
+The work follows the generators and the moved points.  A move table
+fixes every point its rows do not name, so validate_action_on_set checks
+and local_diffuse convolves a table block on the points it names only;
+toy_vanish solves for the class witnesses of the generators only and
+builds and checks the others.  Each shortcut is exact.
 """
 
 from __future__ import annotations
@@ -425,6 +431,22 @@ def diffuse_to_epsilon(a: ActionOnSet, f: SparseFunction, epsilon):
 SAMPLE_SEED = 0
 
 
+def _checked_points(act, points) -> list:
+    """The points, in their order, at which oracle act can move anything.
+
+    A table oracle of a set-action document names in act.named every
+    point its move rows mention.  Every element with a row fixes every
+    other point, so there the identity, composition and block checks
+    hold and nothing is moved.  When it names none of the points, the
+    first stands in, so that an element without a row still raises.
+    Any other oracle is checked on every point.
+    """
+    named = getattr(act, "named", None)
+    if named is None:
+        return list(points)
+    return [x for x in points if x in named] or list(points[:1])
+
+
 def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
     """The action axioms of every oracle plus the orbit-structure checks.
 
@@ -440,6 +462,11 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
     moves nothing in block s or in the points subgroup s moves.  Once a
     subgroup acts, its generators tell what it moves and where.
     Everything runs on the enumerated range only, which the notes record.
+
+    Each check reads only the points _checked_points gives: a table
+    oracle's rows fix every point they do not name, so a block costs its
+    own points, not all of them.  The problems and notes are those of
+    checking every point.
     """
     problems = []
     notes = []
@@ -447,37 +474,41 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
 
     def check_oracle(label, group, act, points):
         """Check one oracle on points and return the maps of its
-        generators, which compute each image once."""
+        generators, which compute each image once, and the points it
+        can move."""
         gens = generating_set(group)
         maps = {s: _Memo(partial(act, s)) for s in gens}
+        checked = _checked_points(act, points)
         if group.is_finite:
             table = group.validate()
             problems.extend("%s: group table: %s" % (label, p) for p in table)
             if table:
-                return maps
+                return maps, checked
             # the kernel proves composition on points the generators carry
             # into themselves, so it runs on the points closed under them;
-            # an action reaches at most |G| times as many
-            closed, seen = list(points), set(points)
+            # an action reaches at most |G| times as many, the fixed points
+            # left out of checked counted too
+            closed, seen = list(checked), set(checked)
             cap = len(group) * len(points)
+            fixed = len(points) - len(checked)
             for x in closed:
                 for s in gens:
                     if maps[s][x] not in seen:
                         seen.add(maps[s][x])
                         closed.append(maps[s][x])
-                if len(closed) > cap:
+                if len(closed) + fixed > cap:
                     problems.append(
                         "%s: the generators carry the points to over %d "
                         "points, more than any action of the group reaches"
                         % (label, cap))
-                    return maps
+                    return maps, checked
             every = {g: maps[g] if g in maps else
                      {x: act(g, x) for x in closed} for g in group.elements}
             identity = every[group.identity].__getitem__
         else:
             identity = partial(act, group.identity)
         problems.extend("%s: identity moves %r to %r" % (label, x, identity(x))
-                        for x in points if identity(x) != x)
+                        for x in checked if identity(x) != x)
         if group.is_finite:
             broken = _composition_failures(group, every, closed, gens)
         else:  # Z^d has no finite set of elements to check
@@ -490,28 +521,32 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
                          "infinite" % (label, group.rank))
         problems.extend("%s: composition fails at (%r, %r, %r)"
                         % (label, g, h, x) for g, h, x in broken)
-        return maps
+        return maps, checked
 
     if a.group is not None and a.act is not None:
-        check_oracle("ambient action", a.group, a.act, list(a.points))
+        check_oracle("ambient action", a.group, a.act, a.points)
 
     if a.blocks:
         counts = {}
-        for b in a.blocks:
+        owners = {}  # point -> the blocks that list it
+        for t, b in enumerate(a.blocks):
             for x in b.points:
                 counts[x] = counts.get(x, 0) + 1
+                owners.setdefault(x, []).append(t)
         for x in a.points:
             n = counts.get(x, 0)
             if n != 1:
                 problems.append(
                     "blocks do not partition the points: %r appears in %d "
                     "blocks" % (x, n))
+        targets = [set(b.points) for b in a.blocks]
         moved = []
         for s, b in enumerate(a.blocks):
-            # local_diffuse convolves every point by every subgroup, so
-            # each subgroup must act on all of them, not only its block
-            images = check_oracle("block %d" % s, b.group, b.act,
-                                  list(a.points)).values()
+            # local_diffuse applies every subgroup to every point, so each
+            # must act on all of them, not only on its block
+            maps, checked = check_oracle("block %d" % s, b.group, b.act,
+                                         a.points)
+            images = maps.values()
             try:
                 _transporters(ActionOnSet(b.group, b.points, b.act),
                               sorted(b.points, key=repr)[0])
@@ -520,21 +555,23 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
             except IndexError:
                 problems.append("block %d is empty" % s)
             # every block must be carried onto itself by every subgroup;
-            # each of images maps a point to its image under a generator
-            for t, other in enumerate(a.blocks):
-                target = set(other.points)
+            # each of images maps a point to its image under a generator,
+            # and only the checked points can leave their blocks
+            mine = set(checked)
+            for t in sorted({t for x in checked for t in owners.get(x, ())}):
+                target = targets[t]
+                inside = [x for x in a.blocks[t].points if x in mine]
                 for image in images:
-                    escaped = [x for x in other.points
-                               if image[x] not in target]
+                    escaped = [x for x in inside if image[x] not in target]
                     if escaped:
                         problems.append(
                             "subgroup of block %d moves %r out of block %d"
                             % (s, escaped[0], t))
                         break
-            moved.append({x for x in a.points
+            moved.append({x for x in checked
                           if any(image[x] != x for image in images)})
         for s, b in enumerate(a.blocks):
-            guarded = set(b.points) | moved[s]
+            guarded = targets[s] | moved[s]
             for t in range(len(a.blocks)):
                 if t >= b.horizon and t != s:
                     overlap = moved[t] & guarded
@@ -560,7 +597,9 @@ def local_diffuse(a: ActionOnSet, f: SparseFunction, epsilons,
     current function to sum to zero on that block.  Later stages never
     hurt earlier bounds: every block is invariant under every subgroup,
     so convolution preserves each block sum and never increases a block
-    norm.  Both facts are re-checked exactly before returning.
+    norm.  Both facts are re-checked exactly before returning.  A table
+    block convolves only the values at the points its rows name (see
+    _checked_points) and keeps the others, which its elements all fix.
     """
     if not a.blocks:
         raise StructureError("local diffusion needs orbit blocks")
@@ -586,17 +625,20 @@ def local_diffuse(a: ActionOnSet, f: SparseFunction, epsilons,
                     "norm there cannot drop below |%s|" % (total, s, total))
     cur = f
     for s, b in enumerate(blocks):
-        everywhere = ActionOnSet(b.group, a.points, b.act)
+        own = ActionOnSet(b.group, b.points, b.act)
         if s < threshold:
             if b.group.is_finite:
                 mu = uniform_measure(b.group, b.group.elements)
             else:
                 mu = delta_measure(b.group, b.group.identity)
         else:
-            own = ActionOnSet(b.group, b.points, b.act)
             mu, _ = diffuse_to_epsilon(own, cur.restrict(b.points),
                                        budgets[s])
-        cur = convolve(mu, cur, everywhere)
+        # mu is a probability measure of elements that all fix the points
+        # a table does not name, so it leaves cur there as it is
+        named = getattr(b.act, "named", None)
+        moving = cur if named is None else cur.restrict(named)
+        cur = cur - moving + convolve(mu, moving, own)
     for s, b in enumerate(blocks):
         if s >= threshold and cur.norm_over(b.points) > budgets[s]:
             raise InternalInvariantError(
@@ -617,8 +659,10 @@ class ToyVanishCertificate:
 
     bounding_chain B satisfies boundary(B) = c' - z, where c' is the
     returned chain; it is assembled from the alternation witness and the
-    per-element witnesses (one chain b_g with boundary(b_g) = g*z - z per
-    group element), which are kept for auditing.
+    per-element witnesses (one chain w_g with boundary(w_g) = g*z - z per
+    group element, in element order), which are kept for auditing.  Only
+    the generators' witnesses are solved for; the others are built from
+    them, and each is checked against its boundary.
     """
 
     def __init__(self, bounding_chain: Chain, witnesses: dict):
@@ -629,6 +673,62 @@ class ToyVanishCertificate:
         return cc.boundary_of(self.bounding_chain) == result - z.as_rational()
 
 
+def _solved_witnesses(a: GroupAction, hom, z: Chain, elements) -> dict:
+    """A chain w_g with boundary g*z - z for each g of elements, solved
+    for in their order; the first g with none raises DiffusionError,
+    with a chain bounding g*z + z as witness when [g*z] = -[z]."""
+    witnesses = {}
+    for g in elements:
+        gz = act_on_chain(a, g, z)
+        w = hom.is_boundary(gz - z)
+        if w is None:
+            flip = hom.is_boundary(gz + z)
+            if flip is not None:
+                raise DiffusionError(
+                    "element %r does not preserve the class of z: "
+                    "[g*z] = -[z], certified by a chain bounding g*z + z"
+                    % (g,), witness=flip)
+            raise DiffusionError(
+                "element %r does not preserve the class of z: g*z - z "
+                "is not a boundary" % (g,))
+        witnesses[g] = w
+    return witnesses
+
+
+def _class_witnesses(a: GroupAction, hom, z: Chain) -> dict:
+    """w_g with boundary(w_g) = g*z - z for every element g, in element
+    order, from one solve per generator.
+
+    g*s*z - z = g(s*z - z) + (g*z - z), so w_{g*s} = g.w_s + w_g, and
+    the right products of the generators reach every element from the
+    identity, whose witness is 0.  Every w_g is checked exactly.  When a
+    generator does not keep the class, the elements are solved in order,
+    so the error names the first element that does not, as a solve per
+    element would.
+    """
+    group = a.group
+    try:
+        solved = _solved_witnesses(a, hom, z, generating_set(group))
+    except DiffusionError:
+        _solved_witnesses(a, hom, z, group.elements)
+        raise
+    product = group._product
+    built = {group.identity: Chain(z.degree + 1, RING_RAT)}
+    reached = [group.identity]
+    for g in reached:
+        for s, w in solved.items():
+            gs = product(g, s)
+            if gs not in built:
+                built[gs] = act_on_chain(a, g, w) + built[g]
+                reached.append(gs)
+    for g in group.elements:
+        if g not in built or hom.cc.boundary_of(built[g]) != \
+                act_on_chain(a, g, z) - z:
+            raise InternalInvariantError(
+                "the witness of element %r does not bound g*z - z" % (g,))
+    return {g: built[g] for g in group.elements}
+
+
 def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     """Average an alternating cycle to l1 norm <= epsilon, certifiably.
 
@@ -636,10 +736,11 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     is the orbit total over the orbit size, so a nonzero total names an
     orbit that averaging cannot cancel, and the request is rejected;
     otherwise the average is the result c' = 0.  Every group element must
-    preserve the class of z, with an explicit bounding chain as witness;
-    averaging these carries a bounding chain B with boundary(B) = c' - z.
-    Returns (c', certificate); the final boundary check and the norm bound
-    are verified exactly before returning.
+    preserve the class of z, with an explicit bounding chain as witness,
+    solved for on the generators only (_class_witnesses); averaging these
+    carries a bounding chain B with boundary(B) = c' - z.  Returns (c',
+    certificate); the witnesses, the final boundary check and the norm
+    bound are verified exactly before returning.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -662,21 +763,7 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
                 % (total, orb[0]))
 
     # class preservation, with explicit witnesses
-    witnesses = {}
-    for g in a.group.elements:
-        gz = act_on_chain(a, g, zq)
-        b = hom.is_boundary(gz - zq)
-        if b is None:
-            flip = hom.is_boundary(gz + zq)
-            if flip is not None:
-                raise DiffusionError(
-                    "element %r does not preserve the class of z: "
-                    "[g*z] = -[z], certified by a chain bounding g*z + z"
-                    % (g,), witness=flip)
-            raise DiffusionError(
-                "element %r does not preserve the class of z: g*z - z "
-                "is not a boundary" % (g,))
-        witnesses[g] = b
+    witnesses = _class_witnesses(a, hom, zq)
 
     # with no degenerate simplices, alternation need not keep the class
     bounding = hom.is_boundary(c - zq)

@@ -261,10 +261,13 @@ def group_to_doc(group) -> dict:
 def _finite_group_from_doc(doc: dict) -> FiniteGroup:
     elements = _need(doc, "elements", list)
     table = _need(doc, "table", dict)
-    if not all(isinstance(gh, str) for row in table.values()
-               if isinstance(row, dict) for gh in row.values()):
+    try:
+        for row in table.values():
+            if isinstance(row, dict):
+                "".join(row.values())
+    except TypeError:
         raise FormatError("the products of the composition table must be "
-                          "JSON strings")
+                          "JSON strings") from None
     return FiniteGroup(elements, table)
 
 
@@ -306,10 +309,12 @@ def action_from_doc(doc: dict, mc: Multicomplex) -> GroupAction:
     for g, entry in _need(doc, "maps", dict).items():
         vmap = _need(entry, "vertex_map", dict)
         smap = _need(entry, "simplex_map", dict)
-        if not all(isinstance(x, str)
-                   for x in [*vmap.values(), *smap.values()]):
+        try:
+            "".join(vmap.values())
+            "".join(smap.values())
+        except TypeError:
             raise FormatError("the maps of element %r must send ids to JSON "
-                              "strings" % (g,))
+                              "strings" % (g,)) from None
         maps[g] = SimplicialMap(mc, mc, vmap, smap)
     return GroupAction(group, mc, maps)
 
@@ -365,17 +370,24 @@ def _oracle_from_doc(doc: dict, group):
     elements already coerced into group (see ActionOnSet.oracle) and does
     not coerce them again.  The table oracle keeps the move row of each
     element that element_key resolved, so a bad element raises on every
-    call.  The translation oracle parses each distinct point once and keeps
-    its coordinates for the oracle's lifetime.
+    call.  Its attribute named is the set of points its rows name, as keys
+    or as images: every element with a row fixes every other point, so
+    diffusion.validate_action_on_set checks and local_diffuse convolves
+    only these.  The translation oracle parses each distinct point once
+    and keeps its coordinates for the oracle's lifetime.
     """
     kind = _need(doc, "kind")
     if kind == "table":
         moves = _need(doc, "moves", dict)
+        named = set()
         for key in moves:
-            if not all(isinstance(y, str)
-                       for y in _need(moves, key, dict).values()):
+            row = _need(moves, key, dict)
+            try:
+                "".join(row.values())
+            except TypeError:
                 raise FormatError("the moves of element %r must send points "
-                                  "to JSON strings" % (key,))
+                                  "to JSON strings" % (key,)) from None
+            named.update(row, row.values())
         if isinstance(group, FreeAbelianGroup):
             raise FormatError("table actions need a finite group")
 
@@ -390,6 +402,7 @@ def _oracle_from_doc(doc: dict, group):
                     raise FormatError("no move table for element %r" % (key,))
                 resolved[el] = row
             return row.get(x, x)
+        act.named = frozenset(named)
         return act
     if kind == "translation":
         if not isinstance(group, FreeAbelianGroup):

@@ -39,6 +39,10 @@ orbit mean: it adds one Fraction per element and term.
 toy_vanish_average is the averaging loop toy_vanish ran before it called
 average_cochain, on the alternation c, its bounding chain and the
 witnesses.  The program's average and certificate must equal them.
+class_witnesses is the witness loop toy_vanish ran before it solved on
+generators only: one is_boundary per element.  Where a witness is
+unique the program's must equal it, and a class that an element does
+not keep must be rejected with the same message and flip witness.
 first_orbit_total is the orbit check toy_vanish ran before it summed c
 over only the orbits that meet its support: it lists every orbit by
 actions.orbits and sums c over each.  toy_vanish must reject the same
@@ -85,22 +89,34 @@ convolve must give what these build from the same terms.
 simplicial_complex is core.simplicial_complex as it was when it listed
 every subset of every face it was handed.  The program must build an
 equal complex from any family of faces.
+
+validate_action_on_set is diffusion.validate_action_on_set as it was
+before it read a move table only at the points the table names: every
+block's subgroup is checked on every enumerated point, and carried over
+every point of every block.  On any set action the program must report
+the same problems and notes, or raise the same exception with the same
+message.
 """
 
 import math
+import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
-from multicomplex.actions import (GroupAction, act_on_chain, act_on_simplex,
-                                  orbits)
+from multicomplex.actions import (GroupAction, ValidationReport,
+                                  act_on_chain, act_on_simplex, orbits)
 from multicomplex import chains
 from multicomplex.chains import (RING_RAT, AlgebraicSimplex, _check_ring,
                                  _coerce)
 from multicomplex.core import (Multicomplex, StructureError, UnknownIdError,
-                               _fmt_vset, _Simplex)
+                               _fmt_vset, _Memo, _Simplex)
+from multicomplex.diffusion import (SAMPLE_SEED, ActionOnSet, DiffusionError,
+                                    _transporters)
 from multicomplex.exactlp import LPResult, SimplexFailure
 from multicomplex.formats import (SCHEMA_VERSION, FormatError, _need,
                                   group_to_doc, rational_str)
+from multicomplex.groups import _composition_failures, generating_set
 from multicomplex.intlinalg import rational_rref
 
 
@@ -528,6 +544,28 @@ def toy_vanish_average(a: GroupAction, c: chains.Chain,
         new_c = new_c + act_on_chain(a, g, c).scaled(w)
         new_b = new_b + (act_on_chain(a, g, bounding) + witnesses[g]).scaled(w)
     return new_c, new_b
+
+
+def class_witnesses(a: GroupAction, hom, z: chains.Chain) -> dict:
+    """w_g with boundary g*z - z for every element g, one solve each in
+    element order; the first g with none raises DiffusionError, with a
+    chain bounding g*z + z as witness when [g*z] = -[z]."""
+    witnesses = {}
+    for g in a.group.elements:
+        gz = act_on_chain(a, g, z)
+        b = hom.is_boundary(gz - z)
+        if b is None:
+            flip = hom.is_boundary(gz + z)
+            if flip is not None:
+                raise DiffusionError(
+                    "element %r does not preserve the class of z: "
+                    "[g*z] = -[z], certified by a chain bounding g*z + z"
+                    % (g,), witness=flip)
+            raise DiffusionError(
+                "element %r does not preserve the class of z: g*z - z "
+                "is not a boundary" % (g,))
+        witnesses[g] = b
+    return witnesses
 
 
 def first_orbit_total(a: GroupAction, c: chains.Chain):
@@ -993,3 +1031,127 @@ def simplicial_complex(faces, vertices=()) -> Multicomplex:
                 facets[b] = ",".join(sorted(b))
         triples.append((sid, sub, facets))
     return Multicomplex(sorted(verts), triples)
+
+
+def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
+    """The action axioms of every oracle plus the orbit-structure checks.
+
+    The identity must fix every enumerated point.  A finite group's table
+    must be a group, and composition is proved through the generators
+    (groups._composition_failures) on the points closed under them, which
+    an action keeps within |G| times as many.  Z^d has no finite set of
+    elements to check, so composition is sampled on 64 triples, which the
+    notes say; a translation oracle acts by construction.  With blocks,
+    they partition the points; every designated subgroup acts on all the
+    points, is transitive on its own block and maps every block onto
+    itself; and whenever s' is at or past the horizon of s, subgroup s'
+    moves nothing in block s or in the points subgroup s moves.  Once a
+    subgroup acts, its generators tell what it moves and where.
+    Everything runs on the enumerated range only, which the notes record.
+    """
+    problems = []
+    notes = []
+    rng = random.Random(SAMPLE_SEED)
+
+    def check_oracle(label, group, act, points):
+        """Check one oracle on points and return the maps of its
+        generators, which compute each image once."""
+        gens = generating_set(group)
+        maps = {s: _Memo(partial(act, s)) for s in gens}
+        if group.is_finite:
+            table = group.validate()
+            problems.extend("%s: group table: %s" % (label, p) for p in table)
+            if table:
+                return maps
+            # the kernel proves composition on points the generators carry
+            # into themselves, so it runs on the points closed under them;
+            # an action reaches at most |G| times as many
+            closed, seen = list(points), set(points)
+            cap = len(group) * len(points)
+            for x in closed:
+                for s in gens:
+                    if maps[s][x] not in seen:
+                        seen.add(maps[s][x])
+                        closed.append(maps[s][x])
+                if len(closed) > cap:
+                    problems.append(
+                        "%s: the generators carry the points to over %d "
+                        "points, more than any action of the group reaches"
+                        % (label, cap))
+                    return maps
+            every = {g: maps[g] if g in maps else
+                     {x: act(g, x) for x in closed} for g in group.elements}
+            identity = every[group.identity].__getitem__
+        else:
+            identity = partial(act, group.identity)
+        problems.extend("%s: identity moves %r to %r" % (label, x, identity(x))
+                        for x in points if identity(x) != x)
+        if group.is_finite:
+            broken = _composition_failures(group, every, closed, gens)
+        else:  # Z^d has no finite set of elements to check
+            draw = [tuple(rng.randint(-3, 3) for _ in range(group.rank))
+                    for _ in range(16)]
+            broken = [(g, h, x) for g in draw[:8] for h in draw[8:]
+                      for x in rng.sample(points, min(1, len(points)))
+                      if act(group._product(g, h), x) != act(g, act(h, x))]
+            notes.append("%s: composition sampled only, Z^%d being "
+                         "infinite" % (label, group.rank))
+        problems.extend("%s: composition fails at (%r, %r, %r)"
+                        % (label, g, h, x) for g, h, x in broken)
+        return maps
+
+    if a.group is not None and a.act is not None:
+        check_oracle("ambient action", a.group, a.act, list(a.points))
+
+    if a.blocks:
+        counts = {}
+        for b in a.blocks:
+            for x in b.points:
+                counts[x] = counts.get(x, 0) + 1
+        for x in a.points:
+            n = counts.get(x, 0)
+            if n != 1:
+                problems.append(
+                    "blocks do not partition the points: %r appears in %d "
+                    "blocks" % (x, n))
+        moved = []
+        for s, b in enumerate(a.blocks):
+            # local_diffuse convolves every point by every subgroup, so
+            # each subgroup must act on all of them, not only its block
+            images = check_oracle("block %d" % s, b.group, b.act,
+                                  list(a.points)).values()
+            try:
+                _transporters(ActionOnSet(b.group, b.points, b.act),
+                              sorted(b.points, key=repr)[0])
+            except DiffusionError as exc:
+                problems.append("block %d: %s" % (s, exc))
+            except IndexError:
+                problems.append("block %d is empty" % s)
+            # every block must be carried onto itself by every subgroup;
+            # each of images maps a point to its image under a generator
+            for t, other in enumerate(a.blocks):
+                target = set(other.points)
+                for image in images:
+                    escaped = [x for x in other.points
+                               if image[x] not in target]
+                    if escaped:
+                        problems.append(
+                            "subgroup of block %d moves %r out of block %d"
+                            % (s, escaped[0], t))
+                        break
+            moved.append({x for x in a.points
+                          if any(image[x] != x for image in images)})
+        for s, b in enumerate(a.blocks):
+            guarded = set(b.points) | moved[s]
+            for t in range(len(a.blocks)):
+                if t >= b.horizon and t != s:
+                    overlap = moved[t] & guarded
+                    if overlap:
+                        problems.append(
+                            "blocks %d and %d are not asymptotically "
+                            "disjoint: stage %d is past the horizon %d but "
+                            "moves %r" % (s, t, t, b.horizon,
+                                          sorted(overlap, key=repr)[0]))
+        notes.append("asymptotic disjointness checked on the enumerated "
+                     "range only")
+    return ValidationReport(problems, notes)

@@ -595,6 +595,25 @@ def test_local_diffuse_rejects_a_subgroup_that_carries_a_point_off(
     assert "block 0" in err.splitlines()[0]
 
 
+def test_local_diffuse_rejects_an_ambient_table_that_names_no_point(
+        tmp_path, capsys):
+    # Z/2 has no row for r1, which must fail even where the rows it has
+    # name no point to check
+    action = {"schema_version": formats.SCHEMA_VERSION,
+              "points": ["p0", "p1"],
+              "blocks": [_block_doc(("p0", "p1"), 2)],
+              "group": formats.group_to_doc(cyclic_group(2)),
+              "action": {"kind": "table", "moves": {"r0": {}}}}
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"p0": "1", "p1": "-1"}}
+    code, out, err = _run(capsys, [
+        "local-diffuse", _write(tmp_path, "f.json", f),
+        "--action", _write(tmp_path, "action.json", action),
+        "--epsilons", "1/8", "--threshold", "0"])
+    assert (code, out, err) == (
+        2, "", "error: no move table for element 'r1'\n")
+
+
 def test_toy_vanish_kills_the_cone_cycle(tmp_path, capsys):
     cpath = _write_mc(tmp_path, "cone.json", cone_over_double_edge())
     apath = _write(tmp_path, "swap.json",
@@ -973,6 +992,11 @@ def _swap_maps(kind, key, value):
     ("mult", "amenable", {"0": "false"}),
     ("mult", "amenable", {"1": []}),
     ("mult", "amenable", {"0": 1}),
+    ("vanish-check", "maps", _swap_maps("simplex_map", "south", None)),
+    ("vanish-check", "table", {"e": {"e": "e", "g": "g"},
+                               "g": {"e": "g", "g": 0}}),
+    ("diffuse", "group", {"kind": "finite", "elements": ["e", "g"],
+                          "table": {"e": "e", "g": {"e": "g", "g": 1}}}),
 ])
 def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
                                              field, value):
@@ -989,6 +1013,17 @@ def test_a_field_of_the_wrong_type_exits_two(tmp_path, capsys, command,
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+    if field in _NESTED_STRINGS:
+        assert err == "error: %s\n" % (
+            _NESTED_STRINGS[field] if isinstance(value, dict)
+            else "field %r must be a JSON object" % field)
+
+
+# the errors of the decoders that check nested values are strings
+_NESTED_STRINGS = {
+    "maps": "the maps of element 'g' must send ids to JSON strings",
+    "table": "the products of the composition table must be JSON strings",
+    "group": "the products of the composition table must be JSON strings"}
 
 
 def test_product_rejects_ids_that_collide(tmp_path, capsys):

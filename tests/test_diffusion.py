@@ -1,5 +1,8 @@
 """Convolution diffusion: measures, Folner boxes, local stages, vanishing."""
 
+import copy
+import functools
+import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -10,10 +13,12 @@ from conftest import cone_action, symmetric_group_3, wheel_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multicomplex.actions import GroupAction, act_on_chain, validate_action
 from multicomplex.chains import (
     RING_RAT,
     AlgebraicSimplex,
     Chain,
+    HomologyResult,
     alternate,
     build_full_chain_complex,
     build_reduced_chain_complex,
@@ -21,7 +26,9 @@ from multicomplex.chains import (
 )
 from multicomplex.core import (
     InternalInvariantError,
+    Multicomplex,
     MulticomplexError,
+    SimplicialMap,
     StructureError,
 )
 from multicomplex.diffusion import (
@@ -49,8 +56,11 @@ from multicomplex.fixtures import (
     double_edge_swap_action,
     triangle_symmetries,
 )
-from multicomplex.formats import measure_from_doc, measure_to_doc
-from multicomplex.groups import FiniteGroup, FreeAbelianGroup, cyclic_group
+from multicomplex.formats import (group_from_doc, group_to_doc,
+                                  measure_from_doc, measure_to_doc,
+                                  set_action_from_doc)
+from multicomplex.groups import (FiniteGroup, FreeAbelianGroup, cyclic_group,
+                                 generating_set)
 
 
 Z = FreeAbelianGroup(1)
@@ -579,3 +589,292 @@ def test_integer_kernels_match_the_fraction_reference(case):
     assert out.l1_norm() <= f.l1_norm()
     assert measure_derivative(mu, phi) == _reference_derivative(
         group, weights, phi)
+
+
+# The work of validate_action_on_set and local_diffuse follows the points
+# a move table names, and that of toy_vanish the generators.
+
+
+def _block_docs(rng, nblocks):
+    """Cyclic table blocks of 4 to 8 points, as the local-diffuse
+    benchmark slot builds them."""
+    blocks = []
+    for b in range(nblocks):
+        k = rng.randint(4, 8)
+        pts = ["b%dp%d" % (b, i) for i in range(k)]
+        group = cyclic_group(k)
+        moves = {g: {pts[i]: pts[(i + j) % k] for i in range(k)}
+                 for j, g in enumerate(group.elements)}
+        blocks.append({"points": pts, "group": group_to_doc(group),
+                       "action": {"kind": "table", "moves": moves},
+                       "horizon": b + 1})
+    return blocks
+
+
+def _counted(act, calls):
+    @functools.wraps(act)  # which keeps the table's named points
+    def counted(g, x):
+        calls.append((g, x))
+        return act(g, x)
+    return counted
+
+
+@pytest.mark.parametrize("nblocks", [8, 24, 48])
+def test_validate_action_on_set_reads_each_table_at_its_own_points(nblocks):
+    blocks = _block_docs(random.Random(nblocks), nblocks)
+    a = set_action_from_doc({"schema_version": 1, "blocks": blocks,
+                             "points": [x for b in blocks
+                                        for x in b["points"]]})
+    calls = []
+    for b in a.blocks:
+        b.act = _counted(b.act, calls)
+    assert validate_action_on_set(a).ok
+    # each element on each point of its block, twice over: the checks
+    # of a block grow with the block, not with the whole set
+    assert len(calls) <= 2 * sum(len(b.group) * len(b.points)
+                                 for b in a.blocks)
+
+
+def test_toy_vanish_solves_once_per_generator_and_once_for_the_alternation(
+        monkeypatch):
+    a = cone_action(12)
+    solve = HomologyResult.is_boundary
+    calls = []
+
+    def counted(self, chain):
+        calls.append(chain)
+        return solve(self, chain)
+    monkeypatch.setattr(HomologyResult, "is_boundary", counted)
+    z = Chain(1, RING_RAT, {AlgebraicSimplex("e3", ("x", "y")): 2,
+                            AlgebraicSimplex("e8", ("x", "y")): -2})
+    out, cert = toy_vanish(a.complex, a, z, Fraction(1, 4))
+    assert len(calls) == len(generating_set(a.group)) + 1 == 2
+    monkeypatch.undo()
+    hom = homology(build_full_chain_complex(a.complex, ring=RING_RAT))
+    # the full complex of the cone has 2-cycles, so witnesses are not
+    # unique, but here the built ones are those a solve per element finds
+    assert hom.betti(2) > 0
+    assert cert.witnesses == reference.class_witnesses(a, hom, z)
+    assert list(cert.witnesses) == list(a.group.elements)
+
+
+def _suspension_action(k):
+    """Z/k on the suspension, with apexes c and d, of k parallel edges
+    e0, e1, ... from x to y, whose triangles t_i over c and u_i over d
+    share e_i; r_j turns e_i, t_i and u_i to e_{i+j}, t_{i+j} and
+    u_{i+j}, mod k, and fixes every vertex.  The class witnesses
+    built from the generators' differ from those a solve per element
+    finds."""
+    triples = [(v, {v}, {}) for v in "cdxy"]
+    triples += [(p + v, {p, v}, {frozenset(p): p, frozenset(v): v})
+                for p in "cd" for v in "xy"]
+    for i in range(k):
+        triples.append(("e%d" % i, {"x", "y"},
+                        {frozenset("x"): "x", frozenset("y"): "y"}))
+        for p, t in (("c", "t"), ("d", "u")):
+            triples.append(("%s%d" % (t, i), {p, "x", "y"},
+                            {frozenset(p + "x"): p + "x",
+                             frozenset(p + "y"): p + "y",
+                             frozenset("xy"): "e%d" % i}))
+    mc = Multicomplex("cdxy", triples)
+    group = cyclic_group(k)
+    maps = {}
+    for j, g in enumerate(group.elements):
+        smap = {s: s for s in mc.simplex_ids}
+        for i in range(k):
+            for t in "etu":
+                smap["%s%d" % (t, i)] = "%s%d" % (t, (i + j) % k)
+        maps[g] = SimplicialMap(mc, mc, {v: v for v in "cdxy"}, smap)
+    return GroupAction(group, mc, maps)
+
+
+@pytest.mark.parametrize("k,i,j", [(3, 0, 1), (4, 0, 2), (5, 1, 4)])
+def test_toy_vanish_builds_witnesses_that_are_not_unique(k, i, j):
+    a = _suspension_action(k)
+    assert validate_action(a).ok
+    cc = build_full_chain_complex(a.complex, ring=RING_RAT)
+    hom = homology(cc)
+    z = Chain(1, RING_RAT, {AlgebraicSimplex("e%d" % i, ("x", "y")): 3,
+                            AlgebraicSimplex("e%d" % j, ("y", "x")): 3})
+    out, cert = toy_vanish(a.complex, a, z, Fraction(1, 100))
+    assert cert.witnesses != reference.class_witnesses(a, hom, z)
+    for g, w in cert.witnesses.items():
+        assert cc.boundary_of(w) == act_on_chain(a, g, z) - z
+    assert cert.verify(cc, z, out)
+    c = alternate(z)
+    want, bounding = reference.toy_vanish_average(
+        a, c, hom.is_boundary(c - z), cert.witnesses)
+    assert (out, out.l1_norm(), cert.bounding_chain) == (
+        want, want.l1_norm(), bounding)
+
+
+def _klein_on_the_double_edge():
+    """Z/2 x Z/2 = {e, b, a, ab} on the double edge, listed in that
+    order: a and ab swap north and south, b fixes everything.  Its
+    generating set is [b, a], so the first generator keeps the class
+    of the circle and the second turns it round."""
+    mc = double_edge()
+    bits = {"e": 0, "b": 2, "a": 1, "ab": 3}
+    name = {v: g for g, v in bits.items()}
+    names = list(bits)
+    group = FiniteGroup(names, {g: {h: name[bits[g] ^ bits[h]]
+                                    for h in names} for g in names})
+    fix = {s: s for s in mc.simplex_ids}
+    swap = dict(fix, north="south", south="north")
+    maps = {g: SimplicialMap(mc, mc, {v: v for v in mc.vertices},
+                             swap if bits[g] & 1 else fix) for g in names}
+    return GroupAction(group, mc, maps)
+
+
+@pytest.mark.parametrize("make", [double_edge_swap_action,
+                                  _klein_on_the_double_edge])
+def test_toy_vanish_names_the_element_a_solve_per_element_names(make):
+    a = make()
+    assert validate_action(a).ok
+    z = Chain(1, RING_RAT, {AlgebraicSimplex("north", ("x", "y")): 1,
+                            AlgebraicSimplex("south", ("x", "y")): -1})
+    hom = homology(build_full_chain_complex(a.complex, ring=RING_RAT))
+    with pytest.raises(DiffusionError) as want:
+        reference.class_witnesses(a, hom, z)
+    with pytest.raises(DiffusionError) as got:
+        toy_vanish(a.complex, a, z, Fraction(1, 4))
+    assert str(got.value) == str(want.value)
+    assert got.value.witness == want.value.witness is not None
+
+
+def _table_rows(rng, points, group, images):
+    """The move rows of group on points, where images(g) lists the
+    image of each point; a row leaves out fixed points one time in two."""
+    drop = rng.random() < 0.5
+    return {g: {x: y for x, y in zip(points, images(g))
+                if not (drop and x == y)} for g in group.elements}
+
+
+def _set_action_doc(rng):
+    """A set-action document of table blocks of 1 to 4 points, and one
+    time in two a table ambient action copying the first block's; the
+    points are listed in a shuffled order, and a block of one point may
+    name none."""
+    blocks = []
+    for b in range(rng.randint(1, 4)):
+        m = rng.randint(1, 4)
+        pts = ["b%dp%d" % (b, i) for i in range(m)]
+        if m == 3 and rng.random() < 0.5:
+            group = symmetric_group_3()
+            moves = _table_rows(rng, pts, group, lambda g: [
+                pts[int(c)] for c in g])
+        else:
+            group = cyclic_group(m * rng.randint(1, 2))
+            moves = _table_rows(rng, pts, group, lambda g: [
+                pts[(i + group.elements.index(g)) % m] for i in range(m)])
+        rng.shuffle(pts)
+        blocks.append({"points": pts, "group": group_to_doc(group),
+                       "action": {"kind": "table", "moves": moves},
+                       "horizon": rng.randint(0, 4)})
+    doc = {"schema_version": 1, "blocks": blocks,
+           "points": [x for b in blocks for x in b["points"]]}
+    rng.shuffle(doc["points"])
+    if rng.random() < 0.5:
+        doc["group"] = blocks[0]["group"]
+        doc["action"] = {"kind": "table",
+                         "moves": copy.deepcopy(
+                             blocks[0]["action"]["moves"])}
+    return doc
+
+
+def _tamper(rng, doc, how):
+    """Break one table of doc in the named way."""
+    tables = [b["action"]["moves"] for b in doc["blocks"]]
+    groups = [b["group"] for b in doc["blocks"]]
+    if "action" in doc:
+        tables.append(doc["action"]["moves"])
+        groups.append(doc["group"])
+    i = rng.randrange(len(tables))
+    moves, group = tables[i], group_from_doc(groups[i])
+    own = doc["blocks"][i]["points"] if i < len(doc["blocks"]) \
+        else doc["blocks"][0]["points"]
+    named = sorted({x for row in moves.values() for x in (*row, *row.values())})
+    g = rng.choice([h for h in group.elements if h != group.identity]
+                   or [group.identity])
+    x = rng.choice(named or own)
+    y = rng.choice([p for p in own if p != x] or own)
+    if how == "not bijective":
+        moves[g][x] = moves[g].get(y, y)
+    elif how == "into another block":
+        moves[g][x] = rng.choice(doc["points"])
+    elif how == "identity moves":
+        moves[group.identity][x] = y
+    elif how == "outside the enumeration":
+        moves[g].update(rng.choice([{x: "out"}, {"out": x}]))
+    elif how == "onto an unnamed point":
+        unnamed = [p for p in doc["points"] if p not in named]
+        moves[g][x] = rng.choice(unnamed or doc["points"])
+    elif how == "no row, all rows empty":
+        for h in moves:
+            moves[h] = {}
+        del moves[rng.choice(list(moves))]
+    elif how == "over the closure cap":
+        # the closure crosses |G| times the points once it holds over
+        # (|G| - 1) times as many points outside them
+        s = generating_set(group)[0]
+        edge = (len(group) - 1) * len(doc["points"])
+        chain = [x] + ["o%d" % k for k in range(
+            max(1, rng.randint(edge - 2, edge + 2)))]
+        moves[s].update(zip(chain, chain[1:]))
+
+
+_TAMPERS = ("not bijective", "into another block", "identity moves",
+            "outside the enumeration", "onto an unnamed point",
+            "no row, all rows empty", "over the closure cap")
+
+
+def _outcome(check, doc):
+    try:
+        report = check(set_action_from_doc(doc))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.problems, report.notes
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from((None,) + _TAMPERS))
+def test_validate_action_on_set_reports_what_checking_every_point_does(
+        rng, how):
+    doc = _set_action_doc(rng)
+    if how is not None:
+        _tamper(rng, doc, how)
+    want = _outcome(reference.validate_action_on_set, doc)
+    assert _outcome(validate_action_on_set, doc) == want
+    if how is None:
+        assert want[0] == () and want[1]
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_local_diffuse_on_move_tables_matches_convolving_every_point(rng):
+    blocks = _block_docs(rng, rng.randint(1, 6))
+    for b in blocks:  # rows that leave out fixed points, or name none
+        if rng.random() < 0.3:
+            del b["points"][1:]
+            b["action"]["moves"] = {g: {} for g in b["action"]["moves"]}
+    doc = {"schema_version": 1, "blocks": blocks,
+           "points": [x for b in blocks for x in b["points"]]}
+    # a dipole on each block from the threshold on, whose average is 0,
+    # and a point mass, which the uniform measure smears, before it
+    threshold = rng.randint(0, len(blocks))
+    values = {}
+    for s, b in enumerate(blocks):
+        x, y = rng.sample(b["points"] * 2, 2)
+        w = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        values[x] = values.get(x, 0) + w
+        if s >= threshold:
+            values[y] = values.get(y, 0) - w
+    budgets = [Fraction(1, rng.randint(2, 16)) for _ in blocks]
+    out = local_diffuse(set_action_from_doc(doc), SparseFunction(values),
+                        budgets, threshold)
+    everywhere = set_action_from_doc(doc)
+    for b in everywhere.blocks:  # an oracle that names no points
+        b.act = lambda g, x, act=b.act: act(g, x)
+    assert out == local_diffuse(everywhere, SparseFunction(values), budgets,
+                                threshold)
