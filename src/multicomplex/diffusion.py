@@ -24,7 +24,9 @@ The work follows the generators and the moved points.  A move table
 fixes every point its rows do not name, so validate_action_on_set checks
 and local_diffuse convolves a table block on the points it names only;
 toy_vanish solves for the class witnesses of the generators only and
-builds and checks the others.  Each shortcut is exact.
+builds and checks the others; convolve adds the int tuples of a
+translation oracle's chart and writes a point only where mass is left.
+Each shortcut is exact.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
+from operator import add
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
 from .actions import (GroupAction, ValidationReport, _orbit_totals,
                       act_on_chain, average_cochain, orbits)
-from .chains import (Chain, RING_RAT, _FractionFree, _numerators, alternate,
+from .chains import (Chain, RING_RAT, _FractionFree, alternate,
                      build_full_chain_complex, homology)
 from .core import (InternalInvariantError, Multicomplex, MulticomplexError,
                    StructureError, _Memo)
@@ -72,35 +75,33 @@ class FiniteSupportMeasure(_FractionFree):
 
     def __init__(self, group, weights):
         items = weights.items() if hasattr(weights, "items") else weights
-        den, nums = _numerators((group.coerce(el), Fraction(w))
-                                for el, w in items)
-        self._check(group, nums, den)
+        # repeated elements add up before the weights are checked
+        self._store_values((group.coerce(el), Fraction(w))
+                           for el, w in items)._check(group)
 
     @classmethod
-    def _of_numerators(cls, group, pairs, den):
-        """The measure with weight n/den at el for each (el, n) in pairs;
-        the elements must already be coerced."""
-        return cls.__new__(cls)._check(group, pairs, den)
+    def _of_numerators(cls, group, num, den):
+        """The measure with weight n/den at el for each el: n in the
+        mapping num; the elements must already be coerced."""
+        return cls.__new__(cls)._store(num, den)._check(group)
 
-    def _check(self, group, pairs, den):
-        """Check the weights n/den and store them, summing repeats."""
-        num = {}
-        for el, n in pairs:
-            if n < 0:
-                raise StructureError(
-                    "measure weights must be nonnegative, got %s at %r"
-                    % (Fraction(n, den), el))
-            if n:
-                num[el] = num.get(el, 0) + n
+    def _check(self, group):
+        """Check the stored weights and set the group."""
+        num, den = self._num, self._den
+        if num and min(num.values()) < 0:
+            el, n = next((el, n) for el, n in num.items() if n < 0)
+            raise StructureError(
+                "measure weights must be nonnegative, got %s at %r"
+                % (Fraction(n, den), el))
         total = sum(num.values())
         if total != den:
             raise StructureError(
                 "measure weights must sum to 1, got %s" % Fraction(total, den))
         self.group = group
-        return self._store(num, den)
+        return self
 
     def _like(self, num, den):
-        return self._of_numerators(self.group, num.items(), den)
+        return self._of_numerators(self.group, num, den)
 
     def _space(self) -> tuple:
         return (self.group,)
@@ -114,15 +115,14 @@ class FiniteSupportMeasure(_FractionFree):
 
 def delta_measure(group, el) -> FiniteSupportMeasure:
     return FiniteSupportMeasure._of_numerators(
-        group, [(group.coerce(el), 1)], 1)
+        group, {group.coerce(el): 1}, 1)
 
 
 def uniform_measure(group, support) -> FiniteSupportMeasure:
-    support = {group.coerce(el) for el in support}
-    if not support:
+    num = dict.fromkeys(map(group.coerce, support), 1)
+    if not num:
         raise StructureError("a measure needs a nonempty support")
-    return FiniteSupportMeasure._of_numerators(
-        group, [(el, 1) for el in support], len(support))
+    return FiniteSupportMeasure._of_numerators(group, num, len(num))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +253,36 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
     mu._den * f._den.  mu must be a measure on a.group: its stored
     elements were coerced when it was built and go to the oracle as
     they are.
+
+    A translation oracle of a set-action document carries its chart:
+    act.coords(y) is the int tuple of a point it moves, () for a point
+    it fixes, and act.point(t) writes the point of a tuple.  Then the
+    sums run on the tuples gamma + coords(y), a point is written only
+    where the mass left is nonzero, and a fixed point y keeps
+    mu._den * f(y).  That oracle cannot fail; any other is called on
+    every pair.
     """
     act = a.oracle()
+    den = mu._den * f._den
+    coords = getattr(act, "coords", None)
+    if coords is not None:
+        out, moved = {}, []
+        for y, v in f._num.items():
+            c = coords(y)
+            if c:
+                moved.append((c, v))
+            else:
+                out[y] = mu._den * v
+        acc = {}
+        get = acc.get
+        for c, v in moved:
+            for gamma, w in mu._num.items():
+                t = tuple(map(add, gamma, c))
+                acc[t] = get(t, 0) + w * v
+        point = act.point
+        # a written point parses, so it is never a fixed point
+        out.update((point(t), n) for t, n in acc.items() if n)
+        return SparseFunction._of_numerators(out, den)
     # atoms in the order of mu.items() and points in the order of
     # f.items(), so that a failing oracle fails on the first such pair
     fnum = sorted(f._num.items(), key=lambda kv: repr(kv[0]))
@@ -263,7 +291,7 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
         for y, v in fnum:
             x = act(gamma, y)
             acc[x] = acc.get(x, 0) + w * v
-    return SparseFunction._of_numerators(acc, mu._den * f._den)
+    return SparseFunction._of_numerators(acc, den)
 
 
 def measure_derivative(mu: FiniteSupportMeasure, phi) -> Fraction:
@@ -302,17 +330,14 @@ def derivative_norm(mu: FiniteSupportMeasure, phis) -> Fraction:
 # The most atoms a Folner box may have.  The box side grows like
 # 2|phi|_1/epsilon, so a small epsilon asks for a box that cannot be
 # built; such a request fails at once instead.  At the limit, a unit
-# dipole's box takes folner_measure 1.6 s and convolve 2.4 s at 356 MiB
-# peak RSS in Z^1 (side 1,000,000), and 1.9 s and 3.2 s at 342 MiB in
-# Z^2 (side 1,000), best of three runs on one core of a 2-vCPU Intel
-# Xeon under CPython 3.11; writing the measure and the result as one
-# document takes another 1.8-2.1 s.  Time and memory grow linearly in
-# the atoms from there.
+# dipole's box takes folner_measure 1.3 s and convolve 1.2 s in Z^1
+# (side 1,000,000), and 1.6 s and 1.5 s in Z^2 (side 1,000); writing
+# the measure and the result as one document takes another 1.3 s, and
+# the peak RSS is 367 MiB in Z^1 and 353 MiB in Z^2, reached while
+# writing.  These are the best of three runs on one core of a 2-vCPU
+# Intel Xeon under CPython 3.11.  Time and memory grow linearly in the
+# atoms from there.
 MAX_BOX_ATOMS = 10 ** 6
-
-
-def _box_points(rank: int, n: int) -> list:
-    return list(iter_product(range(n), repeat=rank))
 
 
 def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
@@ -344,7 +369,8 @@ def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
                 "over the limit of %d" % (n, group.rank, atoms, MAX_BOX_ATOMS))
         # the box points are distinct int tuples: no coercion needed
         mu = FiniteSupportMeasure._of_numerators(
-            group, [(p, 1) for p in _box_points(group.rank, n)], atoms)
+            group, dict.fromkeys(iter_product(range(n), repeat=group.rank), 1),
+            atoms)
         if derivative_norm(mu, phis) < epsilon:
             return mu
         n += 1  # unreachable given the bound; kept as the honest fallback
@@ -471,16 +497,19 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
     problems = []
     notes = []
     rng = random.Random(SAMPLE_SEED)
+    # group -> its generators and table problems: blocks that share a
+    # group object find and check them once
+    group_checks = _Memo(lambda group: (
+        generating_set(group), group.validate() if group.is_finite else []))
 
     def check_oracle(label, group, act, points):
         """Check one oracle on points and return the maps of its
         generators, which compute each image once, and the points it
         can move."""
-        gens = generating_set(group)
+        gens, table = group_checks[group]
         maps = {s: _Memo(partial(act, s)) for s in gens}
         checked = _checked_points(act, points)
         if group.is_finite:
-            table = group.validate()
             problems.extend("%s: group table: %s" % (label, p) for p in table)
             if table:
                 return maps, checked

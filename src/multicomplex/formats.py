@@ -16,6 +16,7 @@ to the Multicomplex constructor, which checks them and copies the facet
 maps; the encoder likewise joins each facet vertex set once per call.
 The writers of chains, cochains, measures and functions share one
 formatter of store numerators, which writes each distinct value once.
+A set-action document decodes each distinct group document once.
 """
 
 from __future__ import annotations
@@ -374,7 +375,12 @@ def _oracle_from_doc(doc: dict, group):
     or as images: every element with a row fixes every other point, so
     diffusion.validate_action_on_set checks and local_diffuse convolves
     only these.  The translation oracle parses each distinct point once
-    and keeps its coordinates for the oracle's lifetime.
+    and keeps its coordinates for the oracle's lifetime.  It exposes its
+    chart, which diffusion.convolve adds on: coords(x) is the cached int
+    tuple of point x, or () for a point it fixes (one that is not rank
+    comma-joined integers as int() reads them), and point(t) writes the
+    point of an int tuple t as the group writes its element keys.  A
+    point such as "01,2" moves to a point written "1,2" and so on.
     """
     kind = _need(doc, "kind")
     if kind == "table":
@@ -410,36 +416,54 @@ def _oracle_from_doc(doc: dict, group):
 
         parsed = {}  # point string -> coordinates, () for a fixed point
 
-        def act(el, x):
+        def coords(x):
             text = str(x)
-            coords = parsed.get(text)
-            if coords is None:
+            c = parsed.get(text)
+            if c is None:
                 try:
-                    coords = tuple(int(p) for p in text.split(","))
+                    c = tuple(int(p) for p in text.split(","))
                 except ValueError:
-                    coords = ()
-                if len(coords) != group.rank:
-                    coords = ()
-                parsed[text] = coords
-            if not coords:
-                return x
-            return ",".join(map(str, map(add, coords, el)))
+                    c = ()
+                if len(c) != group.rank:
+                    c = ()
+                parsed[text] = c
+            return c
+
+        point = group._key
+
+        def act(el, x):
+            c = coords(x)
+            return point(tuple(map(add, c, el))) if c else x
+        act.coords = coords
+        act.point = point
         return act
     raise FormatError("unknown action kind %r" % (kind,))
 
 
 def set_action_from_doc(doc: dict) -> ActionOnSet:
+    """The set action of a document.  Equal group documents decode to
+    one group object, whose table is then built and checked once; two
+    JSON values are equal when their reprs are, which also tells 1, 1.0
+    and true apart."""
     points = tuple(_need_strings(doc, "points"))
+    groups = {}  # repr of a group document -> its group
+
+    def group_from(gdoc):
+        text = repr(gdoc)
+        if text not in groups:
+            groups[text] = group_from_doc(gdoc)
+        return groups[text]
+
     blocks = []
     for entry in _need(doc, "blocks", list, ()):
-        group = group_from_doc(_need(entry, "group"))
+        group = group_from(_need(entry, "group"))
         blocks.append(OrbitBlock(
             tuple(_need_strings(entry, "points")), group,
             _oracle_from_doc(_need(entry, "action"), group),
             _need(entry, "horizon", int)))
     group = act = None
     if "group" in doc:
-        group = group_from_doc(doc["group"])
+        group = group_from(doc["group"])
         act = _oracle_from_doc(_need(doc, "action"), group)
     return ActionOnSet(group, points, act, blocks or None)
 

@@ -177,6 +177,8 @@ class FreeAbelianGroup:
         if not isinstance(rank, int) or rank < 1:
             raise StructureError("free abelian rank must be a positive integer")
         self.rank = rank
+        # "%d" writes an int as str() does
+        self._format = ",".join(["%d"] * rank)
 
     def coerce(self, el) -> tuple:
         try:
@@ -215,19 +217,26 @@ class FreeAbelianGroup:
     def element_key(self, el) -> str:
         return self._key(self.coerce(el))
 
-    @staticmethod
-    def _key(el) -> str:
+    def _key(self, el) -> str:
         """The key of an element already coerced."""
-        return ",".join(map(str, el))
+        return self._format % el
 
     def element_from_key(self, key: str) -> tuple:
+        """The element whose key is key.  int() also reads "01", " 1",
+        "+1" and "-0", which _key never writes; such a key is refused, so
+        that no two keys name one element."""
         try:
             t = tuple(int(p) for p in key.split(","))
         except ValueError:
             raise StructureError(
                 "cannot parse %r as an element of Z^%d" % (key, self.rank)
             ) from None
-        return self.coerce(t)
+        el = self.coerce(t)
+        if self._key(el) != key:
+            raise UnknownIdError(
+                "%r is not the key of an element of Z^%d; the key of %r is "
+                "%r" % (key, self.rank, el, self._key(el)))
+        return el
 
     def __repr__(self) -> str:
         return "FreeAbelianGroup(rank=%d)" % self.rank

@@ -27,6 +27,12 @@ settings.register_profile("deterministic", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("deterministic")
 
+# parts of a point of a translation action: int() reads a sign,
+# surrounding space, an underscore and a non-ASCII digit, and refuses the
+# rest
+POINT_PARTS = ["0", "-3", "+1", " 1", "1_0", "\u0663", "a", "", "1,2",
+               "1,2,3"]
+
 
 @contextlib.contextmanager
 def within(seconds):

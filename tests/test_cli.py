@@ -6,6 +6,8 @@ summary redirects them.
 """
 
 import gc
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -496,6 +498,35 @@ def test_diffuse_certifies_the_l1_bound(tmp_path, capsys):
     assert Fraction(doc["certified_bound"]) == Fraction(1, 2)
     total = sum(Fraction(v) for v in doc["result"]["values"].values())
     assert total == 0
+
+
+@pytest.mark.parametrize("rank, side, values, digest, norm", [
+    (1, 48, {"3": "1", "13": "-1"},
+     "6c35c388973823e18dc83cc969bb504024e008347c2aa6d6a1d64c09e1cbe402",
+     "20/321"),
+    (2, 10, {"4,4": "1", "4,5": "-1"},
+     "c0f2d544c947457dcf729d704bde86a668effba75f2932db80fdf68231545c3a",
+     "2/33"),
+    (2, 10, {"2,3": "1", "3,4": "-1"},
+     "b0253f433690cca39f71f62ac5143d441bd74fb25e2a8058e3b5fc8b83e3b541",
+     "258/4225")])
+def test_diffuse_prints_its_pinned_bytes(tmp_path, capsys, rank, side,
+                                         values, digest, norm):
+    # a dipole on a Z line and at l1 distances 1 and 2 in Z^2, epsilon
+    # 1/8: the measure and the result, byte for byte, by their sha256
+    points = [",".join(map(str, p))
+              for p in itertools.product(range(side), repeat=rank)]
+    action = {"schema_version": formats.SCHEMA_VERSION, "points": points,
+              "group": {"kind": "free_abelian", "rank": rank},
+              "action": {"kind": "translation"}}
+    f = {"schema_version": formats.SCHEMA_VERSION, "values": values}
+    code, out, err = _run(capsys, [
+        "diffuse", _write(tmp_path, "f.json", f),
+        "--action", _write(tmp_path, "action.json", action),
+        "--epsilon", "1/8"])
+    assert code == 0
+    assert err == "diffused: |f'|_1 = %s <= 1/8\n" % norm
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_an_oversized_folner_box_exits_one_with_its_size(tmp_path, capsys):

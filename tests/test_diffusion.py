@@ -9,10 +9,12 @@ from math import lcm
 
 import pytest
 import reference
-from conftest import cone_action, symmetric_group_3, wheel_action
+from conftest import (POINT_PARTS, cone_action, symmetric_group_3,
+                      wheel_action)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multicomplex import diffusion
 from multicomplex.actions import GroupAction, act_on_chain, validate_action
 from multicomplex.chains import (
     RING_RAT,
@@ -84,6 +86,10 @@ def test_measure_must_be_a_probability():
     assert mu.items() == [((0,), half), ((1,), third), ((2,), sixth)]
     with pytest.raises(StructureError, match="must sum to 1, got 5/6$"):
         FiniteSupportMeasure(Z, {(0,): half, (1,): third})
+    # repeated elements add up before the weights are checked
+    assert FiniteSupportMeasure(Z, [((0,), Fraction(-1, 2)),
+                                    ((0,), Fraction(3, 2))]).items() == [
+        ((0,), 1)]
     mu = FiniteSupportMeasure(Z, [((0,), Fraction(2, 4)), ((1,), 0),
                                   ((2,), sixth), ((3,), sixth), ((2,), sixth)])
     w = mu.weight((0,))
@@ -552,6 +558,42 @@ def _diffusion_cases(draw):
             draw(elements))
 
 
+@st.composite
+def _translation_convolutions(draw):
+    """A measure on Z^rank and a function whose points are strings of
+    POINT_PARTS (moved, fixed and non-canonical ones) or ints."""
+    rank = draw(st.integers(1, 3))
+    raw = draw(st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * rank),
+        st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)]),
+        min_size=1, max_size=6))
+    total = sum(raw.values())
+    weights = {el: w / total for el, w in raw.items()}
+    points = st.one_of(
+        st.lists(st.sampled_from(POINT_PARTS), min_size=1,
+                 max_size=3).map(",".join),
+        st.integers(-3, 3))
+    values = draw(st.dictionaries(points, st.fractions(
+        -3, 3, max_denominator=12), max_size=6))
+    return rank, weights, values
+
+
+@settings(max_examples=200)
+@given(_translation_convolutions())
+def test_convolve_on_a_translation_document_matches_the_reference(case):
+    rank, weights, values = case
+    group = FreeAbelianGroup(rank)
+    a = set_action_from_doc({"schema_version": 1,
+                             "points": [],
+                             "group": group_to_doc(group),
+                             "action": {"kind": "translation"}})
+    assert a.oracle().coords is not None  # the chart path runs
+    out = convolve(FiniteSupportMeasure(a.group, weights),
+                   SparseFunction(values), a)
+    _check_against(out, _reference_convolve(
+        weights, values, functools.partial(reference.translate, rank)))
+
+
 def test_measure_derivative_on_a_nonabelian_group():
     # mu(gamma*phi) and mu(phi*gamma) differ here, so a derivative that
     # shifted on the wrong side would not match the reference
@@ -633,6 +675,25 @@ def test_validate_action_on_set_reads_each_table_at_its_own_points(nblocks):
     # of a block grow with the block, not with the whole set
     assert len(calls) <= 2 * sum(len(b.group) * len(b.points)
                                  for b in a.blocks)
+
+
+def test_blocks_with_equal_group_documents_share_one_checked_group(
+        monkeypatch):
+    blocks = _block_docs(random.Random(24), 24)
+    sizes = {len(b["points"]) for b in blocks}
+    checked = []
+    validate, gens = FiniteGroup.validate, diffusion.generating_set
+    monkeypatch.setattr(FiniteGroup, "validate",
+                        lambda g: checked.append(g) or validate(g))
+    monkeypatch.setattr(diffusion, "generating_set",
+                        lambda g: checked.append(g) or gens(g))
+    a = set_action_from_doc({"schema_version": 1, "blocks": blocks,
+                             "points": [x for b in blocks
+                                        for x in b["points"]]})
+    assert len({id(b.group) for b in a.blocks}) == len(sizes) < len(blocks)
+    assert validate_action_on_set(a).ok
+    # one table check and one generating set per group object
+    assert len(checked) == 2 * len(sizes)
 
 
 def test_toy_vanish_solves_once_per_generator_and_once_for_the_alternation(
@@ -821,11 +882,20 @@ def _tamper(rng, doc, how):
         chain = [x] + ["o%d" % k for k in range(
             max(1, rng.randint(edge - 2, edge + 2)))]
         moves[s].update(zip(chain, chain[1:]))
+    elif how == "one product of a shared table":
+        # every block whose group document equals this one shares its
+        # group, so each of their labels must report the broken table
+        before = copy.deepcopy(groups[i])
+        g, h, gh = (rng.choice(group.elements) for _ in range(3))
+        for other in groups:
+            if other == before:
+                other["table"][g][h] = gh
 
 
 _TAMPERS = ("not bijective", "into another block", "identity moves",
             "outside the enumeration", "onto an unnamed point",
-            "no row, all rows empty", "over the closure cap")
+            "no row, all rows empty", "over the closure cap",
+            "one product of a shared table")
 
 
 def _outcome(check, doc):

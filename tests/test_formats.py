@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from multicomplex.chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
 from multicomplex.core import product_with_interval
-from conftest import symmetric_group_3
+from conftest import POINT_PARTS, symmetric_group_3
 from multicomplex.diffusion import (ActionOnSet, FiniteSupportMeasure,
                                     SparseFunction, convolve, folner_measure,
                                     uniform_measure)
@@ -292,6 +292,18 @@ def test_writers_give_the_reference_text():
         assert function_from_doc(doc) == f
 
 
+def test_measure_doc_refuses_two_keys_of_one_atom():
+    # "00" parses to the atom of "0", which used to keep the last weight
+    # and read these weights, which total 3/2, as a probability measure
+    doc = {"schema_version": SCHEMA_VERSION,
+           "group": {"kind": "free_abelian", "rank": 1},
+           "weights": {"0": "1/2", "00": "1/2", "1": "1/2"}}
+    with pytest.raises(UnknownIdError) as exc:
+        measure_from_doc(doc)
+    assert str(exc.value) == ("'00' is not the key of an element of Z^1; "
+                              "the key of (0,) is '0'")
+
+
 def test_measure_doc_coerces_no_atom(monkeypatch):
     mu = _writer_measures()[0]
     calls = []
@@ -357,16 +369,10 @@ def test_a_table_action_names_the_element_it_has_no_moves_for():
         assert act("r1", "p") == "q"
 
 
-# parts of a point: int() reads a sign, surrounding space, an underscore
-# and a non-ASCII digit, and refuses the rest
-_POINT_PARTS = ["0", "-3", "+1", " 1", "1_0", "\u0663", "a", "", "1,2",
-                "1,2,3"]
-
-
 @st.composite
 def _translation_queries(draw):
     rank = draw(st.sampled_from((1, 2)))
-    points = st.lists(st.sampled_from(_POINT_PARTS), min_size=1,
+    points = st.lists(st.sampled_from(POINT_PARTS), min_size=1,
                       max_size=2).map(",".join)
     elements = st.tuples(*[st.integers(-3, 3)] * rank)
     return rank, draw(st.lists(st.tuples(elements, points), min_size=1,

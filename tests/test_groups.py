@@ -33,6 +33,32 @@ def test_the_public_methods_of_z2_reject_a_non_element(bad):
     assert bad not in Z2
 
 
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                  st.sampled_from([2 ** 64, -2 ** 64 - 1]))
+
+
+@settings(max_examples=100)
+@given(st.lists(_INTS, min_size=1, max_size=4).map(tuple))
+def test_the_key_of_an_element_of_z_d_joins_its_ints(el):
+    group = FreeAbelianGroup(len(el))
+    key = ",".join(map(str, el))
+    assert group._key(el) == group.element_key(el) == key
+    assert group.element_from_key(key) == el
+
+
+@pytest.mark.parametrize("rank, key, el", [
+    (1, "00", (0,)), (1, " 1", (1,)), (1, "+1", (1,)), (1, "-0", (0,)),
+    (1, "1_0", (10,)), (1, "\u0663", (3,)), (2, "1, 2", (1, 2)),
+    (2, "01,2", (1, 2))])
+def test_z_d_refuses_a_key_it_never_writes(rank, key, el):
+    group = FreeAbelianGroup(rank)
+    with pytest.raises(UnknownIdError) as exc:
+        group.element_from_key(key)
+    assert str(exc.value) == (
+        "%r is not the key of an element of Z^%d; the key of %r is %r"
+        % (key, rank, el, group._key(el)))
+
+
 def test_the_public_methods_of_a_finite_group_reject_a_non_element():
     g = cyclic_group(3)
     cases = [(lambda: g.multiply("x", "r0"), UnknownIdError,
