@@ -92,8 +92,11 @@ class _FractionFree:
     _order = None  # the sort key of support(); None sorts the keys
 
     def _store(self, num, den):
-        """Keep num over den without its zeros, over the least den."""
-        num = {key: n for key, n in num.items() if n}
+        """Keep num over den without its zeros, over the least den.  The
+        dict num itself is kept when it has no zero and den is least, so
+        the caller must not change it afterwards."""
+        if not all(num.values()):
+            num = {key: n for key, n in num.items() if n}
         g = gcd(den, *num.values())
         if g > 1:
             num = {key: n // g for key, n in num.items()}
@@ -719,11 +722,14 @@ def homology(cc: ChainComplex, ring=None) -> HomologyResult:
     return HomologyResult(cc, ring)
 
 
-def fundamental_cycle(mc: Multicomplex, degree=None, ring=RING_INT) -> Chain:
+def fundamental_cycle(mc: Multicomplex, degree=None, ring=RING_INT, *,
+                      cc=None) -> Chain:
     """The positively-normalized generator of degree-n homology, when it is
     infinite cyclic; raises NoFundamentalCycleError otherwise.
 
-    degree defaults to the dimension of the complex."""
+    degree defaults to the dimension of the complex.  cc is the reduced
+    complex of mc when the caller has built it already (its ring tag is
+    not read); otherwise it is built here, after the purity check."""
     n = mc.dimension if degree is None else degree
     if n < 0:
         raise NoFundamentalCycleError("the complex is empty")
@@ -737,7 +743,8 @@ def fundamental_cycle(mc: Multicomplex, degree=None, ring=RING_INT) -> Chain:
             raise NoFundamentalCycleError(
                 "the complex is not pure in degree %d: %r is maximal with "
                 "dimension %d" % (n, sid, mc.dimension_of(sid)))
-    cc = build_reduced_chain_complex(mc, ring=ring)
+    if cc is None:
+        cc = build_reduced_chain_complex(mc, ring=ring)
     hom = HomologyResult(cc, ring)
     if ring == RING_INT:
         free, torsion = hom.structure(n)

@@ -5,14 +5,21 @@ feasible starting basis.  A column of A is a sparse list of (row, int)
 pairs; b and c are scaled once to integers.  For the basis matrix B and
 D = |det B| the solver keeps the integral M = D * B^-1 (the adjugate of B
 up to sign) and updates it by pivots whose divisions are exact (Edmonds
-1967; Bareiss 1968), so Fractions are built only for the result.  The
-tableau is stored as sparse columns, one {row: nonzero int} dict each,
-so the entering column is summed over the nonzeros of A's column and a
-pivot rewrites only the columns with a nonzero in the pivot row (the
-others are rescaled when D changes).  Bland's rule (least variable
-index, both entering and leaving) makes the iteration finite also on
-degenerate problems; with the deterministic variable order used by
-callers this is the lexicographic tie-break.
+1967; Bareiss 1968).  The tableau is stored as sparse columns, one
+{row: nonzero int} dict each, so the entering column is summed over the
+nonzeros of A's column and a pivot rewrites only the columns with a
+nonzero in the pivot row (the others are rescaled when D changes).
+Bland's rule (least variable index, both entering and leaving) makes the
+iteration finite also on degenerate problems; with the deterministic
+variable order used by callers this is the lexicographic tie-break.
+
+The start places each basis column that is one entry s = +-1, on a row
+that no earlier such column took, without elimination: M takes s on that
+row, the row of b is multiplied by s and the objective row gains c_j * s.
+Only the other basis columns are pivoted in.  D * B^-1 is unique, so the
+start tableau, and every pivot after it, is the one that pivoting every
+basis column in would give; a start of signed unit columns only, as the
+seminorm LP has, makes no pivot.
 
 Every column is priced once, after the starting basis is set up; from
 then on the integral reduced costs rc_j = y.a_j - c_j * D are updated
@@ -29,6 +36,10 @@ their sign.  The update keeps every other basic column at rc = 0
 (alpha_j = 0), takes the entering one to 0 (alpha_e = p) and the
 leaving one to -d_m < 0 (alpha = D), so Bland's entering variable is the
 first set byte of a bytearray that flags rc_j > 0.
+
+The result keeps x and y as the int numerators the final tableau holds,
+over D * sb and D * sc (sb, sc the common denominators of b and c), and
+builds no Fraction per variable.
 """
 
 from __future__ import annotations
@@ -45,11 +56,41 @@ class SimplexFailure(InternalInvariantError):
 
 
 class LPResult:
+    """The optimal value, primal x, dual y (one entry per constraint row)
+    and optimal basis of a program.
+
+    x and y are kept as int numerators over one positive denominator
+    each: x_j = x_num[j] / x_den and y_i = y_num[i] / y_den.  .x and .y
+    read them as lists of Fractions, and LPResult(value, x, y, basis)
+    takes them as lists of Fractions or ints.
+    """
+
     def __init__(self, value, x, y, basis):
         self.value = value
-        self.x = x
-        self.y = y  # dual vector, one entry per constraint row
+        self.x_num, self.x_den = _over_one_denominator(x)
+        self.y_num, self.y_den = _over_one_denominator(y)
         self.basis = basis
+
+    @classmethod
+    def _of_numerators(cls, value, x_num, x_den, y_num, y_den, basis):
+        new = cls.__new__(cls)
+        new.value, new.basis = value, basis
+        new.x_num, new.x_den, new.y_num, new.y_den = x_num, x_den, y_num, y_den
+        return new
+
+    @property
+    def x(self):
+        return [Fraction(n, self.x_den) for n in self.x_num]
+
+    @property
+    def y(self):
+        return [Fraction(n, self.y_den) for n in self.y_num]
+
+
+def _over_one_denominator(values):
+    """([n], den): each value v as n/den, den the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _pivot(tableau, d, l, den):
@@ -97,11 +138,12 @@ def solve(columns, b, c, basis, max_iterations=None):
     c = [int(v * sc) for v in c]
     # the tableau [M | den*sb*x ; den*sc*y | den*sb*sc*c.x] by columns:
     # tableau[r][i] is row i of column r, row m the objective row and
-    # column m the right-hand side; pivoting B into the identity basis
-    # of cost 0 is fraction-free Gauss-Jordan on [B | I]
+    # column m the right-hand side, from the identity basis of cost 0
     tableau = [{r: 1} for r in range(m)]
-    tableau.append({i: int(v * sb) for i, v in enumerate(b) if v})
-    den, place = 1, []
+    rhs = {i: int(v * sb) for i, v in enumerate(b) if v}
+    tableau.append(rhs)
+    den, value = 1, 0
+    slot, pivoted = {}, []  # slot: tableau row -> basis position
 
     def entering_column(j):
         d = {}
@@ -111,9 +153,26 @@ def solve(columns, b, c, basis, max_iterations=None):
         d[m] = d.get(m, 0) - c[j] * den
         return {i: f for i, f in d.items() if f}
 
-    for j in basis:
-        d = entering_column(j)
-        l = min((i for i in d if i < m and i not in place), default=-1)
+    for pos, j in enumerate(basis):
+        col = columns[j]
+        if len(col) != 1 or col[0][1] not in (1, -1) or col[0][0] in slot:
+            pivoted.append(pos)
+            continue
+        (r, s), = col
+        slot[r] = pos
+        if s < 0:
+            tableau[r][r] = -1
+            if r in rhs:
+                rhs[r] = -rhs[r]
+        if c[j]:
+            tableau[r][m] = c[j] * s
+            value += c[j] * rhs.get(r, 0)
+    if value:
+        rhs[m] = value
+    # fraction-free Gauss-Jordan on [B | I] for the other basis columns
+    for pos in pivoted:
+        d = entering_column(basis[pos])
+        l = min((i for i in d if i < m and i not in slot), default=-1)
         if l < 0:
             raise SimplexFailure("starting basis matrix is singular")
         if d[l] < 0:  # flip the sign of the identity column it replaces
@@ -123,10 +182,10 @@ def solve(columns, b, c, basis, max_iterations=None):
             d[l] = -d[l]
         _pivot(tableau, d, l, den)
         den = d[l]
-        place.append(l)
-    row_of = {l: i for i, l in enumerate(place)}
-    row_of[m] = m
-    tableau = [{row_of[i]: v for i, v in col.items()} for col in tableau]
+        slot[l] = pos
+    if any(r != pos for r, pos in slot.items()):
+        slot[m] = m
+        tableau = [{slot[i]: v for i, v in col.items()} for col in tableau]
     rhs = tableau[m]
     if any(v < 0 for i, v in rhs.items() if i < m):
         raise SimplexFailure("starting basis is infeasible")
@@ -149,11 +208,12 @@ def solve(columns, b, c, basis, max_iterations=None):
         entering = priced_in.find(1)
         if entering < 0:
             y = [col.get(m, 0) for col in tableau]
-            x = [Fraction(0)] * ncols
+            x = [0] * ncols
             for i, j in enumerate(basis):
-                x[j] = Fraction(rhs.get(i, 0), den * sb)
-            return LPResult(Fraction(y[m], den * sb * sc), x,
-                            [Fraction(v, den * sc) for v in y[:m]], basis)
+                x[j] = rhs.get(i, 0)
+            return LPResult._of_numerators(
+                Fraction(y.pop(), den * sb * sc), x, den * sb, y, den * sc,
+                basis)
         d = entering_column(entering)
         # least ratio x_i / d_i over d_i > 0 by cross-multiplication, ties
         # to the least variable index

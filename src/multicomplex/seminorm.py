@@ -62,21 +62,24 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
     basis = [i if target[i] >= 0 else m + i for i in range(m)]
     res = exactlp.solve(columns, target, cost, basis)
 
-    rep_vec = [res.x[i] - res.x[m + i] for i in range(m)]
-    b_vec = [res.x[2 * m + j] - res.x[2 * m + k + j] for j in range(k)]
-    rep = cc.chain_from_vector(n, rep_vec, RING_RAT)
-    bchain = cc.chain_from_vector(n + 1, b_vec, RING_RAT)
-
-    # exact certification of the whole package; the boundary check runs
-    # on the integer numerators of y over one common denominator
+    # the chains and the certificate are built on the solver's int
+    # numerators over its denominators; the certification below checks
+    # them exactly, the boundary check on the numerators of y
+    x, xd = res.x_num, res.x_den
+    labels, above = cc.basis(n), cc.basis(n + 1)
+    rep = Chain._of_numerators(n, RING_RAT, {
+        labels[i]: v for i in range(m) if (v := x[i] - x[m + i])}, xd)
+    bchain = Chain._of_numerators(n + 1, RING_RAT, {
+        above[j]: v for j in range(k)
+        if (v := x[2 * m + j] - x[2 * m + k + j])}, xd)
     if (z - cc.boundary_of(bchain)) != rep:
         raise InternalInvariantError("representative and bounding chain "
                                      "disagree")
     if rep.l1_norm() != res.value:
         raise InternalInvariantError("optimal value does not match the "
                                      "representative norm")
-    labels = cc.basis(n)
-    phi = Cochain(n, RING_RAT, zip(labels, res.y))
+    phi = Cochain._of_numerators(n, RING_RAT, {
+        key: v for key, v in zip(labels, res.y_num) if v}, res.y_den)
     if phi.linf_norm() > 1:
         raise InternalInvariantError("dual certificate exceeds sup-norm one")
     _, num = phi.numerators()
@@ -115,9 +118,11 @@ def simplicial_volume(mc: Multicomplex) -> VolumeResult:
     """
     from .chains import build_reduced_chain_complex
 
-    fc = fundamental_cycle(mc, ring=RING_INT)
-    cc = build_reduced_chain_complex(mc, ring=RING_RAT)
-    res = seminorm_l1(cc, fc.as_rational())
+    # one complex over Z serves the cycle and the LP: seminorm_l1 reads
+    # the same int columns and no ring from it
+    cc = build_reduced_chain_complex(mc, ring=RING_INT)
+    fc = fundamental_cycle(mc, ring=RING_INT, cc=cc)
+    res = seminorm_l1(cc, fc)
     return VolumeResult(res.value, fc, res)
 
 

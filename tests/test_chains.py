@@ -563,3 +563,21 @@ def test_fraction_free_stores_match_the_fraction_references(case):
     _same(f, rf)
     _same(convolve(mu, f, _ON_POINTS), reference.SparseFunction([
         (act(el, x), w * v) for el, w in mu.items() for x, v in rf.items()]))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-4, 4), min_size=0, max_size=6),
+       st.integers(1, 12), st.sampled_from([Chain, Cochain]))
+def test_stores_from_numerators_equal_their_fraction_built_twins(
+        nums, den, kind):
+    # with and without zero numerators, over a denominator that need not
+    # be least; a dict with no zero over the least one is kept, not copied
+    labels = _CONE_CC.basis(1)
+    num = dict(zip(labels, nums))
+    got = kind._of_numerators(1, RING_RAT, num, den)
+    twin = kind(1, RING_RAT, {key: Fraction(n, den) for key, n in num.items()})
+    assert got == twin
+    _same(got, reference.Chain(1, RING_RAT, twin.items()) if kind is Chain
+          else reference.Cochain(1, RING_RAT, twin.items()))
+    least = all(nums[:len(num)]) and got._den == den
+    assert (got._num is num) == least

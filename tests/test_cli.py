@@ -301,12 +301,97 @@ def test_volume_of_the_tetrahedron_boundary(tmp_path, capsys):
     assert "simplicial volume: 4" in err
 
 
+def _lp_inputs(case):
+    """(complex, cycle or None) of one pinned seminorm input: the 3 x 3
+    grid torus with a meridian plus two triangle boundaries, the
+    7-vertex torus with twice a path through all its vertices, or the
+    3-sphere with a loop around one of its triangles."""
+    def loop(terms, path, coef):
+        for x, y in zip(path, path[1:] + path[:1]):
+            edge = tuple(sorted((x, y)))
+            key = AlgebraicSimplex(",".join(edge), edge)
+            terms[key] = terms.get(key, 0) + (coef if edge[0] == x
+                                              else -coef)
+        return terms
+
+    def v(i, j):
+        return "v%d_%d" % (i % 3, j % 3)
+    if case == "grid3":
+        faces = [f for i in range(3) for j in range(3)
+                 for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                           (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+        terms = loop({}, [v(i, 0) for i in range(3)], 1)
+        loop(terms, [v(0, 1), v(1, 1), v(1, 2)], 1)
+        loop(terms, [v(0, 0), v(0, 1), v(1, 1)], -2)
+        return simplicial_complex(faces), Chain(
+            1, RING_INT, {k: c for k, c in terms.items() if c})
+    if case == "torus7":
+        return seven_vertex_torus(), Chain(
+            1, RING_INT, loop({}, [str(3 * i % 7) for i in range(7)], 2))
+    return special_sphere(3), Chain(1, RING_INT,
+                                    loop({}, ["v2", "v0", "v3"], 1))
+
+
+@pytest.mark.parametrize("command, case, options, digest, summary", [
+    ("seminorm", "grid3", [],
+     "4da5e3387ae17dd3cb29d814eff252cb07b1fae72e67dc3a7c907fde2533a9ec",
+     "l1 seminorm of the class: 3"),
+    ("seminorm", "torus7", ["--variant", "full"],
+     "7e088caac43304d2033114f8119ecb6522401954c82e9e900fc0e7661d719c17",
+     "l1 seminorm of the class: 14"),
+    ("seminorm", "sphere3", ["--variant", "full"],
+     "e107589c0e3b1ea1e651289098646043758d4b911cba1fe3b1a0fd56567fe60f",
+     "l1 seminorm of the class: 0"),
+    ("dual", "torus7", [],
+     "1710940411496905879fde841a5d2470de74a16c7468397479b956675a757b28",
+     "duality gap zero: True (value 14)"),
+    ("dual", "sphere3", ["--variant", "full"],
+     "b1619bf770717bb513ebe58afa2b49daddf6b8c02944e5b325f36f93c882ddf3",
+     "duality gap zero: True (value 0)"),
+    ("int-seminorm", "grid3", ["--bound", "1"],
+     "3d9f7d4bc53942b5d88cec0dc65f6c11ed45f033537ab4dfd3d732e63052a748",
+     "integral seminorm: 3 (exact)"),
+    ("volume", "torus7", [],
+     "8c77fbd13447a212fff7caedbf26b07bec2dbb6ee1ef483dadc4c9b761b7df48",
+     "simplicial volume: 14"),
+    ("volume", "sphere3", [],
+     "ee87929befb793df9110d8c787c25c8d1d71f89b4ebd7c1eabbe130c587bbb05",
+     "simplicial volume: 2")])
+def test_seminorm_commands_print_their_pinned_bytes(tmp_path, capsys,
+                                                    command, case, options,
+                                                    digest, summary):
+    # the value, representative and dual certificate, byte for byte, by
+    # their sha256
+    mc, z = _lp_inputs(case)
+    cpath = _write_mc(tmp_path, "mc.json", mc)
+    argv = [command, cpath] if command == "volume" else [
+        command, _write(tmp_path, "z.json", formats.chain_to_doc(z)),
+        "--complex", cpath, *options]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, summary + "\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_volume_rejects_an_impure_complex(tmp_path, capsys):
     mc = simplicial_complex([("x", "y", "z")], vertices=["w"])
     path = _write_mc(tmp_path, "impure.json", mc)
     code, out, err = _run(capsys, ["volume", path])
     assert code == 1
     assert "error:" in err
+
+
+def test_volume_names_a_missing_facet_before_impurity(tmp_path, capsys):
+    # the one reduced complex is built before the purity check, so a
+    # complex that is impure and misses a facet is refused for the facet
+    doc = formats.multicomplex_to_doc(
+        simplicial_complex([("x", "y", "z")], vertices=["w"]))
+    for s in doc["simplices"]:
+        if s["id"] == "x,z":
+            del s["facets"]["z"]
+    code, out, err = _run(capsys, ["volume", _write(tmp_path, "mc.json",
+                                                    doc)])
+    assert (code, out) == (1, "")
+    assert err == "error: simplex 'x,z' is missing its facet over {z}\n"
 
 
 def test_quotient_of_the_double_edge(tmp_path, capsys):

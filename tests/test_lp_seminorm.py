@@ -472,6 +472,67 @@ def test_lp_solver_matches_the_reference_on_degenerate_programs(lp, cap):
     assert _outcome(solve, *lp, cap) == _outcome(reference.solve, *lp, cap)
 
 
+@st.composite
+def unit_starts(draw, max_rows=5, max_extra=5):
+    """(columns, b, c, basis): a start whose basis mixes signed unit
+    columns, which the solver places without a pivot, with general ones.
+    Units may share a row (a singular start), b may be negative on the
+    row of a unit (an infeasible start when its sign is +1), and costs
+    of either sign are credited to the objective row."""
+    m = draw(st.integers(1, max_rows))
+    ints = st.integers(-3, 3)
+
+    def column():
+        if draw(st.booleans()):
+            return [(draw(st.integers(0, m - 1)),
+                     draw(st.sampled_from((1, -1))))]
+        return [(i, v) for i in range(m) if (v := draw(ints))]
+    start = [column() for _ in range(m)]
+    dense = [[0] * m for _ in range(m)]
+    for j, col in enumerate(start):
+        for i, v in col:
+            dense[i][j] += v
+    xb = [draw(st.fractions(0, 5, max_denominator=6)) for _ in range(m)]
+    b = [sum(row[j] * xb[j] for j in range(m)) for row in dense]
+    for col in start:
+        if len(col) == 1 and draw(st.booleans()):
+            b[col[0][0]] = -draw(st.fractions(0, 3, max_denominator=4))
+    columns = start + [column() for _ in range(draw(st.integers(0,
+                                                                max_extra)))]
+    order = draw(st.permutations(range(len(columns))))
+    columns = [columns[k] for k in order]
+    c = [draw(st.fractions(-1, 4, max_denominator=5)) for _ in columns]
+    return columns, b, c, [order.index(j) for j in range(m)]
+
+
+@settings(max_examples=300, phases=NO_EXPLAIN)
+@given(unit_starts())
+def test_lp_solver_matches_the_reference_on_unit_starts(lp):
+    # a unit placed directly must leave the tableau that pivoting it in
+    # leaves, so every optimum and every failure is the reference's
+    assert _outcome(solve, *lp, PIVOT_BOUND) == _outcome(
+        reference.solve, *lp, PIVOT_BOUND)
+
+
+@pytest.mark.parametrize("lp, outcome", [
+    # two units on row 0
+    (([[(0, 1)], [(1, 1)], [(0, -1)]], [Fraction(1), Fraction(1)],
+      [1, 1, 1], [0, 2]), "starting basis matrix is singular"),
+    # x_0 = -b_0 for the unit -1 on row 0 is feasible; x_1 = b_1 is not
+    (([[(0, -1)], [(1, 1)], [(0, 1), (1, 1)]], [Fraction(-1), Fraction(-2)],
+      [1, 1, 0], [0, 1]), "starting basis is infeasible"),
+    # min x0 + 3 x1 + 2 x2 with 2 x0 - x1 = 1, x0 + x2 = 3: the unit -1
+    # placed on row 0 leaves (x1 = 5 at the start) for the unit on row 1
+    (([[(0, 2), (1, 1)], [(0, -1)], [(1, 1)]], [Fraction(1), Fraction(3)],
+      [1, 3, 2], [0, 1]),
+     ([0, 2], [Fraction(1, 2), 0, Fraction(5, 2)], [Fraction(-1, 2), 2],
+      Fraction(11, 2))),
+])
+def test_lp_solver_fails_and_solves_unit_starts_as_the_reference(lp,
+                                                                 outcome):
+    assert _outcome(solve, *lp) == _outcome(reference.solve, *lp) == outcome
+
+
 def _seminorm_lp(cc, z):
     """The program seminorm_l1 hands to exactlp.solve for z in cc."""
     from multicomplex import exactlp
