@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from . import intlinalg
+# build_reduced_chain_complex is unused, but perfbench/layers.py patches
+# actions.build_reduced_chain_complex
 from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT,
                      _limit_orderings, _push_forward,
                      build_reduced_chain_complex)
@@ -154,11 +155,6 @@ def _moved_vertex(a: GroupAction):
                  for w in [a.map_of(g).apply_vertex(v)] if w != v), None)
 
 
-def is_zero_trivial(a: GroupAction) -> bool:
-    """True when every element fixes every vertex."""
-    return _moved_vertex(a) is None
-
-
 def quotient(a: GroupAction):
     """The quotient multicomplex of a vertex-fixing action, with the
     projection map.
@@ -225,9 +221,6 @@ class OrbitPartition:
             raise UnknownIdError(
                 "%s lies in no orbit of this partition" % (key,)) from None
 
-    def orbit_of(self, key) -> tuple:
-        return self.orbits[self.index_of(key)]
-
     def __repr__(self) -> str:
         return "OrbitPartition(k=%d, %d orbits)" % (
             self.dimension, len(self.orbits))
@@ -289,66 +282,6 @@ def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:
     return type(x)(x.degree, RING_RAT, {
         key: Fraction(total, len(orb))
         for orb, total in _orbit_totals(a, x) if total for key in orb})
-
-
-def invariant_cochain_cohomology(a: GroupAction, max_degree=None) -> dict:
-    """Dimensions of the cohomology of the invariant rational cochains.
-
-    Works on the reduced model of a vertex-fixing action, where the group
-    permutes the basis and the invariant cochains are spanned by orbit
-    indicators; returns {degree: dimension}.  This is computed directly by
-    rank-nullity on the restricted coboundary matrices, whose rational
-    rank is their Smith-form rank, independently of any quotient complex.
-    """
-    if not is_zero_trivial(a):
-        raise StructureError(
-            "invariant cochain cohomology is implemented for vertex-fixing "
-            "actions only (the reduced basis is not permuted otherwise)")
-    mc = a.complex
-    top = mc.dimension
-    cc = build_reduced_chain_complex(mc, ring=RING_RAT)
-    parts = {n: _partition(a, n, cc.basis(n)) for n in range(0, top + 1)}
-    ranks = {-1: 0}
-    for n in range(0, top + 1):
-        if n + 1 > top:
-            ranks[n] = 0
-            continue
-        labs_below = cc.basis(n)
-        # every orbit indicator's coboundary on each (n+1)-simplex, zeros
-        # dropped so that equal rows compare equal
-        per_simplex = [_push_forward(cc.column(n + 1, j), lambda i: (
-            (1, parts[n].index_of(labs_below[i])),))
-            for j in range(cc.dim(n + 1))]
-        # invariance makes the value constant along each (n+1)-orbit
-        mat = [None] * len(parts[n + 1])
-        for j, tau in enumerate(cc.basis(n + 1)):
-            oi = parts[n + 1].index_of(tau)
-            if mat[oi] is None:
-                mat[oi] = per_simplex[j]
-            elif mat[oi] != per_simplex[j]:
-                raise StructureError(
-                    "coboundary of an invariant cochain is not constant on "
-                    "the orbit of %s; the maps do not act simplicially "
-                    "(run validate_action)" % (tau,))
-        ranks[n] = intlinalg.smith_form(mat, len(parts[n])).rank
-    dims = {}
-    for n in range(0, top + 1):
-        dims[n] = (len(parts[n]) - ranks[n]) - ranks[n - 1]
-    if max_degree is not None:
-        dims = {n: d for n, d in dims.items() if n <= max_degree}
-    return dims
-
-
-def trivial_action(mc: Multicomplex, group: FiniteGroup = None) -> GroupAction:
-    """Every element acts as the identity (default group: one element)."""
-    from .groups import cyclic_group
-    if group is None:
-        group = cyclic_group(1, names=["e"])
-    ident_v = {v: v for v in mc.vertices}
-    ident_s = {s: s for s in mc.simplex_ids}
-    maps = {g: SimplicialMap(mc, mc, dict(ident_v), dict(ident_s))
-            for g in group.elements}
-    return GroupAction(group, mc, maps)
 
 
 def action_from_vertex_maps(mc: Multicomplex, vertex_maps: dict) -> GroupAction:

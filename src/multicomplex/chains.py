@@ -354,12 +354,6 @@ class ChainComplex:
             self.index_of(degree, key)
         return ch
 
-    def cochain(self, degree, terms, ring=None) -> Cochain:
-        co = Cochain(degree, ring or self.ring, terms)
-        for key in co.support():
-            self.index_of(degree, key)
-        return co
-
     def vector_of(self, chain: Chain):
         vec = [0] * self.dim(chain.degree)
         for key, val in chain.items():
@@ -383,30 +377,6 @@ class ChainComplex:
             n - 1, chain.ring, _push_forward(chain._num.items(), faces),
             chain._den)
 
-    def coboundary_of(self, cochain: Cochain) -> Cochain:
-        """The functional sending a degree-(n+1) simplex to phi(boundary)."""
-        n = cochain.degree
-        get = cochain._num.get
-        labels = self.basis(n)
-        columns = self._columns.get(n + 1, ())
-        return Cochain._of_numerators(n + 1, cochain.ring, {
-            key: sum(coef * get(labels[row], 0) for row, coef in columns[j])
-            for j, key in enumerate(self.basis(n + 1))}, cochain._den)
-
-    def boundary_squares_to_zero(self) -> bool:
-        """Exact check that consecutive boundary maps compose to zero."""
-        for n in self.degrees():
-            if n < 2 or not self._columns.get(n):
-                continue
-            lower = self._columns.get(n - 1, ())
-            for col in self._columns[n]:
-                acc = {}
-                for row, coef in col:
-                    for row2, coef2 in lower[row]:
-                        acc[row2] = acc.get(row2, 0) + coef * coef2
-                if any(v != 0 for v in acc.values()):
-                    return False
-        return True
 
 
 def _all_orderings(vs, n):
@@ -534,17 +504,6 @@ def project_chain(chain: Chain) -> Chain:
         _push_forward(sorted(chain._num.items()), canon), chain._den)
 
 
-def section_chain(chain: Chain) -> Chain:
-    """Reduced-to-full section: the sorted tuple represents its class."""
-    for key in chain.support():
-        if tuple(sorted(key.vertices)) != key.vertices:
-            raise StructureError(
-                "%s is not in canonical (sorted) form" % (key,))
-        if len(set(key.vertices)) != len(key.vertices):
-            raise StructureError("%s has repeated vertices" % (key,))
-    return Chain(chain.degree, chain.ring, dict(chain.items()))
-
-
 # The most (term, ordering) pairs alternate may list.  alternate lists
 # all (k+1)! orderings of every surviving term of degree k.  One term of
 # degree 8 (362,880 orderings) took 5.8 s, one of degree 7 (40,320)
@@ -605,10 +564,6 @@ def alternate(chain: Chain | Cochain) -> Chain | Cochain:
         k, RING_RAT, _push_forward(live, orderings), chain._den * len(perms))
 
 
-def is_alternating(chain: Chain | Cochain) -> bool:
-    return alternate(chain) == chain.as_rational()
-
-
 # ---------------------------------------------------------------------------
 # homology
 
@@ -623,8 +578,7 @@ class HomologyResult:
     then one per free summand.  Over Q it is (betti, []) and the free
     generators alone, which form a Q-basis.  Generators are returned as
     chains over the homology ring.  is_boundary returns an explicit
-    bounding chain when one exists, which makes are_homologous a
-    certified check.
+    bounding chain when one exists, which one boundary checks.
     """
 
     def __init__(self, cc: ChainComplex, ring=None):
@@ -690,11 +644,6 @@ class HomologyResult:
         self._cache[n] = res = ((free, torsion), gens)
         return res
 
-    # -- cycle and boundary queries ------------------------------------
-
-    def is_cycle(self, chain: Chain) -> bool:
-        return self.cc.boundary_of(chain).is_zero
-
     def is_boundary(self, chain: Chain):
         """An explicit chain b with boundary(b) == chain, or None.
 
@@ -709,13 +658,6 @@ class HomologyResult:
         if sol is None:
             return None
         return self.cc.chain_from_vector(n + 1, sol, chain.ring)
-
-    def are_homologous(self, c1: Chain, c2: Chain):
-        """(True, witness) when c1 - c2 bounds; (False, None) otherwise."""
-        if not self.is_cycle(c1) or not self.is_cycle(c2):
-            raise StructureError("are_homologous expects two cycles")
-        w = self.is_boundary(c1 - c2)
-        return (w is not None), w
 
 
 def homology(cc: ChainComplex, ring=None) -> HomologyResult:

@@ -19,7 +19,6 @@ import argparse
 import functools
 import gc
 import sys
-from fractions import Fraction
 
 from . import diffusion, formats
 from .actions import (average_cochain, orbits, quotient, validate_action)
@@ -125,21 +124,41 @@ def _cmd_product(args) -> int:
     return 0
 
 
+def _subcomplex_ids(arg: str, mc) -> list:
+    """The ids --subcomplex names: its pieces between commas.  A run of
+    two or more pieces that joins, by commas, into a simplex id of mc is
+    refused, since the split cannot tell that id from its pieces; a run
+    need be no longer than the most pieces an id of mc splits into."""
+    pieces = arg.split(",")
+    longest = max((sid.count(",") + 1 for sid in mc.simplex_ids), default=1)
+    for i in range(len(pieces)):
+        for j in range(i + 2, min(i + longest, len(pieces)) + 1):
+            sid = ",".join(pieces[i:j])
+            if sid in mc:
+                raise FormatError(
+                    "--subcomplex splits on commas, so it cannot name the "
+                    "simplex %r, whose id contains a comma" % sid)
+    return pieces
+
+
+def _build_cc(args, mc, ring):
+    """The chain complex of mc over ring that args.variant selects."""
+    if args.variant == "full":
+        return build_full_chain_complex(mc, ring=ring)
+    if args.variant in ("reduced", "alternating"):
+        # alternating cochains pair with reduced chains one-to-one, so
+        # both variants share the same matrices
+        return build_reduced_chain_complex(mc, ring=ring)
+    if not args.subcomplex:
+        raise FormatError("--variant relative needs --subcomplex")
+    return build_relative_complex(mc, _subcomplex_ids(args.subcomplex, mc),
+                                  ring=ring)
+
+
 def _cmd_homology(args) -> int:
     mc = _load_mc(args.input)
     ring = _RINGS[args.ring]
-    if args.variant == "full":
-        cc = build_full_chain_complex(mc, ring=ring)
-    elif args.variant in ("reduced", "alternating"):
-        # alternating cochains pair with reduced chains one-to-one, so
-        # both variants share the same matrices
-        cc = build_reduced_chain_complex(mc, ring=ring)
-    else:
-        if not args.subcomplex:
-            raise FormatError("--variant relative needs --subcomplex")
-        sub = args.subcomplex.split(",")
-        cc = build_relative_complex(mc, sub, ring=ring)
-    hom = homology(cc)
+    hom = homology(_build_cc(args, mc, ring))
     top = mc.dimension
     structure = {}
     generators = {}
@@ -157,17 +176,10 @@ def _cmd_homology(args) -> int:
     return 0
 
 
-def _build_cc(args, mc):
-    ring = RING_RAT
-    if args.variant == "full":
-        return build_full_chain_complex(mc, ring=ring)
-    return build_reduced_chain_complex(mc, ring=ring)
-
-
 def _cmd_seminorm(args) -> int:
     mc = _load_mc(args.complex)
     z = formats.chain_from_doc(_load(args.chain))
-    cc = _build_cc(args, mc)
+    cc = _build_cc(args, mc, RING_RAT)
     res = seminorm_l1(cc, z)
     doc = {"schema_version": formats.SCHEMA_VERSION,
            "value": formats.rational_str(res.value),
@@ -192,7 +204,7 @@ def _cmd_volume(args) -> int:
 def _cmd_dual(args) -> int:
     mc = _load_mc(args.complex)
     z = formats.chain_from_doc(_load(args.chain))
-    cc = _build_cc(args, mc)
+    cc = _build_cc(args, mc, RING_RAT)
     res = seminorm_l1(cc, z)
     ok = dual_check(res, z)
     doc = {"schema_version": formats.SCHEMA_VERSION,
@@ -206,7 +218,7 @@ def _cmd_dual(args) -> int:
 def _cmd_int_seminorm(args) -> int:
     mc = _load_mc(args.complex)
     z = formats.chain_from_doc(_load(args.chain))
-    cc = _build_cc(args, mc)
+    cc = _build_cc(args, mc, RING_RAT)
     res = integral_seminorm_bruteforce(cc, z, args.bound,
                                        args.support_bound)
     doc = {"schema_version": formats.SCHEMA_VERSION,

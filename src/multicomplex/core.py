@@ -12,15 +12,15 @@ composing facet steps, which the composition axiom makes unambiguous.
 Instances are treated as immutable once built.
 
 Multicomplex's constructor is the one place ids are checked and facet
-maps are copied.  The decoder and the builders (skeleton,
-submulticomplex, the product with an interval) hand it their own
-frozensets and dicts; it checks simplices and facet targets in C and
-falls back to a loop over single ids only to name the first bad one.
+maps are copied.  The decoder and the builders (skeleton, the product
+with an interval) hand it their own frozensets and dicts; it checks
+simplices and facet targets in C and falls back to a loop over single
+ids only to name the first bad one.
 
 The chain-complex builders and the product with an interval read facets
 only through drop_map(sid), which raises the first problem validate()
-lists against sid; check_facet_closed serves submulticomplex and the
-relative complex.  face() walks facet steps with texts of its own.
+lists against sid; check_facet_closed serves the relative complex.
+face() walks facet steps with texts of its own.
 """
 
 from __future__ import annotations
@@ -164,10 +164,6 @@ class Multicomplex:
     def simplices_over(self, vset) -> tuple:
         """All simplex ids whose vertex set equals vset."""
         return tuple(self._by_vset.get(frozenset(vset), ()))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s.vset) - 1)
-                   for s in self._simplices.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multicomplex):
@@ -328,27 +324,6 @@ class Multicomplex:
 
     # -- substructures ------------------------------------------------------
 
-    def submulticomplex(self, ids, close: bool = False) -> "Multicomplex":
-        """The submulticomplex spanned by the given simplex ids.
-
-        The id set must be closed under facets unless close=True, in which
-        case the facet closure is taken.  Vertices are the ones used.
-        """
-        stack = [self._get(sid).sid for sid in ids]
-        keep = set(stack)
-        if not close:
-            self.check_facet_closed(keep)
-        while close and stack:  # the facet closure
-            for fid in self._simplices[stack.pop()].facets.values():
-                if fid not in keep:
-                    keep.add(fid)
-                    stack.append(fid)
-        verts = sorted({v for sid in keep
-                        for v in self._simplices[sid].vset})
-        triples = [(sid, s.vset, s.facets)
-                   for sid, s in self._simplices.items() if sid in keep]
-        return Multicomplex(verts, triples)
-
     def check_facet_closed(self, ids) -> None:
         """Raise unless every facet of every id in ids is in ids, naming
         the least id with a facet outside them and its least such facet."""
@@ -373,20 +348,6 @@ class Multicomplex:
     def is_simplicial_complex(self) -> bool:
         """True when no vertex set carries more than one simplex."""
         return all(len(v) <= 1 for v in self._by_vset.values())
-
-    def compatible_simplices(self, sid: str) -> tuple:
-        """Ids of all simplices sharing the vertex set and every facet of sid.
-
-        Compatibility only makes sense in dimension >= 1.
-        """
-        s = self._get(sid)
-        if len(s.vset) < 2:
-            raise StructureError(
-                "compatibility is defined for simplices of dimension >= 1")
-        out = [t for t in self._by_vset[s.vset]
-               if self._simplices[t].facets == s.facets]
-        return tuple(sorted(out))
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -544,14 +505,6 @@ class SimplicialMap:
                         "%r but the facet maps to %r"
                         % (sid, _fmt_vset(b), got, want))
         return problems
-
-    def is_nondegenerate(self) -> bool:
-        """True when the vertex map is injective on every simplex."""
-        for sid in self.source.simplex_ids:
-            a = self.source.vertex_set(sid)
-            if len(self.vertex_image(a)) != len(a):
-                return False
-        return True
 
     def apply_vertex(self, v: str) -> str:
         try:

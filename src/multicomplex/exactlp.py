@@ -61,22 +61,13 @@ class LPResult:
 
     x and y are kept as int numerators over one positive denominator
     each: x_j = x_num[j] / x_den and y_i = y_num[i] / y_den.  .x and .y
-    read them as lists of Fractions, and LPResult(value, x, y, basis)
-    takes them as lists of Fractions or ints.
+    read them as lists of Fractions.
     """
 
-    def __init__(self, value, x, y, basis):
-        self.value = value
-        self.x_num, self.x_den = _over_one_denominator(x)
-        self.y_num, self.y_den = _over_one_denominator(y)
-        self.basis = basis
-
-    @classmethod
-    def _of_numerators(cls, value, x_num, x_den, y_num, y_den, basis):
-        new = cls.__new__(cls)
-        new.value, new.basis = value, basis
-        new.x_num, new.x_den, new.y_num, new.y_den = x_num, x_den, y_num, y_den
-        return new
+    def __init__(self, value, x_num, x_den, y_num, y_den, basis):
+        self.value, self.basis = value, basis
+        self.x_num, self.x_den, self.y_num, self.y_den = \
+            x_num, x_den, y_num, y_den
 
     @property
     def x(self):
@@ -85,12 +76,6 @@ class LPResult:
     @property
     def y(self):
         return [Fraction(n, self.y_den) for n in self.y_num]
-
-
-def _over_one_denominator(values):
-    """([n], den): each value v as n/den, den the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _pivot(tableau, d, l, den):
@@ -211,7 +196,7 @@ def solve(columns, b, c, basis, max_iterations=None):
             x = [0] * ncols
             for i, j in enumerate(basis):
                 x[j] = rhs.get(i, 0)
-            return LPResult._of_numerators(
+            return LPResult(
                 Fraction(y.pop(), den * sb * sc), x, den * sb, y, den * sc,
                 basis)
         d = entering_column(entering)

@@ -197,10 +197,6 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
         suffix_power[j] = suffix_power[j + 1] + coeff_bound * sum(
             abs(c) for _, c in cols[j])
 
-    values = [0]
-    for a in range(1, coeff_bound + 1):
-        values.extend((a, -a))
-
     best = norm0 = sum(abs(v) for v in res)
     bvec, cur, truncated = [0] * k, [0] * k, False
     lower = 0
@@ -212,9 +208,10 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
         if all(v.denominator == 1 and abs(v) <= coeff_bound for v in b):
             best, bvec = lower, [int(v) for v in b]
 
-    # depth-first over the columns, values in order; the frame
-    # [norm, used, next value index] of column j sits at stack[j], since
-    # a complex can have more columns than Python allows nested calls
+    # depth-first over the columns, values 0, 1, -1, 2, -2, ... in order;
+    # the frame [norm, used, next value index] of column j sits at
+    # stack[j], since a complex can have more columns than Python allows
+    # nested calls
     stack, child = [], (norm0, 0)
     while (child or stack) and best > lower:
         if child:
@@ -233,11 +230,11 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
             for r, c in cols[j]:
                 res[r] -= c * cur[j]
             cur[j] = 0
-        if idx == len(values):
+        if idx > 2 * coeff_bound:
             stack.pop()
             continue
         frame[2] = idx + 1
-        val = values[idx]
+        val = (idx + 1) // 2 if idx & 1 else -(idx // 2)
         if val == 0:
             child = (norm, used)
         elif support_bound is not None and used >= support_bound:

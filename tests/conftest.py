@@ -7,7 +7,10 @@ over untouched), occasionally wrapped in a product with the interval.
 Everything is driven by seeded random.Random instances, so failures
 reproduce.  Property tests draw those seeds through hypothesis, under one
 derandomized profile, so every run tries the same examples.  within()
-fails a test that would otherwise hang.
+fails a test that would otherwise hang.  The small helpers (Euler
+characteristic, nondegeneracy, facet closure, compatible simplices and
+the trivial action) are read off the public accessors, for the tests
+that check the program against them.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ from hypothesis import settings
 
 from multicomplex import intlinalg
 from reference import dense
-from multicomplex.chains import RING_RAT, Chain
+from multicomplex.chains import RING_RAT
 from multicomplex.core import (Multicomplex, product_with_interval,
                                simplicial_complex)
 
@@ -122,6 +125,44 @@ def random_integer_cycle(rng: random.Random, cc, degree: int):
     return cc.chain_from_vector(degree, vec, "Z")
 
 
+def euler_characteristic(mc) -> int:
+    return sum((-1) ** mc.dimension_of(sid) for sid in mc.simplex_ids)
+
+
+def is_nondegenerate(f) -> bool:
+    """Whether the vertex map of f is injective on every simplex."""
+    src = f.source
+    return all(len(f.vertex_image(src.vertex_set(sid))) ==
+               len(src.vertex_set(sid)) for sid in src.simplex_ids)
+
+
+def facet_closure(mc, ids) -> set:
+    """The ids with every facet of each, and their facets in turn."""
+    closed, stack = set(ids), list(ids)
+    while stack:
+        for fid in mc.facets(stack.pop()).values():
+            if fid not in closed:
+                closed.add(fid)
+                stack.append(fid)
+    return closed
+
+
+def compatible_simplices(mc, sid) -> tuple:
+    """The ids of the simplices with the vertex set and facets of sid."""
+    return tuple(sorted(t for t in mc.simplices_over(mc.vertex_set(sid))
+                        if mc.facets(t) == mc.facets(sid)))
+
+
+def trivial_action(mc):
+    """The one-element group e acting as the identity."""
+    from multicomplex.actions import GroupAction
+    from multicomplex.core import identity_map
+    from multicomplex.groups import cyclic_group
+
+    return GroupAction(cyclic_group(1, names=["e"]), mc,
+                       {"e": identity_map(mc)})
+
+
 def random_zero_trivial_action(rng: random.Random, mc=None):
     """A random vertex-fixing action: cyclically rotate one family of
     parallel simplices (identical vertex set and facets, no cofaces).
@@ -129,7 +170,7 @@ def random_zero_trivial_action(rng: random.Random, mc=None):
     Falls back to the one-element trivial action when the complex has no
     such family.
     """
-    from multicomplex.actions import GroupAction, trivial_action
+    from multicomplex.actions import GroupAction
     from multicomplex.core import SimplicialMap
     from multicomplex.groups import cyclic_group
 
@@ -142,7 +183,7 @@ def random_zero_trivial_action(rng: random.Random, mc=None):
     for sid in sorted(mc.simplex_ids):
         if sid in seen or mc.dimension_of(sid) < 1:
             continue
-        fam = mc.compatible_simplices(sid)
+        fam = compatible_simplices(mc, sid)
         seen.update(fam)
         if len(fam) >= 2 and all(m not in has_coface for m in fam):
             families.append(fam)

@@ -14,7 +14,15 @@ boundary_matrix is ChainComplex.boundary_matrix as it was when it built
 a dense rows x cols list from the complex's columns; dense turns the
 sparse rows the program now returns into that form.  rational_rank is
 the rank by intlinalg.rational_rref, which eliminates over Q
-independently of the Smith form.
+independently of the Smith form.  boundary_squares_to_zero checks
+that each boundary map composes with the next to zero, on the columns
+a complex holds.
+
+invariant_cochain_cohomology gives the dimensions of the cohomology of
+the invariant rational cochains of a vertex-fixing action, by
+rank-nullity on the coboundaries of the orbit indicators of the reduced
+complex, with ranks from rational_rank.  It never forms the quotient,
+so the Betti numbers of the program's quotient must equal it.
 
 validate is Multicomplex.validate as it was before each facet was read
 once per simplex: it finds every face by a frozenset difference.  The
@@ -165,6 +173,46 @@ def boundary_matrix(cc, n) -> list[list[int]]:
 
 def rational_rank(a) -> int:
     return len(rational_rref(a)[1])
+
+
+def boundary_squares_to_zero(cc) -> bool:
+    for n in cc.degrees():
+        for j in range(cc.dim(n)):
+            acc = {}
+            for row, coef in cc.column(n, j):
+                for row2, coef2 in cc.column(n - 1, row):
+                    acc[row2] = acc.get(row2, 0) + coef * coef2
+            if any(acc.values()):
+                return False
+    return True
+
+
+def invariant_cochain_cohomology(a: GroupAction) -> dict:
+    """{n: dimension of H^n of the invariant rational cochains}."""
+    cc = chains.build_reduced_chain_complex(a.complex)
+    top = a.complex.dimension
+    # orbit[n, label]: the index in degree n of the orbit of label; the
+    # action fixes every vertex, so it moves sorted labels to sorted ones
+    orbit, count = {}, {}
+    for n in range(top + 1):
+        count[n] = 0
+        for lab in cc.basis(n):
+            if (n, lab) not in orbit:
+                for g in a.group.elements:
+                    orbit[n, act_on_simplex(a, g, lab)] = count[n]
+                count[n] += 1
+    # the coboundary of each degree-n orbit indicator, at every
+    # (n+1)-simplex; repeated rows leave its rank as it is
+    rank = {-1: 0, top: 0}
+    for n in range(top):
+        mat = []
+        for j in range(cc.dim(n + 1)):
+            row = [0] * count[n]
+            for i, coef in cc.column(n + 1, j):
+                row[orbit[n, cc.basis(n)[i]]] += coef
+            mat.append(row)
+        rank[n] = rational_rank(mat)
+    return {n: count[n] - rank[n] - rank[n - 1] for n in range(top + 1)}
 
 
 def dense_factors(sf) -> tuple:
@@ -637,11 +685,11 @@ def solve(columns, b, c, basis, max_iterations=None):
                          sum(y[r] * v for r, v in columns[j]) > c[j] * den),
                         -1)
         if entering < 0:
-            x = [Fraction(0)] * ncols
+            x = [0] * ncols
             for i, j in enumerate(basis):
-                x[j] = Fraction(rows[i][m], den * sb)
-            return LPResult(Fraction(y[m], den * sb * sc), x,
-                            [Fraction(v, den * sc) for v in y[:m]], basis)
+                x[j] = rows[i][m]
+            return LPResult(Fraction(y[m], den * sb * sc), x, den * sb,
+                            y[:m], den * sc, basis)
         d = entering_column(entering)
         # least ratio x_i / d_i over d_i > 0 by cross-multiplication, ties
         # to the least variable index

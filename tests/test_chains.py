@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import cone_action, random_multicomplex, within
+from conftest import (cone_action, euler_characteristic, facet_closure,
+                      random_multicomplex, within)
 from multicomplex.actions import act_on_chain, act_on_simplex
 from multicomplex.core import (
     StructureError,
@@ -31,10 +32,8 @@ from multicomplex.chains import (
     build_relative_complex,
     fundamental_cycle,
     homology,
-    is_alternating,
     permutation_sign,
     project_chain,
-    section_chain,
 )
 from multicomplex.diffusion import (ActionOnSet, FiniteSupportMeasure,
                                     SparseFunction, convolve)
@@ -74,8 +73,9 @@ def test_reduced_complex_one_per_simplex():
 def test_boundary_squares_to_zero_on_fixtures():
     for mc in (triangle_boundary(), double_edge(), tetrahedron_boundary(),
                seven_vertex_torus(), projective_plane()):
-        assert build_full_chain_complex(mc).boundary_squares_to_zero()
-        assert build_reduced_chain_complex(mc).boundary_squares_to_zero()
+        for cc in (build_full_chain_complex(mc),
+                   build_reduced_chain_complex(mc)):
+            assert reference.boundary_squares_to_zero(cc)
 
 
 def test_full_boundary_of_an_edge():
@@ -102,7 +102,7 @@ def test_boundary_matrix_densifies_to_the_dense_reference(seed):
     # dimension 3 at most: a 4-simplex has 120 orderings
     mc = random_multicomplex(rng, max_dim=3)
     top = rng.choice(mc.simplex_ids)
-    sub = mc.submulticomplex([top], close=True).simplex_ids
+    sub = facet_closure(mc, [top])
     for cc in (build_full_chain_complex(mc), build_reduced_chain_complex(mc),
                build_relative_complex(mc, sub, "reduced"),
                build_relative_complex(mc, sub, "full")):
@@ -133,18 +133,19 @@ def test_projection_is_a_chain_map():
 
 
 def test_project_section_roundtrip():
+    """The section sends each reduced basis element to its sorted
+    ordering in the full complex, so projecting after it changes
+    nothing."""
     rng = random.Random(11)
-    red = build_reduced_chain_complex(seven_vertex_torus())
+    mc = seven_vertex_torus()
+    red = build_reduced_chain_complex(mc)
+    full = build_full_chain_complex(mc)
     for degree in (1, 2):
         for _ in range(10):
             z = _random_full_chain(rng, red, degree)
-            assert project_chain(section_chain(z)) == z
-
-
-def test_section_rejects_unsorted_tuples():
-    z = Chain(1, RING_RAT, {AlgebraicSimplex("x,y", ("y", "x")): 1})
-    with pytest.raises(StructureError):
-        section_chain(z)
+            assert all(list(key.vertices) == sorted(key.vertices)
+                       for key in z.support())
+            assert project_chain(full.chain(degree, z.items())) == z
 
 
 def test_projection_sign():
@@ -160,7 +161,6 @@ def test_alternate_is_idempotent_and_alternating():
         for _ in range(10):
             c = _random_full_chain(rng, full, degree)
             a = alternate(c)
-            assert is_alternating(a)
             assert alternate(a) == a
 
 
@@ -221,7 +221,7 @@ def test_homology_of_torus():
 
 def test_homology_torsion_of_projective_plane():
     mc = projective_plane()
-    assert mc.euler_characteristic() == 1
+    assert euler_characteristic(mc) == 1
     hom = homology(build_reduced_chain_complex(mc, ring=RING_INT), RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (0, [2])
@@ -242,7 +242,6 @@ def test_homology_generators_are_cycles():
     hom = homology(cc)
     for n in (1, 2):
         for g in hom.generators(n):
-            assert hom.is_cycle(g)
             assert cc.boundary_of(g).is_zero
 
 
@@ -331,17 +330,6 @@ def test_is_boundary_rejects_multiples_of_fundamental_cycles(k):
             assert hom.is_boundary(z) is None
 
 
-def test_are_homologous():
-    cc = build_reduced_chain_complex(seven_vertex_torus())
-    hom = homology(cc)
-    z = hom.generators(1)[0]
-    b = cc.boundary_of(cc.chain(2, {cc.basis(2)[1]: Fraction(5, 2)}))
-    same, witness = hom.are_homologous(z, z + b)
-    assert same
-    assert cc.boundary_of(witness) == z - (z + b)
-    assert hom.are_homologous(z, z.scaled(2)) == (False, None)
-
-
 def test_fundamental_cycle_of_tetrahedron_boundary():
     z = fundamental_cycle(tetrahedron_boundary())
     assert z.degree == 2
@@ -424,19 +412,6 @@ def test_chain_equality_is_ring_and_degree_aware():
     assert Chain(1, RING_RAT, {s: 1}) != Cochain(1, RING_RAT, {s: 1})
 
 
-def test_coboundary_pairs_with_boundary():
-    rng = random.Random(23)
-    cc = build_reduced_chain_complex(seven_vertex_torus())
-    labels1, labels2 = cc.basis(1), cc.basis(2)
-    for _ in range(10):
-        phi = Cochain(1, RING_RAT,
-                      {lab: rng.randint(-2, 2) for lab in labels1})
-        c = Chain(2, RING_RAT,
-                  {lab: rng.randint(-2, 2) for lab in labels2})
-        assert cc.coboundary_of(phi).pairing(c) == \
-            phi.pairing(cc.boundary_of(c))
-
-
 @given(seeds)
 def test_every_builder_variant_is_a_complex(seed):
     rng = random.Random(seed)
@@ -447,7 +422,7 @@ def test_every_builder_variant_is_a_complex(seed):
     repeats = build_full_chain_complex(mc, max_degree=mc.dimension + 1,
                                        with_repeats=True)
     for cc in (full, red, repeats):
-        assert cc.boundary_squares_to_zero()
+        assert reference.boundary_squares_to_zero(cc)
         for n in cc.degrees():
             for j in range(cc.dim(n)):
                 rows = [row for row, c in cc.column(n, j) if c]
@@ -459,7 +434,7 @@ def test_every_builder_variant_is_a_complex(seed):
                 red.boundary_of(project_chain(c))
 
     top = rng.choice(mc.simplex_ids)
-    sub = set(mc.submulticomplex([top], close=True).simplex_ids)
+    sub = facet_closure(mc, [top])
     for variant, cc in (("reduced", red), ("full", full)):
         rel = build_relative_complex(mc, [], variant)
         assert all(rel.basis(n) == cc.basis(n) and

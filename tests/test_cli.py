@@ -13,9 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cone_action, within
+from conftest import cone_action, trivial_action, within
 from multicomplex import formats
-from multicomplex.actions import trivial_action
 from multicomplex.chains import (
     AlgebraicSimplex,
     Chain,
@@ -191,6 +190,31 @@ def test_homology_relative_needs_a_subcomplex(tmp_path, capsys):
     code, out, err = _run(capsys, ["homology", path, "--variant", "relative"])
     assert code == 2
     assert "--subcomplex" in err
+
+
+@pytest.mark.parametrize("subcomplex, first", [
+    ("x,y", "x,y"), ("x,y,x,y", "x,y"), ("z,x,y", "x,y"), ("x,z,y", "x,z")])
+def test_homology_relative_refuses_a_subcomplex_id_with_a_comma(
+        tmp_path, capsys, subcomplex, first):
+    """--subcomplex splits on commas, so on the triangle boundary x,y
+    would name the vertices x and y (betti 0,2), not the edge x,y (betti
+    0,1); a run of pieces that joins into an id is refused."""
+    path = _write_mc(tmp_path, "triangle.json", triangle_boundary())
+    code, out, err = _run(capsys, ["homology", path, "--variant",
+                                   "relative", "--subcomplex", subcomplex])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: --subcomplex splits on commas, so it cannot name the "
+        "simplex %r, whose id contains a comma" % first]
+
+
+def test_homology_relative_takes_pieces_that_join_into_no_id(tmp_path,
+                                                            capsys):
+    path = _write_mc(tmp_path, "triangle.json", triangle_boundary())
+    code, doc, err = _run_json(capsys, ["homology", path, "--variant",
+                                        "relative", "--subcomplex", "y,x"])
+    assert code == 0
+    assert [doc["structure"][n]["betti"] for n in "01"] == [0, 2]
 
 
 def test_seminorm_dual_and_integral_search(tmp_path, capsys):

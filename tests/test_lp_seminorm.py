@@ -1,6 +1,7 @@
 """Exact LP seminorms, duality, volumes, and the integral search."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,23 @@ def test_bruteforce_on_a_non_cycle_searches_without_the_lp():
     assert res.best == 2
     assert res.status == "exact"
     assert res.representative == z
+
+
+def test_a_large_bound_costs_no_memory_when_the_lp_answers():
+    """On the triangle's fundamental cycle the LP bounding chain ends the
+    search before any coefficient is tried, so a bound of 100,000 must
+    not list the 200,001 values a coefficient may take."""
+    mc = triangle_boundary()
+    cc = build_reduced_chain_complex(mc)
+    z = fundamental_cycle(mc, degree=1)
+    tracemalloc.start()
+    try:
+        res = integral_seminorm_bruteforce(cc, z, coeff_bound=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.best, res.status) == (3, "exact")
+    assert peak < 2 ** 20
 
 
 def _grid_torus(n):
@@ -646,19 +664,20 @@ def _doctored(real, breach):
     def solve(columns, b, c, basis, *rest):
         res = real(columns, b, c, basis, *rest)
         m = len(b)
-        x, y, value = list(res.x), list(res.y), res.value
+        x, y, value = list(res.x_num), list(res.y_num), res.value
+        xd, yd = res.x_den, res.y_den
         if breach == "bounding":  # one more triangle in the chain
-            x[2 * m] += 1
+            x[2 * m] += xd
         elif breach == "value":
             value += 1
         elif breach == "sup-norm":
-            y[0] = Fraction(2)
+            y[0] = 2 * yd
         elif breach == "boundary":  # 1 on one row of a boundary column
             row = columns[2 * m][0][0]
-            y = [Fraction(int(i == row)) for i in range(m)]
+            y = [yd * (i == row) for i in range(m)]
         else:  # the zero certificate pairs with z to 0
-            y = [Fraction(0)] * m
-        return LPResult(value, x, y, res.basis)
+            y = [0] * m
+        return LPResult(value, x, xd, y, yd, res.basis)
     return solve
 
 
