@@ -14,23 +14,25 @@ sums, push-forwards, norms and convolutions run on int numerators and
 build a Fraction only for a value that leaves the store, in the manner
 of the fraction-free eliminations of Bareiss (1968).
 
-One builder makes the full, repeated-vertex, reduced and relative
-complexes; they differ only in the tuples listed and simplices skipped.
-The boundary, projection, alternation and group action all run on one
-push-forward kernel of numerators, _push_forward; the group average is
-the orbit mean (actions.average_cochain).
+One builder makes the full, reduced and relative complexes; they differ
+only in the tuples listed and simplices skipped.  The boundary,
+projection, alternation and group action all run on one push-forward
+kernel of numerators, _push_forward; the group average is the orbit mean
+(actions.average_cochain).
 
-Homology is computed exactly from one integer Smith normal form per
-boundary map, handed over as sparse rows built from the sparse columns
-the complex holds.  Rational homology is read off the same factorization,
-since H(C;Q) = H(C;Z) (x) Q: the Betti numbers are the free ranks.
+A complex holds integer boundary columns and no ring; homology and the
+chains built against a complex take the ring as an argument.  Homology
+is computed exactly from one integer Smith normal form per boundary map,
+handed over as sparse rows built from the sparse columns the complex
+holds.  Rational homology is read off the same factorization, since
+H(C;Q) = H(C;Z) (x) Q: the Betti numbers are the free ranks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
@@ -288,13 +290,11 @@ class ChainComplex:
     """Finitely generated complex with ordered bases of algebraic simplices.
 
     boundary columns are sparse (row index, integer coefficient) lists;
-    degree 0 has the zero boundary.  The ring tag is the default ring for
-    chains built against this complex.
+    degree 0 has the zero boundary.  The columns serve every ring, so
+    chains built against the complex name theirs.
     """
 
-    def __init__(self, ring, basis, columns):
-        _check_ring(ring)
-        self.ring = ring
+    def __init__(self, basis, columns):
         self._basis = {n: tuple(labels) for n, labels in basis.items()}
         self._index = {n: {lab: i for i, lab in enumerate(labels)}
                        for n, labels in self._basis.items()}
@@ -348,8 +348,8 @@ class ChainComplex:
                 rows[row][j] = rows[row].get(j, 0) + coef
         return rows
 
-    def chain(self, degree, terms, ring=None) -> Chain:
-        ch = Chain(degree, ring or self.ring, terms)
+    def chain(self, degree, terms, ring) -> Chain:
+        ch = Chain(degree, ring, terms)
         for key in ch.support():
             self.index_of(degree, key)
         return ch
@@ -360,9 +360,9 @@ class ChainComplex:
             vec[self.index_of(chain.degree, key)] = val
         return vec
 
-    def chain_from_vector(self, degree, vec, ring=None) -> Chain:
+    def chain_from_vector(self, degree, vec, ring) -> Chain:
         labels = self.basis(degree)
-        return Chain(degree, ring or self.ring,
+        return Chain(degree, ring,
                      {labels[i]: v for i, v in enumerate(vec) if v != 0})
 
     def boundary_of(self, chain: Chain) -> Chain:
@@ -378,39 +378,24 @@ class ChainComplex:
             chain._den)
 
 
-
-def _all_orderings(vs, n):
-    return permutations(vs) if len(vs) == n + 1 else ()
-
-
-def _sorted_tuple(vs, n):
-    return (vs,) if len(vs) == n + 1 else ()
+def _sorted_tuple(vs):
+    return (vs,)
 
 
-def _covering_tuples(vs, n):
-    return [t for t in product(vs, repeat=n + 1) if len(set(t)) == len(vs)]
-
-
-def _top(mc: Multicomplex, max_degree):
-    return (mc.dimension if max_degree is None
-            else min(max_degree, mc.dimension))
-
-
-def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
-    """The complex in degrees 0..top whose degree-n basis is (sid; t) for
-    t in tuples(vs, n), vs the sorted vertices of sid, over the ids of
-    dimension at most top and not in skip, in sorted order.  Face i of
-    (sid; t) drops t[i]: it stays on sid when t[i] occurs again in t, and
-    otherwise lies on the facet of sid over the rest, read from
+def _build(mc: Multicomplex, tuples, skip=frozenset()):
+    """The complex in degrees 0..mc.dimension whose degree-n basis is
+    (sid; t) for t in tuples(vs), vs the sorted vertices of an n-simplex
+    sid not in skip, in sorted order of the ids.  Face i of (sid; t)
+    drops t[i] and lies on the facet of sid over the rest, read from
     mc.drop_map(sid) once per listed simplex, which raises validate's
     first problem for a simplex with no vertices or wrong facets.  Faces
     on a skipped simplex are dropped.  All the orderings of the
     simplices, when more than MAX_FULL_ORDERINGS, raise StructureError
     before any is listed.
     """
-    listed = [sid for sid in sorted(mc.simplex_ids)
-              if sid not in skip and mc.dimension_of(sid) <= top]
-    if tuples is _all_orderings:
+    top = mc.dimension
+    listed = [sid for sid in sorted(mc.simplex_ids) if sid not in skip]
+    if tuples is permutations:
         dims = Counter(map(mc.dimension_of, listed))
         work = sum(_orderings(count, k) for k, count in dims.items())
         if work > MAX_FULL_ORDERINGS:
@@ -424,66 +409,43 @@ def _build(mc: Multicomplex, top, ring, tuples, skip=frozenset()):
     for n in range(top + 1):
         labels, cols = [], []
         for sid, vs, drop in shape:
-            if len(vs) > n + 1:  # no (n+1)-tuple covers vs
+            if len(vs) != n + 1:
                 continue
-            for t in tuples(vs, n):
+            for t in tuples(vs):
                 labels.append(AlgebraicSimplex(sid, t))
                 col = []
                 for i, v in enumerate(t if n else ()):
-                    rest = t[:i] + t[i + 1:]
-                    fid = sid if v in rest else drop[v]
+                    fid = drop[v]
                     if fid not in skip:
                         # a plain tuple finds the equal AlgebraicSimplex key
-                        col.append((index[fid, rest], -1 if i & 1 else 1))
-                if len(vs) <= n:  # repeated entries: equal faces add up
-                    col = list(_push_forward(
-                        col, lambda row: ((1, row),)).items())
+                        col.append((index[fid, t[:i] + t[i + 1:]],
+                                    -1 if i & 1 else 1))
                 cols.append(col)
         basis[n], columns[n] = labels, cols
         index = {lab: i for i, lab in enumerate(labels)}
-    return ChainComplex(ring, basis, columns)
+    return ChainComplex(basis, columns)
 
 
-def build_full_chain_complex(mc: Multicomplex, max_degree=None,
-                             ring=RING_RAT,
-                             with_repeats=False) -> ChainComplex:
-    """All orderings of all simplices, with the simplicial boundary.
-
-    By default tuples with repeated vertices are not generated: every
+def build_full_chain_complex(mc: Multicomplex) -> ChainComplex:
+    """All orderings of all simplices, with the simplicial boundary: every
     degree-n basis element is one of the (n+1)! orderings of a geometric
     n-simplex, and more than MAX_FULL_ORDERINGS of them in all raise
-    StructureError before any is listed.  With with_repeats=True the
-    degree-n basis consists of all length-(n+1) tuples covering the
-    vertex set of some simplex of dimension at most n; this larger
-    complex is nonzero in every degree, so an explicit max_degree is
-    required, and it supplies the bounding chains that make class
-    seminorms agree with the reduced complex.
-    """
-    if not with_repeats:
-        return _build(mc, _top(mc, max_degree), ring, _all_orderings)
-    if max_degree is None:
-        raise StructureError(
-            "the complex with repeated-vertex tuples is nonzero in every "
-            "degree; pass an explicit max_degree")
-    return _build(mc, max_degree, ring, _covering_tuples)
+    StructureError before any is listed."""
+    return _build(mc, permutations)
 
 
-def build_reduced_chain_complex(mc: Multicomplex, max_degree=None,
-                                ring=RING_RAT) -> ChainComplex:
+def build_reduced_chain_complex(mc: Multicomplex) -> ChainComplex:
     """One basis element per geometric simplex, in the sorted ordering
     (dropping a vertex keeps it sorted, so projection adds no signs)."""
-    return _build(mc, _top(mc, max_degree), ring, _sorted_tuple)
+    return _build(mc, _sorted_tuple)
 
 
-def build_relative_complex(mc: Multicomplex, sub_ids, variant="reduced",
-                           max_degree=None, ring=RING_RAT) -> ChainComplex:
-    """The quotient complex of mc by a facet-closed set of simplex ids."""
+def build_relative_complex(mc: Multicomplex, sub_ids) -> ChainComplex:
+    """The reduced quotient complex of mc by a facet-closed set of simplex
+    ids."""
     sub = frozenset(sub_ids)
     mc.check_facet_closed(sub)
-    tuples = {"reduced": _sorted_tuple, "full": _all_orderings}.get(variant)
-    if tuples is None:
-        raise StructureError("unknown complex variant %r" % variant)
-    return _build(mc, _top(mc, max_degree), ring, tuples, sub)
+    return _build(mc, _sorted_tuple, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +531,22 @@ def alternate(chain: Chain | Cochain) -> Chain | Cochain:
 
 
 class HomologyResult:
-    """Lazy exact homology of a chain complex over Z or Q.
+    """Lazy exact homology of a chain complex over the ring given, Z or Q.
 
     Each boundary matrix is factored once, by an integer Smith normal
-    form cached by degree, and both rings are read off it, since
+    form cached by degree; Q reads the same factorization, since
     H(C;Q) = H(C;Z) (x) Q.  Over Z, structure(n) is (free rank, list of
     invariant factors > 1), with one generator per torsion factor and
     then one per free summand.  Over Q it is (betti, []) and the free
     generators alone, which form a Q-basis.  Generators are returned as
-    chains over the homology ring.  is_boundary returns an explicit
-    bounding chain when one exists, which one boundary checks.
+    chains over the ring.  is_boundary returns an explicit bounding
+    chain when one exists, which one boundary checks.
     """
 
-    def __init__(self, cc: ChainComplex, ring=None):
+    def __init__(self, cc: ChainComplex, ring):
+        _check_ring(ring)
         self.cc = cc
-        self.ring = ring or cc.ring
-        _check_ring(self.ring)
+        self.ring = ring
         self._cache = {}
         self._factors = {}
         self._rows = {}
@@ -604,11 +566,6 @@ class HomologyResult:
 
     def structure(self, n):
         return self._data(n)[0]
-
-    def betti(self, n) -> int:
-        if self.ring != RING_RAT:
-            raise StructureError("betti numbers are the rational structure")
-        return self._data(n)[0][0]
 
     def generators(self, n):
         gens = self._data(n)[1]
@@ -660,19 +617,17 @@ class HomologyResult:
         return self.cc.chain_from_vector(n + 1, sol, chain.ring)
 
 
-def homology(cc: ChainComplex, ring=None) -> HomologyResult:
+def homology(cc: ChainComplex, ring) -> HomologyResult:
     return HomologyResult(cc, ring)
 
 
-def fundamental_cycle(mc: Multicomplex, degree=None, ring=RING_INT, *,
-                      cc=None) -> Chain:
-    """The positively-normalized generator of degree-n homology, when it is
-    infinite cyclic; raises NoFundamentalCycleError otherwise.
-
-    degree defaults to the dimension of the complex.  cc is the reduced
-    complex of mc when the caller has built it already (its ring tag is
-    not read); otherwise it is built here, after the purity check."""
-    n = mc.dimension if degree is None else degree
+def fundamental_cycle(mc: Multicomplex, cc: ChainComplex) -> Chain:
+    """The positively-normalized generator of the integral homology of mc
+    in its top degree, when that is infinite cyclic; raises
+    NoFundamentalCycleError otherwise.  cc is the reduced complex of mc.
+    Top homology has no torsion, so exactly the complexes of top rational
+    Betti number 1 pass."""
+    n = mc.dimension
     if n < 0:
         raise NoFundamentalCycleError("the complex is empty")
     # purity: every maximal simplex must have dimension exactly n
@@ -685,20 +640,12 @@ def fundamental_cycle(mc: Multicomplex, degree=None, ring=RING_INT, *,
             raise NoFundamentalCycleError(
                 "the complex is not pure in degree %d: %r is maximal with "
                 "dimension %d" % (n, sid, mc.dimension_of(sid)))
-    if cc is None:
-        cc = build_reduced_chain_complex(mc, ring=ring)
-    hom = HomologyResult(cc, ring)
-    if ring == RING_INT:
-        free, torsion = hom.structure(n)
-        if free != 1 or torsion:
-            raise NoFundamentalCycleError(
-                "top homology in degree %d is not infinite cyclic "
-                "(free rank %d, torsion %s)" % (n, free, torsion))
-    else:
-        if hom.betti(n) != 1:
-            raise NoFundamentalCycleError(
-                "top homology in degree %d has dimension %d, not 1"
-                % (n, hom.betti(n)))
+    hom = HomologyResult(cc, RING_INT)
+    free, torsion = hom.structure(n)
+    if free != 1 or torsion:
+        raise NoFundamentalCycleError(
+            "top homology in degree %d is not infinite cyclic "
+            "(free rank %d, torsion %s)" % (n, free, torsion))
     gen = hom.generators(n)[0]
     # normalize the sign so the lexicographically first term is positive
     first = gen.support()[0]

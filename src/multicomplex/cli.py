@@ -141,24 +141,23 @@ def _subcomplex_ids(arg: str, mc) -> list:
     return pieces
 
 
-def _build_cc(args, mc, ring):
-    """The chain complex of mc over ring that args.variant selects."""
+def _build_cc(args, mc):
+    """The chain complex of mc that args.variant selects."""
     if args.variant == "full":
-        return build_full_chain_complex(mc, ring=ring)
+        return build_full_chain_complex(mc)
     if args.variant in ("reduced", "alternating"):
         # alternating cochains pair with reduced chains one-to-one, so
         # both variants share the same matrices
-        return build_reduced_chain_complex(mc, ring=ring)
+        return build_reduced_chain_complex(mc)
     if not args.subcomplex:
         raise FormatError("--variant relative needs --subcomplex")
-    return build_relative_complex(mc, _subcomplex_ids(args.subcomplex, mc),
-                                  ring=ring)
+    return build_relative_complex(mc, _subcomplex_ids(args.subcomplex, mc))
 
 
 def _cmd_homology(args) -> int:
     mc = _load_mc(args.input)
     ring = _RINGS[args.ring]
-    hom = homology(_build_cc(args, mc, ring))
+    hom = homology(_build_cc(args, mc), ring)
     top = mc.dimension
     structure = {}
     generators = {}
@@ -179,7 +178,7 @@ def _cmd_homology(args) -> int:
 def _cmd_seminorm(args) -> int:
     mc = _load_mc(args.complex)
     z = formats.chain_from_doc(_load(args.chain))
-    cc = _build_cc(args, mc, RING_RAT)
+    cc = _build_cc(args, mc)
     res = seminorm_l1(cc, z)
     doc = {"schema_version": formats.SCHEMA_VERSION,
            "value": formats.rational_str(res.value),
@@ -204,7 +203,7 @@ def _cmd_volume(args) -> int:
 def _cmd_dual(args) -> int:
     mc = _load_mc(args.complex)
     z = formats.chain_from_doc(_load(args.chain))
-    cc = _build_cc(args, mc, RING_RAT)
+    cc = _build_cc(args, mc)
     res = seminorm_l1(cc, z)
     ok = dual_check(res, z)
     doc = {"schema_version": formats.SCHEMA_VERSION,
@@ -218,7 +217,7 @@ def _cmd_dual(args) -> int:
 def _cmd_int_seminorm(args) -> int:
     mc = _load_mc(args.complex)
     z = formats.chain_from_doc(_load(args.chain))
-    cc = _build_cc(args, mc, RING_RAT)
+    cc = _build_cc(args, mc)
     res = integral_seminorm_bruteforce(cc, z, args.bound,
                                        args.support_bound)
     doc = {"schema_version": formats.SCHEMA_VERSION,

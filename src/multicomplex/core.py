@@ -7,7 +7,7 @@ I_B, compatibly with composition.  Unlike a simplicial complex, I_A may
 hold several simplices over the same vertices; unlike a Delta-complex,
 every simplex has pairwise distinct vertices and no preferred ordering.
 
-Only codimension-one facets are stored; deeper faces are derived by
+Only codimension-one facets are stored; a deeper face is reached by
 composing facet steps, which the composition axiom makes unambiguous.
 Instances are treated as immutable once built.
 
@@ -17,14 +17,15 @@ with an interval) hand it their own frozensets and dicts; it checks
 simplices and facet targets in C and falls back to a loop over single
 ids only to name the first bad one.
 
-The chain-complex builders and the product with an interval read facets
-only through drop_map(sid), which raises the first problem validate()
-lists against sid; check_facet_closed serves the relative complex.
-face() walks facet steps with texts of its own.
+The chain-complex builders, the product with an interval and the check
+of a simplicial map read facets only through drop_map(sid), which raises
+the first problem validate() lists against sid; check_facet_closed
+serves the relative complex.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 
@@ -181,43 +182,6 @@ class Multicomplex:
     def __repr__(self) -> str:
         return "Multicomplex(%d vertices, %d simplices, dim %d)" % (
             len(self._vertices), len(self._simplices), self.dimension)
-
-    # -- derived faces ------------------------------------------------------
-
-    def face(self, sid: str, subset) -> str:
-        """The face of sid over the given nonempty vertex subset.
-
-        Derived by removing one vertex at a time (largest first); on a
-        valid multicomplex the result does not depend on the removal
-        order.
-        """
-        s = self._get(sid)
-        b = frozenset(subset)
-        if not b:
-            raise StructureError("faces are indexed by nonempty subsets")
-        if not b <= s.vset:
-            raise StructureError(
-                "%s is not a subset of the vertices of %r" %
-                (_fmt_vset(b), sid))
-        cur = s
-        while cur.vset != b:
-            if len(cur.vset) == len(b) + 1:  # the last step
-                rest = b
-            else:
-                rest = cur.vset - {max(cur.vset - b)}
-            nxt = cur.facets.get(rest)
-            if nxt is None:
-                raise StructureError(
-                    "simplex %r is missing its facet over %s"
-                    % (cur.sid, _fmt_vset(rest)))
-            nxt = self._get(nxt)
-            if nxt.vset != rest:  # following it could cycle forever
-                raise StructureError(
-                    "the facet of %r over %s is %r, which spans %s"
-                    % (cur.sid, _fmt_vset(rest), nxt.sid,
-                       _fmt_vset(nxt.vset)))
-            cur = nxt
-        return cur.sid
 
     # -- validation ---------------------------------------------------------
 
@@ -472,7 +436,13 @@ class SimplicialMap:
                 "vertex map is undefined on %r" % sorted(missing)[0]) from None
 
     def validate(self) -> list[str]:
-        """All violations of the simplicial map conditions."""
+        """All violations of the simplicial map conditions.
+
+        The facets of a source simplex, and of its image where a facet
+        maps below it, are read through drop_map, so a facet fault on
+        either side raises the first problem Multicomplex.validate lists
+        for that simplex.
+        """
         problems = []
         for v in self.source.vertices:
             if v not in self.vertex_map:
@@ -483,8 +453,11 @@ class SimplicialMap:
         if problems:
             return problems
         # the maps are total: read each source record once
-        sm, face = self.simplex_map, self.target.face
+        vm, sm = self.vertex_map, self.simplex_map
         targets = self.target._simplices
+        drops = _Memo(self.source.drop_map)
+        target_drops = (drops if self.target is self.source
+                        else _Memo(self.target.drop_map))
         for sid, s in self.source._simplices.items():
             fa = self.vertex_image(s.vset)
             tid = sm[sid]
@@ -494,16 +467,25 @@ class SimplicialMap:
                     "simplex %r maps to %r, which spans %s instead of %s"
                     % (sid, tid, _fmt_vset(tv), _fmt_vset(fa)))
                 continue
-            # facet compatibility, including collapsing maps where the
-            # image of a facet subset equals the image of the whole set
-            for b, fid in s.facets.items():
-                got = face(tid, self.vertex_image(b))
-                want = sm[fid]
+            # facet compatibility: the facet that drops u maps onto tid
+            # itself when another vertex shares the image of u, and
+            # otherwise onto the facet of tid that drops that image
+            drop = drops[sid]
+            if not drop:
+                continue
+            if len(fa) == len(drop):
+                image_of = target_drops[tid]
+            else:
+                counts = Counter(vm[v] for v in s.vset)
+                image_of = {w: tid if c > 1 else target_drops[tid][w]
+                            for w, c in counts.items()}
+            for u, fid in drop.items():
+                got, want = image_of[vm[u]], sm[fid]
                 if got != want:
                     problems.append(
                         "facet square fails at %r over %s: image facet is "
                         "%r but the facet maps to %r"
-                        % (sid, _fmt_vset(b), got, want))
+                        % (sid, _fmt_vset(s.vset - {u}), got, want))
         return problems
 
     def apply_vertex(self, v: str) -> str:

@@ -50,13 +50,6 @@ class Cover:
             raise UnknownIdError("no cover member with index %r" % (j,))
         return self.sets[j]
 
-    def covers(self, vertices) -> bool:
-        """Whether the members jointly contain the given vertex set."""
-        pool = set()
-        for pts in self.sets.values():
-            pool |= pts
-        return {str(v) for v in vertices} <= pool
-
     def __len__(self) -> int:
         return len(self.sets)
 

@@ -345,11 +345,12 @@ def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
     of phis is below epsilon.
 
     Finite groups take the uniform measure (derivative exactly zero).
-    Z^d takes the uniform measure on the box {0..N-1}^d: shifting the box
-    by phi moves at most a 2*min(|phi_i|, N)/N fraction of its mass per
-    axis, which picks N; the derivative of the returned measure is then
-    re-checked by direct evaluation.  A box of more than MAX_BOX_ATOMS
-    atoms raises DiffusionError before any atom is built.
+    Z^d takes the uniform measure on the box {0..N-1}^d, whose derivative
+    along phi is at most 2*sum|phi_i|/N, for N the least side past
+    2*sum|phi_i|/epsilon for every phi; the derivative is then checked
+    exactly, and one not below epsilon raises InternalInvariantError.  A
+    box of more than MAX_BOX_ATOMS atoms raises DiffusionError before any
+    atom is built.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -361,19 +362,21 @@ def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
     phis = [group.coerce(p) for p in phis]
     largest = max((sum(abs(x) for x in p) for p in phis), default=0)
     n = int(2 * largest / epsilon) + 1
-    while True:
-        atoms = n ** group.rank
-        if atoms > MAX_BOX_ATOMS:
-            raise DiffusionError(
-                "the Folner box of side %d in Z^%d would have %d atoms, "
-                "over the limit of %d" % (n, group.rank, atoms, MAX_BOX_ATOMS))
-        # the box points are distinct int tuples: no coercion needed
-        mu = FiniteSupportMeasure._of_numerators(
-            group, dict.fromkeys(iter_product(range(n), repeat=group.rank), 1),
-            atoms)
-        if derivative_norm(mu, phis) < epsilon:
-            return mu
-        n += 1  # unreachable given the bound; kept as the honest fallback
+    atoms = n ** group.rank
+    if atoms > MAX_BOX_ATOMS:
+        raise DiffusionError(
+            "the Folner box of side %d in Z^%d would have %d atoms, "
+            "over the limit of %d" % (n, group.rank, atoms, MAX_BOX_ATOMS))
+    # the box points are distinct int tuples: no coercion needed
+    mu = FiniteSupportMeasure._of_numerators(
+        group, dict.fromkeys(iter_product(range(n), repeat=group.rank), 1),
+        atoms)
+    norm = derivative_norm(mu, phis)
+    if norm >= epsilon:
+        raise InternalInvariantError(
+            "the Folner box of side %d has derivative %s, not below %s"
+            % (n, norm, epsilon))
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +701,6 @@ class ToyVanishCertificate:
         self.bounding_chain = bounding_chain
         self.witnesses = dict(witnesses)
 
-    def verify(self, cc, z: Chain, result: Chain) -> bool:
-        return cc.boundary_of(self.bounding_chain) == result - z.as_rational()
-
 
 def _solved_witnesses(a: GroupAction, hom, z: Chain, elements) -> dict:
     """A chain w_g with boundary g*z - z for each g of elements, solved
@@ -776,11 +776,11 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
         raise StructureError("epsilon must be positive")
     if a.complex is not mc and a.complex != mc:
         raise StructureError("the action lives on a different complex")
-    cc = build_full_chain_complex(mc, ring=RING_RAT)
+    cc = build_full_chain_complex(mc)
     zq = z.as_rational()
     if not cc.boundary_of(zq).is_zero:
         raise StructureError("toy_vanish expects a cycle")
-    hom = homology(cc)
+    hom = homology(cc, RING_RAT)
     c = alternate(zq)
 
     # orbitwise cancellation: the average is (orbit total)/(orbit size)

@@ -196,7 +196,7 @@ def _twisted_face(cell: str, tup: tuple, i: int) -> AlgebraicSimplex:
     return AlgebraicSimplex(target, tuple(renaming[s] for s in rest))
 
 
-def twisted_tetrahedron_full(ring=RING_RAT) -> ChainComplex:
+def twisted_tetrahedron_full() -> ChainComplex:
     """Ordered chains of the twisted tetrahedron.
 
     Degree-n basis: every n-cell together with every ordering of its
@@ -220,17 +220,17 @@ def twisted_tetrahedron_full(ring=RING_RAT) -> ChainComplex:
             cols.append(sorted(_push_forward([(lab, 1)],
                                               lambda _: faces).items()))
         columns[n] = cols
-    return ChainComplex(ring, basis, columns)
+    return ChainComplex(basis, columns)
 
 
-def twisted_tetrahedron_reduced(ring=RING_RAT) -> ChainComplex:
+def twisted_tetrahedron_reduced() -> ChainComplex:
     """One generator per cell; the boundary is project . full boundary.
 
     The resulting matrices are tiny: d[P] = -2[a] + [b],
     d[Q] = -2[a] - [b], and [a], [b], [D] are cycles.  Integral
     homology: Z, Z/4, 0, Z in degrees 0..3.
     """
-    full = twisted_tetrahedron_full(RING_INT)
+    full = twisted_tetrahedron_full()
     basis = {n: [] for n in range(4)}
     for cell in _CELL_ORDER:
         basis[_CELL_DIM[cell]].append(AlgebraicSimplex(cell, _SLOTS[cell]))
@@ -243,7 +243,7 @@ def twisted_tetrahedron_reduced(ring=RING_RAT) -> ChainComplex:
             image = project_chain(full.boundary_of(probe))
             cols.append(sorted((index[k], int(v)) for k, v in image.items()))
         columns[n] = cols
-    return ChainComplex(ring, basis, columns)
+    return ChainComplex(basis, columns)
 
 
 def twisted_tetrahedron_top_class(ring=RING_RAT) -> Chain:

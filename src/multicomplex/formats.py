@@ -472,10 +472,10 @@ def set_action_from_doc(doc: dict) -> ActionOnSet:
 # covers and colorings
 
 
-def cover_to_doc(c: Cover, host: str = None) -> dict:
+def cover_to_doc(c: Cover) -> dict:
     sets = {str(j): sorted(c.member(j)) for j in c.indices()}
     amenable = {str(j): c.amenable[j] for j in c.amenable}
-    return {"schema_version": SCHEMA_VERSION, "host": host,
+    return {"schema_version": SCHEMA_VERSION, "host": None,
             "sets": sets, "amenable": amenable}
 
 

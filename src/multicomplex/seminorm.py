@@ -118,10 +118,9 @@ def simplicial_volume(mc: Multicomplex) -> VolumeResult:
     """
     from .chains import build_reduced_chain_complex
 
-    # one complex over Z serves the cycle and the LP: seminorm_l1 reads
-    # the same int columns and no ring from it
-    cc = build_reduced_chain_complex(mc, ring=RING_INT)
-    fc = fundamental_cycle(mc, ring=RING_INT, cc=cc)
+    # one complex serves the integral cycle and the LP
+    cc = build_reduced_chain_complex(mc)
+    fc = fundamental_cycle(mc, cc)
     res = seminorm_l1(cc, fc)
     return VolumeResult(res.value, fc, res)
 

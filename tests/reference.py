@@ -28,12 +28,17 @@ validate is Multicomplex.validate as it was before each facet was read
 once per simplex: it finds every face by a frozenset difference.  The
 program's validate must return the same problems in the same order.
 
-map_problems is SimplicialMap.validate as it was before it read each
-source record once: it maps every facet's vertex set through a
-missing-list (vertex_image) and finds the image facet by face, which
-removes one vertex at a time, the last step too, as Multicomplex.face
-did.  The program's validate must return the same problems in the same
-order, or raise the same exception with the same message.
+map_problems is SimplicialMap.validate without its shared reads: it
+maps every facet's vertex set through a missing-list (vertex_image) and
+looks the image facet up in the facet map of the image simplex.  A
+simplex whose facets it reads, and that validate finds a fault in,
+raises the first fault validate lists against it, as the builders do.
+The program's validate must return the same problems in the same order,
+or raise the same exception with the same message.
+
+repeat_complex is the complex the full builder made with repeated-vertex
+tuples, built directly: degree n holds every (n+1)-tuple that covers the
+vertices of a simplex.  Its class seminorms agree with the reduced ones.
 
 identity_matrix, matmul and mat_vec are the dense products the tests
 check factorizations and solutions with.
@@ -110,7 +115,7 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 from multicomplex.actions import (GroupAction, ValidationReport,
                                   act_on_chain, act_on_simplex, orbits)
@@ -173,6 +178,34 @@ def boundary_matrix(cc, n) -> list[list[int]]:
 
 def rational_rank(a) -> int:
     return len(rational_rref(a)[1])
+
+
+def repeat_complex(mc: Multicomplex, top: int) -> chains.ChainComplex:
+    """The chain complex of mc in degrees 0..top on the (sid; t) for t an
+    (n+1)-tuple over the vertices of sid that names each of them.  Face
+    i drops t[i]: it stays on sid when t[i] occurs again in t, and
+    otherwise lies on the facet of sid over the rest; equal faces add
+    up."""
+    basis, columns, index = {}, {}, {}
+    for n in range(top + 1):
+        labels, cols = [], []
+        for sid in sorted(mc.simplex_ids):
+            vs = sorted(mc.vertex_set(sid))
+            for t in product(vs, repeat=n + 1):
+                if set(t) != set(vs):
+                    continue
+                labels.append(AlgebraicSimplex(sid, t))
+                col = {}
+                for i in range(n + 1 if n else 0):
+                    rest = t[:i] + t[i + 1:]
+                    fid = (sid if t[i] in rest
+                           else mc.facets(sid)[frozenset(rest)])
+                    row = index[AlgebraicSimplex(fid, rest)]
+                    col[row] = col.get(row, 0) + (-1) ** i
+                cols.append([(row, c) for row, c in col.items() if c])
+        basis[n], columns[n] = labels, cols
+        index = {lab: i for i, lab in enumerate(labels)}
+    return chains.ChainComplex(basis, columns)
 
 
 def boundary_squares_to_zero(cc) -> bool:
@@ -487,32 +520,12 @@ def vertex_image(f, vset) -> frozenset:
     return frozenset(f.vertex_map[v] for v in vset)
 
 
-def face(mc: Multicomplex, sid: str, subset) -> str:
-    s = mc._get(sid)
-    b = frozenset(subset)
-    if not b:
-        raise StructureError("faces are indexed by nonempty subsets")
-    if not b <= s.vset:
-        raise StructureError(
-            "%s is not a subset of the vertices of %r" %
-            (_fmt_vset(b), sid))
-    cur = s
-    while cur.vset != b:
-        v = max(cur.vset - b)
-        rest = cur.vset - {v}
-        nxt = cur.facets.get(rest)
-        if nxt is None:
-            raise StructureError(
-                "simplex %r is missing its facet over %s"
-                % (cur.sid, _fmt_vset(rest)))
-        nxt = mc._get(nxt)
-        if nxt.vset != rest:
-            raise StructureError(
-                "the facet of %r over %s is %r, which spans %s"
-                % (cur.sid, _fmt_vset(rest), nxt.sid,
-                   _fmt_vset(nxt.vset)))
-        cur = nxt
-    return cur.sid
+def _raise_first_fault(problems: list[str], sid: str) -> None:
+    """Raise the first of the problems validate listed that is a fault in
+    the vertices or facets of sid, if there is one."""
+    for p in problems:
+        if p.startswith(("simplex %r " % sid, "facet of %r " % sid)):
+            raise StructureError(p)
 
 
 def map_problems(f) -> list[str]:
@@ -526,6 +539,7 @@ def map_problems(f) -> list[str]:
             problems.append("simplex map is undefined on %r" % sid)
     if problems:
         return problems
+    source_faults, target_faults = validate(f.source), validate(f.target)
     for sid in f.source.simplex_ids:
         a = f.source.vertex_set(sid)
         fa = vertex_image(f, a)
@@ -536,10 +550,15 @@ def map_problems(f) -> list[str]:
                 % (sid, tid, _fmt_vset(f.target.vertex_set(tid)),
                    _fmt_vset(fa)))
             continue
+        _raise_first_fault(source_faults, sid)
         for b, fid in f.source.facets(sid).items():
             fb = vertex_image(f, b)
             want = f.simplex_map[fid]
-            got = face(f.target, tid, fb)
+            if fb == fa:
+                got = tid
+            else:
+                _raise_first_fault(target_faults, tid)
+                got = f.target.facets(tid)[fb]
             if got != want:
                 problems.append(
                     "facet square fails at %r over %s: image facet is "

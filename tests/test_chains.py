@@ -81,7 +81,7 @@ def test_boundary_squares_to_zero_on_fixtures():
 def test_full_boundary_of_an_edge():
     mc = triangle_boundary()
     cc = build_full_chain_complex(mc)
-    e = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1})
+    e = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1}, RING_RAT)
     b = cc.boundary_of(e)
     assert b.coefficient(AlgebraicSimplex("y", ("y",))) == 1
     assert b.coefficient(AlgebraicSimplex("x", ("x",))) == -1
@@ -104,8 +104,7 @@ def test_boundary_matrix_densifies_to_the_dense_reference(seed):
     top = rng.choice(mc.simplex_ids)
     sub = facet_closure(mc, [top])
     for cc in (build_full_chain_complex(mc), build_reduced_chain_complex(mc),
-               build_relative_complex(mc, sub, "reduced"),
-               build_relative_complex(mc, sub, "full")):
+               build_relative_complex(mc, sub)):
         for n in range(-1, max(cc.degrees()) + 2):
             assert reference.dense(cc.boundary_matrix(n), cc.dim(n)) == \
                 reference.boundary_matrix(cc, n)
@@ -145,7 +144,8 @@ def test_project_section_roundtrip():
             z = _random_full_chain(rng, red, degree)
             assert all(list(key.vertices) == sorted(key.vertices)
                        for key in z.support())
-            assert project_chain(full.chain(degree, z.items())) == z
+            assert project_chain(full.chain(degree, z.items(),
+                                            RING_RAT)) == z
 
 
 def test_projection_sign():
@@ -175,7 +175,7 @@ def test_alternate_commutes_with_boundary():
 
 def test_alternate_preserves_l1_norm_of_single_ordering():
     full = build_full_chain_complex(triangle_boundary())
-    c = full.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1})
+    c = full.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1}, RING_RAT)
     assert alternate(c).l1_norm() == 1
 
 
@@ -207,8 +207,9 @@ def test_homology_of_double_edge():
 
 
 def test_homology_of_sphere():
-    hom = homology(build_reduced_chain_complex(special_sphere(2)))
-    assert [hom.betti(n) for n in (0, 1, 2)] == [1, 0, 1]
+    hom = homology(build_reduced_chain_complex(special_sphere(2)), RING_RAT)
+    assert [hom.structure(n) for n in (0, 1, 2)] == [(1, []), (0, []),
+                                                     (1, [])]
 
 
 def test_homology_of_torus():
@@ -222,13 +223,15 @@ def test_homology_of_torus():
 def test_homology_torsion_of_projective_plane():
     mc = projective_plane()
     assert euler_characteristic(mc) == 1
-    hom = homology(build_reduced_chain_complex(mc, ring=RING_INT), RING_INT)
+    cc = build_reduced_chain_complex(mc)
+    hom = homology(cc, RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (0, [2])
     assert hom.structure(2) == (0, [])
-    rat = homology(build_reduced_chain_complex(mc))
-    assert [rat.betti(n) for n in (0, 1, 2)] == [1, 0, 0]
-    assert rat.structure(1) == (0, []) and rat.generators(1) == []
+    rat = homology(cc, RING_RAT)
+    assert [rat.structure(n) for n in (0, 1, 2)] == [(1, []), (0, []),
+                                                     (0, [])]
+    assert rat.generators(1) == []
     # the torsion generator bounds over Q, and over Z only twice over
     g = hom.generators(1)[0]
     assert hom.is_boundary(g) is None
@@ -239,7 +242,7 @@ def test_homology_torsion_of_projective_plane():
 
 def test_homology_generators_are_cycles():
     cc = build_reduced_chain_complex(seven_vertex_torus())
-    hom = homology(cc)
+    hom = homology(cc, RING_RAT)
     for n in (1, 2):
         for g in hom.generators(n):
             assert cc.boundary_of(g).is_zero
@@ -247,14 +250,14 @@ def test_homology_generators_are_cycles():
 
 def test_is_boundary_returns_checked_witness():
     cc = build_reduced_chain_complex(tetrahedron_boundary())
-    hom = homology(cc)
+    hom = homology(cc, RING_RAT)
     top = cc.basis(2)[0]
-    z = cc.boundary_of(cc.chain(2, {top: Fraction(3)}))
+    z = cc.boundary_of(cc.chain(2, {top: Fraction(3)}, RING_RAT))
     w = hom.is_boundary(z)
     assert w is not None
     assert cc.boundary_of(w) == z
-    assert hom.is_boundary(fundamental_cycle(tetrahedron_boundary(),
-                                             ring=RING_RAT)) is None
+    assert hom.is_boundary(fundamental_cycle(tetrahedron_boundary(), cc)
+                           .as_rational()) is None
 
 
 def _rank_with_boundaries(cc, n, chains):
@@ -269,7 +272,7 @@ def _rank_with_boundaries(cc, n, chains):
 @given(seeds)
 def test_rational_homology_is_integral_homology_tensor_q(seed):
     mc = random_multicomplex(random.Random(seed))
-    cc = build_reduced_chain_complex(mc, ring=RING_INT)
+    cc = build_reduced_chain_complex(mc)
     hz, hq = homology(cc, RING_INT), homology(cc, RING_RAT)
     for n in range(mc.dimension + 1):
         free, torsion = hz.structure(n)
@@ -293,7 +296,7 @@ def test_homology_matches_the_dense_reference(seed):
     # dimension 3 at most, as in test_every_builder_variant_is_a_complex
     mc = random_multicomplex(random.Random(seed), max_dim=3)
     for build in (build_full_chain_complex, build_reduced_chain_complex):
-        cc = build(mc, ring=RING_INT)
+        cc = build(mc)
         for ring in (RING_INT, RING_RAT):
             hom = homology(cc, ring)
             for n in sorted(cc.degrees()):
@@ -307,7 +310,7 @@ def test_homology_matches_the_dense_reference(seed):
 def test_is_boundary_returns_a_witness_for_every_boundary(seed):
     rng = random.Random(seed)
     mc = random_multicomplex(rng)
-    cc = build_reduced_chain_complex(mc, ring=RING_INT)
+    cc = build_reduced_chain_complex(mc)
     n = rng.randrange(mc.dimension)
     labels = rng.sample(cc.basis(n + 1), min(4, cc.dim(n + 1)))
     for ring, coeff in (
@@ -324,32 +327,38 @@ def test_is_boundary_returns_a_witness_for_every_boundary(seed):
 def test_is_boundary_rejects_multiples_of_fundamental_cycles(k):
     for mc in (triangle_boundary(), tetrahedron_boundary(),
                seven_vertex_torus(), special_sphere(3)):
-        for ring in (RING_INT, RING_RAT):
-            hom = homology(build_reduced_chain_complex(mc, ring=ring))
-            z = fundamental_cycle(mc, ring=ring).scaled(k)
-            assert hom.is_boundary(z) is None
+        cc = build_reduced_chain_complex(mc)
+        z = fundamental_cycle(mc, cc).scaled(k)
+        for ring, zr in ((RING_INT, z), (RING_RAT, z.as_rational())):
+            assert homology(cc, ring).is_boundary(zr) is None
+
+
+def _fundamental_cycle(mc):
+    return fundamental_cycle(mc, build_reduced_chain_complex(mc))
 
 
 def test_fundamental_cycle_of_tetrahedron_boundary():
-    z = fundamental_cycle(tetrahedron_boundary())
-    assert z.degree == 2
+    mc = tetrahedron_boundary()
+    cc = build_reduced_chain_complex(mc)
+    z = fundamental_cycle(mc, cc)
+    assert (z.degree, z.ring) == (2, RING_INT)
     assert z.l1_norm() == 4
     assert all(abs(v) == 1 for _, v in z.items())
-    cc = build_reduced_chain_complex(tetrahedron_boundary(), ring=RING_INT)
     assert cc.boundary_of(z).is_zero
 
 
 def test_fundamental_cycle_of_special_spheres():
-    z1 = fundamental_cycle(special_sphere(1))
+    z1 = _fundamental_cycle(special_sphere(1))
+    assert z1.degree == 1
     keys = {k.simplex: v for k, v in z1.items()}
     assert keys in ({"north": 1, "south": -1}, {"north": -1, "south": 1})
-    z2 = fundamental_cycle(special_sphere(2))
+    z2 = _fundamental_cycle(special_sphere(2))
     assert z2.l1_norm() == 2
     assert {k.simplex for k in z2.support()} == {"north", "south"}
 
 
 def test_fundamental_cycle_of_torus_has_norm_14():
-    z = fundamental_cycle(seven_vertex_torus())
+    z = _fundamental_cycle(seven_vertex_torus())
     assert z.degree == 2
     assert z.l1_norm() == 14
 
@@ -357,7 +366,7 @@ def test_fundamental_cycle_of_torus_has_norm_14():
 def test_fundamental_cycle_rejects_impure_complex():
     mc = simplicial_complex([("a", "b", "c"), ("c", "d")])
     with pytest.raises(NoFundamentalCycleError):
-        fundamental_cycle(mc)
+        _fundamental_cycle(mc)
 
 
 def test_fundamental_cycle_rejects_wrong_rank():
@@ -365,14 +374,7 @@ def test_fundamental_cycle_rejects_wrong_rank():
     mc = simplicial_complex([("a", "b"), ("b", "c"), ("a", "c"),
                              ("d", "e"), ("e", "f"), ("d", "f")])
     with pytest.raises(NoFundamentalCycleError):
-        fundamental_cycle(mc)
-
-
-def test_fundamental_cycle_degree_parameter():
-    # lower-degree request on a pure complex is rejected unless that
-    # homology is infinite cyclic; the 1-sphere in degree 0 works
-    z = fundamental_cycle(special_sphere(1), degree=1)
-    assert z.degree == 1
+        _fundamental_cycle(mc)
 
 
 def test_relative_complex_of_sphere_mod_equator():
@@ -381,8 +383,7 @@ def test_relative_complex_of_sphere_mod_equator():
                if sid not in ("north", "south")]
     rel = build_relative_complex(mc, equator)
     assert rel.dim(2) == 2
-    hom = homology(rel)
-    assert hom.betti(2) == 2
+    assert homology(rel, RING_RAT).structure(2) == (2, [])
 
 
 def test_relative_complex_requires_closed_subcomplex():
@@ -419,8 +420,7 @@ def test_every_builder_variant_is_a_complex(seed):
     mc = random_multicomplex(rng, max_dim=3)
     full = build_full_chain_complex(mc)
     red = build_reduced_chain_complex(mc)
-    repeats = build_full_chain_complex(mc, max_degree=mc.dimension + 1,
-                                       with_repeats=True)
+    repeats = reference.repeat_complex(mc, mc.dimension + 1)
     for cc in (full, red, repeats):
         assert reference.boundary_squares_to_zero(cc)
         for n in cc.degrees():
@@ -435,30 +435,28 @@ def test_every_builder_variant_is_a_complex(seed):
 
     top = rng.choice(mc.simplex_ids)
     sub = facet_closure(mc, [top])
-    for variant, cc in (("reduced", red), ("full", full)):
-        rel = build_relative_complex(mc, [], variant)
-        assert all(rel.basis(n) == cc.basis(n) and
-                   rel.boundary_matrix(n) == cc.boundary_matrix(n)
-                   for n in cc.degrees())
-        # the relative columns are the absolute ones without the rows
-        # and columns of the subcomplex
-        rel = build_relative_complex(mc, sub, variant)
-        for n in cc.degrees():
-            kept = [i for i, lab in enumerate(cc.basis(n))
-                    if lab.simplex not in sub]
-            rows = [i for i, lab in enumerate(cc.basis(n - 1))
-                    if lab.simplex not in sub]
-            assert rel.basis(n) == tuple(cc.basis(n)[i] for i in kept)
-            mat = reference.dense(cc.boundary_matrix(n), cc.dim(n))
-            assert reference.dense(rel.boundary_matrix(n), rel.dim(n)) == \
-                [[mat[r][j] for j in kept] for r in rows]
+    rel = build_relative_complex(mc, [])
+    assert all(rel.basis(n) == red.basis(n) and
+               rel.boundary_matrix(n) == red.boundary_matrix(n)
+               for n in red.degrees())
+    # the relative columns are the absolute ones without the rows and
+    # columns of the subcomplex
+    rel = build_relative_complex(mc, sub)
+    for n in red.degrees():
+        kept = [i for i, lab in enumerate(red.basis(n))
+                if lab.simplex not in sub]
+        rows = [i for i, lab in enumerate(red.basis(n - 1))
+                if lab.simplex not in sub]
+        assert rel.basis(n) == tuple(red.basis(n)[i] for i in kept)
+        mat = reference.dense(red.boundary_matrix(n), red.dim(n))
+        assert reference.dense(rel.boundary_matrix(n), rel.dim(n)) == \
+            [[mat[r][j] for j in kept] for r in rows]
 
 
 # every store operation against the Fraction references, on the cone over
 # three parallel edges, with its repeated-vertex tuples, and Z/3 turning it
 _CONE = cone_action(3)
-_CONE_CC = build_full_chain_complex(_CONE.complex, max_degree=2,
-                                    with_repeats=True)
+_CONE_CC = reference.repeat_complex(_CONE.complex, 2)
 _Z3 = cyclic_group(3)
 _TURN = {g: {"p%d" % i: "p%d" % ((i + j) % 3) for i in range(3)}
          for j, g in enumerate(_Z3.elements)}

@@ -22,6 +22,7 @@ from multicomplex.chains import (
     RING_INT,
     MAX_FULL_ORDERINGS,
     RING_RAT,
+    build_reduced_chain_complex,
     fundamental_cycle,
 )
 from multicomplex.cli import main
@@ -220,7 +221,7 @@ def test_homology_relative_takes_pieces_that_join_into_no_id(tmp_path,
 def test_seminorm_dual_and_integral_search(tmp_path, capsys):
     mc = triangle_boundary()
     cpath = _write_mc(tmp_path, "circle.json", mc)
-    z = fundamental_cycle(mc, degree=1)
+    z = fundamental_cycle(mc, build_reduced_chain_complex(mc))
     zpath = _write(tmp_path, "cycle.json", formats.chain_to_doc(z))
 
     code, doc, err = _run_json(capsys, ["seminorm", zpath,
@@ -310,7 +311,8 @@ def test_simplex_failure_exits_three(tmp_path, capsys, monkeypatch):
     mc = triangle_boundary()
     cpath = _write_mc(tmp_path, "circle.json", mc)
     zpath = _write(tmp_path, "cycle.json",
-                   formats.chain_to_doc(fundamental_cycle(mc, degree=1)))
+                   formats.chain_to_doc(fundamental_cycle(
+                       mc, build_reduced_chain_complex(mc))))
     code, out, err = _run(capsys, ["seminorm", zpath, "--complex", cpath])
     assert code == 3
     assert out == ""
@@ -991,9 +993,9 @@ def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys,
 
 @pytest.mark.parametrize("facets,error", [
     ({"a": "e", "b": "b"},
-     "error: the facet of 'e' over {a} is 'e', which spans {a,b}"),
+     "error: facet of 'e' over {a} is 'e', which spans {a,b} instead"),
     ({"a": "a", "b": "a"},
-     "error: the facet of 'e' over {b} is 'a', which spans {a}"),
+     "error: facet of 'e' over {b} is 'a', which spans {a} instead"),
 ], ids=["itself", "wrong-vertices"])
 def test_an_action_on_a_complex_with_a_bad_facet_exits_one(tmp_path, capsys,
                                                           facets, error):
@@ -1008,6 +1010,31 @@ def test_an_action_on_a_complex_with_a_bad_facet_exits_one(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.splitlines() == [error]
+
+
+@pytest.mark.parametrize("command", [["quotient"], ["orbits", "--degree", "1"]])
+def test_an_action_on_a_spurious_facet_entry_exits_one(tmp_path, capsys,
+                                                      command):
+    """The trivial action on the triangle whose t lists a facet over {x}
+    is refused with validate's words, where its quotient used to be
+    written out."""
+    doc = formats.multicomplex_to_doc(simplicial_complex([("x", "y", "z")]))
+    doc["simplices"][-1]["facets"]["x"] = "x"
+    assert doc["simplices"][-1]["id"] == "x,y,z"
+    doc["simplices"][-1]["id"] = "t"
+    path = _write(tmp_path, "triangle.json", doc)
+    sids = [entry["id"] for entry in doc["simplices"]]
+    action = _write(tmp_path, "action.json", {
+        "schema_version": formats.SCHEMA_VERSION, "elements": ["1"],
+        "table": {"1": {"1": "1"}},
+        "maps": {"1": {"vertex_map": {v: v for v in "xyz"},
+                       "simplex_map": {sid: sid for sid in sids}}}})
+    error = "simplex 't' has a spurious facet entry for {x}"
+    code, out, err = _run(capsys, command + [action, "--complex", path])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: " + error]
+    code, doc, err = _run_json(capsys, ["validate", path])
+    assert (code, doc["problems"]) == (1, [error])
 
 
 @pytest.mark.parametrize("command", ["toy-vanish", "vanish-check"])

@@ -61,18 +61,20 @@ def test_twisted_reduced_boundary_matrix():
     red = twisted_tetrahedron_reduced()
     a = AlgebraicSimplex("a", ("a0", "a1"))
     b = AlgebraicSimplex("b", ("b0", "b1"))
-    dP = red.boundary_of(red.chain(2, {AlgebraicSimplex("P", ("p0", "p1", "p2")): 1}))
-    dQ = red.boundary_of(red.chain(2, {AlgebraicSimplex("Q", ("q0", "q1", "q2")): 1}))
+    dP = red.boundary_of(red.chain(
+        2, {AlgebraicSimplex("P", ("p0", "p1", "p2")): 1}, RING_RAT))
+    dQ = red.boundary_of(red.chain(
+        2, {AlgebraicSimplex("Q", ("q0", "q1", "q2")): 1}, RING_RAT))
     assert dP.coefficient(a) == -2 and dP.coefficient(b) == 1
     assert dQ.coefficient(a) == -2 and dQ.coefficient(b) == -1
     for cell, slots in (("a", ("a0", "a1")), ("b", ("b0", "b1"))):
-        z = red.chain(1, {AlgebraicSimplex(cell, slots): 1})
+        z = red.chain(1, {AlgebraicSimplex(cell, slots): 1}, RING_RAT)
         assert red.boundary_of(z).is_zero
     assert red.boundary_of(twisted_tetrahedron_top_class()).is_zero
 
 
 def test_twisted_integral_homology():
-    hom = homology(twisted_tetrahedron_reduced(RING_INT), RING_INT)
+    hom = homology(twisted_tetrahedron_reduced(), RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (0, [4])
     assert hom.structure(2) == (0, [])
@@ -82,12 +84,12 @@ def test_twisted_integral_homology():
 def test_no_single_ordering_of_the_top_cell_is_a_cycle():
     full = twisted_tetrahedron_full()
     for tup in permutations(("d0", "d1", "d2", "d3")):
-        c = full.chain(3, {AlgebraicSimplex("D", tup): 1})
+        c = full.chain(3, {AlgebraicSimplex("D", tup): 1}, RING_RAT)
         assert not full.boundary_of(c).is_zero
 
 
 def test_full_cycle_lattice_rank():
-    full = twisted_tetrahedron_full(RING_INT)
+    full = twisted_tetrahedron_full()
     kernel = integer_kernel_basis(full.boundary_matrix(3), full.dim(3))
     # without repeated-vertex tuples nothing above degree 3 trims the
     # cycle space, so it is much larger than the homology suggests
@@ -104,7 +106,7 @@ def test_no_integral_cycle_of_norm_below_three_hits_the_top_class():
     # the projection coefficient of a cycle has the parity of its norm,
     # so representatives of [D] need odd norm; here we also confirm by
     # exhaustion that no norm-1 chain is a cycle at all
-    full = twisted_tetrahedron_full(RING_INT)
+    full = twisted_tetrahedron_full()
     labels = full.basis(3)
     top = twisted_tetrahedron_top_class(RING_INT)
     for lab in labels:
@@ -125,7 +127,7 @@ def test_no_integral_cycle_of_norm_below_three_hits_the_top_class():
 
 
 def test_minimal_cycle_is_a_cycle_and_projects_to_top_class():
-    full = twisted_tetrahedron_full(RING_INT)
+    full = twisted_tetrahedron_full()
     z = twisted_tetrahedron_minimal_cycle()
     assert full.boundary_of(z).is_zero
     p = project_chain(z)
@@ -135,7 +137,8 @@ def test_minimal_cycle_is_a_cycle_and_projects_to_top_class():
 
 def test_alternation_of_top_ordering_is_a_small_rational_cycle():
     full = twisted_tetrahedron_full()
-    c = full.chain(3, {AlgebraicSimplex("D", ("d0", "d1", "d2", "d3")): 1})
+    c = full.chain(3, {AlgebraicSimplex("D", ("d0", "d1", "d2", "d3")): 1},
+                   RING_RAT)
     a = alternate(c)
     assert full.boundary_of(a).is_zero
     assert a.l1_norm() == 1
@@ -145,7 +148,7 @@ def test_alternation_of_top_ordering_is_a_small_rational_cycle():
 
 
 def test_reduced_class_has_integral_norm_one():
-    red = twisted_tetrahedron_reduced(RING_INT)
+    red = twisted_tetrahedron_reduced()
     res = integral_seminorm_bruteforce(
         red, twisted_tetrahedron_top_class(RING_INT), coeff_bound=3)
     assert res.certified
@@ -153,7 +156,7 @@ def test_reduced_class_has_integral_norm_one():
 
 
 def test_full_class_has_integral_norm_three():
-    full = twisted_tetrahedron_full(RING_INT)
+    full = twisted_tetrahedron_full()
     res = integral_seminorm_bruteforce(
         full, twisted_tetrahedron_minimal_cycle(), coeff_bound=3)
     assert res.certified

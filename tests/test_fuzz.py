@@ -56,7 +56,7 @@ def _documents():
     return {
         "circle.json": formats.multicomplex_to_doc(circle),
         "cycle.json": formats.chain_to_doc(
-            fundamental_cycle(circle, degree=1)),
+            fundamental_cycle(circle, build_reduced_chain_complex(circle))),
         "cone.json": formats.multicomplex_to_doc(cone_over_double_edge()),
         "swap.json": formats.action_to_doc(cone_swap_action()),
         "z.json": {"schema_version": V, "degree": 1, "ring": RING_INT,
@@ -253,8 +253,8 @@ def test_mutated_complexes_decode_as_the_reference(data):
 
 
 def _betti(mc) -> list:
-    hom = homology(build_reduced_chain_complex(mc))
-    return [hom.betti(n) for n in range(mc.dimension + 1)]
+    hom = homology(build_reduced_chain_complex(mc), RING_RAT)
+    return [hom.structure(n)[0] for n in range(mc.dimension + 1)]
 
 
 _SEPARATED = st.text(alphabet="xy^@'", min_size=1, max_size=3)

@@ -40,7 +40,7 @@ from multicomplex.seminorm import (
 def _circle_loop(cc):
     return cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1,
                         AlgebraicSimplex("y,z", ("y", "z")): 1,
-                        AlgebraicSimplex("x,z", ("x", "z")): -1})
+                        AlgebraicSimplex("x,z", ("x", "z")): -1}, RING_RAT)
 
 
 def test_circle_seminorm_is_three_with_unit_dual():
@@ -57,7 +57,7 @@ def test_circle_seminorm_is_three_with_unit_dual():
 
 def test_seminorm_rejects_non_cycles():
     cc = build_reduced_chain_complex(triangle_boundary())
-    e = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1})
+    e = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): 1}, RING_RAT)
     with pytest.raises(MulticomplexError):
         seminorm_l1(cc, e)
 
@@ -76,15 +76,15 @@ def test_seminorm_refuses_fractional_boundary_coefficients():
     from multicomplex.core import InternalInvariantError
     v = AlgebraicSimplex("v", ("v",))
     e = AlgebraicSimplex("e", ("v", "w"))
-    cc = ChainComplex(RING_RAT, {0: [v], 1: [e]},
+    cc = ChainComplex({0: [v], 1: [e]},
                       {0: [[]], 1: [[(0, Fraction(1, 2))]]})
     with pytest.raises(InternalInvariantError, match="not integral"):
-        seminorm_l1(cc, cc.chain(0, {v: 1}))
+        seminorm_l1(cc, cc.chain(0, {v: 1}, RING_RAT))
 
 
 def test_boundary_has_seminorm_zero():
     cc = build_reduced_chain_complex(tetrahedron_boundary())
-    top = cc.chain(2, {cc.basis(2)[0]: Fraction(2, 3)})
+    top = cc.chain(2, {cc.basis(2)[0]: Fraction(2, 3)}, RING_RAT)
     z = cc.boundary_of(top)
     res = seminorm_l1(cc, z)
     assert res.value == 0
@@ -97,7 +97,7 @@ def test_cone_kills_the_base_circle():
     # the two base edges cobound via the two cone triangles
     cc = build_reduced_chain_complex(cone_over_double_edge())
     z = cc.chain(1, {AlgebraicSimplex("north", ("x", "y")): 1,
-                     AlgebraicSimplex("south", ("x", "y")): -1})
+                     AlgebraicSimplex("south", ("x", "y")): -1}, RING_RAT)
     res = seminorm_l1(cc, z)
     assert res.value == 0
     assert cc.boundary_of(res.bounding_chain) == z
@@ -108,8 +108,7 @@ def test_cone_kills_the_base_circle():
 def test_sphere_class_has_seminorm_two():
     mc = special_sphere(2)
     cc = build_reduced_chain_complex(mc)
-    z = Chain(2, RING_RAT,
-              dict(fundamental_cycle(mc, ring=RING_RAT).items()))
+    z = fundamental_cycle(mc, cc).as_rational()
     assert seminorm_l1(cc, z).value == 2
 
 
@@ -133,11 +132,12 @@ def test_seminorm_bounded_by_norm_and_invariant_under_boundaries():
     # a 1-cycle: boundary of a random 2-chain plus a harmonic loop
     for _ in range(6):
         lab = cc.basis(2)[rng.randrange(cc.dim(2))]
-        z = z + cc.boundary_of(cc.chain(2, {lab: Fraction(rng.randint(1, 3))}))
+        z = z + cc.boundary_of(
+            cc.chain(2, {lab: Fraction(rng.randint(1, 3))}, RING_RAT))
     base = seminorm_l1(cc, z)
     assert base.value <= z.l1_norm()
     shift = cc.boundary_of(
-        cc.chain(2, {cc.basis(2)[0]: Fraction(7, 3)}))
+        cc.chain(2, {cc.basis(2)[0]: Fraction(7, 3)}, RING_RAT))
     assert seminorm_l1(cc, z + shift).value == base.value
     assert seminorm_l1(cc, z.scaled(Fraction(-5, 2))).value == \
         Fraction(5, 2) * base.value
@@ -147,8 +147,7 @@ def test_full_and_reduced_seminorms_agree_on_fixture_classes():
     for mc, degree in ((triangle_boundary(), 1),
                        (cone_over_double_edge(), 1),
                        (special_sphere(2), 2)):
-        full = build_full_chain_complex(mc, max_degree=degree + 1,
-                                        with_repeats=True)
+        full = reference.repeat_complex(mc, degree + 1)
         red = build_reduced_chain_complex(mc)
         labels = [lab for lab in full.basis(degree)
                   if len(set(lab.vertices)) == len(lab.vertices)]
@@ -166,7 +165,7 @@ def test_full_and_reduced_seminorms_agree_on_fixture_classes():
             for k in kern:
                 c = Fraction(rng.randint(-2, 2))
                 vec = [a + c * b for a, b in zip(vec, k)]
-            z = full.chain_from_vector(degree, vec)
+            z = full.chain_from_vector(degree, vec, RING_RAT)
             assert full.boundary_of(z).is_zero
             a = seminorm_l1(full, z).value
             b = seminorm_l1(red, project_chain(z)).value
@@ -177,31 +176,23 @@ def test_repeat_tuple_cycle_seminorm_matches_projection():
     # (x,y) + (y,x) projects to zero; with repeated-vertex tuples in the
     # bounding space its class seminorm is zero as well
     mc = triangle_boundary()
-    full = build_full_chain_complex(mc, max_degree=2, with_repeats=True)
+    full = reference.repeat_complex(mc, 2)
     z = Chain(1, RING_RAT, {AlgebraicSimplex("x,y", ("x", "y")): 1,
                             AlgebraicSimplex("x,y", ("y", "x")): 1})
     assert full.boundary_of(z).is_zero
     assert seminorm_l1(full, z).value == 0
 
 
-def test_repeat_complex_requires_degree_cap():
-    from multicomplex.core import StructureError
-    with pytest.raises(StructureError):
-        build_full_chain_complex(triangle_boundary(), with_repeats=True)
-
-
 def test_alternation_preserves_class_seminorm():
     mc = special_sphere(2)
-    full = build_full_chain_complex(mc, max_degree=3, with_repeats=True)
-    z = Chain(2, RING_RAT, {})
-    for lab, val in fundamental_cycle(mc, ring=RING_RAT).items():
-        z = z + Chain(2, RING_RAT, {lab: val})
+    full = reference.repeat_complex(mc, 3)
+    z = fundamental_cycle(mc, build_reduced_chain_complex(mc)).as_rational()
     a = alternate(z)
     assert seminorm_l1(full, a).value == seminorm_l1(full, z).value == 2
 
 
 def test_bruteforce_circle_certified_three():
-    cc = build_reduced_chain_complex(triangle_boundary(), ring=RING_INT)
+    cc = build_reduced_chain_complex(triangle_boundary())
     z = Chain(1, RING_INT, {AlgebraicSimplex("x,y", ("x", "y")): 1,
                             AlgebraicSimplex("y,z", ("y", "z")): 1,
                             AlgebraicSimplex("x,z", ("x", "z")): -1})
@@ -213,8 +204,8 @@ def test_bruteforce_circle_certified_three():
 
 
 def test_bruteforce_finds_boundary_zero():
-    cc = build_reduced_chain_complex(tetrahedron_boundary(), ring=RING_INT)
-    z = cc.boundary_of(cc.chain(2, {cc.basis(2)[0]: 2}))
+    cc = build_reduced_chain_complex(tetrahedron_boundary())
+    z = cc.boundary_of(cc.chain(2, {cc.basis(2)[0]: 2}, RING_INT))
     res = integral_seminorm_bruteforce(cc, z, coeff_bound=2)
     assert res.best == 0
     assert res.certified
@@ -223,8 +214,9 @@ def test_bruteforce_finds_boundary_zero():
 
 
 def test_bruteforce_support_bound_may_leave_unknown():
-    cc = build_reduced_chain_complex(seven_vertex_torus(), ring=RING_INT)
-    z = cc.boundary_of(cc.chain(2, {cc.basis(2)[i]: 1 for i in range(6)}))
+    cc = build_reduced_chain_complex(seven_vertex_torus())
+    z = cc.boundary_of(
+        cc.chain(2, {cc.basis(2)[i]: 1 for i in range(6)}, RING_INT))
     full = integral_seminorm_bruteforce(cc, z, coeff_bound=1)
     assert full.certified and full.best == 0
     narrowed = integral_seminorm_bruteforce(cc, z, coeff_bound=1,
@@ -238,14 +230,15 @@ def test_bruteforce_support_bound_may_leave_unknown():
 
 def test_bruteforce_rejects_fractional_chains():
     cc = build_reduced_chain_complex(triangle_boundary())
-    z = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): Fraction(1, 2)})
+    z = cc.chain(1, {AlgebraicSimplex("x,y", ("x", "y")): Fraction(1, 2)},
+                 RING_RAT)
     with pytest.raises(MulticomplexError):
         integral_seminorm_bruteforce(cc, z, coeff_bound=1)
 
 
 def test_bruteforce_on_a_non_cycle_searches_without_the_lp():
     # seminorm_l1 refuses a non-cycle, so the LP bound must be skipped
-    cc = build_reduced_chain_complex(triangle_boundary(), ring=RING_INT)
+    cc = build_reduced_chain_complex(triangle_boundary())
     z = Chain(1, RING_INT, {AlgebraicSimplex("x,y", ("x", "y")): 2})
     res = integral_seminorm_bruteforce(cc, z, coeff_bound=1)
     assert res.best == 2
@@ -259,7 +252,7 @@ def test_a_large_bound_costs_no_memory_when_the_lp_answers():
     not list the 200,001 values a coefficient may take."""
     mc = triangle_boundary()
     cc = build_reduced_chain_complex(mc)
-    z = fundamental_cycle(mc, degree=1)
+    z = fundamental_cycle(mc, cc)
     tracemalloc.start()
     try:
         res = integral_seminorm_bruteforce(cc, z, coeff_bound=100000)
@@ -279,7 +272,7 @@ def _grid_torus(n):
              for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
                        (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
     mc = simplicial_complex(faces)
-    return build_reduced_chain_complex(mc, ring=RING_INT), v
+    return build_reduced_chain_complex(mc), v
 
 
 def _loop_plus_boundaries(path, triangles):
@@ -648,13 +641,13 @@ def test_dual_certificate_vanishes_on_boundaries():
     z = _torus_loop(cc)
     res = seminorm_l1(cc, z)
     for j in range(cc.dim(2)):
-        col = cc.chain(2, {cc.basis(2)[j]: 1})
+        col = cc.chain(2, {cc.basis(2)[j]: 1}, RING_RAT)
         assert res.dual_certificate.pairing(cc.boundary_of(col)) == 0
 
 
 def _torus_loop(cc):
     from multicomplex.chains import homology
-    return homology(cc).generators(1)[0]
+    return homology(cc, RING_RAT).generators(1)[0]
 
 
 def _doctored(real, breach):
