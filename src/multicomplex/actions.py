@@ -1,12 +1,14 @@
 """Finite group actions on multicomplexes.
 
 An action is a finite group together with one simplicial automorphism per
-element.  This module validates actions on generators (every command
-validates an action where it enters, so the rest assume a valid one),
-forms quotients by actions that fix every vertex, enumerates orbits of
-algebraic simplices, pushes chains forward along elements on the
-fraction-free push-forward of chains, and averages chains and cochains
-over the group as orbit means (the finite instance of invariant means).
+element.  This module validates actions on generators and lists the
+axioms they break (every command validates an action where it enters
+and refuses a nonempty list, so the rest assume a valid one), forms
+quotients by actions that fix every vertex, lists the orbits of
+algebraic simplices as sorted tuples, pushes chains forward along
+elements on the fraction-free push-forward of chains, and averages
+chains and cochains over the group as orbit means (the finite instance
+of invariant means).
 """
 
 from __future__ import annotations
@@ -22,30 +24,6 @@ from .chains import (AlgebraicSimplex, Chain, Cochain, RING_RAT,
 from .core import (Multicomplex, SimplicialMap, StructureError,
                    UnknownIdError)
 from .groups import FiniteGroup, _composition_failures, generating_set
-
-
-class ValidationReport:
-    """A flat list of human-readable problems; empty means valid.
-
-    notes record scope caveats (for instance checks that only ran on an
-    enumerated range) without affecting validity.
-    """
-
-    def __init__(self, problems, notes=()):
-        self.problems = tuple(problems)
-        self.notes = tuple(notes)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return "ValidationReport(ok)"
-        return "ValidationReport(%d problems)" % len(self.problems)
 
 
 class GroupAction:
@@ -109,8 +87,9 @@ def act_on_chain(a: GroupAction, g, chain: Chain) -> Chain:
         chain._den)
 
 
-def validate_action(a: GroupAction) -> ValidationReport:
-    """Check every action axiom and collect the violations.
+def validate_action(a: GroupAction) -> list[str]:
+    """Check every action axiom and list the violations; an empty list
+    means the action is valid.
 
     The table must be a group, every map total, and the map of every
     generator (generating_set) a simplicial bijection.  Then rho(g*s) =
@@ -137,7 +116,7 @@ def validate_action(a: GroupAction) -> ValidationReport:
     # composition is checked on a group and total maps; the generators'
     # maps, being bijections, carry the points into themselves
     if problems:
-        return ValidationReport(problems)
+        return problems
     for kind, points in (("vertex", mc.vertices), ("simplex", mc.simplex_ids)):
         maps = {g: getattr(a.map_of(g), kind + "_map")
                 for g in group.elements}
@@ -145,7 +124,7 @@ def validate_action(a: GroupAction) -> ValidationReport:
             "homomorphism fails on %s %r: (%r*%r) and %r after %r disagree"
             % (kind, x, g, s, g, s)
             for g, s, x in _composition_failures(group, maps, points, gens))
-    return ValidationReport(problems)
+    return problems
 
 
 def _moved_vertex(a: GroupAction):
@@ -188,47 +167,9 @@ def quotient(a: GroupAction):
     return quot, projection
 
 
-class OrbitPartition:
-    """Orbits of the degree-k algebraic simplices under an action.
-
-    Orbits are stored as sorted tuples and listed in order of their least
-    member, so the partition is deterministic.
-    """
-
-    def __init__(self, dimension: int, orbits):
-        self.dimension = dimension
-        self.orbits = tuple(sorted(tuple(sorted(o)) for o in orbits))
-        self._where = {}
-        for i, orb in enumerate(self.orbits):
-            for key in orb:
-                if key in self._where:
-                    raise StructureError(
-                        "orbits overlap at %s" % (key,))
-                self._where[key] = i
-
-    def __len__(self) -> int:
-        return len(self.orbits)
-
-    def __iter__(self):
-        return iter(self.orbits)
-
-    def index_of(self, key) -> int:
-        if not isinstance(key, AlgebraicSimplex):
-            key = AlgebraicSimplex(key[0], tuple(key[1]))
-        try:
-            return self._where[key]
-        except KeyError:
-            raise UnknownIdError(
-                "%s lies in no orbit of this partition" % (key,)) from None
-
-    def __repr__(self) -> str:
-        return "OrbitPartition(k=%d, %d orbits)" % (
-            self.dimension, len(self.orbits))
-
-
-def _partition(a: GroupAction, k: int, keys) -> OrbitPartition:
-    """The orbits of the degree-k keys, each found from the first of its
-    members in the order given."""
+def _partition(a: GroupAction, keys) -> tuple:
+    """The orbits of the keys, each found from the first of its members
+    in the order given, as sorted tuples in order of least member."""
     seen = set()
     orbs = []
     for key in keys:
@@ -236,17 +177,25 @@ def _partition(a: GroupAction, k: int, keys) -> OrbitPartition:
             continue
         orb = {act_on_simplex(a, g, key) for g in a.group.elements}
         seen |= orb
-        orbs.append(orb)
-    return OrbitPartition(k, orbs)
+        orbs.append(tuple(sorted(orb)))
+    orbs.sort()
+    placed = set()
+    for orb in orbs:
+        for key in orb:
+            if key in placed:
+                raise StructureError("orbits overlap at %s" % (key,))
+            placed.add(key)
+    return tuple(orbs)
 
 
-def orbits(a: GroupAction, k: int) -> OrbitPartition:
-    """Partition all degree-k algebraic simplices into orbits.  More than
-    MAX_ORDERINGS of them raise StructureError before any is listed."""
+def orbits(a: GroupAction, k: int) -> tuple:
+    """The orbits of all degree-k algebraic simplices, as sorted tuples
+    in order of least member.  More than MAX_ORDERINGS of them raise
+    StructureError before any is listed."""
     mc = a.complex
     sids = sorted(mc.simplices_of_dimension(k))
     _limit_orderings("the orbits of %d simplex(es)", len(sids), k)
-    return _partition(a, k, (
+    return _partition(a, (
         AlgebraicSimplex(sid, tup) for sid in sids
         for tup in permutations(sorted(mc.vertex_set(sid)))))
 
@@ -267,7 +216,7 @@ def _orbit_totals(a: GroupAction, x: Chain | Cochain) -> list:
     keys = x.support()
     _check_orderings(a.complex, keys, x.degree)
     return [(orb, sum(map(x.coefficient, orb)))
-            for orb in _partition(a, x.degree, keys)]
+            for orb in _partition(a, keys)]
 
 
 def average_cochain(a: GroupAction, x: Chain | Cochain) -> Chain | Cochain:

@@ -289,9 +289,10 @@ def _push_forward(pairs, images) -> dict:
 class ChainComplex:
     """Finitely generated complex with ordered bases of algebraic simplices.
 
-    boundary columns are sparse (row index, integer coefficient) lists;
-    degree 0 has the zero boundary.  The columns serve every ring, so
-    chains built against the complex name theirs.
+    boundary columns are sparse (row index, int coefficient) lists, and
+    the constructor refuses any other coefficient type; degree 0 has the
+    zero boundary.  The columns serve every ring, so chains built
+    against the complex name theirs.
     """
 
     def __init__(self, basis, columns):
@@ -315,10 +316,14 @@ class ChainComplex:
                     % (n, len(cols), len(self._basis.get(n, ()))))
             below = len(self._basis.get(n - 1, ()))
             for col in cols:
-                for row, _ in col:
+                for row, coef in col:
                     if not 0 <= row < below:
                         raise StructureError(
                             "boundary row index out of range in degree %d" % n)
+                    if type(coef) is not int:
+                        raise StructureError(
+                            "boundary coefficient %r in degree %d is not an "
+                            "int" % (coef, n))
 
     def degrees(self):
         return sorted(self._basis)
@@ -615,10 +620,6 @@ class HomologyResult:
         if sol is None:
             return None
         return self.cc.chain_from_vector(n + 1, sol, chain.ring)
-
-
-def homology(cc: ChainComplex, ring) -> HomologyResult:
-    return HomologyResult(cc, ring)
 
 
 def fundamental_cycle(mc: Multicomplex, cc: ChainComplex) -> Chain:

@@ -22,9 +22,9 @@ import sys
 
 from . import diffusion, formats
 from .actions import (average_cochain, orbits, quotient, validate_action)
-from .chains import (RING_INT, RING_RAT, build_full_chain_complex,
-                     build_reduced_chain_complex, build_relative_complex,
-                     homology)
+from .chains import (RING_INT, RING_RAT, HomologyResult,
+                     build_full_chain_complex, build_reduced_chain_complex,
+                     build_relative_complex)
 from .core import (InternalInvariantError, MulticomplexError, UnknownIdError,
                    special_sphere, product_with_interval)
 from .covers import (check_repeated_color_vanishing, coloring_adapted,
@@ -55,10 +55,9 @@ def _load_mc(path: str):
     return formats.multicomplex_from_doc(_load(path))
 
 
-def _reject_invalid(report):
-    if not report.ok:
-        raise MulticomplexError(
-            "invalid action: " + "; ".join(report.problems))
+def _reject_invalid(problems):
+    if problems:
+        raise MulticomplexError("invalid action: " + "; ".join(problems))
 
 
 def _load_action(args):
@@ -157,7 +156,7 @@ def _build_cc(args, mc):
 def _cmd_homology(args) -> int:
     mc = _load_mc(args.input)
     ring = _RINGS[args.ring]
-    hom = homology(_build_cc(args, mc), ring)
+    hom = HomologyResult(_build_cc(args, mc), ring)
     top = mc.dimension
     structure = {}
     generators = {}
@@ -241,13 +240,13 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_orbits(args) -> int:
     mc, a = _load_action(args)
-    part = orbits(a, args.degree)
+    orbs = orbits(a, args.degree)
     doc = {"schema_version": formats.SCHEMA_VERSION, "degree": args.degree,
            "orbits": [[{"simplex": key.simplex,
                         "vertices": list(key.vertices)} for key in orb]
-                      for orb in part.orbits]}
+                      for orb in orbs]}
     _emit(args, doc, "%d orbit(s) of algebraic %d-simplices"
-          % (len(part.orbits), args.degree))
+          % (len(orbs), args.degree))
     return 0
 
 

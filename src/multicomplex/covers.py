@@ -50,9 +50,6 @@ class Cover:
             raise UnknownIdError("no cover member with index %r" % (j,))
         return self.sets[j]
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
     def __repr__(self) -> str:
         return "Cover(%d members)" % len(self.sets)
 
@@ -62,9 +59,11 @@ def nerve(c: Cover, max_dim=None) -> Multicomplex:
     spans a simplex exactly when the corresponding members intersect.
 
     Indices become string vertex ids.  Members that are empty sets span
-    nothing, not even a vertex.  max_dim truncates the result; over
-    MAX_SIMPLICES faces raise StructureError before any is built.
+    nothing, not even a vertex.  max_dim (>= 0) truncates the result;
+    over MAX_SIMPLICES faces raise StructureError before any is built.
     """
+    if max_dim is not None and max_dim < 0:
+        raise StructureError("nerve dimension cap must be >= 0")
     items = [(str(j), set(c.member(j))) for j in c.indices() if c.member(j)]
     faces = []
     # grow only around nonempty intersections; an empty k-fold meet
@@ -113,9 +112,6 @@ class Coloring:
         if v not in self.assignment:
             raise UnknownIdError("no color assigned to vertex %r" % (v,))
         return self.assignment[v]
-
-    def items(self) -> list:
-        return sorted(self.assignment.items())
 
     def classes(self) -> dict:
         out = {}

@@ -38,10 +38,10 @@ from itertools import product as iter_product
 from operator import add
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
-from .actions import (GroupAction, ValidationReport, _orbit_totals,
-                      act_on_chain, average_cochain, orbits)
-from .chains import (Chain, RING_RAT, _FractionFree, alternate,
-                     build_full_chain_complex, homology)
+from .actions import (GroupAction, _orbit_totals, act_on_chain,
+                      average_cochain, orbits)
+from .chains import (Chain, HomologyResult, RING_RAT, _FractionFree,
+                     alternate, build_full_chain_complex)
 from .core import (InternalInvariantError, Multicomplex, MulticomplexError,
                    StructureError, _Memo)
 from .groups import (FiniteGroup, FreeAbelianGroup, _composition_failures,
@@ -70,7 +70,7 @@ class FiniteSupportMeasure(_FractionFree):
     Weights are positive rationals summing to exactly 1; entries with
     weight zero are dropped on construction.  The elements are coerced
     into the group, and the numerators of the weights sum to the
-    denominator; weight() and items() return reduced Fractions.
+    denominator; items() returns reduced Fractions.
     """
 
     def __init__(self, group, weights):
@@ -105,9 +105,6 @@ class FiniteSupportMeasure(_FractionFree):
 
     def _space(self) -> tuple:
         return (self.group,)
-
-    def weight(self, el) -> Fraction:
-        return Fraction(self._num.get(self.group.coerce(el), 0), self._den)
 
     def __repr__(self) -> str:
         return "FiniteSupportMeasure(%d atoms)" % len(self._num)
@@ -180,17 +177,14 @@ class ActionOnSet:
         """The ambient oracle act(element, point).
 
         It takes elements already coerced into self.group and does not
-        check them again: apply coerces its element, and convolve,
-        _transporters and validate_action_on_set pass only elements
-        that a measure, generating_set or the group itself produced.
+        check them again: convolve, _transporters and
+        validate_action_on_set pass only elements that a measure,
+        generating_set or the group itself produced.
         """
         if self.act is None:
             raise StructureError(
                 "this action has no ambient oracle; use its blocks")
         return self.act
-
-    def apply(self, el, x):
-        return self.oracle()(self.group.coerce(el), x)
 
     def __repr__(self) -> str:
         return "ActionOnSet(%d points%s)" % (
@@ -200,8 +194,7 @@ class ActionOnSet:
 
 class SparseFunction(_FractionFree):
     """A finitely supported rational function on opaque points, listed
-    in the order of their reprs; value() and items() return reduced
-    Fractions."""
+    in the order of their reprs; items() returns reduced Fractions."""
 
     _order = repr
 
@@ -217,9 +210,6 @@ class SparseFunction(_FractionFree):
 
     def _like(self, num, den):
         return self._of_numerators(num, den)
-
-    def value(self, x) -> Fraction:
-        return Fraction(self._num.get(x, 0), self._den)
 
     def sum_over(self, points) -> Fraction:
         get = self._num.get
@@ -476,29 +466,29 @@ def _checked_points(act, points) -> list:
     return [x for x in points if x in named] or list(points[:1])
 
 
-def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
-    """The action axioms of every oracle plus the orbit-structure checks.
+def validate_action_on_set(a: ActionOnSet) -> list[str]:
+    """The problems that the action axioms of every oracle and the
+    orbit-structure checks find; an empty list means valid.
 
     The identity must fix every enumerated point.  A finite group's table
     must be a group, and composition is proved through the generators
     (groups._composition_failures) on the points closed under them, which
     an action keeps within |G| times as many.  Z^d has no finite set of
-    elements to check, so composition is sampled on 64 triples, which the
-    notes say; a translation oracle acts by construction.  With blocks,
-    they partition the points; every designated subgroup acts on all the
+    elements to check, so composition is sampled on 64 triples; a
+    translation oracle acts by construction.  With blocks, they
+    partition the points; every designated subgroup acts on all the
     points, is transitive on its own block and maps every block onto
     itself; and whenever s' is at or past the horizon of s, subgroup s'
     moves nothing in block s or in the points subgroup s moves.  Once a
     subgroup acts, its generators tell what it moves and where.
-    Everything runs on the enumerated range only, which the notes record.
+    Everything runs on the enumerated range only.
 
     Each check reads only the points _checked_points gives: a table
     oracle's rows fix every point they do not name, so a block costs its
-    own points, not all of them.  The problems and notes are those of
-    checking every point.
+    own points, not all of them.  The problems are those of checking
+    every point.
     """
     problems = []
-    notes = []
     rng = random.Random(SAMPLE_SEED)
     # group -> its generators and table problems: blocks that share a
     # group object find and check them once
@@ -549,8 +539,6 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
             broken = [(g, h, x) for g in draw[:8] for h in draw[8:]
                       for x in rng.sample(points, min(1, len(points)))
                       if act(group._product(g, h), x) != act(g, act(h, x))]
-            notes.append("%s: composition sampled only, Z^%d being "
-                         "infinite" % (label, group.rank))
         problems.extend("%s: composition fails at (%r, %r, %r)"
                         % (label, g, h, x) for g, h, x in broken)
         return maps, checked
@@ -613,9 +601,7 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
                             "disjoint: stage %d is past the horizon %d but "
                             "moves %r" % (s, t, t, b.horizon,
                                           sorted(overlap, key=repr)[0]))
-        notes.append("asymptotic disjointness checked on the enumerated "
-                     "range only")
-    return ValidationReport(problems, notes)
+    return problems
 
 
 def local_diffuse(a: ActionOnSet, f: SparseFunction, epsilons,
@@ -635,10 +621,10 @@ def local_diffuse(a: ActionOnSet, f: SparseFunction, epsilons,
     """
     if not a.blocks:
         raise StructureError("local diffusion needs orbit blocks")
-    report = validate_action_on_set(a)
-    if not report.ok:
+    problems = validate_action_on_set(a)
+    if problems:
         raise DiffusionError(
-            "invalid orbit structure: " + "; ".join(report.problems))
+            "invalid orbit structure: " + "; ".join(problems))
     blocks = a.blocks
     if len(epsilons) != len(blocks):
         raise StructureError(
@@ -780,7 +766,7 @@ def toy_vanish(mc: Multicomplex, a: GroupAction, z: Chain, epsilon):
     zq = z.as_rational()
     if not cc.boundary_of(zq).is_zero:
         raise StructureError("toy_vanish expects a cycle")
-    hom = homology(cc, RING_RAT)
+    hom = HomologyResult(cc, RING_RAT)
     c = alternate(zq)
 
     # orbitwise cancellation: the average is (orbit total)/(orbit size)

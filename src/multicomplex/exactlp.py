@@ -13,13 +13,11 @@ Bland's rule (least variable index, both entering and leaving) makes the
 iteration finite also on degenerate problems; with the deterministic
 variable order used by callers this is the lexicographic tie-break.
 
-The start places each basis column that is one entry s = +-1, on a row
-that no earlier such column took, without elimination: M takes s on that
-row, the row of b is multiplied by s and the objective row gains c_j * s.
-Only the other basis columns are pivoted in.  D * B^-1 is unique, so the
-start tableau, and every pivot after it, is the one that pivoting every
-basis column in would give; a start of signed unit columns only, as the
-seminorm LP has, makes no pivot.
+The start is signed unit columns: basis[i] is a column whose one entry
+s = +-1 lies on row i, as in the seminorm LP.  B is then diagonal, so no
+elimination sets it up: M = B^-1 = B takes s on row i, the row of b is
+multiplied by s, D = 1 and the objective row gains c_j * s.  Any other
+start raises SimplexFailure naming its first bad row.
 
 Every column is priced once, after the starting basis is set up; from
 then on the integral reduced costs rc_j = y.a_j - c_j * D are updated
@@ -60,22 +58,13 @@ class LPResult:
     and optimal basis of a program.
 
     x and y are kept as int numerators over one positive denominator
-    each: x_j = x_num[j] / x_den and y_i = y_num[i] / y_den.  .x and .y
-    read them as lists of Fractions.
+    each: x_j = x_num[j] / x_den and y_i = y_num[i] / y_den.
     """
 
     def __init__(self, value, x_num, x_den, y_num, y_den, basis):
         self.value, self.basis = value, basis
         self.x_num, self.x_den, self.y_num, self.y_den = \
             x_num, x_den, y_num, y_den
-
-    @property
-    def x(self):
-        return [Fraction(n, self.x_den) for n in self.x_num]
-
-    @property
-    def y(self):
-        return [Fraction(n, self.y_den) for n in self.y_num]
 
 
 def _pivot(tableau, d, l, den):
@@ -111,8 +100,9 @@ def solve(columns, b, c, basis, max_iterations=None):
     """Minimize c.x with sum_j x_j * columns[j] = b and x >= 0.
 
     columns: sparse integer columns, lists of (row, int) pairs with
-    0 <= row < m; basis: m column indices forming a feasible basis.
-    Returns an LPResult with primal x, dual y and the optimal value.
+    0 <= row < m; basis: m column indices, basis[i] a column whose one
+    entry is +-1 on row i, that give a feasible start.  Returns an
+    LPResult with primal x, dual y and the optimal value.
     """
     m, ncols = len(b), len(columns)
     basis = list(basis)
@@ -123,12 +113,24 @@ def solve(columns, b, c, basis, max_iterations=None):
     c = [int(v * sc) for v in c]
     # the tableau [M | den*sb*x ; den*sc*y | den*sb*sc*c.x] by columns:
     # tableau[r][i] is row i of column r, row m the objective row and
-    # column m the right-hand side, from the identity basis of cost 0
-    tableau = [{r: 1} for r in range(m)]
-    rhs = {i: int(v * sb) for i, v in enumerate(b) if v}
+    # column m the right-hand side; M = B^-1 = B for the unit start
+    tableau, rhs, value = [], {}, 0
+    for i, j in enumerate(basis):
+        col = columns[j]
+        if len(col) != 1 or col[0][0] != i or col[0][1] not in (1, -1):
+            raise SimplexFailure("basis column of row %d is not a signed "
+                                 "unit on that row" % i)
+        s = col[0][1]
+        tableau.append({i: s, m: c[j] * s} if c[j] else {i: s})
+        if b[i]:
+            rhs[i] = int(b[i] * sb) * s
+            value += c[j] * rhs[i]
+    if value:
+        rhs[m] = value
     tableau.append(rhs)
-    den, value = 1, 0
-    slot, pivoted = {}, []  # slot: tableau row -> basis position
+    if any(v < 0 for i, v in rhs.items() if i < m):
+        raise SimplexFailure("starting basis is infeasible")
+    den = 1
 
     def entering_column(j):
         d = {}
@@ -138,42 +140,6 @@ def solve(columns, b, c, basis, max_iterations=None):
         d[m] = d.get(m, 0) - c[j] * den
         return {i: f for i, f in d.items() if f}
 
-    for pos, j in enumerate(basis):
-        col = columns[j]
-        if len(col) != 1 or col[0][1] not in (1, -1) or col[0][0] in slot:
-            pivoted.append(pos)
-            continue
-        (r, s), = col
-        slot[r] = pos
-        if s < 0:
-            tableau[r][r] = -1
-            if r in rhs:
-                rhs[r] = -rhs[r]
-        if c[j]:
-            tableau[r][m] = c[j] * s
-            value += c[j] * rhs.get(r, 0)
-    if value:
-        rhs[m] = value
-    # fraction-free Gauss-Jordan on [B | I] for the other basis columns
-    for pos in pivoted:
-        d = entering_column(basis[pos])
-        l = min((i for i in d if i < m and i not in slot), default=-1)
-        if l < 0:
-            raise SimplexFailure("starting basis matrix is singular")
-        if d[l] < 0:  # flip the sign of the identity column it replaces
-            for col in tableau:
-                if l in col:
-                    col[l] = -col[l]
-            d[l] = -d[l]
-        _pivot(tableau, d, l, den)
-        den = d[l]
-        slot[l] = pos
-    if any(r != pos for r, pos in slot.items()):
-        slot[m] = m
-        tableau = [{slot[i]: v for i, v in col.items()} for col in tableau]
-    rhs = tableau[m]
-    if any(v < 0 for i, v in rhs.items() if i < m):
-        raise SimplexFailure("starting basis is infeasible")
     if max_iterations is None:
         # Bland's rule terminates; the cap only guards against bugs
         max_iterations = max(100000, 200 * (ncols + m + 10))

@@ -51,9 +51,6 @@ def seminorm_l1(cc: ChainComplex, z: Chain) -> SeminormResult:
 
     # variables: u_i, w_i with u - w = z - d(b), then b split as p - q
     bnd_cols = [cc.column(n + 1, j) for j in range(k)]
-    if any(int(coef) != coef for col in bnd_cols for _, coef in col):
-        raise InternalInvariantError("boundary coefficients not integral")
-    bnd_cols = [[(r, int(coef)) for r, coef in col] for col in bnd_cols]
     columns = ([[(i, 1)] for i in range(m)] + [[(i, -1)] for i in range(m)]
                + bnd_cols + [[(r, -coef) for r, coef in col]
                              for col in bnd_cols])
@@ -144,10 +141,6 @@ class IntegralSeminormResult:
     def status(self):
         return "exact" if self.certified else "unknown"
 
-    @property
-    def value(self):
-        return self.best if self.certified else None
-
 
 def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
                                  coeff_bound: int,
@@ -172,6 +165,8 @@ def integral_seminorm_bruteforce(cc: ChainComplex, z: Chain,
         z = Chain(z.degree, RING_INT, z.items())
     if coeff_bound < 0:
         raise MulticomplexError("coefficient bound must be >= 0")
+    if support_bound is not None and support_bound < 0:
+        raise MulticomplexError("support bound must be >= 0")
     n = z.degree
     for key in z.support():
         cc.index_of(n, key)

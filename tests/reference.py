@@ -107,8 +107,7 @@ validate_action_on_set is diffusion.validate_action_on_set as it was
 before it read a move table only at the points the table names: every
 block's subgroup is checked on every enumerated point, and carried over
 every point of every block.  On any set action the program must report
-the same problems and notes, or raise the same exception with the same
-message.
+the same problems, or raise the same exception with the same message.
 """
 
 import math
@@ -117,8 +116,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
 
-from multicomplex.actions import (GroupAction, ValidationReport,
-                                  act_on_chain, act_on_simplex, orbits)
+from multicomplex.actions import (GroupAction, act_on_chain, act_on_simplex,
+                                  orbits)
 from multicomplex import chains
 from multicomplex.chains import (RING_RAT, AlgebraicSimplex, _check_ring,
                                  _coerce)
@@ -638,14 +637,15 @@ def class_witnesses(a: GroupAction, hom, z: chains.Chain) -> dict:
 def first_orbit_total(a: GroupAction, c: chains.Chain):
     """(total, least member) of the first orbit, in the order of
     orbits(a, k), on which c has a nonzero total; None if there is none."""
-    part = orbits(a, c.degree)
+    orbs = orbits(a, c.degree)
+    where = {key: oi for oi, orb in enumerate(orbs) for key in orb}
     sums = {}
     for key, val in c.items():
-        oi = part.index_of(key)
+        oi = where[key]
         sums[oi] = sums.get(oi, Fraction(0)) + val
     for oi in sorted(sums):
         if sums[oi] != 0:
-            return sums[oi], part.orbits[oi][0]
+            return sums[oi], orbs[oi][0]
     return None
 
 
@@ -1100,24 +1100,24 @@ def simplicial_complex(faces, vertices=()) -> Multicomplex:
     return Multicomplex(sorted(verts), triples)
 
 
-def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
-    """The action axioms of every oracle plus the orbit-structure checks.
+def validate_action_on_set(a: ActionOnSet) -> list[str]:
+    """The problems that the action axioms of every oracle and the
+    orbit-structure checks find; an empty list means valid.
 
     The identity must fix every enumerated point.  A finite group's table
     must be a group, and composition is proved through the generators
     (groups._composition_failures) on the points closed under them, which
     an action keeps within |G| times as many.  Z^d has no finite set of
-    elements to check, so composition is sampled on 64 triples, which the
-    notes say; a translation oracle acts by construction.  With blocks,
-    they partition the points; every designated subgroup acts on all the
+    elements to check, so composition is sampled on 64 triples; a
+    translation oracle acts by construction.  With blocks, they
+    partition the points; every designated subgroup acts on all the
     points, is transitive on its own block and maps every block onto
     itself; and whenever s' is at or past the horizon of s, subgroup s'
     moves nothing in block s or in the points subgroup s moves.  Once a
     subgroup acts, its generators tell what it moves and where.
-    Everything runs on the enumerated range only, which the notes record.
+    Everything runs on the enumerated range only.
     """
     problems = []
-    notes = []
     rng = random.Random(SAMPLE_SEED)
 
     def check_oracle(label, group, act, points):
@@ -1161,8 +1161,6 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
             broken = [(g, h, x) for g in draw[:8] for h in draw[8:]
                       for x in rng.sample(points, min(1, len(points)))
                       if act(group._product(g, h), x) != act(g, act(h, x))]
-            notes.append("%s: composition sampled only, Z^%d being "
-                         "infinite" % (label, group.rank))
         problems.extend("%s: composition fails at (%r, %r, %r)"
                         % (label, g, h, x) for g, h, x in broken)
         return maps
@@ -1219,6 +1217,4 @@ def validate_action_on_set(a: ActionOnSet) -> ValidationReport:
                             "disjoint: stage %d is past the horizon %d but "
                             "moves %r" % (s, t, t, b.horizon,
                                           sorted(overlap, key=repr)[0]))
-        notes.append("asymptotic disjointness checked on the enumerated "
-                     "range only")
-    return ValidationReport(problems, notes)
+    return problems

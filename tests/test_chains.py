@@ -23,15 +23,16 @@ from multicomplex.chains import (
     RING_RAT,
     AlgebraicSimplex,
     Chain,
+    ChainComplex,
     MAX_ORDERINGS,
     Cochain,
+    HomologyResult,
     NoFundamentalCycleError,
     alternate,
     build_full_chain_complex,
     build_reduced_chain_complex,
     build_relative_complex,
     fundamental_cycle,
-    homology,
     permutation_sign,
     project_chain,
 )
@@ -85,6 +86,16 @@ def test_full_boundary_of_an_edge():
     b = cc.boundary_of(e)
     assert b.coefficient(AlgebraicSimplex("y", ("y",))) == 1
     assert b.coefficient(AlgebraicSimplex("x", ("x",))) == -1
+
+
+@pytest.mark.parametrize("coef", [Fraction(2), 1.0, True])
+def test_chain_complex_refuses_coefficients_that_are_not_ints(coef):
+    v = AlgebraicSimplex("v", ("v",))
+    e = AlgebraicSimplex("e", ("v", "w"))
+    with pytest.raises(StructureError) as exc:
+        ChainComplex({0: [v], 1: [e]}, {0: [[]], 1: [[(0, coef)]]})
+    assert str(exc.value) == (
+        "boundary coefficient %r in degree 1 is not an int" % (coef,))
 
 
 def test_boundary_matrix_shape():
@@ -194,27 +205,28 @@ def test_alternating_past_the_ordering_limit_fails_at_once():
 
 
 def test_homology_of_circle():
-    hom = homology(build_reduced_chain_complex(triangle_boundary()),
-                   RING_INT)
+    hom = HomologyResult(build_reduced_chain_complex(triangle_boundary()),
+                         RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (1, [])
 
 
 def test_homology_of_double_edge():
-    hom = homology(build_reduced_chain_complex(double_edge()), RING_INT)
+    hom = HomologyResult(build_reduced_chain_complex(double_edge()), RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (1, [])
 
 
 def test_homology_of_sphere():
-    hom = homology(build_reduced_chain_complex(special_sphere(2)), RING_RAT)
+    hom = HomologyResult(build_reduced_chain_complex(special_sphere(2)),
+                         RING_RAT)
     assert [hom.structure(n) for n in (0, 1, 2)] == [(1, []), (0, []),
                                                      (1, [])]
 
 
 def test_homology_of_torus():
-    hom = homology(build_reduced_chain_complex(seven_vertex_torus()),
-                   RING_INT)
+    hom = HomologyResult(build_reduced_chain_complex(seven_vertex_torus()),
+                         RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (2, [])
     assert hom.structure(2) == (1, [])
@@ -224,11 +236,11 @@ def test_homology_torsion_of_projective_plane():
     mc = projective_plane()
     assert euler_characteristic(mc) == 1
     cc = build_reduced_chain_complex(mc)
-    hom = homology(cc, RING_INT)
+    hom = HomologyResult(cc, RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (0, [2])
     assert hom.structure(2) == (0, [])
-    rat = homology(cc, RING_RAT)
+    rat = HomologyResult(cc, RING_RAT)
     assert [rat.structure(n) for n in (0, 1, 2)] == [(1, []), (0, []),
                                                      (0, [])]
     assert rat.generators(1) == []
@@ -242,7 +254,7 @@ def test_homology_torsion_of_projective_plane():
 
 def test_homology_generators_are_cycles():
     cc = build_reduced_chain_complex(seven_vertex_torus())
-    hom = homology(cc, RING_RAT)
+    hom = HomologyResult(cc, RING_RAT)
     for n in (1, 2):
         for g in hom.generators(n):
             assert cc.boundary_of(g).is_zero
@@ -250,7 +262,7 @@ def test_homology_generators_are_cycles():
 
 def test_is_boundary_returns_checked_witness():
     cc = build_reduced_chain_complex(tetrahedron_boundary())
-    hom = homology(cc, RING_RAT)
+    hom = HomologyResult(cc, RING_RAT)
     top = cc.basis(2)[0]
     z = cc.boundary_of(cc.chain(2, {top: Fraction(3)}, RING_RAT))
     w = hom.is_boundary(z)
@@ -273,7 +285,7 @@ def _rank_with_boundaries(cc, n, chains):
 def test_rational_homology_is_integral_homology_tensor_q(seed):
     mc = random_multicomplex(random.Random(seed))
     cc = build_reduced_chain_complex(mc)
-    hz, hq = homology(cc, RING_INT), homology(cc, RING_RAT)
+    hz, hq = HomologyResult(cc, RING_INT), HomologyResult(cc, RING_RAT)
     for n in range(mc.dimension + 1):
         free, torsion = hz.structure(n)
         assert hq.structure(n) == (free, [])
@@ -298,7 +310,7 @@ def test_homology_matches_the_dense_reference(seed):
     for build in (build_full_chain_complex, build_reduced_chain_complex):
         cc = build(mc)
         for ring in (RING_INT, RING_RAT):
-            hom = homology(cc, ring)
+            hom = HomologyResult(cc, ring)
             for n in sorted(cc.degrees()):
                 structure, gens = reference.homology_data(cc, n, ring)
                 assert hom.structure(n) == structure
@@ -319,7 +331,7 @@ def test_is_boundary_returns_a_witness_for_every_boundary(seed):
             (RING_INT, lambda: rng.randint(-3, 3))):
         target = cc.boundary_of(
             cc.chain(n + 1, {lab: coeff() for lab in labels}, ring))
-        w = homology(cc, ring).is_boundary(target)
+        w = HomologyResult(cc, ring).is_boundary(target)
         assert w is not None and cc.boundary_of(w) == target
 
 
@@ -330,7 +342,7 @@ def test_is_boundary_rejects_multiples_of_fundamental_cycles(k):
         cc = build_reduced_chain_complex(mc)
         z = fundamental_cycle(mc, cc).scaled(k)
         for ring, zr in ((RING_INT, z), (RING_RAT, z.as_rational())):
-            assert homology(cc, ring).is_boundary(zr) is None
+            assert HomologyResult(cc, ring).is_boundary(zr) is None
 
 
 def _fundamental_cycle(mc):
@@ -383,7 +395,7 @@ def test_relative_complex_of_sphere_mod_equator():
                if sid not in ("north", "south")]
     rel = build_relative_complex(mc, equator)
     assert rel.dim(2) == 2
-    assert homology(rel, RING_RAT).structure(2) == (2, [])
+    assert HomologyResult(rel, RING_RAT).structure(2) == (2, [])
 
 
 def test_relative_complex_requires_closed_subcomplex():

@@ -245,6 +245,19 @@ def test_seminorm_dual_and_integral_search(tmp_path, capsys):
     assert doc["certified"] is True
 
 
+@pytest.mark.parametrize("option", ["--bound", "--support-bound"])
+def test_int_seminorm_refuses_a_negative_bound(tmp_path, capsys, option):
+    mc = triangle_boundary()
+    cpath = _write_mc(tmp_path, "circle.json", mc)
+    z = fundamental_cycle(mc, build_reduced_chain_complex(mc))
+    zpath = _write(tmp_path, "cycle.json", formats.chain_to_doc(z))
+    code, out, err = _run(capsys, ["int-seminorm", zpath, "--complex", cpath,
+                                   "--bound", "2", option, "-1"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: %s bound must be >= 0" % (
+        "coefficient" if option == "--bound" else "support")]
+
+
 def test_int_seminorm_searches_past_the_recursion_limit(tmp_path, capsys):
     # one search level per triangle: 1,152 on the 24 x 24 grid torus
     n = 24
@@ -538,6 +551,17 @@ def test_nerve_past_the_simplex_limit_exits_one_at_once(tmp_path, capsys):
     assert err.splitlines() == [
         "error: the nerve of 40 members would have at least 32769 faces, "
         "over the limit of 32768"]
+
+
+@pytest.mark.parametrize("cap", ["-1", "-2"])
+def test_nerve_refuses_a_negative_dimension_cap(tmp_path, capsys, cap):
+    """Three members through one point span a 2-simplex; a negative cap
+    is refused, not read as no cap."""
+    cover = Cover({j: ["p", "q" + j] for j in "abc"})
+    path = _write(tmp_path, "cover.json", formats.cover_to_doc(cover))
+    code, out, err = _run(capsys, ["nerve", path, "--max-dim", cap])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: nerve dimension cap must be >= 0"]
 
 
 def test_average_smears_a_cochain_over_the_swap(tmp_path, capsys):

@@ -24,7 +24,6 @@ from multicomplex.chains import (
     alternate,
     build_full_chain_complex,
     build_reduced_chain_complex,
-    homology,
 )
 from multicomplex.core import (
     InternalInvariantError,
@@ -92,10 +91,8 @@ def test_measure_must_be_a_probability():
         ((0,), 1)]
     mu = FiniteSupportMeasure(Z, [((0,), Fraction(2, 4)), ((1,), 0),
                                   ((2,), sixth), ((3,), sixth), ((2,), sixth)])
-    w = mu.weight((0,))
-    assert (w.numerator, w.denominator) == (1, 2)
-    assert mu.weight((2,)) == third
-    assert mu.weight((1,)) == 0
+    # the least denominator over nonzero numerators
+    assert mu.numerators() == (6, {(0,): 3, (2,): 2, (3,): 1})
     assert len(mu) == 3
     assert measure_from_doc(measure_to_doc(mu)).items() == mu.items()
 
@@ -105,7 +102,7 @@ def test_delta_convolution_translates():
     a = _z_action(pts)
     f = SparseFunction({0: Fraction(2), 1: Fraction(-1)})
     g = convolve(delta_measure(Z, (1,)), f, a)
-    assert g.value(1) == 2 and g.value(2) == -1
+    assert g.numerators() == (1, {1: 2, 2: -1})
     assert g.l1_norm() == f.l1_norm()
     e = convolve(delta_measure(Z, Z.identity), f, a)
     assert e == f
@@ -234,16 +231,13 @@ def _two_block_action():
 
 
 def test_validate_action_on_set_accepts_block_structure():
-    report = validate_action_on_set(_two_block_action())
-    assert not report.problems
-    assert any("enumerated range" in n for n in report.notes)
+    assert validate_action_on_set(_two_block_action()) == []
 
 
 def test_validate_action_on_set_catches_identity_failures():
     bad = ActionOnSet(Z, [0, 1, 2], lambda g, x: (x + g[0]) % 3 if g != (0,)
                       else (x + 1) % 3)
-    report = validate_action_on_set(bad)
-    assert any("identity" in p for p in report.problems)
+    assert any("identity" in p for p in validate_action_on_set(bad))
 
 
 def test_blocks_must_partition():
@@ -253,8 +247,8 @@ def test_blocks_must_partition():
     b2 = OrbitBlock([1, 2], c2, lambda g, x: x if g == "r0" else 3 - x,
                     horizon=1)
     a = ActionOnSet(None, [0, 1, 2], None, blocks=[b1, b2])
-    report = validate_action_on_set(a)
-    assert any("partition" in p or "overlap" in p for p in report.problems)
+    assert any("partition" in p or "overlap" in p
+               for p in validate_action_on_set(a))
 
 
 def test_validate_action_on_set_names_each_block_problem():
@@ -279,7 +273,7 @@ def test_validate_action_on_set_names_each_block_problem():
                    horizon=3),
     ]
     a = ActionOnSet(None, [0, 1, 10, 11, 20, 21], None, blocks=blocks)
-    assert list(validate_action_on_set(a).problems) == [
+    assert validate_action_on_set(a) == [
         "block 0: composition fails at ('r1', 'r1', 10)",
         "subgroup of block 0 moves 10 out of block 1",
         "block 2: composition fails at ((3,), (3,), 11)",
@@ -348,7 +342,7 @@ def test_toy_vanish_certificate_matches_the_old_averaging_loop(terms):
                             for (sid, vs), v in terms.items()})
     out, cert = toy_vanish(mc, a, z, Fraction(1, 100))
     c = alternate(z)
-    bounding = homology(build_full_chain_complex(mc), RING_RAT) \
+    bounding = HomologyResult(build_full_chain_complex(mc), RING_RAT) \
         .is_boundary(c - z)
     assert (out, cert.bounding_chain) == reference.toy_vanish_average(
         a, c, bounding, cert.witnesses)
@@ -404,7 +398,7 @@ def test_toy_vanish_rejects_the_orbit_the_old_orbit_sums_name(fixture,
     make_mc, make_action = fixture
     mc, a = make_mc(), make_action()
     cc = build_full_chain_complex(mc)
-    hom = homology(cc, RING_RAT)
+    hom = HomologyResult(cc, RING_RAT)
     cycles = hom.generators(1) + [cc.boundary_of(Chain(2, RING_RAT, {b: 1}))
                                   for b in cc.basis(2)]
     z = Chain(1, RING_RAT)
@@ -467,8 +461,9 @@ def test_sparse_function_matches_the_fraction_reference(values, other,
     f, ref = SparseFunction(values), reference.SparseFunction(values)
     g, gref = SparseFunction(other), reference.SparseFunction(other)
     _check_against(f, ref)
+    den, num = f.numerators()
     for x in _POINTS:
-        assert type(f.value(x)) is Fraction and f.value(x) == ref.value(x)
+        assert Fraction(num.get(x, 0), den) == ref.value(x)
     assert f.l1_norm() == ref.l1_norm()
     assert f.total() == ref.total()
     assert f.sum_over(points) == ref.sum_over(points)
@@ -687,7 +682,7 @@ def test_validate_action_on_set_reads_each_table_at_its_own_points(nblocks):
     calls = []
     for b in a.blocks:
         b.act = _counted(b.act, calls)
-    assert validate_action_on_set(a).ok
+    assert validate_action_on_set(a) == []
     # each element on each point of its block, twice over: the checks
     # of a block grow with the block, not with the whole set
     assert len(calls) <= 2 * sum(len(b.group) * len(b.points)
@@ -708,7 +703,7 @@ def test_blocks_with_equal_group_documents_share_one_checked_group(
                              "points": [x for b in blocks
                                         for x in b["points"]]})
     assert len({id(b.group) for b in a.blocks}) == len(sizes) < len(blocks)
-    assert validate_action_on_set(a).ok
+    assert validate_action_on_set(a) == []
     # one table check and one generating set per group object
     assert len(checked) == 2 * len(sizes)
 
@@ -728,7 +723,7 @@ def test_toy_vanish_solves_once_per_generator_and_once_for_the_alternation(
     out, cert = toy_vanish(a.complex, a, z, Fraction(1, 4))
     assert len(calls) == len(generating_set(a.group)) + 1 == 2
     monkeypatch.undo()
-    hom = homology(build_full_chain_complex(a.complex), RING_RAT)
+    hom = HomologyResult(build_full_chain_complex(a.complex), RING_RAT)
     # the full complex of the cone has 2-cycles, so witnesses are not
     # unique, but here the built ones are those a solve per element finds
     assert hom.structure(2)[0] > 0
@@ -769,9 +764,9 @@ def _suspension_action(k):
 @pytest.mark.parametrize("k,i,j", [(3, 0, 1), (4, 0, 2), (5, 1, 4)])
 def test_toy_vanish_builds_witnesses_that_are_not_unique(k, i, j):
     a = _suspension_action(k)
-    assert validate_action(a).ok
+    assert validate_action(a) == []
     cc = build_full_chain_complex(a.complex)
-    hom = homology(cc, RING_RAT)
+    hom = HomologyResult(cc, RING_RAT)
     z = Chain(1, RING_RAT, {AlgebraicSimplex("e%d" % i, ("x", "y")): 3,
                             AlgebraicSimplex("e%d" % j, ("y", "x")): 3})
     out, cert = toy_vanish(a.complex, a, z, Fraction(1, 100))
@@ -808,10 +803,10 @@ def _klein_on_the_double_edge():
                                   _klein_on_the_double_edge])
 def test_toy_vanish_names_the_element_a_solve_per_element_names(make):
     a = make()
-    assert validate_action(a).ok
+    assert validate_action(a) == []
     z = Chain(1, RING_RAT, {AlgebraicSimplex("north", ("x", "y")): 1,
                             AlgebraicSimplex("south", ("x", "y")): -1})
-    hom = homology(build_full_chain_complex(a.complex), RING_RAT)
+    hom = HomologyResult(build_full_chain_complex(a.complex), RING_RAT)
     with pytest.raises(DiffusionError) as want:
         reference.class_witnesses(a, hom, z)
     with pytest.raises(DiffusionError) as got:
@@ -917,10 +912,9 @@ _TAMPERS = ("not bijective", "into another block", "identity moves",
 
 def _outcome(check, doc):
     try:
-        report = check(set_action_from_doc(doc))
+        return check(set_action_from_doc(doc))
     except Exception as exc:
         return type(exc), str(exc)
-    return report.problems, report.notes
 
 
 @settings(max_examples=300)
@@ -934,7 +928,7 @@ def test_validate_action_on_set_reports_what_checking_every_point_does(
     want = _outcome(reference.validate_action_on_set, doc)
     assert _outcome(validate_action_on_set, doc) == want
     if how is None:
-        assert want[0] == () and want[1]
+        assert want == []
 
 
 @settings(max_examples=30)

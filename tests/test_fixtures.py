@@ -11,8 +11,8 @@ from multicomplex.chains import (
     RING_RAT,
     AlgebraicSimplex,
     Chain,
+    HomologyResult,
     alternate,
-    homology,
     project_chain,
 )
 from multicomplex.fixtures import (
@@ -74,7 +74,7 @@ def test_twisted_reduced_boundary_matrix():
 
 
 def test_twisted_integral_homology():
-    hom = homology(twisted_tetrahedron_reduced(), RING_INT)
+    hom = HomologyResult(twisted_tetrahedron_reduced(), RING_INT)
     assert hom.structure(0) == (1, [])
     assert hom.structure(1) == (0, [4])
     assert hom.structure(2) == (0, [])

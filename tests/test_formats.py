@@ -327,11 +327,11 @@ def test_set_action_from_doc_with_move_tables():
                       "moves": {"r0": {}, "r1": {"p": "q", "q": "p"}}}}
     a = set_action_from_doc(parse_document(canonical_dumps(doc)))
     assert a.points == ("p", "q", "r")
-    assert a.apply("r1", "p") == "q"
-    assert a.apply("r1", "r") == "r"
+    assert a.oracle()("r1", "p") == "q"
+    assert a.oracle()("r1", "r") == "r"
     with pytest.raises(FormatError, match="no move table"):
         doc["action"]["moves"].pop("r1")
-        set_action_from_doc(doc).apply("r1", "p")
+        set_action_from_doc(doc).oracle()("r1", "p")
 
 
 def test_set_action_from_doc_with_translations():
@@ -340,8 +340,8 @@ def test_set_action_from_doc_with_translations():
            "group": group_to_doc(FreeAbelianGroup(1)),
            "action": {"kind": "translation"}}
     a = set_action_from_doc(doc)
-    assert a.apply((1,), "1") == "2"
-    assert a.apply((1,), "spare") == "spare"
+    assert a.oracle()((1,), "1") == "2"
+    assert a.oracle()((1,), "spare") == "spare"
 
 
 def test_a_table_action_names_the_element_it_has_no_moves_for():
@@ -351,9 +351,9 @@ def test_a_table_action_names_the_element_it_has_no_moves_for():
            "action": {"kind": "table",
                       "moves": {"r0": {}, "r1": {"p": "q", "q": "p"}}}}
     a = set_action_from_doc(doc)
-    assert a.apply("r1", "p") == "q"
+    assert a.oracle()("r1", "p") == "q"
     with pytest.raises(FormatError) as exc:
-        a.apply("r2", "p")
+        a.oracle()("r2", "p")
     assert str(exc.value) == "no move table for element 'r2'"
     # the oracle keeps only rows it resolved: after a successful call,
     # every call on a bad element raises afresh with the same message

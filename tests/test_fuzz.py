@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 
 from multicomplex import formats
 from multicomplex.chains import (RING_INT, RING_RAT, AlgebraicSimplex,
-                                 Cochain, build_reduced_chain_complex,
-                                 fundamental_cycle, homology)
+                                 Cochain, HomologyResult,
+                                 build_reduced_chain_complex,
+                                 fundamental_cycle)
 from multicomplex.cli import main
 from multicomplex.covers import Cover
 from multicomplex.core import (Multicomplex, product_with_interval,
@@ -253,7 +254,7 @@ def test_mutated_complexes_decode_as_the_reference(data):
 
 
 def _betti(mc) -> list:
-    hom = homology(build_reduced_chain_complex(mc), RING_RAT)
+    hom = HomologyResult(build_reduced_chain_complex(mc), RING_RAT)
     return [hom.structure(n)[0] for n in range(mc.dimension + 1)]
 
 

@@ -27,8 +27,6 @@ KEPT = {
     "core.compose_maps": "the oracles of ROADMAP item 15 compose maps",
     "formats.measure_from_doc": "parses back what measure_to_doc writes",
     "formats.cover_to_doc": "writes what cover_from_doc parses",
-    "diffusion.FiniteSupportMeasure.weight": "a reader the tests use",
-    "diffusion.ActionOnSet.apply": "a reader the tests use",
 }
 
 
