@@ -197,7 +197,7 @@ def orbits(a: GroupAction, k: int) -> tuple:
     _limit_orderings("the orbits of %d simplex(es)", len(sids), k)
     return _partition(a, (
         AlgebraicSimplex(sid, tup) for sid in sids
-        for tup in permutations(sorted(mc.vertex_set(sid)))))
+        for tup in permutations(mc.sorted_vertices(sid))))
 
 
 def _check_orderings(mc: Multicomplex, keys, degree: int) -> None:
@@ -205,7 +205,7 @@ def _check_orderings(mc: Multicomplex, keys, degree: int) -> None:
     its simplex's vertices."""
     for key in keys:
         if key.simplex not in mc or \
-                sorted(key.vertices) != sorted(mc.vertex_set(key.simplex)):
+                sorted(key.vertices) != list(mc.sorted_vertices(key.simplex)):
             raise UnknownIdError("%s is not a degree-%d basis element"
                                  % (key, degree))
 

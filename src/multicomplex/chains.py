@@ -408,7 +408,7 @@ def _build(mc: Multicomplex, tuples, skip=frozenset()):
                 "the full chain complex of %d simplex(es) in degrees 0..%d "
                 "would list at least %d orderings, over the limit of %d"
                 % (len(listed), top, work, MAX_FULL_ORDERINGS))
-    shape = [(sid, tuple(sorted(mc.vertex_set(sid))), mc.drop_map(sid))
+    shape = [(sid, mc.sorted_vertices(sid), mc.drop_map(sid))
              for sid in listed]
     basis, columns, index = {}, {}, {}
     for n in range(top + 1):
@@ -634,8 +634,7 @@ def fundamental_cycle(mc: Multicomplex, cc: ChainComplex) -> Chain:
     # purity: every maximal simplex must have dimension exactly n
     has_coface = set()
     for sid in mc.simplex_ids:
-        for fid in mc.facets(sid).values():
-            has_coface.add(fid)
+        has_coface.update(mc.drop_map(sid).values())
     for sid in mc.simplex_ids:
         if sid not in has_coface and mc.dimension_of(sid) != n:
             raise NoFundamentalCycleError(

@@ -7,26 +7,41 @@ I_B, compatibly with composition.  Unlike a simplicial complex, I_A may
 hold several simplices over the same vertices; unlike a Delta-complex,
 every simplex has pairwise distinct vertices and no preferred ordering.
 
-Only codimension-one facets are stored; a deeper face is reached by
+Only codimension-one facets are stored, in an index the constructor
+derives once: the simplices are numbered in the order given, and each
+keeps its sorted vertex tuple, its name (those vertices comma-joined,
+which is the text of a facet key) and its facets as simplex numbers by
+the position of the vertex each omits, as in Boissonnat and Maria's
+simplex tree (Algorithmica, 2014).  A deeper face is reached by
 composing facet steps, which the composition axiom makes unambiguous.
-Instances are treated as immutable once built.
+Facet entries whose keys omit no single vertex are kept aside, and the
+simplices with a facet problem are listed, only so that validate() can
+name what is wrong; the facet maps the constructor is given are not
+kept.  Instances are treated as immutable once built.
 
-Multicomplex's constructor is the one place ids are checked and facet
-maps are copied.  The decoder and the builders (skeleton, the product
-with an interval) hand it their own frozensets and dicts; it checks
-simplices and facet targets in C and falls back to a loop over single
-ids only to name the first bad one.
+Multicomplex's constructor is the one place ids are checked and the
+index is derived, from its one input form, (id, vertices, facets keyed
+by vertex set) triples.  The decoder and the builders (skeleton, the
+product with an interval) share one frozenset per vertex set between a
+simplex and the keys that name it, and list each facet map from the
+facet that omits the last vertex, so the constructor reads all the maps
+at once in C.  It sorts a map listed in another order by the vertices of
+its facets, reads a map with any other fault a key at a time, and falls
+back to a loop over single ids only to name the first bad one.
 
-The chain-complex builders, the product with an interval and the check
-of a simplicial map read facets only through drop_map(sid), which raises
-the first problem validate() lists against sid; check_facet_closed
-serves the relative complex.
+drop_map(sid) is a lookup, which raises the first problem validate()
+lists against sid.  The chain-complex builders, the product with an
+interval and the check of a simplicial map read facets only through it;
+check_facet_closed serves the relative complex.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, compress, islice, repeat
+from operator import sub
 
 
 class MulticomplexError(Exception):
@@ -66,13 +81,89 @@ class _Memo(dict):
         return value
 
 
-class _Simplex:
-    __slots__ = ("sid", "vset", "facets")
+_PAIRS = _Memo(lambda k: tuple(combinations(range(k), 2)))
+_FACET_COUNT = _Memo(lambda k: k if k > 1 else 0)  # of k vertices
 
-    def __init__(self, sid: str, vset: frozenset, facets: dict):
-        self.sid = sid
-        self.vset = vset
-        self.facets = facets  # frozenset (one vertex removed) -> simplex id
+
+_is_str = str.__instancecheck__
+_is_dict = dict.__instancecheck__
+
+
+def _checked_simplices(seen, ids, vsets, maps):
+    """The vertex sets and facet maps keyed by frozensets of the given
+    simplices, raising the constructor's error about the first bad one."""
+    number = set()
+    out_vsets, out_maps = [], []
+    for sid, vset, facets in zip(ids, vsets, maps):
+        if not isinstance(sid, str) or not sid:
+            raise UnknownIdError("simplex ids must be nonempty strings")
+        if sid in number:
+            raise UnknownIdError("duplicate simplex id %r" % sid)
+        number.add(sid)
+        vset = frozenset(vset)
+        if not vset <= seen:
+            raise UnknownIdError("simplex %r uses unknown vertex %r"
+                                 % (sid, min(vset - seen, key=str)))
+        facets = dict(facets)
+        if not all(map(_is_frozenset, facets)):
+            facets = {frozenset(b): f for b, f in facets.items()}
+        out_vsets.append(vset)
+        out_maps.append(facets)
+    return out_vsets, out_maps
+
+
+def _sound_faces(vsets, verts, maps, number):
+    """The facet numbers of every simplex by the position of the vertex
+    each omits, when every facet map is exactly the keys of its simplex's
+    vertices less one, each mapped to a simplex over that key; otherwise
+    None.  The maps are read whole, in C: a map sorted by the vertices of
+    its facets lists them from the one that omits the last position."""
+    lens = list(map(len, maps))
+    if not all(verts) or lens != list(map(_FACET_COUNT.__getitem__,
+                                          map(len, verts))):
+        return None
+    try:
+        flat = list(map(number.__getitem__,
+                        chain.from_iterable(map(dict.values, maps))))
+    except (KeyError, TypeError):
+        return None
+    if list(chain.from_iterable(maps)) != list(map(vsets.__getitem__, flat)):
+        return None
+    faced = list(compress(verts, lens))
+    expected = list(chain.from_iterable(map(
+        combinations, faced, map(sub, map(len, faced), repeat(1)))))
+    verts_of = verts.__getitem__
+    if list(map(verts_of, flat)) != expected:
+        it = iter(flat)
+        flat = list(chain.from_iterable(
+            [sorted(islice(it, n), key=verts_of) for n in lens]))
+        if list(map(verts_of, flat)) != expected:
+            return None
+    faces = list(map(tuple, map(islice, repeat(reversed(flat)),
+                                reversed(lens))))
+    faces.reverse()
+    return faces
+
+
+def _facet_positions(sid, vset, vs, facets, number):
+    """(slots, odd): the facet numbers of a simplex by the position of
+    the vertex each key omits, None where none does, and the entries
+    whose keys omit no single vertex.  Raises the first facet id that
+    names no simplex."""
+    k = len(vs)
+    slots = [None] * k if k > 1 else []
+    odd = {}
+    for b, fid in facets.items():
+        f = number.get(fid)
+        if f is None:
+            raise UnknownIdError("simplex %r names unknown facet %r over %s"
+                                 % (sid, fid, _fmt_vset(b)))
+        rest = vset - b
+        if k > 1 and len(rest) == 1 and len(b) == k - 1:
+            slots[vs.index(*rest)] = f
+        else:
+            odd[b] = f
+    return tuple(slots), odd
 
 
 class Multicomplex:
@@ -81,8 +172,8 @@ class Multicomplex:
     simplices is an iterable of (id, vertices, facets) triples, where
     facets maps each subset of the vertices with one vertex removed to the
     id of the chosen facet simplex.  Referential integrity is enforced
-    here; the remaining axioms are checked by validate().  Each facet map
-    is copied once, here, so callers need not copy their own.
+    here; the remaining axioms are checked by validate().  The facet maps
+    are read into the index once, here, and not kept.
     """
 
     def __init__(self, vertices, simplices):
@@ -98,32 +189,46 @@ class Multicomplex:
             if v in seen:
                 raise UnknownIdError("duplicate vertex id %r" % v)
             seen.add(v)
-        table: dict[str, _Simplex] = {}
-        by_vset: dict[frozenset, list[str]] = {}
+        ids, vsets, maps = [], [], []
+        add_id, add_vset, add_map = ids.append, vsets.append, maps.append
         for sid, vset, facets in simplices:
-            if not isinstance(sid, str) or not sid:
-                raise UnknownIdError("simplex ids must be nonempty strings")
-            if sid in table:
-                raise UnknownIdError("duplicate simplex id %r" % sid)
-            vset = frozenset(vset)
-            if not vset <= seen:
-                raise UnknownIdError("simplex %r uses unknown vertex %r"
-                                     % (sid, min(vset - seen, key=str)))
-            copy = dict(facets)
-            if not all(map(_is_frozenset, copy)):
-                copy = {frozenset(b): f for b, f in copy.items()}
-            table[sid] = _Simplex(sid, vset, copy)
-            by_vset.setdefault(vset, []).append(sid)
-        for s in table.values():
-            if not all(map(table.__contains__, s.facets.values())):
-                for b, fid in s.facets.items():
-                    if fid not in table:
-                        raise UnknownIdError(
-                            "simplex %r names unknown facet %r over %s"
-                            % (s.sid, fid, _fmt_vset(b)))
+            add_id(sid)
+            add_vset(vset)
+            add_map(facets)
+        try:
+            number = dict(zip(ids, range(len(ids))))
+            vsets = list(map(frozenset, vsets))
+            checked = (len(number) == len(ids) and all(map(_is_str, ids))
+                       and all(ids) and all(map(seen.issuperset, vsets))
+                       and all(map(_is_dict, maps)))
+        except TypeError:
+            checked = False
+        if not checked:
+            vsets, maps = _checked_simplices(seen, ids, vsets, maps)
+            number = dict(zip(ids, range(len(ids))))
+        verts = list(map(tuple, map(sorted, vsets)))
+        faces = _sound_faces(vsets, verts, maps, number)
         self._vertex_ids = seen
-        self._simplices = table
-        self._by_vset = by_vset
+        self._ids = tuple(ids)
+        self._number = number
+        self._verts = verts    # sorted vertex tuple
+        self._names = list(map(",".join, verts))  # the text of a facet key
+        self._faces = faces    # facet numbers by omitted position, or None
+        self._aside = {}       # number -> {other key: facet number}
+        self._unsound = set()  # numbers with a facet problem
+        if faces is None:
+            # a map of another kind, keyed other than by frozensets or
+            # with a facet fault: convert each, then read it key by key
+            vsets, maps = _checked_simplices(seen, ids, vsets, maps)
+            self._faces = []
+            for n, facets in enumerate(maps):
+                slots, odd = _facet_positions(ids[n], vsets[n], verts[n],
+                                              facets, number)
+                self._faces.append(slots)
+                if odd:
+                    self._aside[n] = odd
+            self._unsound = {n for n in range(len(ids))
+                             if self._facet_problems(n)}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -133,55 +238,77 @@ class Multicomplex:
 
     @property
     def simplex_ids(self) -> tuple:
-        return tuple(self._simplices)
+        return self._ids
 
     def __contains__(self, sid: str) -> bool:
-        return sid in self._simplices
+        return sid in self._number
 
-    def _get(self, sid: str) -> _Simplex:
+    def _get(self, sid: str) -> int:
         try:
-            return self._simplices[sid]
+            return self._number[sid]
         except KeyError:
             raise UnknownIdError("unknown simplex id %r" % sid) from None
 
     def vertex_set(self, sid: str) -> frozenset:
-        return self._get(sid).vset
+        return frozenset(self._verts[self._get(sid)])
+
+    def sorted_vertices(self, sid: str) -> tuple:
+        return self._verts[self._get(sid)]
 
     def facets(self, sid: str) -> dict:
-        return dict(self._get(sid).facets)
+        """{vertex set: facet id} as the constructor was given it, from
+        the facet that omits the last vertex, as the constructor reads
+        them fastest."""
+        n = self._get(sid)
+        vs, slots, ids = self._verts[n], self._faces[n], self._ids
+        keys = map(frozenset, combinations(vs, len(vs) - 1)) if slots else ()
+        out = {b: ids[f] for b, f in zip(keys, reversed(slots))
+               if f is not None}
+        for b, f in self._aside.get(n, {}).items():
+            out[b] = ids[f]
+        return out
 
     def dimension_of(self, sid: str) -> int:
-        return len(self._get(sid).vset) - 1
+        return len(self._verts[self._get(sid)]) - 1
 
     @property
     def dimension(self) -> int:
-        return max((len(s.vset) - 1 for s in self._simplices.values()),
-                   default=-1)
+        return max(map(len, self._verts), default=0) - 1
 
     def simplices_of_dimension(self, k: int) -> tuple:
-        return tuple(sid for sid, s in self._simplices.items()
-                     if len(s.vset) == k + 1)
+        return tuple(sid for sid, vs in zip(self._ids, self._verts)
+                     if len(vs) == k + 1)
 
     def simplices_over(self, vset) -> tuple:
         """All simplex ids whose vertex set equals vset."""
-        return tuple(self._by_vset.get(frozenset(vset), ()))
+        vset = frozenset(vset)
+        if not vset <= self._vertex_ids:
+            return ()
+        return self._over.get(",".join(sorted(vset)), ())
+
+    @cached_property
+    def _over(self) -> dict:
+        """{name: the ids of the simplices over it}, read when first
+        asked for."""
+        over = {}
+        for sid, name in zip(self._ids, self._names):
+            over[name] = over.get(name, ()) + (sid,)
+        return over
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multicomplex):
             return NotImplemented
         if set(self._vertices) != set(other._vertices):
             return False
-        if set(self._simplices) != set(other._simplices):
+        if set(self._ids) != set(other._ids):
             return False
-        for sid, s in self._simplices.items():
-            t = other._simplices[sid]
-            if s.vset != t.vset or s.facets != t.facets:
-                return False
-        return True
+        return all(self._verts[n] == other._verts[other._number[sid]]
+                   and self.facets(sid) == other.facets(sid)
+                   for n, sid in enumerate(self._ids))
 
     def __repr__(self) -> str:
         return "Multicomplex(%d vertices, %d simplices, dim %d)" % (
-            len(self._vertices), len(self._simplices), self.dimension)
+            len(self._vertices), len(self._ids), self.dimension)
 
     # -- validation ---------------------------------------------------------
 
@@ -190,47 +317,38 @@ class Multicomplex:
 
         Unresolvable ids are raised from the constructor instead; this
         checks the per-vertex simplex count, facet completeness, facet
-        vertex sets, and two-step composition consistency.  Each facet is
-        read once per simplex, into a map from every vertex to the facet
-        that drops it, which the composition check then reads.
+        vertex sets, and two-step composition consistency.  The
+        constructor found the simplices with a facet problem; the
+        composition check reads the facets of the others by position:
+        dropping vertex i and then j > i is facet i's facet j - 1, and
+        dropping j first is facet j's facet i.
         """
         problems = []
+        count = Counter(self._names)  # a vertex is the name of its simplex
         for v in self._vertices:
-            n = len(self._by_vset.get(frozenset([v]), ()))
+            n = count[v]
             if n != 1:
                 problems.append(
                     "vertex %r has %d zero-simplices (expected exactly 1)"
                     % (v, n))
-        simplices = self._simplices
-        drops = {}  # sid -> _drop_map, for the simplices with right facets
-        for sid, s in simplices.items():
-            drop = self._drop_map(s)
-            if drop is None:
-                problems.extend(self._facet_problems(s))
-            else:
-                drops[sid] = drop
-        # two-step consistency: dropping {u, w} must not depend on the order;
+        unsound = self._unsound
+        for n in sorted(unsound):
+            problems.extend(self._facet_problems(n))
         # simplices with wrong facets were reported above
-        def step(fid, v):
-            drop = drops.get(fid)
-            if drop is not None:
-                return drop[v]
-            f = simplices[fid]
-            return f.facets.get(f.vset - {v})
-
-        for sid, drop in drops.items():
-            if len(drop) < 3:
+        ids, verts, faces = self._ids, self._verts, self._faces
+        for n, fs in enumerate(faces):
+            if len(fs) < 3 or n in unsound:
                 continue
-            for u, w in combinations(sorted(drop), 2):
-                via_u = step(drop[u], w)
-                via_w = step(drop[w], u)
-                if via_u is None or via_w is None:
-                    continue
-                if via_u != via_w:
+            for i, j in _PAIRS[len(fs)]:
+                via_i = faces[fs[i]][j - 1]
+                via_j = faces[fs[j]][i]
+                if via_i != via_j and via_i is not None \
+                        and via_j is not None:
+                    u, w = verts[n][i], verts[n][j]
                     problems.append(
                         "composition mismatch at %r: dropping %r then %r "
                         "gives %r but dropping %r then %r gives %r"
-                        % (sid, u, w, via_u, w, u, via_w))
+                        % (ids[n], u, w, ids[via_i], w, u, ids[via_j]))
         return problems
 
     def drop_map(self, sid: str) -> dict:
@@ -240,50 +358,53 @@ class Multicomplex:
         against sid: an empty vertex set, or a facet that is missing,
         spurious or spans the wrong vertices.
         """
-        s = self._get(sid)
-        drop = self._drop_map(s)
-        if drop is None:
-            raise StructureError(self._facet_problems(s)[0])
-        return drop
+        n = self._get(sid)
+        if n in self._unsound:
+            raise StructureError(self._facet_problems(n)[0])
+        return dict(zip(self._verts[n],
+                        map(self._ids.__getitem__, self._faces[n])))
 
-    def _drop_map(self, s: _Simplex):
-        """{v: the facet of s over s.vset - {v}} when s has vertices and
-        exactly one facet over each such subset, spanning it; otherwise
-        None."""
-        k = len(s.vset)
-        if not k or len(s.facets) != (k if k > 1 else 0):
-            return None
-        drop = {}
-        for b, fid in s.facets.items():
-            rest = s.vset - b
-            if len(rest) != 1 or len(b) != k - 1 \
-                    or self._simplices[fid].vset != b:
-                return None
-            (v,) = rest
-            drop[v] = fid
-        return drop
+    def records(self):
+        """(id, sorted vertices, {facet key text: facet id}) of every
+        simplex, by dimension and then id.  A facet key is the name of
+        the facet it maps to, unless validate finds a problem there."""
+        ids, names = self._ids, self._names
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        order.sort(key=list(map(len, self._verts)).__getitem__)
+        for n in order:
+            sid = ids[n]
+            if n in self._unsound:
+                facets = {",".join(sorted(b)): fid
+                          for b, fid in self.facets(sid).items()}
+            else:
+                facets = {names[f]: ids[f] for f in self._faces[n]}
+            yield sid, self._verts[n], facets
 
-    def _facet_problems(self, s: _Simplex) -> list[str]:
-        """What validate() lists against the vertices and facets of s, in
-        its order: empty, missing, spurious, then wrong-span facets."""
-        k = len(s.vset)
-        if k == 0:
-            return ["simplex %r has an empty vertex set" % s.sid]
-        expected = {s.vset - {v} for v in s.vset} if k > 1 else set()
-        got = set(s.facets)
+    def _facet_problems(self, n: int) -> list[str]:
+        """What validate() lists against the vertices and facets of
+        simplex n, in its order: empty, missing, spurious, then
+        wrong-span facets, each by the sorted vertices of its key (the
+        key that omits a later position sorts first)."""
+        sid, vs = self._ids[n], self._verts[n]
+        if not vs:
+            return ["simplex %r has an empty vertex set" % sid]
+        slots = self._faces[n]
+        later_first = range(len(slots) - 1, -1, -1)
         problems = [
-            "simplex %r is missing its facet over %s" % (s.sid, _fmt_vset(b))
-            for b in sorted(expected - got, key=sorted)]
+            "simplex %r is missing its facet over %s"
+            % (sid, _fmt_vset(vs[:i] + vs[i + 1:]))
+            for i in later_first if slots[i] is None]
         problems += [
             "simplex %r has a spurious facet entry for %s"
-            % (s.sid, _fmt_vset(b))
-            for b in sorted(got - expected, key=sorted)]
-        for b in sorted(got & expected, key=sorted):
-            span = self._simplices[s.facets[b]].vset
-            if span != b:
+            % (sid, _fmt_vset(b))
+            for b in sorted(self._aside.get(n, ()), key=sorted)]
+        for i in later_first:
+            f = slots[i]
+            if f is not None and self._verts[f] != vs[:i] + vs[i + 1:]:
                 problems.append(
                     "facet of %r over %s is %r, which spans %s instead"
-                    % (s.sid, _fmt_vset(b), s.facets[b], _fmt_vset(span)))
+                    % (sid, _fmt_vset(vs[:i] + vs[i + 1:]), self._ids[f],
+                       _fmt_vset(self._verts[f])))
         return problems
 
     # -- substructures ------------------------------------------------------
@@ -293,7 +414,7 @@ class Multicomplex:
         the least id with a facet outside them and its least such facet."""
         ids = set(ids)
         for sid in sorted(ids):
-            lacking = [fid for fid in self._get(sid).facets.values()
+            lacking = [fid for fid in self.facets(sid).values()
                        if fid not in ids]
             if lacking:
                 raise StructureError(
@@ -301,28 +422,38 @@ class Multicomplex:
                     % (sid, min(lacking)))
 
     def skeleton(self, n: int) -> "Multicomplex":
-        """The n-skeleton: all simplices of dimension at most n."""
+        """The n-skeleton: all simplices of dimension at most n.  Each
+        kept simplex hands the constructor one frozenset, shared as the
+        key of its cofaces, and its facets in the order that omits the
+        last position first, as the constructor reads them fastest."""
         if n < 0:
             raise StructureError("skeleton dimension must be >= 0")
-        triples = [(sid, s.vset, s.facets)
-                   for sid, s in self._simplices.items()
-                   if len(s.vset) - 1 <= n]
+        ids, verts, faces = self._ids, self._verts, self._faces
+        kept = [m for m, vs in enumerate(verts) if len(vs) <= n + 1]
+        vset = dict(zip(kept, map(frozenset, map(verts.__getitem__, kept))))
+        triples = [(ids[m], vset[m],
+                    self.facets(ids[m]) if m in self._unsound else
+                    {vset[f]: ids[f] for f in reversed(faces[m])})
+                   for m in kept]
         return Multicomplex(self._vertices, triples)
 
     def is_simplicial_complex(self) -> bool:
         """True when no vertex set carries more than one simplex."""
-        return all(len(v) <= 1 for v in self._by_vset.values())
+        return len(set(self._names)) == len(self._names)
 
 # ---------------------------------------------------------------------------
 # builders
 
 
 # The most simplices special_sphere and nerve may build.  On one core of
-# a 2-vCPU Intel Xeon under CPython 3.11, document written, `sphere --dim
-# N` (2^(N+1) simplices) took 0.20, 0.29, 0.47, 0.86 and 1.74 s at 30,
-# 47, 85, 165 and 339 MiB peak RSS for N = 10..14, and `nerve` on m
-# members through one point (2^m - 1 faces) 0.20, 0.22, 0.33, 0.54, 1.02
-# and 1.84 s at 23 to 347 MiB for m = 10..15: each step doubles both.
+# a 2-vCPU Intel Xeon under CPython 3.11, with the document written,
+# `sphere --dim N` (2^(N+1) simplices) took 0.16, 0.17, 0.41, 0.52 and
+# 1.29 s in cli.main at 29, 45, 77, 143 and 284 MiB peak RSS for
+# N = 10..14, and `nerve` on m members through one point (2^m - 1 faces)
+# 0.08, 0.11, 0.23, 0.29, 0.69 and 1.20 s at 22 to 305 MiB for
+# m = 10..15: each step still doubles both.  The complex itself holds
+# about 63 B a facet (3.2 MiB for special_sphere(12) under tracemalloc);
+# the peak is the builder's frozenset-keyed triples and the document.
 MAX_SIMPLICES = 2 ** 15
 
 
@@ -341,12 +472,10 @@ def _closed_faces(faces) -> list:
                 subsets.add(frozenset(sub))
     triples = []
     for sub in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        facets = {}
-        if len(sub) > 1:
-            for v in sub:
-                b = sub - {v}
-                facets[b] = ",".join(sorted(b))
-        triples.append((",".join(sorted(sub)), sub, facets))
+        vs = sorted(sub)
+        omit_one = combinations(vs, len(vs) - 1) if len(vs) > 1 else ()
+        triples.append((",".join(vs), sub,
+                        {frozenset(b): ",".join(b) for b in omit_one}))
     return triples
 
 
@@ -409,8 +538,8 @@ class SimplicialMap:
         try:
             known = (vm.keys() <= source._vertex_ids
                      and target._vertex_ids.issuperset(vm.values())
-                     and sm.keys() <= source._simplices.keys()
-                     and all(map(target._simplices.__contains__,
+                     and sm.keys() <= source._number.keys()
+                     and all(map(target._number.__contains__,
                                  sm.values())))
         except TypeError:  # an unhashable image
             known = False
@@ -454,14 +583,14 @@ class SimplicialMap:
             return problems
         # the maps are total: read each source record once
         vm, sm = self.vertex_map, self.simplex_map
-        targets = self.target._simplices
+        target = self.target
         drops = _Memo(self.source.drop_map)
-        target_drops = (drops if self.target is self.source
-                        else _Memo(self.target.drop_map))
-        for sid, s in self.source._simplices.items():
-            fa = self.vertex_image(s.vset)
+        target_drops = (drops if target is self.source
+                        else _Memo(target.drop_map))
+        for sid, vs in zip(self.source._ids, self.source._verts):
+            fa = self.vertex_image(vs)
             tid = sm[sid]
-            tv = targets[tid].vset
+            tv = target.vertex_set(tid)
             if tv != fa:
                 problems.append(
                     "simplex %r maps to %r, which spans %s instead of %s"
@@ -476,7 +605,7 @@ class SimplicialMap:
             if len(fa) == len(drop):
                 image_of = target_drops[tid]
             else:
-                counts = Counter(vm[v] for v in s.vset)
+                counts = Counter(vm[v] for v in vs)
                 image_of = {w: tid if c > 1 else target_drops[tid][w]
                             for w, c in counts.items()}
             for u, fid in drop.items():
@@ -485,7 +614,8 @@ class SimplicialMap:
                     problems.append(
                         "facet square fails at %r over %s: image facet is "
                         "%r but the facet maps to %r"
-                        % (sid, _fmt_vset(s.vset - {u}), got, want))
+                        % (sid, _fmt_vset(v for v in vs if v != u), got,
+                           want))
         return problems
 
     def apply_vertex(self, v: str) -> str:
@@ -543,34 +673,56 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         verts.append(v + "@1")
     triples = []
     vset_of: dict[str, frozenset] = {}
-    facets_of: dict[str, dict] = {}
+    vs_of: dict[str, tuple] = {}      # sorted vertices
+    faces_of: dict[str, list] = {}    # facet ids by omitted position
     made_from: dict[str, str] = {}
 
-    def add(sid, vset: frozenset, facets: dict, source: str):
+    def add(sid, source: str):
         # ids that contain '@' or '^' can name two simplices alike
-        if sid in vset_of:
+        if sid in made_from:
             raise StructureError(
                 "the product names two of its simplices %r, one made from "
                 "%r and one from %r" % (sid, made_from[sid], source))
         made_from[sid] = source
-        vset_of[sid] = vset
-        facets_of[sid] = facets
-        triples.append((sid, vset, facets))
 
-    # caps: two untouched copies of every simplex
-    simplices = mc._simplices
+    def record(sid, vs: tuple, faces: list):
+        # each simplex hands the constructor one frozenset, shared as
+        # the key of its cofaces, and its facets from the one that omits
+        # the last position, as the constructor reads them fastest
+        vs_of[sid] = vs
+        faces_of[sid] = faces
+        triples.append((sid, vset_of[sid],
+                        {vset_of[f]: f for f in reversed(faces)}))
+
+    # caps: two untouched copies of every simplex, whose vertices a
+    # suffix may reorder ("v1" < "v10" but "v10@0" < "v1@0").  A simplex
+    # with a facet problem stops the product at its drop_map below, so
+    # its caps need no facets
+    ids, faces = mc._ids, mc._faces
     for layer in ("@0", "@1"):
-        moved = _Memo(lambda vset: frozenset([v + layer for v in vset]))
-        for sid, s in simplices.items():
-            add(sid + layer, moved[s.vset],
-                {moved[b]: fid + layer for b, fid in s.facets.items()}, sid)
+        caps = []
+        for n, sid in enumerate(ids):
+            vs = mc._verts[n]
+            order = sorted(range(len(vs)), key=lambda i: vs[i] + layer)
+            cid = sid + layer
+            add(cid, sid)
+            vs_of[cid] = vs = tuple([vs[i] + layer for i in order])
+            vset_of[cid] = frozenset(vs)
+            caps.append((cid, vs, [] if n in mc._unsound or not faces[n]
+                         else [ids[faces[n][i]] + layer for i in order]))
+        for cap in caps:
+            record(*cap)
 
     # prisms, one per simplex, built over the prisms of the facets.
     # prism_all[sid] lists every simplex id in the closed prism over sid;
-    # the boundary of the prism is both caps plus the facet prisms.
+    # the boundary of the prism is both caps plus the facet prisms, whose
+    # facets all lie in it.  The cone over b has the apex at its place
+    # among the vertices of b; dropping the apex gives b, and dropping
+    # another vertex the cone over the facet of b that drops it (over a
+    # single vertex, the apex).
     prism_all: dict[str, list[str]] = {}
 
-    order = sorted(simplices, key=lambda s: (len(simplices[s].vset), s))
+    order = sorted(ids, key=lambda s: (len(mc._verts[mc._number[s]]), s))
     taken = set(verts)
     for sid in order:
         # vertex ids may not contain commas, but simplex ids may
@@ -579,22 +731,23 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
             apex += "'"
         taken.add(apex)
         verts.append(apex)
-        tip = frozenset([apex])
-        add(apex, tip, {}, sid)
+        add(apex, sid)
+        tip = vset_of[apex] = frozenset([apex])
+        record(apex, (apex,), [])
         boundary = [sid + "@0", sid + "@1"]
         for fid in mc.drop_map(sid).values():  # each prism built already
             boundary.extend(prism_all[fid])
         boundary = sorted(set(boundary))
         cone_of = {b: sid + "^" + b for b in boundary}
         for b in boundary:
-            cid = cone_of[b]
-            bvs = vset_of[b]
-            facets = {bvs: b}
-            for sub, f in facets_of[b].items():
-                facets[sub | tip] = cone_of[f]
-            if len(bvs) == 1:
-                facets[tip] = apex
-            add(cid, bvs | tip, facets, sid)
+            add(cone_of[b], sid)
+            vset_of[cone_of[b]] = vset_of[b] | tip
+        for b in boundary:
+            vs = vs_of[b]
+            at = bisect_left(vs, apex)
+            below = [cone_of[f] for f in faces_of[b]] or [apex]
+            below.insert(at, b)
+            record(cone_of[b], vs[:at] + (apex,) + vs[at:], below)
         prism_all[sid] = boundary + [apex] + [cone_of[b] for b in boundary]
 
     product = Multicomplex(verts, triples)

@@ -126,9 +126,9 @@ class Coloring:
 def _closed_star(mc: Multicomplex, v: str) -> set:
     star = {v}
     for sid in mc.simplex_ids:
-        vset = mc.vertex_set(sid)
-        if v in vset:
-            star |= vset
+        vs = mc.sorted_vertices(sid)
+        if v in vs:
+            star.update(vs)
     return star
 
 
@@ -184,7 +184,7 @@ class VanishingReport:
 
 def _repeated_pair(mc: Multicomplex, coloring: Coloring, sid: str):
     seen = {}
-    for v in sorted(mc.vertex_set(sid)):
+    for v in mc.sorted_vertices(sid):
         j = coloring.of(v)
         if j in seen:
             return seen[j], v

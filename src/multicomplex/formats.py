@@ -10,10 +10,13 @@ A document produced by a dump function parses back to an equal object,
 and re-dumping parses byte-identically, which is what lets structured
 output be pinned in regression tests.
 
-The multicomplex decoder checks only the JSON types of what it reads.
-It splits each distinct facet key once per document and hands the ids
-to the Multicomplex constructor, which checks them and copies the facet
-maps; the encoder likewise joins each facet vertex set once per call.
+The multicomplex decoder checks only the JSON types of what it reads,
+in C over all the entries, and reads them one at a time only to name
+the first fault.  It splits each distinct vertex list and facet key
+once per document into one frozenset, which a simplex and the keys that
+name it share, and hands the Multicomplex constructor the triples, from
+which it checks the ids and derives its index.  The encoder writes each
+facet key from the stored name of the facet it maps to.
 The writers of chains, cochains, measures and functions share one
 formatter of store numerators, which writes each distinct value once.
 A set-action document decodes each distinct group document once.
@@ -23,12 +26,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import add
+from itertools import chain, repeat
+from operator import add, itemgetter, sub
 
 from .actions import GroupAction
 from .chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
 from .core import (Multicomplex, MulticomplexError, SimplicialMap,
-                   StructureError, _Memo)
+                   StructureError)
 from .covers import Coloring, Cover
 from .diffusion import (MAX_BOX_ATOMS, ActionOnSet, FiniteSupportMeasure,
                         OrbitBlock, SparseFunction)
@@ -157,14 +161,8 @@ def rational_from_str(s) -> Fraction:
 
 
 def multicomplex_to_doc(mc: Multicomplex) -> dict:
-    name = _Memo(lambda vset: ",".join(sorted(vset))).__getitem__
-    simplices = []
-    for sid in sorted(mc.simplex_ids,
-                      key=lambda s: (mc.dimension_of(s), s)):
-        facets = {name(sub): fid for sub, fid in mc.facets(sid).items()}
-        simplices.append({"id": sid,
-                          "vertices": sorted(mc.vertex_set(sid)),
-                          "facets": facets})
+    simplices = [{"id": sid, "vertices": list(vs), "facets": facets}
+                 for sid, vs, facets in mc.records()]
     return {"schema_version": SCHEMA_VERSION,
             "vertices": list(mc.vertices),
             "simplices": simplices}
@@ -172,20 +170,59 @@ def multicomplex_to_doc(mc: Multicomplex) -> dict:
 
 def multicomplex_from_doc(doc: dict) -> Multicomplex:
     vertices = _need(doc, "vertices", list)
-    vset_of = _Memo(lambda name: frozenset(name.split(","))).__getitem__
-    triples = []
-    for entry in _need(doc, "simplices", list):
-        vset = _need(entry, "vertices", list)
-        facets = _need(entry, "facets", dict)
-        try:
-            "".join(vset)
-            "".join(facets.values())
-        except TypeError:
-            raise FormatError(
-                "simplex vertex and facet ids must be strings") from None
-        triples.append((_need(entry, "id"), vset,
-                        {vset_of(key): fid for key, fid in facets.items()}))
-    return Multicomplex(vertices, triples)
+    entries = _need(doc, "simplices", list)
+    fields = _typed_fields(entries)
+    if fields is None:
+        for entry in entries:
+            _check_entry(entry)
+    ids, vlists, maps, texts = fields
+    # a vertex list whose ids hold no comma reads as the key its text
+    # names, so the constructor meets one frozenset per vertex set
+    if list(map(str.count, texts, repeat(","))) != \
+            list(map(sub, map(len, vlists), repeat(1))):
+        texts = ()
+    keys = set(texts).union(chain.from_iterable(maps))
+    vset_of = dict(zip(keys, map(frozenset, map(str.split, keys,
+                                                repeat(",")))))
+    keyed = [{vset_of[key]: fid for key, fid in facets.items()}
+             for facets in maps]
+    return Multicomplex(vertices, zip(
+        ids, list(map(vset_of.__getitem__, texts)) if texts else vlists,
+        keyed))
+
+
+_FIELDS = itemgetter("id", "vertices", "facets")
+_is_dict, _is_list = dict.__instancecheck__, list.__instancecheck__
+
+
+def _typed_fields(entries):
+    """(ids, vertex lists, facet maps, comma-joined vertex lists) of the
+    simplex entries when each is an object with an id, an array of string
+    vertices and an object of string facet ids, checked in C; otherwise
+    None."""
+    try:
+        ids, vlists, maps = zip(*map(_FIELDS, entries)) if entries else \
+            ((), (), ())
+        if not (all(map(_is_list, vlists)) and all(map(_is_dict, maps))):
+            return None
+        "".join(chain.from_iterable(map(dict.values, maps)))
+        return ids, vlists, maps, list(map(",".join, vlists))
+    except (KeyError, TypeError):
+        return None
+
+
+def _check_entry(entry) -> None:
+    """Raise the first fault of one simplex entry, as _typed_fields
+    finds them."""
+    vset = _need(entry, "vertices", list)
+    facets = _need(entry, "facets", dict)
+    try:
+        "".join(vset)
+        "".join(facets.values())
+    except TypeError:
+        raise FormatError(
+            "simplex vertex and facet ids must be strings") from None
+    _need(entry, "id")
 
 
 # ---------------------------------------------------------------------------

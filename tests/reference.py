@@ -25,8 +25,10 @@ complex, with ranks from rational_rank.  It never forms the quotient,
 so the Betti numbers of the program's quotient must equal it.
 
 validate is Multicomplex.validate as it was before each facet was read
-once per simplex: it finds every face by a frozenset difference.  The
-program's validate must return the same problems in the same order.
+once per simplex: it finds every face by a frozenset difference, on
+records it rebuilds from the accessors vertex_set, facets and
+simplices_over.  The program's validate must return the same problems in
+the same order.
 
 map_problems is SimplicialMap.validate without its shared reads: it
 maps every facet's vertex set through a missing-list (vertex_image) and
@@ -80,8 +82,12 @@ Multicomplex constructor as they were before the constructor became the
 one place ids are checked and facet maps copied: the decoder checks
 every id with a generator and copies every facet map, and the
 constructor checks one vertex at a time and copies each facet map
-again.  On any document the program must build an equal complex, or
-raise the same exception with the same message.
+again, into one record per simplex keyed by frozensets.  On any
+document the program must build the same complex, as its vertices,
+simplex_ids, vertex_set, facets and simplices_over read, or raise the
+same exception with the same message.  multicomplex_to_doc is the
+writer as it was on those records: it joins the sorted vertices of each
+facet key.  The program's writer must give the same document.
 
 SparseFunction is diffusion.SparseFunction as it was when it kept one
 reduced Fraction per point.  On any values the program's function must
@@ -122,7 +128,7 @@ from multicomplex import chains
 from multicomplex.chains import (RING_RAT, AlgebraicSimplex, _check_ring,
                                  _coerce)
 from multicomplex.core import (Multicomplex, StructureError, UnknownIdError,
-                               _fmt_vset, _Memo, _Simplex)
+                               _fmt_vset, _Memo)
 from multicomplex.diffusion import (SAMPLE_SEED, ActionOnSet, DiffusionError,
                                     _transporters)
 from multicomplex.exactlp import LPResult, SimplexFailure
@@ -456,7 +462,8 @@ def homology_data(cc, n, ring):
 
 def validate(mc: Multicomplex) -> list[str]:
     """All axiom violations of mc (empty list means valid)."""
-    simplices = mc._simplices
+    simplices = {sid: _Record(sid, mc.vertex_set(sid), mc.facets(sid))
+                 for sid in mc.simplex_ids}
 
     def step(sid, v):
         s = simplices[sid]
@@ -724,13 +731,24 @@ def solve(columns, b, c, basis, max_iterations=None):
     raise SimplexFailure("iteration limit exceeded")
 
 
-class MulticomplexBuilt(Multicomplex):
-    """A Multicomplex built by the constructor's checks as they were."""
+class _Record:
+    __slots__ = ("sid", "vset", "facets")
+
+    def __init__(self, sid: str, vset: frozenset, facets: dict):
+        self.sid = sid
+        self.vset = vset
+        self.facets = facets  # frozenset (one vertex removed) -> simplex id
+
+
+class MulticomplexBuilt:
+    """A multicomplex built by the constructor's checks as they were,
+    kept as one record per simplex with its facet map keyed by
+    frozensets."""
 
     def __init__(self, vertices, simplices):
-        self._vertices = tuple(vertices)
+        self.vertices = tuple(vertices)
         seen = set()
-        for v in self._vertices:
+        for v in self.vertices:
             if not isinstance(v, str) or not v:
                 raise UnknownIdError("vertex ids must be nonempty strings")
             if "," in v:
@@ -740,7 +758,6 @@ class MulticomplexBuilt(Multicomplex):
             if v in seen:
                 raise UnknownIdError("duplicate vertex id %r" % v)
             seen.add(v)
-        self._vertex_ids = seen
         self._simplices = {}
         for sid, vset, facets in simplices:
             if not isinstance(sid, str) or not sid:
@@ -752,7 +769,7 @@ class MulticomplexBuilt(Multicomplex):
                 if v not in seen:
                     raise UnknownIdError(
                         "simplex %r uses unknown vertex %r" % (sid, v))
-            self._simplices[sid] = _Simplex(
+            self._simplices[sid] = _Record(
                 sid, vset, {frozenset(b): f for b, f in facets.items()})
         for s in self._simplices.values():
             for b, fid in s.facets.items():
@@ -764,8 +781,21 @@ class MulticomplexBuilt(Multicomplex):
         for s in self._simplices.values():
             self._by_vset.setdefault(s.vset, []).append(s.sid)
 
+    @property
+    def simplex_ids(self) -> tuple:
+        return tuple(self._simplices)
 
-def multicomplex_from_doc(doc: dict) -> Multicomplex:
+    def vertex_set(self, sid: str) -> frozenset:
+        return self._simplices[sid].vset
+
+    def facets(self, sid: str) -> dict:
+        return dict(self._simplices[sid].facets)
+
+    def simplices_over(self, vset) -> tuple:
+        return tuple(self._by_vset.get(frozenset(vset), ()))
+
+
+def multicomplex_from_doc(doc: dict) -> MulticomplexBuilt:
     vertices = _need(doc, "vertices", list)
     triples = []
     for entry in _need(doc, "simplices", list):
@@ -777,6 +807,20 @@ def multicomplex_from_doc(doc: dict) -> Multicomplex:
                         {frozenset(key.split(",")): fid
                          for key, fid in facets.items()}))
     return MulticomplexBuilt(vertices, triples)
+
+
+def multicomplex_to_doc(mc) -> dict:
+    """The multicomplex writer as it was on frozenset-keyed facet maps:
+    it joins the sorted vertices of every facet key."""
+    simplices = []
+    for sid in sorted(mc.simplex_ids,
+                      key=lambda s: (len(mc.vertex_set(s)), s)):
+        simplices.append({
+            "id": sid, "vertices": sorted(mc.vertex_set(sid)),
+            "facets": {",".join(sorted(b)): fid
+                       for b, fid in mc.facets(sid).items()}})
+    return {"schema_version": SCHEMA_VERSION,
+            "vertices": list(mc.vertices), "simplices": simplices}
 
 
 def group_problems(group) -> list[str]:

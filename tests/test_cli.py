@@ -83,6 +83,41 @@ def test_validate_reports_problems_with_exit_one(tmp_path, capsys):
     assert "INVALID" in err
 
 
+def _triangle_doc(t_facets):
+    """The triangle t over a, b, c, with the facet map of t given."""
+    faces = [(v, [v], {}) for v in "abc"]
+    faces += [(u + w, [u, w], {u: u, w: w}) for u, w in ("ab", "ac", "bc")]
+    faces.append(("t", ["a", "b", "c"], t_facets))
+    return {"schema_version": formats.SCHEMA_VERSION,
+            "vertices": ["a", "b", "c"],
+            "simplices": [{"id": sid, "vertices": vs, "facets": facets}
+                          for sid, vs, facets in faces]}
+
+
+@pytest.mark.parametrize("t_facets, code, problems", [
+    ({"a,b": "ab", "c,a": "ac", "b,c": "bc"}, 0, []),
+    ({"a,b": "ab", "a,c": "ac", "b,c": "bc", "c,b": "bc"}, 0, []),
+    ({"a,b": "ab", "a,c": "ac", "a,a": "bc"}, 1,
+     ["simplex 't' is missing its facet over {b,c}",
+      "simplex 't' has a spurious facet entry for {a}"]),
+    ({"a,b": "ab", "a,c": "ac", "b,c": "bc", "": "a"}, 1,
+     ["simplex 't' has a spurious facet entry for {}"]),
+    ({"a,b": "ab", "a,c": "ac", "b,z": "bc"}, 1,
+     ["simplex 't' is missing its facet over {b,c}",
+      "simplex 't' has a spurious facet entry for {b,z}"]),
+], ids=["unsorted-key", "both-orders", "repeated-vertex", "empty-key",
+        "unknown-vertex"])
+def test_validate_reads_a_facet_key_as_the_set_it_names(tmp_path, capsys,
+                                                        t_facets, code,
+                                                        problems):
+    """A facet key names the set of its comma-separated pieces: their
+    order and repeats do not matter, and a key that names no set of the
+    simplex's vertices less one is spurious."""
+    path = _write(tmp_path, "mc.json", _triangle_doc(t_facets))
+    got, doc, err = _run_json(capsys, ["validate", path])
+    assert (got, doc["problems"]) == (code, problems)
+
+
 def test_unreadable_input_exits_two(tmp_path, capsys):
     code, out, err = _run(capsys, ["validate", str(tmp_path / "absent.json")])
     assert code == 2

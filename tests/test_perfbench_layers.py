@@ -73,6 +73,16 @@ def test_the_tracer_counts_the_writer_validate_and_product(tmp_path,
         assert counts[name] > 0, name
 
 
+def test_the_tracer_counts_every_complex_a_skeleton_builds(tmp_path,
+                                                           capsys):
+    """validate decodes the triangle's 6 simplices; skeleton decodes them
+    again and builds its 3 vertices through the constructor too."""
+    counts = _traced(tmp_path, capsys, [["validate"],
+                                        ["skeleton", "--dim", "0"]])
+    assert counts["core.simplices_built"] == 6 + 6 + 3
+    assert counts["core.Multicomplex.calls"] == 3
+
+
 def test_the_tracer_counts_the_readers_of_a_volume_job(tmp_path, capsys):
     counts = _traced(tmp_path, capsys, [["volume"]])
     for name in ("chains.fundamental_cycle.calls",
