@@ -21,13 +21,14 @@ kept.  Instances are treated as immutable once built.
 
 Multicomplex's constructor is the one place ids are checked and the
 index is derived, from its one input form, (id, vertices, facets keyed
-by vertex set) triples.  The decoder and the builders (skeleton, the
-product with an interval) share one frozenset per vertex set between a
-simplex and the keys that name it, and list each facet map from the
-facet that omits the last vertex, so the constructor reads all the maps
-at once in C.  It sorts a map listed in another order by the vertices of
-its facets, reads a map with any other fault a key at a time, and falls
-back to a loop over single ids only to name the first bad one.
+by vertex set) triples.  It reads the facet maps one of two ways.  When
+the ids check out and every map lists the frozensets of its simplex's
+vertices less one, from the one that omits the last vertex, each naming
+a simplex over its key, all the maps are read at once in C.  The
+builders list them so, and so does a canonical document (see formats).
+Every other listing is read key by key: another order, keys that are
+not frozensets, maps that are not dicts, or a fault, whose first bad id
+it names.
 
 drop_map(sid) is a lookup, which raises the first problem validate()
 lists against sid.  The chain-complex builders, the product with an
@@ -64,9 +65,6 @@ def _fmt_vset(vset) -> str:
     return "{" + ",".join(sorted(vset)) + "}"
 
 
-_is_frozenset = frozenset.__instancecheck__
-
-
 class _Memo(dict):
     """fn(key) for every key looked up, computed once per key."""
 
@@ -89,35 +87,12 @@ _is_str = str.__instancecheck__
 _is_dict = dict.__instancecheck__
 
 
-def _checked_simplices(seen, ids, vsets, maps):
-    """The vertex sets and facet maps keyed by frozensets of the given
-    simplices, raising the constructor's error about the first bad one."""
-    number = set()
-    out_vsets, out_maps = [], []
-    for sid, vset, facets in zip(ids, vsets, maps):
-        if not isinstance(sid, str) or not sid:
-            raise UnknownIdError("simplex ids must be nonempty strings")
-        if sid in number:
-            raise UnknownIdError("duplicate simplex id %r" % sid)
-        number.add(sid)
-        vset = frozenset(vset)
-        if not vset <= seen:
-            raise UnknownIdError("simplex %r uses unknown vertex %r"
-                                 % (sid, min(vset - seen, key=str)))
-        facets = dict(facets)
-        if not all(map(_is_frozenset, facets)):
-            facets = {frozenset(b): f for b, f in facets.items()}
-        out_vsets.append(vset)
-        out_maps.append(facets)
-    return out_vsets, out_maps
-
-
 def _sound_faces(vsets, verts, maps, number):
     """The facet numbers of every simplex by the position of the vertex
-    each omits, when every facet map is exactly the keys of its simplex's
-    vertices less one, each mapped to a simplex over that key; otherwise
-    None.  The maps are read whole, in C: a map sorted by the vertices of
-    its facets lists them from the one that omits the last position."""
+    each omits, read whole, in C, when every facet map lists exactly the
+    keys of its simplex's vertices less one, from the one that omits the
+    last vertex, each mapped to a simplex over that key; otherwise None,
+    and the constructor reads the maps key by key."""
     lens = list(map(len, maps))
     if not all(verts) or lens != list(map(_FACET_COUNT.__getitem__,
                                           map(len, verts))):
@@ -132,38 +107,12 @@ def _sound_faces(vsets, verts, maps, number):
     faced = list(compress(verts, lens))
     expected = list(chain.from_iterable(map(
         combinations, faced, map(sub, map(len, faced), repeat(1)))))
-    verts_of = verts.__getitem__
-    if list(map(verts_of, flat)) != expected:
-        it = iter(flat)
-        flat = list(chain.from_iterable(
-            [sorted(islice(it, n), key=verts_of) for n in lens]))
-        if list(map(verts_of, flat)) != expected:
-            return None
+    if list(map(verts.__getitem__, flat)) != expected:
+        return None
     faces = list(map(tuple, map(islice, repeat(reversed(flat)),
                                 reversed(lens))))
     faces.reverse()
     return faces
-
-
-def _facet_positions(sid, vset, vs, facets, number):
-    """(slots, odd): the facet numbers of a simplex by the position of
-    the vertex each key omits, None where none does, and the entries
-    whose keys omit no single vertex.  Raises the first facet id that
-    names no simplex."""
-    k = len(vs)
-    slots = [None] * k if k > 1 else []
-    odd = {}
-    for b, fid in facets.items():
-        f = number.get(fid)
-        if f is None:
-            raise UnknownIdError("simplex %r names unknown facet %r over %s"
-                                 % (sid, fid, _fmt_vset(b)))
-        rest = vset - b
-        if k > 1 and len(rest) == 1 and len(b) == k - 1:
-            slots[vs.index(*rest)] = f
-        else:
-            odd[b] = f
-    return tuple(slots), odd
 
 
 class Multicomplex:
@@ -195,6 +144,10 @@ class Multicomplex:
             add_id(sid)
             add_vset(vset)
             add_map(facets)
+        self._vertex_ids = seen
+        self._ids = tuple(ids)
+        self._aside = {}       # number -> {other key: facet number}
+        self._unsound = set()  # numbers with a facet problem
         try:
             number = dict(zip(ids, range(len(ids))))
             vsets = list(map(frozenset, vsets))
@@ -203,32 +156,55 @@ class Multicomplex:
                        and all(map(_is_dict, maps)))
         except TypeError:
             checked = False
-        if not checked:
-            vsets, maps = _checked_simplices(seen, ids, vsets, maps)
-            number = dict(zip(ids, range(len(ids))))
-        verts = list(map(tuple, map(sorted, vsets)))
-        faces = _sound_faces(vsets, verts, maps, number)
-        self._vertex_ids = seen
-        self._ids = tuple(ids)
+        if checked:
+            self._number = number
+            self._verts = list(map(tuple, map(sorted, vsets)))  # sorted
+            # facet numbers by the position of the vertex each omits
+            self._faces = _sound_faces(vsets, self._verts, maps, number)
+        if not checked or self._faces is None:
+            self._read_by_key(vsets, maps)
+        self._names = list(map(",".join, self._verts))  # facet key texts
+
+    def _read_by_key(self, vsets, maps) -> None:
+        """Read the simplices a key at a time: check the ids in order,
+        raising the error about the first bad one, key each facet map by
+        frozensets, place each facet by the position of the vertex it
+        omits, keep the other entries aside and mark the simplices with a
+        facet problem."""
+        seen, ids = self._vertex_ids, self._ids
+        number, keyed = {}, []
+        for sid, vset, facets in zip(ids, vsets, maps):
+            if not isinstance(sid, str) or not sid:
+                raise UnknownIdError("simplex ids must be nonempty strings")
+            if sid in number:
+                raise UnknownIdError("duplicate simplex id %r" % sid)
+            number[sid] = len(number)
+            vset = frozenset(vset)
+            if not vset <= seen:
+                raise UnknownIdError("simplex %r uses unknown vertex %r"
+                                     % (sid, min(vset - seen, key=str)))
+            keyed.append((vset, {frozenset(b): fid
+                                 for b, fid in dict(facets).items()}))
         self._number = number
-        self._verts = verts    # sorted vertex tuple
-        self._names = list(map(",".join, verts))  # the text of a facet key
-        self._faces = faces    # facet numbers by omitted position, or None
-        self._aside = {}       # number -> {other key: facet number}
-        self._unsound = set()  # numbers with a facet problem
-        if faces is None:
-            # a map of another kind, keyed other than by frozensets or
-            # with a facet fault: convert each, then read it key by key
-            vsets, maps = _checked_simplices(seen, ids, vsets, maps)
-            self._faces = []
-            for n, facets in enumerate(maps):
-                slots, odd = _facet_positions(ids[n], vsets[n], verts[n],
-                                              facets, number)
-                self._faces.append(slots)
-                if odd:
-                    self._aside[n] = odd
-            self._unsound = {n for n in range(len(ids))
-                             if self._facet_problems(n)}
+        self._verts = verts = [tuple(sorted(vset)) for vset, _ in keyed]
+        self._faces = []
+        for n, (vset, facets) in enumerate(keyed):
+            vs = verts[n]
+            k = len(vs)
+            slots = [None] * k if k > 1 else []
+            for b, fid in facets.items():
+                f = number.get(fid)
+                if f is None:
+                    raise UnknownIdError(
+                        "simplex %r names unknown facet %r over %s"
+                        % (ids[n], fid, _fmt_vset(b)))
+                rest = vset - b
+                if k > 1 and len(rest) == 1 and len(b) == k - 1:
+                    slots[vs.index(*rest)] = f
+                else:
+                    self._aside.setdefault(n, {})[b] = f
+            self._faces.append(tuple(slots))
+        self._unsound = set(filter(self._facet_problems, range(len(ids))))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -256,9 +232,9 @@ class Multicomplex:
         return self._verts[self._get(sid)]
 
     def facets(self, sid: str) -> dict:
-        """{vertex set: facet id} as the constructor was given it, from
-        the facet that omits the last vertex, as the constructor reads
-        them fastest."""
+        """{vertex set: facet id} as the constructor read it, from the
+        facet that omits the last vertex, the listing it reads in C, and
+        then the entries kept aside."""
         n = self._get(sid)
         vs, slots, ids = self._verts[n], self._faces[n], self._ids
         keys = map(frozenset, combinations(vs, len(vs) - 1)) if slots else ()
@@ -423,9 +399,9 @@ class Multicomplex:
 
     def skeleton(self, n: int) -> "Multicomplex":
         """The n-skeleton: all simplices of dimension at most n.  Each
-        kept simplex hands the constructor one frozenset, shared as the
-        key of its cofaces, and its facets in the order that omits the
-        last position first, as the constructor reads them fastest."""
+        kept simplex lists its facets from the one that omits the last
+        vertex, which the constructor reads in C, unless it has a facet
+        problem, when its map is read key by key."""
         if n < 0:
             raise StructureError("skeleton dimension must be >= 0")
         ids, verts, faces = self._ids, self._verts, self._faces
@@ -686,9 +662,8 @@ def product_with_interval(mc: Multicomplex) -> ProductWithInterval:
         made_from[sid] = source
 
     def record(sid, vs: tuple, faces: list):
-        # each simplex hands the constructor one frozenset, shared as
-        # the key of its cofaces, and its facets from the one that omits
-        # the last position, as the constructor reads them fastest
+        # each simplex lists its facets from the one that omits the last
+        # vertex, which the constructor reads in C
         vs_of[sid] = vs
         faces_of[sid] = faces
         triples.append((sid, vset_of[sid],

@@ -12,11 +12,13 @@ output be pinned in regression tests.
 
 The multicomplex decoder checks only the JSON types of what it reads,
 in C over all the entries, and reads them one at a time only to name
-the first fault.  It splits each distinct vertex list and facet key
-once per document into one frozenset, which a simplex and the keys that
-name it share, and hands the Multicomplex constructor the triples, from
-which it checks the ids and derives its index.  The encoder writes each
-facet key from the stored name of the facet it maps to.
+the first fault.  It splits each distinct facet key once per document
+into a frozenset and hands the Multicomplex constructor the triples.
+The constructor reads in C the maps listed from the facet that omits
+the last vertex, which is how a canonical document lists them unless a
+vertex id extends another by a character that sorts before the comma,
+and every other listing key by key.  The encoder writes each facet key
+from the stored name of the facet it maps to.
 The writers of chains, cochains, measures and functions share one
 formatter of store numerators, which writes each distinct value once.
 A set-action document decodes each distinct group document once.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 
 from .actions import GroupAction
 from .chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
@@ -175,20 +177,13 @@ def multicomplex_from_doc(doc: dict) -> Multicomplex:
     if fields is None:
         for entry in entries:
             _check_entry(entry)
-    ids, vlists, maps, texts = fields
-    # a vertex list whose ids hold no comma reads as the key its text
-    # names, so the constructor meets one frozenset per vertex set
-    if list(map(str.count, texts, repeat(","))) != \
-            list(map(sub, map(len, vlists), repeat(1))):
-        texts = ()
-    keys = set(texts).union(chain.from_iterable(maps))
+    ids, vlists, maps = fields
+    keys = set(chain.from_iterable(maps))
     vset_of = dict(zip(keys, map(frozenset, map(str.split, keys,
                                                 repeat(",")))))
     keyed = [{vset_of[key]: fid for key, fid in facets.items()}
              for facets in maps]
-    return Multicomplex(vertices, zip(
-        ids, list(map(vset_of.__getitem__, texts)) if texts else vlists,
-        keyed))
+    return Multicomplex(vertices, zip(ids, vlists, keyed))
 
 
 _FIELDS = itemgetter("id", "vertices", "facets")
@@ -196,17 +191,17 @@ _is_dict, _is_list = dict.__instancecheck__, list.__instancecheck__
 
 
 def _typed_fields(entries):
-    """(ids, vertex lists, facet maps, comma-joined vertex lists) of the
-    simplex entries when each is an object with an id, an array of string
-    vertices and an object of string facet ids, checked in C; otherwise
-    None."""
+    """(ids, vertex lists, facet maps) of the simplex entries when each
+    is an object with an id, an array of string vertices and an object of
+    string facet ids, checked in C; otherwise None."""
     try:
         ids, vlists, maps = zip(*map(_FIELDS, entries)) if entries else \
             ((), (), ())
         if not (all(map(_is_list, vlists)) and all(map(_is_dict, maps))):
             return None
-        "".join(chain.from_iterable(map(dict.values, maps)))
-        return ids, vlists, maps, list(map(",".join, vlists))
+        "".join(chain.from_iterable(chain(vlists,
+                                          map(dict.values, maps))))
+        return ids, vlists, maps
     except (KeyError, TypeError):
         return None
 

@@ -118,6 +118,21 @@ def test_validate_reads_a_facet_key_as_the_set_it_names(tmp_path, capsys,
     assert (got, doc["problems"]) == (code, problems)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vertices", [1, "b"]),
+    ("vertices", [["a"], "b"]),
+    ("facets", {"a": "a", "b": 3}),
+], ids=["number-vertex", "list-vertex", "number-facet"])
+def test_validate_refuses_ids_that_are_not_strings(tmp_path, capsys, field,
+                                                   value):
+    doc = _triangle_doc({"a,b": "ab", "a,c": "ac", "b,c": "bc"})
+    edge = next(s for s in doc["simplices"] if s["id"] == "ab")
+    edge[field] = value
+    path = _write(tmp_path, "mc.json", doc)
+    assert _run(capsys, ["validate", path]) == (
+        2, "", "error: simplex vertex and facet ids must be strings\n")
+
+
 def test_unreadable_input_exits_two(tmp_path, capsys):
     code, out, err = _run(capsys, ["validate", str(tmp_path / "absent.json")])
     assert code == 2

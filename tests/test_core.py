@@ -245,6 +245,74 @@ def test_builders_read_facets_as_validate_does(seed):
             assert firsts == []
 
 
+def _with_fault(rng: random.Random, triples: list, fault: str) -> list:
+    """triples with one facet entry of one simplex dropped, added under a
+    key that omits no single vertex, pointed at a simplex over other
+    vertices, or pointed at an id that names no simplex."""
+    triples = [(sid, vset, dict(facets)) for sid, vset, facets in triples]
+    sid, vset, facets = rng.choice([t for t in triples if t[2]])
+    key = rng.choice(sorted(facets, key=sorted))
+    if fault == "dropped":
+        del facets[key]
+    elif fault == "spurious":
+        spans = [t[1] for t in triples if len(t[1]) != len(vset) - 1]
+        facets[rng.choice(spans)] = rng.choice(triples)[0]
+    elif fault == "wrong-span":
+        facets[key] = rng.choice([t[0] for t in triples if t[1] != key])
+    else:
+        facets[key] = "nowhere"
+    return triples
+
+
+def _read_back(verts, triples):
+    """The records, problems and drop maps (or the first problem of each)
+    of the complex the triples give, or the text of its UnknownIdError."""
+    try:
+        mc = Multicomplex(verts, triples)
+    except UnknownIdError as exc:
+        return str(exc)
+    drops = []
+    for sid in mc.simplex_ids:
+        try:
+            drops.append(mc.drop_map(sid))
+        except StructureError as exc:
+            drops.append(str(exc))
+    return list(mc.records()), mc.validate(), drops
+
+
+@pytest.mark.parametrize("fault", [None, "dropped", "spurious", "wrong-span",
+                                   "unknown-id"])
+@given(st.integers(0, 10**6))
+def test_a_facet_map_reads_alike_however_it_is_listed(fault, seed):
+    """The constructor reads a facet map the same whether it is listed
+    from the facet that omits the last vertex, reversed, shuffled, keyed
+    by sorted tuples or given as a list of pairs, with or without a
+    fault."""
+    rng = random.Random(seed)
+    mc = random_multicomplex(rng)
+    triples = [(sid, mc.vertex_set(sid), mc.facets(sid))
+               for sid in mc.simplex_ids]
+    if fault:
+        triples = _with_fault(rng, triples, fault)
+
+    def shuffled(facets):
+        items = list(facets.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    listings = [dict, lambda f: dict(reversed(f.items())), shuffled,
+                lambda f: {tuple(sorted(b)): fid for b, fid in f.items()},
+                lambda f: list(f.items())]
+    outcomes = [_read_back(mc.vertices, [(sid, vset, listing(facets))
+                                         for sid, vset, facets in triples])
+                for listing in listings]
+    assert outcomes[1:] == outcomes[:1] * 4
+    if fault == "unknown-id":
+        assert "names unknown facet 'nowhere'" in outcomes[0]
+    else:
+        assert (outcomes[0][1] == []) == (fault is None)
+
+
 _HASH_ORDER_CASES = """
 from multicomplex.actions import action_from_vertex_maps
 from multicomplex.chains import RING_RAT, Cochain, build_relative_complex
