@@ -546,6 +546,12 @@ class HomologyResult:
     generators alone, which form a Q-basis.  Generators are returned as
     chains over the ring.  is_boundary returns an explicit bounding
     chain when one exists, which one boundary checks.
+
+    A factorization builds only the factors its caller reads (see
+    intlinalg.SmithForm).  structure and generators read V and Vinv of
+    the boundary from degree n, and then Uinv alone of a second Smith
+    form, of the image in cycle coordinates, through its cokernel.
+    is_boundary reads U and V of the boundary into the chain's degree.
     """
 
     def __init__(self, cc: ChainComplex, ring):

@@ -67,7 +67,7 @@ def _load_action(args):
     return mc, a
 
 
-def _emit(args, doc: dict, summary: str) -> None:
+def _emit(args, doc, summary: str) -> None:
     if args.output == "structured":
         sys.stdout.write(formats.canonical_dumps(doc))
         print(summary, file=sys.stderr)
@@ -100,7 +100,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_skeleton(args) -> int:
     mc = _load_mc(args.input).skeleton(args.dim)
-    _emit(args, formats.multicomplex_to_doc(mc),
+    _emit(args, mc,
           "%d-skeleton: %d simplices" % (args.dim, len(mc.simplex_ids)))
     return 0
 
@@ -108,7 +108,7 @@ def _cmd_skeleton(args) -> int:
 def _cmd_sphere(args) -> int:
     labels = tuple(args.labels.split(",")) if args.labels else None
     mc = special_sphere(args.dim, labels)
-    _emit(args, formats.multicomplex_to_doc(mc),
+    _emit(args, mc,
           "special %d-sphere: %d simplices" % (args.dim, len(mc.simplex_ids)))
     return 0
 
@@ -116,7 +116,7 @@ def _cmd_sphere(args) -> int:
 def _cmd_product(args) -> int:
     prod = product_with_interval(_load_mc(args.input))
     doc = {"schema_version": formats.SCHEMA_VERSION,
-           "complex": formats.multicomplex_to_doc(prod.complex),
+           "complex": prod.complex,
            "bottom": _map_doc(prod.bottom), "top": _map_doc(prod.top)}
     _emit(args, doc, "product with the interval: %d simplices, dimension %d"
           % (len(prod.complex.simplex_ids), prod.complex.dimension))
@@ -231,7 +231,7 @@ def _cmd_quotient(args) -> int:
     mc, a = _load_action(args)
     q, proj = quotient(a)
     doc = {"schema_version": formats.SCHEMA_VERSION,
-           "complex": formats.multicomplex_to_doc(q),
+           "complex": q,
            "projection": _map_doc(proj)}
     _emit(args, doc, "quotient: %d simplices over %d"
           % (len(q.simplex_ids), len(mc.simplex_ids)))
@@ -313,7 +313,7 @@ def _cmd_nerve(args) -> int:
     cover = formats.cover_from_doc(_load(args.input))
     n = nerve(cover, args.max_dim)
     flags = {str(j): cover.amenable.get(j, False) for j in cover.indices()}
-    _emit(args, formats.multicomplex_to_doc(n),
+    _emit(args, n,
           "nerve: %d vertices, dimension %d; amenable flags: %s"
           % (len(n.vertices), n.dimension, flags))
     return 0

@@ -17,8 +17,14 @@ into a frozenset and hands the Multicomplex constructor the triples.
 The constructor reads in C the maps listed from the facet that omits
 the last vertex, which is how a canonical document lists them unless a
 vertex id extends another by a character that sorts before the comma,
-and every other listing key by key.  The encoder writes each facet key
-from the stored name of the facet it maps to.
+and every other listing key by key.
+canonical_dumps writes a Multicomplex, wherever a document holds one,
+as the text of its multicomplex_to_doc without building that dict: one
+string per record of Multicomplex.records, formatted from one template
+and appended to the output as it is made.  Each facet key is the stored
+name of the facet it maps to.  multicomplex_to_doc stays the dict form
+of a complex, and a document with a non-string key goes to json.dumps,
+which writes a Multicomplex through it.
 The writers of chains, cochains, measures and functions share one
 formatter of store numerators, which writes each distinct value once.
 A set-action document decodes each distinct group document once.
@@ -51,14 +57,16 @@ _string = json.encoder.encode_basestring_ascii
 
 
 def canonical_dumps(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
+    """json.dumps(doc, indent=2, sort_keys=True) plus a newline, where a
+    Multicomplex anywhere in doc stands for its multicomplex_to_doc."""
     out = []
     try:
         _write(doc, "\n", out)
     except TypeError:
         # a non-string key or an object json cannot write: json itself
         # writes the same text or raises its own error
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True,
+                          default=multicomplex_to_doc) + "\n"
     out.append("\n")
     return "".join(out)
 
@@ -99,8 +107,38 @@ def _write(value, newline: str, out: list) -> None:
             _write(item, inner, out)
             lead = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, Multicomplex):
+        _write_complex(value, newline, out)
     else:
         out.append(json.dumps(value))
+
+
+def _write_complex(mc: Multicomplex, newline: str, out: list) -> None:
+    """Append the text _write gives multicomplex_to_doc(mc), one string
+    per simplex record, each formatted from one template."""
+    n1 = newline + "  "  # the document's keys
+    n2 = n1 + "  "  # the simplex entries and the vertices
+    n3 = n2 + "  "  # the keys of an entry
+    n4 = n3 + "  "  # its facets and vertices
+    entry = ("{" + n3 + '"facets": %s,' + n3 + '"id": %s,' + n3
+             + '"vertices": %s' + n2 + "}")
+    sep = "," + n4
+    out.append("{" + n1 + '"schema_version": %d,' % SCHEMA_VERSION
+               + n1 + '"simplices": ')
+    lead = "[" + n2
+    for sid, vs, facets in mc.records():
+        fs = "{}"
+        if facets:
+            fs = "{" + n4 + sep.join([_string(k) + ": " + _string(facets[k])
+                                      for k in sorted(facets)]) + n3 + "}"
+        vt = "[" + n4 + sep.join(map(_string, vs)) + n3 + "]" if vs else "[]"
+        out.append(lead + entry % (fs, _string(sid), vt))
+        lead = "," + n2
+    # lead still opens the list when the complex has no simplex
+    out.append("[]," if lead[0] == "[" else n1 + "],")
+    out.append(n1 + '"vertices": ')
+    _write(mc.vertices, n1, out)
+    out.append(newline + "}")
 
 
 def parse_document(text: str) -> dict:

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and the rationals.
 
 The integer routines take a matrix as sparse rows {column: int} and its
-column count, and a SmithForm keeps its factors sparse, U and Vinv as
-rows and Uinv and V as columns.  No floats, no modular shortcuts.
+column count, and a SmithForm builds its factors sparse, U and Vinv as
+rows and Uinv and V as columns, each from the log of the elimination
+when it is first read.  No floats, no modular shortcuts.
 
 The integer Smith normal form is the one elimination the program runs:
 ranks, kernels, quotients and solutions over Z and over Q are all read
@@ -19,17 +20,22 @@ names them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 
 class SmithForm:
     """Smith normal form U * A * V = D of an integer matrix A.
 
     d lists the diagonal of D (non-negative, each dividing the next);
-    rank is the number of nonzero entries.  U, V are unimodular and the
-    inverses Uinv, Vinv are tracked alongside so that A = Uinv * D * Vinv.
-    All four are kept sparse, as lists of {index: nonzero}, in the shape
-    the elimination updates them in: U_rows and Vinv_rows hold the rows
-    of U and Vinv, Uinv_cols and V_cols the columns of Uinv and V.
+    rank is the number of nonzero entries.  U, V are unimodular, and
+    A = Uinv * D * Vinv.  smith_form eliminates on A alone and logs its
+    elementary operations, row and column apart; each factor is replayed
+    from its log the first time it is read, as sparse lists of
+    {index: nonzero} in the shape the elimination would update it in:
+    U_rows and Vinv_rows hold the rows of U and Vinv, Uinv_cols and
+    V_cols the columns of Uinv and V.  A caller builds only what it
+    reads: solve reads U_rows and V_cols, cokernel Uinv_cols, and
+    chains.HomologyResult reads V_cols and Vinv_rows of each boundary.
     SmithForm(rows, cols) alone is the factorization of the zero matrix.
     """
 
@@ -37,10 +43,26 @@ class SmithForm:
         self.rows = rows
         self.cols = cols
         self.d: list[int] = []
-        self.U_rows = [{i: 1} for i in range(rows)]
-        self.Uinv_cols = [{i: 1} for i in range(rows)]
-        self.V_cols = [{j: 1} for j in range(cols)]
-        self.Vinv_rows = [{j: 1} for j in range(cols)]
+        # (i,) negates line i, (i, j) swaps lines i and j, and
+        # (i, j, q) adds q times line j to line i
+        self._row_ops: list[tuple] = []
+        self._col_ops: list[tuple] = []
+
+    @cached_property
+    def U_rows(self) -> list[dict]:
+        return _replay(self.rows, self._row_ops, False)
+
+    @cached_property
+    def Uinv_cols(self) -> list[dict]:
+        return _replay(self.rows, self._row_ops, True)
+
+    @cached_property
+    def V_cols(self) -> list[dict]:
+        return _replay(self.cols, self._col_ops, False)
+
+    @cached_property
+    def Vinv_rows(self) -> list[dict]:
+        return _replay(self.cols, self._col_ops, True)
 
     @property
     def rank(self) -> int:
@@ -102,6 +124,28 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             del dst[k]
 
 
+def _replay(size: int, ops: list, inverse: bool) -> list[dict]:
+    """The identity of the given size as sparse lines, with the logged
+    operations applied in order.  A line is a row of U or a column of V;
+    with inverse it is a column of Uinv or a row of Vinv, on which an
+    addition acts transposed and negated."""
+    lines = [{k: 1} for k in range(size)]
+    for op in ops:
+        if len(op) == 3:
+            i, j, q = op
+            if inverse:
+                _axpy(lines[j], lines[i], -q)
+            else:
+                _axpy(lines[i], lines[j], q)
+        elif len(op) == 2:
+            i, j = op
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            i, = op
+            lines[i] = {k: -x for k, x in lines[i].items()}
+    return lines
+
+
 def _swap_keys(row: dict, i, j) -> None:
     x, y = row.pop(i, 0), row.pop(j, 0)
     if y:
@@ -117,42 +161,38 @@ def smith_form(a: list[dict], cols: int) -> SmithForm:
     entries are dropped and the order of the keys does not matter.  The
     pivot is the entry of least absolute value in row-major order of the
     remaining block, and the first unit found ends the search.
-    Every matrix is kept as sparse rows {index: nonzero}: m and the
-    row-operated U and Vinv by rows, and the column-operated Uinv and V
-    by columns (UinvT, VT), so that every update is a sparse row update
-    and every swap a list swap.  The result keeps these lists as its
-    U_rows, Uinv_cols, V_cols and Vinv_rows.
+    m is kept as sparse rows {column: nonzero}, so an elementary
+    operation costs the nonzeros it touches and a row swap is a list
+    swap.  Each operation is logged, rows and columns apart, for the
+    result to replay its factors from on demand; the replay runs the
+    same operations in the same order as updating U, Uinv, V and Vinv
+    alongside m would, so it builds the same factors.
     """
     m = [{j: x for j, x in row.items() if x} for row in a]
     rows = len(m)
     sf = SmithForm(rows, cols)
-    U, UinvT, VT, Vinv = sf.U_rows, sf.Uinv_cols, sf.V_cols, sf.Vinv_rows
+    row_ops, col_ops = sf._row_ops, sf._col_ops
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
-        U[i], U[j] = U[j], U[i]
-        # inverse of a swap is the same swap, applied on columns of Uinv
-        UinvT[i], UinvT[j] = UinvT[j], UinvT[i]
+        row_ops.append((i, j))
 
     def row_negate(i):
         m[i] = {k: -x for k, x in m[i].items()}
-        U[i] = {k: -x for k, x in U[i].items()}
-        UinvT[i] = {k: -x for k, x in UinvT[i].items()}
+        row_ops.append((i,))
 
     def row_add(i, j, q):
         # row_i += q * row_j
         if q:
             _axpy(m[i], m[j], q)
-            _axpy(U[i], U[j], q)
-            _axpy(UinvT[j], UinvT[i], -q)
+            row_ops.append((i, j, q))
 
     def col_swap(i, j, live):
         for r in live:
             row = m[r]
             if i in row or j in row:
                 _swap_keys(row, i, j)
-        VT[i], VT[j] = VT[j], VT[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        col_ops.append((i, j))
 
     def col_add(i, j, q, live):
         # col_i += q * col_j, on the rows of live that hold column j
@@ -166,8 +206,7 @@ def smith_form(a: list[dict], cols: int) -> SmithForm:
                         row[i] = y
                     else:
                         del row[i]
-            _axpy(VT[i], VT[j], q)
-            _axpy(Vinv[j], Vinv[i], -q)
+            col_ops.append((i, j, q))
 
     # Invariant of the main loop: before step s, rows and columns < s
     # hold only their diagonal entry.  Step s works on rows and columns

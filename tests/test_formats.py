@@ -9,11 +9,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multicomplex.chains import AlgebraicSimplex, Chain, Cochain, RING_INT, RING_RAT
-from multicomplex.core import product_with_interval
+from multicomplex.core import (Multicomplex, product_with_interval,
+                               simplicial_complex)
 from conftest import POINT_PARTS, symmetric_group_3
 from multicomplex.diffusion import (ActionOnSet, FiniteSupportMeasure,
                                     SparseFunction, convolve, folner_measure,
@@ -82,6 +83,85 @@ _json_values = st.recursive(
 def test_canonical_dumps_writes_the_text_of_json_dumps(value):
     assert canonical_dumps(value) == json.dumps(value, indent=2,
                                                 sort_keys=True) + "\n"
+
+
+# ids that need JSON escapes or are not ASCII; no id may hold a comma
+_ids = st.text(min_size=1, max_size=3).filter(lambda t: "," not in t) | \
+    st.sampled_from(['"', "\\", "/", "\b\f\n\r\t", "\x00\x1f\x7f",
+                     "\u00e9", "\u2028", "\U0001f600"])
+
+
+@st.composite
+def _complexes(draw):
+    """A simplicial complex on a few faces, plus simplices whose facet
+    maps miss facets, name spurious ones or point at a facet of the
+    wrong span; or the empty complex."""
+    vertices = draw(st.lists(_ids, unique=True, max_size=5))
+    if not vertices:
+        return Multicomplex([], [])
+    faces = draw(st.lists(st.lists(st.sampled_from(vertices), min_size=1,
+                                   max_size=3, unique=True), max_size=3))
+    sound = simplicial_complex(faces, vertices)
+    triples = [(sid, sound.vertex_set(sid), dict(sound.facets(sid)))
+               for sid in sound.simplex_ids]
+    extra = draw(st.lists(_ids.filter(lambda t: t not in sound.simplex_ids),
+                          unique=True, max_size=3))
+    ids = list(sound.simplex_ids) + extra
+    for sid in extra:
+        vset = frozenset(draw(st.lists(st.sampled_from(vertices), min_size=1,
+                                       unique=True)))
+        drops = [vset - {v} for v in vset]
+        keys = draw(st.lists(st.sampled_from(drops)
+                             | st.frozensets(st.sampled_from(vertices)),
+                             max_size=4))
+        triples.append((sid, vset,
+                        {key: draw(st.sampled_from(ids)) for key in keys}))
+    return Multicomplex(vertices, triples)
+
+
+# a missing, a spurious and a wrong-span facet, over escaped ids
+_UNSOUND = Multicomplex(["a", "\u00e9", '"'], [
+    ("a", {"a"}, {}), ("\u00e9", {"\u00e9"}, {}), ('"', {'"'}, {}),
+    ("e\n", {"a", "\u00e9"}, {frozenset({"a"}): "a"}),
+    ("f", {"a", '"'}, {frozenset({"a"}): "a", frozenset({'"'}): "a",
+                       frozenset({"a", '"'}): "e\n"})])
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100)
+@example(mc=_UNSOUND)
+@example(mc=Multicomplex([], []))
+@given(mc=_complexes())
+def test_canonical_dumps_writes_a_multicomplex_as_its_document(mc):
+    text = _json_text(multicomplex_to_doc(mc))
+    assert canonical_dumps(mc) == canonical_dumps(
+        multicomplex_to_doc(mc)) == text
+    # one level down, as the product and quotient documents hold it
+    nested = {"schema_version": SCHEMA_VERSION, "complex": mc,
+              "projection": {"simplex_map": {}, "vertex_map": {}}}
+    as_doc = dict(nested, complex=multicomplex_to_doc(mc))
+    assert canonical_dumps(nested) == canonical_dumps(as_doc) == \
+        _json_text(as_doc)
+
+
+def test_the_unsound_example_has_every_facet_problem():
+    problems = "; ".join(_UNSOUND.validate())
+    assert "missing its facet" in problems
+    assert "spurious facet entry" in problems
+    assert "spans" in problems
+
+
+def test_canonical_dumps_falls_back_to_json_on_a_complex_under_a_number():
+    mc = cone_over_double_edge()
+    doc = {"schema_version": SCHEMA_VERSION,
+           "pieces": {0: mc, 1: _UNSOUND}}
+    as_doc = {"schema_version": SCHEMA_VERSION,
+              "pieces": {0: multicomplex_to_doc(mc),
+                         1: multicomplex_to_doc(_UNSOUND)}}
+    assert canonical_dumps(doc) == _json_text(as_doc)
 
 
 def test_parse_document_rejects_bad_inputs():

@@ -12,8 +12,11 @@ from reference import (dense, dense_factors, identity_matrix, mat_vec,
                        matmul, rational_rank)
 from reference import smith_form as dense_smith_form
 
-from multicomplex.chains import (build_full_chain_complex,
+from multicomplex.chains import (RING_INT, RING_RAT, HomologyResult,
+                                 build_full_chain_complex,
                                  build_reduced_chain_complex)
+from multicomplex.core import product_with_interval
+from multicomplex.fixtures import cone_over_double_edge
 from multicomplex.intlinalg import (integer_kernel_basis, integer_quotient,
                                     rational_kernel_basis, rational_rref,
                                     rational_solve, smith_form,
@@ -49,6 +52,14 @@ def _boundary_matrices(seed):
             for cc in (build_full_chain_complex(mc),
                        build_reduced_chain_complex(mc))
             for n in sorted(cc.degrees()) if n > 0]
+
+
+_FACTORS = ("U_rows", "Uinv_cols", "V_cols", "Vinv_rows")
+
+
+def _built(sf) -> set:
+    """The factors of sf replayed so far."""
+    return {name for name in _FACTORS if name in vars(sf)}
 
 
 def _is_unimodular(u):
@@ -100,9 +111,12 @@ def test_smith_form_random_factorization(a):
        rng=st.randoms(use_true_random=False))
 def test_smith_form_matches_the_dense_reference(batch, rng):
     """The factorization of the sparse rows equals the dense reference's,
-    whatever the order of the keys and with explicit zeros mixed in."""
+    whatever the order of the keys and with explicit zeros mixed in, and
+    whatever the order its factors are first read in."""
     for a, cols in batch:
         sf = smith_form(_shuffled_rows(rng, a), cols)
+        for name in rng.sample(_FACTORS, len(_FACTORS)):
+            getattr(sf, name)
         # the dense reference reads the width off row 0; with no rows
         # the factorization is the identity on both sides
         ref = dense_smith_form(a) if a else DenseSmithForm(0, cols)
@@ -195,6 +209,30 @@ def test_integer_quotient_structure():
     assert (torsion, free) == ([2], 1)
     assert [[g.get(i, 0) for i in range(2)] for g in gens] == [[1, 0],
                                                              [0, 1]]
+
+
+def test_a_factor_is_replayed_only_when_read():
+    sf = smith_form([{0: 2, 1: 4}, {0: 6, 1: 3}, {1: 5}], 2)
+    assert _built(sf) == set()
+    sf.cokernel()
+    assert _built(sf) == {"Uinv_cols"}
+    sf.solve([2, 6, 0])
+    assert _built(sf) == {"Uinv_cols", "U_rows", "V_cols"}
+
+
+@pytest.mark.parametrize("ring", [RING_INT, RING_RAT])
+def test_homology_replays_only_the_column_factors_of_a_boundary(ring):
+    """structure and generators read V and Vinv of each boundary; only
+    is_boundary, through solve, reads U, and nothing reads Uinv."""
+    cc = build_full_chain_complex(
+        product_with_interval(cone_over_double_edge()).complex)
+    hom = HomologyResult(cc, ring)
+    for n in cc.degrees():
+        hom.structure(n)
+        hom.generators(n)
+    assert hom._factors
+    for sf in hom._factors.values():
+        assert _built(sf) <= {"V_cols", "Vinv_rows"}
 
 
 def test_rational_rref_rank_kernel():
