@@ -24,9 +24,11 @@ The work follows the generators and the moved points.  A move table
 fixes every point its rows do not name, so validate_action_on_set checks
 and local_diffuse convolves a table block on the points it names only;
 toy_vanish solves for the class witnesses of the generators only and
-builds and checks the others; convolve adds the int tuples of a
-translation oracle's chart and writes a point only where mass is left.
-Each shortcut is exact.
+builds and checks the others.  A Folner box on Z^d costs its boundary,
+not its atoms: measure_derivative reads the derivative off the box side
+in closed form, and convolve sums the function over the shifted boxes by
+a sweep along each coordinate of a translation oracle's chart, writing a
+point only where mass is left.  Each shortcut is exact.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
-from operator import add
+from math import prod
 
 # orbits is unused, but perfbench/layers.py patches diffusion.orbits
 from .actions import (GroupAction, _orbit_totals, act_on_chain,
@@ -70,8 +72,12 @@ class FiniteSupportMeasure(_FractionFree):
     Weights are positive rationals summing to exactly 1; entries with
     weight zero are dropped on construction.  The elements are coerced
     into the group, and the numerators of the weights sum to the
-    denominator; items() returns reduced Fractions.
+    denominator; items() returns reduced Fractions.  side is the side n
+    of the box {0..n-1}^d when folner_measure built the measure as the
+    uniform measure on that box, and None otherwise.
     """
+
+    side = None
 
     def __init__(self, group, weights):
         items = weights.items() if hasattr(weights, "items") else weights
@@ -233,6 +239,32 @@ class SparseFunction(_FractionFree):
 # convolution and derivatives
 
 
+def _box_sums(boxes, n) -> dict:
+    """{x: s} for the int tuples x at which s, the sum of v over the (c,
+    v) of boxes with x in the box c + {0..n-1}^d, is nonzero.
+
+    All c have one length d.  The sweep reads the first coordinate: its
+    endpoints c_0 and c_0 + n cut the line into intervals on each of
+    which the same boxes are open, and the sums over the other
+    coordinates of those boxes hold all along the interval.  So the work
+    follows the boxes and the points written, not the box atoms.
+    """
+    if not boxes:
+        return {}
+    if not boxes[0][0]:  # d = 0: one point, ()
+        total = sum(v for _, v in boxes)
+        return {(): total} if total else {}
+    ends = sorted({e for c, _ in boxes for e in (c[0], c[0] + n)})
+    out = {}
+    for lo, hi in zip(ends, ends[1:]):
+        rest = _box_sums([(c[1:], v) for c, v in boxes
+                          if c[0] <= lo < c[0] + n], n)
+        if rest:
+            out.update(((x,) + t, s) for x in range(lo, hi)
+                       for t, s in rest.items())
+    return out
+
+
 def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
              a: ActionOnSet) -> SparseFunction:
     """(mu * f)(x) = sum_gamma mu(gamma) f(gamma^{-1} x).
@@ -244,18 +276,20 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
     elements were coerced when it was built and go to the oracle as
     they are.
 
-    A translation oracle of a set-action document carries its chart:
-    act.coords(y) is the int tuple of a point it moves, () for a point
-    it fixes, and act.point(t) writes the point of a tuple.  Then the
-    sums run on the tuples gamma + coords(y), a point is written only
-    where the mass left is nonzero, and a fixed point y keeps
-    mu._den * f(y).  That oracle cannot fail; any other is called on
-    every pair.
+    A box measure of side n (see folner_measure) on a translation oracle
+    of a set-action document needs no atom.  That oracle carries its
+    chart: act.coords(y) is the int tuple of a point it moves, () for a
+    point it fixes, and act.point(t) writes the point of a tuple.  The
+    box spreads a moved y evenly over c + {0..n-1}^d for c = coords(y),
+    so the numerator at x is the sum of f(y) over the boxes that hold
+    x; _box_sums sweeps the coordinates for it and writes a point only
+    where that sum is nonzero.  A fixed point y keeps mu._den * f(y).
+    Every other measure and oracle is called on every pair.
     """
     act = a.oracle()
     den = mu._den * f._den
     coords = getattr(act, "coords", None)
-    if coords is not None:
+    if mu.side is not None and coords is not None:
         out, moved = {}, []
         for y, v in f._num.items():
             c = coords(y)
@@ -263,15 +297,10 @@ def convolve(mu: FiniteSupportMeasure, f: SparseFunction,
                 moved.append((c, v))
             else:
                 out[y] = mu._den * v
-        acc = {}
-        get = acc.get
-        for c, v in moved:
-            for gamma, w in mu._num.items():
-                t = tuple(map(add, gamma, c))
-                acc[t] = get(t, 0) + w * v
         point = act.point
         # a written point parses, so it is never a fixed point
-        out.update((point(t), n) for t, n in acc.items() if n)
+        out.update((point(t), s)
+                   for t, s in _box_sums(moved, mu.side).items())
         return SparseFunction._of_numerators(out, den)
     # atoms in the order of mu.items() and points in the order of
     # f.items(), so that a failing oracle fails on the first such pair
@@ -288,12 +317,19 @@ def measure_derivative(mu: FiniteSupportMeasure, phi) -> Fraction:
     """The l1 norm of gamma -> mu(gamma*phi) - mu(gamma).
 
     That function is nu - mu for nu(gamma) = mu(gamma*phi), the measure
-    with nu(s*phi^-1) = mu(s), so one product per atom builds nu.  Both
-    have total 1, so the norm is twice the mass by which nu exceeds mu.
-    The group must satisfy the group laws (FiniteGroup.validate); a table
-    on which s -> s*phi^-1 folds two atoms together raises StructureError.
+    with nu(s*phi^-1) = mu(s).  Both have total 1, so the norm is twice
+    the mass by which nu exceeds mu.  On the box B = {0..n-1}^d of a box
+    measure of side n (see folner_measure), nu is uniform on B - phi,
+    which meets B in prod max(n - |phi_i|, 0) points, so the norm is
+    2 * (1 - prod max(n - |phi_i|, 0) / n^d) with no atom read.  Any
+    other measure takes one product per atom to build nu.  The group
+    must satisfy the group laws (FiniteGroup.validate); a table on which
+    s -> s*phi^-1 folds two atoms together raises StructureError.
     """
     g = mu.group
+    if mu.side is not None:
+        inside = prod(max(mu.side - abs(x), 0) for x in g.coerce(phi))
+        return Fraction(2 * (mu._den - inside), mu._den)
     inv = g.inverse(g.coerce(phi))
     product = g._product
     num = mu._num
@@ -320,13 +356,15 @@ def derivative_norm(mu: FiniteSupportMeasure, phis) -> Fraction:
 # The most atoms a Folner box may have.  The box side grows like
 # 2|phi|_1/epsilon, so a small epsilon asks for a box that cannot be
 # built; such a request fails at once instead.  At the limit, a unit
-# dipole's box takes folner_measure 1.3 s and convolve 1.2 s in Z^1
-# (side 1,000,000), and 1.6 s and 1.5 s in Z^2 (side 1,000); writing
-# the measure and the result as one document takes another 1.3 s, and
-# the peak RSS is 367 MiB in Z^1 and 353 MiB in Z^2, reached while
-# writing.  These are the best of three runs on one core of a 2-vCPU
-# Intel Xeon under CPython 3.11.  Time and memory grow linearly in the
-# atoms from there.
+# dipole's box takes folner_measure 0.3 s in Z^1 (side 1,000,000) and
+# 0.4 s in Z^2 (side 1,000); convolve takes under 1 ms and 4 ms, as the
+# sweep reads no atom and writes only the 2 and 2,000 points left.
+# Writing the measure and the result as one document takes another
+# 1.3 s in Z^1 and 1.7 s in Z^2, most of the time now, and the peak RSS
+# is 356 MiB in Z^1 and 342 MiB in Z^2, reached while writing.  These
+# are the best of three runs on one core of a 2-vCPU Intel Xeon under
+# CPython 3.11.  Building and writing the atoms grow linearly from
+# there.
 MAX_BOX_ATOMS = 10 ** 6
 
 
@@ -337,10 +375,14 @@ def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
     Finite groups take the uniform measure (derivative exactly zero).
     Z^d takes the uniform measure on the box {0..N-1}^d, whose derivative
     along phi is at most 2*sum|phi_i|/N, for N the least side past
-    2*sum|phi_i|/epsilon for every phi; the derivative is then checked
-    exactly, and one not below epsilon raises InternalInvariantError.  A
-    box of more than MAX_BOX_ATOMS atoms raises DiffusionError before any
-    atom is built.
+    2*sum|phi_i|/epsilon for every phi.  The measure records N as its
+    side, from which measure_derivative gives the exact derivative in
+    closed form and convolve sweeps the box by its ends; the derivative
+    is then checked, and one not below epsilon raises
+    InternalInvariantError.  The atoms are built all the same, one per
+    point, since the measure is written out atom by atom.  A box of more
+    than MAX_BOX_ATOMS atoms raises DiffusionError before any atom is
+    built.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -361,6 +403,7 @@ def folner_measure(group, phis, epsilon) -> FiniteSupportMeasure:
     mu = FiniteSupportMeasure._of_numerators(
         group, dict.fromkeys(iter_product(range(n), repeat=group.rank), 1),
         atoms)
+    mu.side = n
     norm = derivative_norm(mu, phis)
     if norm >= epsilon:
         raise InternalInvariantError(
@@ -608,19 +651,26 @@ def local_diffuse(a: ActionOnSet, f: SparseFunction, epsilons,
                   threshold: int) -> SparseFunction:
     """Sequential per-orbit diffusion on a truncated locally finite action.
 
-    Blocks are processed in list order.  Stages before threshold get a
-    fixed uniform smoothing (the uniform measure on a finite subgroup,
-    nothing for a free abelian one); from threshold on, stage s runs
-    diffuse_to_epsilon against its budget epsilons[s], which requires the
-    current function to sum to zero on that block.  Later stages never
-    hurt earlier bounds: every block is invariant under every subgroup,
-    so convolution preserves each block sum and never increases a block
-    norm.  Both facts are re-checked exactly before returning.  A table
-    block convolves only the values at the points its rows name (see
-    _checked_points) and keeps the others, which its elements all fix.
+    Blocks are processed in list order.  threshold runs from 0 to the
+    number of blocks; any other value raises StructureError.  Stages
+    before threshold get a fixed uniform smoothing (the uniform measure
+    on a finite subgroup, nothing for a free abelian one); from
+    threshold on, stage s runs diffuse_to_epsilon against its budget
+    epsilons[s], which requires the current function to sum to zero on
+    that block.  Later stages never hurt earlier bounds: every block is
+    invariant under every subgroup, so convolution preserves each block
+    sum and never increases a block norm.  Both facts are re-checked
+    exactly before returning.  A table block convolves only the values at
+    the points its rows name (see _checked_points) and keeps the others,
+    which its elements all fix.
     """
     if not a.blocks:
         raise StructureError("local diffusion needs orbit blocks")
+    threshold = int(threshold)
+    if not 0 <= threshold <= len(a.blocks):
+        raise StructureError(
+            "the threshold must be between 0 and %d, the number of "
+            "blocks, got %d" % (len(a.blocks), threshold))
     problems = validate_action_on_set(a)
     if problems:
         raise DiffusionError(
@@ -631,7 +681,6 @@ def local_diffuse(a: ActionOnSet, f: SparseFunction, epsilons,
             "expected %d budgets, one per block, got %d"
             % (len(blocks), len(epsilons)))
     budgets = [Fraction(e) for e in epsilons]
-    threshold = int(threshold)
     for s, b in enumerate(blocks):
         if s >= threshold:
             if budgets[s] <= 0:

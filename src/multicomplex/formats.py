@@ -446,11 +446,12 @@ def _oracle_from_doc(doc: dict, group):
     diffusion.validate_action_on_set checks and local_diffuse convolves
     only these.  The translation oracle parses each distinct point once
     and keeps its coordinates for the oracle's lifetime.  It exposes its
-    chart, which diffusion.convolve adds on: coords(x) is the cached int
-    tuple of point x, or () for a point it fixes (one that is not rank
-    comma-joined integers as int() reads them), and point(t) writes the
-    point of an int tuple t as the group writes its element keys.  A
-    point such as "01,2" moves to a point written "1,2" and so on.
+    chart, on which diffusion.convolve sweeps a box measure: coords(x) is
+    the cached int tuple of point x, or () for a point it fixes (one that
+    is not rank comma-joined integers as int() reads them), and point(t)
+    writes the point of an int tuple t as the group writes its element
+    keys.  A point such as "01,2" moves to a point written "1,2" and so
+    on.
     """
     kind = _need(doc, "kind")
     if kind == "table":

@@ -789,6 +789,28 @@ def test_local_diffuse_reports_per_block_budgets(tmp_path, capsys):
         assert Fraction(entry["norm"]) <= Fraction(1, 8)
 
 
+@pytest.mark.parametrize("threshold", ["-1", "3", "99"])
+def test_local_diffuse_refuses_a_threshold_past_the_blocks(
+        tmp_path, capsys, threshold):
+    """A threshold runs from 0 to the number of blocks; past either end it
+    is refused, not read as 0 or as no block certified."""
+    action = {"schema_version": formats.SCHEMA_VERSION,
+              "points": ["a0", "a1", "b0", "b1"],
+              "blocks": [_block_doc(("a0", "a1"), 2),
+                         _block_doc(("b0", "b1"), 2)]}
+    f = {"schema_version": formats.SCHEMA_VERSION,
+         "values": {"a0": "1", "a1": "-1"}}
+    argv = ["local-diffuse", _write(tmp_path, "f.json", f),
+            "--action", _write(tmp_path, "action.json", action),
+            "--epsilons", "1/8,1/8", "--threshold"]
+    code, out, err = _run(capsys, argv + [threshold])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: the threshold must be between 0 and 2, the number of "
+        "blocks, got %s" % threshold]
+    assert _run(capsys, argv + ["2"])[0] == 0
+
+
 def test_local_diffuse_rejects_a_subgroup_that_carries_a_point_off(
         tmp_path, capsys):
     # Z/3 turns the block p0, p1, p2 and fixes q0 under r1, but r2

@@ -599,11 +599,88 @@ def test_convolve_on_a_translation_document_matches_the_reference(case):
                              "points": [],
                              "group": group_to_doc(group),
                              "action": {"kind": "translation"}})
-    assert a.oracle().coords is not None  # the chart path runs
+    # the oracle has a chart, which only a box measure reads
+    assert a.oracle().coords is not None
     out = convolve(FiniteSupportMeasure(a.group, weights),
                    SparseFunction(values), a)
     _check_against(out, _reference_convolve(
         weights, values, functools.partial(reference.translate, rank)))
+
+
+def _box(rank, side):
+    """The uniform measure on {0..side-1}^rank, as folner_measure builds
+    it for one unit step (no step at all for side 1)."""
+    steps = [(1,) + (0,) * (rank - 1)] if side > 1 else []
+    mu = folner_measure(FreeAbelianGroup(rank), steps,
+                        Fraction(2, max(side - 1, 1)))
+    assert (mu.side, len(mu)) == (side, side ** rank)
+    return mu
+
+
+@st.composite
+def _box_convolutions(draw):
+    """A Folner box on Z^rank and a function of up to 6 points: moved
+    ones, written in more than one way, with partners whose boxes overlap
+    and cancel theirs there (or everywhere, at the same coordinates), and
+    points the chart fixes."""
+    rank = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 7))
+    spot = st.tuples(*[st.integers(-4, 4)] * rank)
+    spellings = st.sampled_from(["%d", "%+d", " %d "])
+
+    def written(c):
+        return ",".join(draw(spellings) % x for x in c)
+    masses = st.fractions(-3, 3, max_denominator=6).filter(bool)
+    values = {}
+    for _ in range(draw(st.integers(0, 3))):
+        c, v = draw(spot), draw(masses)
+        values[written(c)] = v
+        if draw(st.booleans()):
+            step = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+            values[written(tuple(x + d for x, d in zip(c, step)))] = -v
+    others = st.one_of(st.lists(st.sampled_from(POINT_PARTS), min_size=1,
+                                max_size=3).map(",".join),
+                       st.integers(-3, 3))
+    values.update(draw(st.dictionaries(others, masses,
+                                       max_size=6 - len(values))))
+    return rank, side, values
+
+
+@settings(max_examples=200)
+@given(_box_convolutions())
+def test_the_box_sweep_matches_the_reference(case):
+    rank, side, values = case
+    a = set_action_from_doc({"schema_version": 1,
+                             "points": [],
+                             "group": group_to_doc(FreeAbelianGroup(rank)),
+                             "action": {"kind": "translation"}})
+    mu = _box(rank, side)
+    f = SparseFunction(values)
+    out = convolve(mu, f, a)
+    _check_against(out, _reference_convolve(
+        dict(mu.items()), values, functools.partial(reference.translate,
+                                                    rank)))
+    assert out.total() == f.total()
+
+
+@st.composite
+def _box_shifts(draw):
+    """A box side in Z^rank and a shift phi: 0, or one with each |phi_i|
+    up to the side plus 1, so that some shifts leave the box."""
+    rank, side = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    phi = draw(st.one_of(
+        st.just((0,) * rank),
+        st.tuples(*[st.integers(-side - 1, side + 1)] * rank)))
+    return rank, side, phi
+
+
+@settings(max_examples=100)
+@given(_box_shifts())
+def test_the_box_derivative_in_closed_form_matches_the_reference(case):
+    rank, side, phi = case
+    mu = _box(rank, side)
+    assert measure_derivative(mu, phi) == _reference_derivative(
+        mu.group, dict(mu.items()), phi)
 
 
 def test_measure_derivative_on_a_nonabelian_group():
